@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -41,16 +39,10 @@ from .divergences import tv_estimate_binned
 from .elap import ELapParams, GammaParams, elap_sample, elap_tail_radius, gamma_exact_tail
 from .errors import ConfigInvalid, DPSamplerError
 from .gaussian import (
-    PureGaussianSamplerParams,
     ZcdpParams,
-    bounded_cov_clip_bound,
-    known_cov_clip_bound,
-    pure_gaussian_sample,
     pure_sample_complexity,
     zcdp_bounded_cov_complexity,
-    zcdp_bounded_cov_sample,
     zcdp_known_cov_complexity,
-    zcdp_known_cov_sample,
 )
 from .kary import (
     ShuRRConfig,
@@ -209,33 +201,15 @@ def _run_sample_gaussian(config: ExperimentConfig):
         raise ConfigInvalid(f"--dim {params['dim']} does not match data dimension {data.d}")
     rng = _rng(config)
     mode = params.get("mode") or "once"
-    c = float(params.get("c") or 2.0)
+    spec = _gaussian_sampler_spec(variant, data.d, R, eps, alpha, float(params.get("c") or 2.0))
     derived = {"d": data.d, "n": data.n}
 
     if mode == "once":
+        derived.update(spec.calibration(alpha, data.n))
         count = int(params.get("count") or 1)
-        if variant == "pure":
-            sampler_params = PureGaussianSamplerParams(
-                R=R, d=data.d, alpha=alpha, eps=eps, c=c
-            )
-            derived.update(B=sampler_params.B, sigma2=(data.n - 1) / data.n)
-            draw = lambda child: pure_gaussian_sample(data, sampler_params, child)
-        elif variant == "zcdp-known":
-            derived.update(
-                B=known_cov_clip_bound(data.d, R, alpha), sigma2=(data.n - 1) / data.n
-            )
-            draw = lambda child: zcdp_known_cov_sample(data, R, eps, alpha, child)
-        elif variant == "zcdp-bounded":
-            B = bounded_cov_clip_bound(data.d, R, alpha)
-            sigma2 = alpha / (4.0 * math.sqrt(data.d))
-            derived.update(B=B, sigma2=sigma2)
-            draw = lambda child: zcdp_bounded_cov_sample(data, B, sigma2, child)
-        else:
-            raise ConfigInvalid(f"unknown sample-gaussian variant {variant!r}")
-        rows = np.vstack([draw(rng.child(i)) for i in range(count)])
+        outputs = [spec.run(data, alpha, rng.child(i)) for i in range(count)]
     elif mode in ("repeat", "precision", "both"):
         (m,) = _need(params, "m")
-        spec = _gaussian_sampler_spec(variant, data.d, R, eps, alpha, c)
         if mode == "repeat":
             derived["n_per_call"] = spec.n_per_call(alpha)
             outputs = weak_via_repetition(spec, int(m), data, rng)
@@ -244,10 +218,10 @@ def _run_sample_gaussian(config: ExperimentConfig):
             # degenerates to repetition at the tightened tolerance
             derived["n_per_call"] = spec.n_per_call(alpha / int(m))
             outputs = strong_via_both(spec, int(m), alpha, data, rng)
-        rows = np.vstack(outputs)
     else:
         raise ConfigInvalid(f"unknown sample-gaussian mode {mode!r}")
 
+    rows = np.vstack(outputs)
     if config.output_path:
         write_vector_csv(config.output_path, rows)
     return {"count": int(rows.shape[0]), "path": config.output_path}, derived, 0
@@ -551,26 +525,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _thread_cap() -> int:
-    # reserved cap on internal fan-out; all current operations are sequential,
-    # which trivially respects any cap >= 1
-    raw = os.environ.get("DP_SAMPLER_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigInvalid(f"DP_SAMPLER_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigInvalid(f"DP_SAMPLER_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = _config_from_args(args)
     try:
-        _thread_cap()
         report = run(config)
     except DPSamplerError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -52,6 +52,11 @@ def _clip_rows(rows: np.ndarray, B: float) -> np.ndarray:
     return rows * scale[:, None]
 
 
+def fresh_draw_variance(n: int) -> float:
+    """Variance (n-1)/n of the Gaussian that turns a noisy n-row mean into a fresh draw."""
+    return (n - 1) / n
+
+
 @dataclass(frozen=True)
 class ELapMechanismParams:
     """Clip bound B, privacy budget eps, and the derived noise scale b.
@@ -78,11 +83,7 @@ class ELapMechanismParams:
 
 
 def elap_mechanism(
-    data: VectorDataset,
-    params: ELapMechanismParams,
-    rng: RandomSource,
-    *,
-    _noise=None,
+    data: VectorDataset, params: ELapMechanismParams, rng: RandomSource
 ) -> np.ndarray:
     """Noisy vector sum: Euclidean-Laplace noise of scale b added to sum of rows.
 
@@ -93,10 +94,7 @@ def elap_mechanism(
     worst = float(norms.max())
     if worst > params.B + 1e-9:
         raise NormViolation(f"input row norm {worst} exceeds bound B={params.B}")
-    total = data.rows.sum(axis=0)
-    if _noise is None:  # test hook: pass a fixed noise vector to disable sampling
-        _noise = elap_sample(ELapParams(d=data.d, b=params.b), rng)
-    return total + np.asarray(_noise, dtype=np.float64)
+    return data.rows.sum(axis=0) + elap_sample(ELapParams(d=data.d, b=params.b), rng)
 
 
 @dataclass(frozen=True)
@@ -124,12 +122,7 @@ class PureGaussianSamplerParams:
 
 
 def pure_gaussian_sample(
-    data: VectorDataset,
-    params: PureGaussianSamplerParams,
-    rng: RandomSource,
-    *,
-    _elap_noise=None,
-    _gauss_noise=None,
+    data: VectorDataset, params: PureGaussianSamplerParams, rng: RandomSource
 ) -> np.ndarray:
     """Pure-DP approximate fresh draw from N(mu, I) given n >= 2 input rows.
 
@@ -141,14 +134,13 @@ def pure_gaussian_sample(
     n = data.n
     if n < 2:
         raise TooFewSamples(f"need n >= 2 for the (n-1)/n noise calibration, got {n}")
-    clipped = VectorDataset(rows=_clip_rows(data.rows, params.B))
-    noisy_sum = elap_mechanism(
-        clipped, ELapMechanismParams(B=params.B, eps=params.eps), rng, _noise=_elap_noise
-    )
-    sigma = math.sqrt((n - 1) / n)
-    if _gauss_noise is None:  # test hook
-        _gauss_noise = sigma * rng.generator.standard_normal(params.d)
-    return np.asarray(_gauss_noise, dtype=np.float64) + noisy_sum / n
+    B = params.B
+    # the rows are clipped right here, so elap_mechanism's second norm pass is skipped
+    b = ELapMechanismParams(B=B, eps=params.eps).b
+    clipped_sum = _clip_rows(data.rows, B).sum(axis=0)
+    noisy_sum = clipped_sum + elap_sample(ELapParams(d=params.d, b=b), rng)
+    sigma = math.sqrt(fresh_draw_variance(n))
+    return sigma * rng.generator.standard_normal(params.d) + noisy_sum / n
 
 
 def pure_sample_complexity(
@@ -182,8 +174,6 @@ def zcdp_known_cov_sample(
     eps: float,
     alpha: float,
     rng: RandomSource,
-    *,
-    _gauss_noise=None,
 ) -> np.ndarray:
     """Clipped empirical mean plus N(0, ((n-1)/n) I) noise, under eps^2/2-zCDP.
 
@@ -192,16 +182,14 @@ def zcdp_known_cov_sample(
     """
     n = data.n
     B = known_cov_clip_bound(data.d, R, alpha)
-    if n < 2 or 2.0 * B / (eps * n) > math.sqrt((n - 1) / n):
+    sigma = math.sqrt(fresh_draw_variance(n))
+    if n < 2 or 2.0 * B / (eps * n) > sigma:
         needed = zcdp_known_cov_complexity(data.d, R, alpha, eps).n_required
         raise TooFewSamples(
             f"zCDP condition sigma >= 2B/(eps*n) fails at n={n}; need n >= {needed}"
         )
     clipped_mean = _clip_rows(data.rows, B).mean(axis=0)
-    sigma = math.sqrt((n - 1) / n)
-    if _gauss_noise is None:  # test hook
-        _gauss_noise = sigma * rng.generator.standard_normal(data.d)
-    return clipped_mean + np.asarray(_gauss_noise, dtype=np.float64)
+    return clipped_mean + sigma * rng.generator.standard_normal(data.d)
 
 
 def zcdp_known_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
@@ -211,7 +199,7 @@ def zcdp_known_cov_complexity(d: int, R: float, alpha: float, eps: float) -> Com
     B = known_cov_clip_bound(d, R, alpha)
 
     def ok(n: int) -> bool:
-        return 2.0 * B / (eps * n) <= math.sqrt((n - 1) / n)
+        return 2.0 * B / (eps * n) <= math.sqrt(fresh_draw_variance(n))
 
     hi = 2
     while not ok(hi):
@@ -237,6 +225,11 @@ def bounded_cov_clip_bound(d: int, R: float, alpha: float) -> float:
     return R + math.sqrt(2.0 * d * math.log(2.0 / alpha))
 
 
+def bounded_cov_sigma2(d: int, alpha: float) -> float:
+    """Noise variance alpha/(4*sqrt(d)) of the bounded-covariance sampler."""
+    return alpha / (4.0 * math.sqrt(d))
+
+
 def bounded_cov_sensitivity(n1: int, n2: int, B: float) -> float:
     """Replacement sensitivity of the pre-noise statistic, by direct maximization.
 
@@ -256,8 +249,6 @@ def zcdp_bounded_cov_sample(
     rng: RandomSource,
     n1: int | None = None,
     n2: int | None = None,
-    *,
-    _gauss_noise=None,
 ) -> np.ndarray:
     """Bounded-covariance single draw from n1 + 2*n2 clipped rows.
 
@@ -284,9 +275,8 @@ def zcdp_bounded_cov_sample(
     diff_part = math.sqrt((1.0 - 1.0 / n1) / (2.0 * n2)) * (
         pairs[:, 0, :] - pairs[:, 1, :]
     ).sum(axis=0)
-    if _gauss_noise is None:  # test hook
-        _gauss_noise = math.sqrt(sigma2) * rng.generator.standard_normal(data.d)
-    return np.asarray(_gauss_noise, dtype=np.float64) + mean_part + diff_part
+    noise = math.sqrt(sigma2) * rng.generator.standard_normal(data.d)
+    return noise + mean_part + diff_part
 
 
 def zcdp_bounded_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:

@@ -16,14 +16,17 @@ consumed by exactly one inner call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from .core import PrivacyBudget, RandomSource
+from .core import RandomSource
 from .errors import InsufficientData, PrecisionLimit
 from .gaussian import (
     PureGaussianSamplerParams,
     bounded_cov_clip_bound,
+    bounded_cov_sigma2,
+    fresh_draw_variance,
+    known_cov_clip_bound,
     pure_gaussian_sample,
     pure_sample_complexity,
     zcdp_bounded_cov_complexity,
@@ -50,14 +53,18 @@ class SamplerSpec:
     tolerance alpha; ``run(data, alpha, rng)`` performs one invocation.
     Single-samplers return one draw per call, weak samplers return their m
     outputs in one call.
+
+    ``calibration(alpha, n)`` is set for the Gaussian samplers only.  It
+    returns ``{"B": clip radius, "sigma2": variance of the added Gaussian}``
+    for one invocation on n rows at tolerance alpha, from the same
+    ``gaussian`` definitions that ``run`` applies; RunReports read ``B`` and
+    ``sigma2`` from here.
     """
 
-    kind: str
-    family: str
     alpha: float
     n_per_call: Callable[[float], int]
     run: Callable[[Any, float, RandomSource], Any]
-    budget: PrivacyBudget | None = None
+    calibration: Callable[[float, int], dict] | None = None
 
 
 def _check_tolerance(alpha: float, m: int) -> float:
@@ -106,15 +113,7 @@ def strong_via_both(
     on_call: OnCall | None = None,
 ) -> list:
     """Single-sampler at tolerance alpha/m repeated on m disjoint blocks."""
-    per_output = _check_tolerance(alpha, m)
-    tightened = SamplerSpec(
-        kind=single.kind,
-        family=single.family,
-        alpha=per_output,
-        n_per_call=single.n_per_call,
-        run=single.run,
-        budget=single.budget,
-    )
+    tightened = replace(single, alpha=_check_tolerance(alpha, m))
     return weak_via_repetition(tightened, m, data, rng, on_call=on_call)
 
 
@@ -134,24 +133,18 @@ def strong_both_complexity(single: SamplerSpec, m: int, alpha: float) -> int:
 def subrr_sampler(k: int, eps: float, alpha: float) -> SamplerSpec:
     """Single-sampler spec for the subsampled randomized-response mechanism."""
     return SamplerSpec(
-        kind="single",
-        family="kary",
         alpha=alpha,
         n_per_call=lambda a: subrr_sample_complexity(k, a, eps).n_required,
         run=lambda block, a, rng: subrr_sample(block, eps, rng),
-        budget=PrivacyBudget.pure(eps),
     )
 
 
 def shurr_sampler(k: int, eps: float, delta: float, m: int, alpha: float) -> SamplerSpec:
     """Weak multi-sampler spec for the shuffled randomized-response mechanism."""
     return SamplerSpec(
-        kind="weak",
-        family="kary",
         alpha=alpha,
         n_per_call=lambda a: shurr_weak_complexity(k, a, eps, delta, m).n_required,
         run=lambda data, a, rng: shurr_run(data, eps, delta, m, rng),
-        budget=PrivacyBudget.approx(eps, delta),
     )
 
 
@@ -159,27 +152,27 @@ def pure_gaussian_sampler(
     d: int, R: float, eps: float, alpha: float, c: float = 2.0, C: float = 1.0
 ) -> SamplerSpec:
     """Single-sampler spec for the pure-DP known-covariance Gaussian mechanism."""
+
+    def params(a: float) -> PureGaussianSamplerParams:
+        return PureGaussianSamplerParams(R=R, d=d, alpha=a, eps=eps, c=c)
+
     return SamplerSpec(
-        kind="single",
-        family="gaussian-pure",
         alpha=alpha,
         n_per_call=lambda a: pure_sample_complexity(d, R, a, eps, C=C, c=c).n_required,
-        run=lambda block, a, rng: pure_gaussian_sample(
-            block, PureGaussianSamplerParams(R=R, d=d, alpha=a, eps=eps, c=c), rng
-        ),
-        budget=PrivacyBudget.pure(eps),
+        run=lambda block, a, rng: pure_gaussian_sample(block, params(a), rng),
+        calibration=lambda a, n: {"B": params(a).B, "sigma2": fresh_draw_variance(n)},
     )
 
 
 def zcdp_known_cov_sampler(d: int, R: float, eps: float, alpha: float) -> SamplerSpec:
     """Single-sampler spec for the zCDP known-covariance Gaussian mechanism."""
     return SamplerSpec(
-        kind="single",
-        family="gaussian-zcdp-known",
         alpha=alpha,
         n_per_call=lambda a: zcdp_known_cov_complexity(d, R, a, eps).n_required,
         run=lambda block, a, rng: zcdp_known_cov_sample(block, R, eps, a, rng),
-        budget=PrivacyBudget.zcdp(eps),
+        calibration=lambda a, n: {
+            "B": known_cov_clip_bound(d, R, a), "sigma2": fresh_draw_variance(n)
+        },
     )
 
 
@@ -190,16 +183,11 @@ def zcdp_bounded_cov_sampler(d: int, R: float, eps: float, alpha: float) -> Samp
         n = zcdp_bounded_cov_complexity(d, R, a, eps).n_required
         return 3 * int(math.ceil(n / 3))  # rows split as n1 = n2 = n/3
 
-    def run(block, a: float, rng: RandomSource):
-        B = bounded_cov_clip_bound(d, R, a)
-        sigma2 = a / (4.0 * math.sqrt(d))
-        return zcdp_bounded_cov_sample(block, B, sigma2, rng)
+    def calibration(a: float, n: int) -> dict:
+        return {"B": bounded_cov_clip_bound(d, R, a), "sigma2": bounded_cov_sigma2(d, a)}
 
-    return SamplerSpec(
-        kind="single",
-        family="gaussian-zcdp-bounded",
-        alpha=alpha,
-        n_per_call=n_per_call,
-        run=run,
-        budget=PrivacyBudget.zcdp(eps),
-    )
+    def run(block, a: float, rng: RandomSource):
+        cal = calibration(a, block.n)
+        return zcdp_bounded_cov_sample(block, cal["B"], cal["sigma2"], rng)
+
+    return SamplerSpec(alpha=alpha, n_per_call=n_per_call, run=run, calibration=calibration)

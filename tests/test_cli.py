@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from dpsampler.cli import ExperimentConfig, main, run, table_sweep
-from dpsampler.core import write_kary_csv, write_vector_csv
+from dpsampler.core import RandomSource, read_vector_csv, write_kary_csv, write_vector_csv
 from dpsampler.errors import ConfigInvalid
+from dpsampler.gaussian import (
+    PureGaussianSamplerParams,
+    pure_gaussian_sample,
+    zcdp_bounded_cov_sample,
+    zcdp_known_cov_sample,
+)
 from dpsampler.kary import shurr_weak_complexity, subrr_sample_complexity
 
 
@@ -131,14 +137,45 @@ class TestSampleGaussian:
         assert report["derived"]["B"] == pytest.approx(1 + 2 * math.sqrt(math.log(10)))
 
     def test_zcdp_variants(self, capsys, vector_file):
-        for variant in ("zcdp-known", "zcdp-bounded"):
+        # d = 1, n = 300, R = 1, alpha = 0.1
+        expected = {
+            "zcdp-known": (1 + math.sqrt(2 * (1 + math.log(10))), 299 / 300),
+            "zcdp-bounded": (1 + math.sqrt(2 * math.log(20)), 0.1 / 4),
+        }
+        for variant, (B, sigma2) in expected.items():
             code, stdout, _ = run_cli(
                 capsys,
                 ["sample-gaussian", "--variant", variant, "--in", str(vector_file),
                  "--R", "1", "--alpha", "0.1", "--eps", "1", "--seed", "12"],
             )
             assert code == 0
-            assert "sigma2" in json.loads(stdout)["derived"]
+            derived = json.loads(stdout)["derived"]
+            assert derived["B"] == pytest.approx(B, rel=1e-12)
+            assert derived["sigma2"] == pytest.approx(sigma2, rel=1e-12)
+
+    def test_once_mode_replays_library_calls(self, capsys, vector_file, tmp_path):
+        data = read_vector_csv(vector_file)
+        R, alpha, eps, seed = 1.0, 0.1, 1.0, 15
+        direct = {
+            "pure": lambda rng: pure_gaussian_sample(
+                data, PureGaussianSamplerParams(R=R, d=1, alpha=alpha, eps=eps), rng
+            ),
+            "zcdp-known": lambda rng: zcdp_known_cov_sample(data, R, eps, alpha, rng),
+            "zcdp-bounded": lambda rng: zcdp_bounded_cov_sample(
+                data, 1 + math.sqrt(2 * math.log(2 / alpha)), alpha / 4, rng
+            ),
+        }
+        for variant, draw in direct.items():
+            out = tmp_path / f"{variant}.csv"
+            code, _, _ = run_cli(
+                capsys,
+                ["sample-gaussian", "--variant", variant, "--mode", "once", "--count", "3",
+                 "--in", str(vector_file), "--R", str(R), "--alpha", str(alpha),
+                 "--eps", str(eps), "--seed", str(seed), "--out", str(out)],
+            )
+            assert code == 0
+            expected = np.vstack([draw(RandomSource(seed).child(i)) for i in range(3)])
+            assert np.array_equal(read_vector_csv(out).rows, expected), variant
 
     def test_multisampling_modes(self, capsys, vector_file):
         for variant in ("pure", "zcdp-known", "zcdp-bounded"):

@@ -7,6 +7,7 @@ import scipy.stats
 
 from helpers import ks_critical, ks_statistic
 
+import dpsampler.gaussian
 from dpsampler.core import RandomSource, VectorDataset
 from dpsampler.elap import GammaParams, gamma_exact_tail
 from dpsampler.errors import BadSplit, NormViolation, TooFewSamples, ValidationError
@@ -107,8 +108,11 @@ class TestPureGaussianSampler:
         with pytest.raises(TooFewSamples):
             pure_gaussian_sample(VectorDataset(rows=[[0.0]]), params, RandomSource(3))
 
-    def test_noise_hook_zeroed_moments(self):
+    def test_noise_hook_zeroed_moments(self, monkeypatch):
         # with eta forced to 0 the output is exactly N(clipped mean, ((n-1)/n) I)
+        monkeypatch.setattr(
+            dpsampler.gaussian, "elap_sample", lambda params, rng, size=None: np.zeros(params.d)
+        )
         gen = np.random.default_rng(65)
         d, n, runs = 2, 8, 40_000
         params = PureGaussianSamplerParams(R=1.0, d=d, alpha=0.1, eps=1.0)
@@ -116,12 +120,7 @@ class TestPureGaussianSampler:
         clipped_mean = np.array([clip_to_ball(r, params.B) for r in rows]).mean(axis=0)
         data = VectorDataset(rows=rows)
         rng = RandomSource(66)
-        outs = np.array(
-            [
-                pure_gaussian_sample(data, params, rng.child(i), _elap_noise=np.zeros(d))
-                for i in range(runs)
-            ]
-        )
+        outs = np.array([pure_gaussian_sample(data, params, rng.child(i)) for i in range(runs)])
         sigma2 = (n - 1) / n
         mean_band = 5.0 * math.sqrt(sigma2 / runs)
         assert np.all(np.abs(outs.mean(axis=0) - clipped_mean) < mean_band)
@@ -185,15 +184,14 @@ class TestZcdpKnownCov:
             zcdp_known_cov_sample(data, 1.0, 1.0, 0.1, RandomSource(5))
 
     def test_no_clipping_moments(self):
-        # all rows well inside B: with the noise hook zeroed the output is the mean
+        # all rows well inside B: the output is the mean plus the replayed noise
         gen = np.random.default_rng(70)
         n, d = 20, 2
         rows = 0.1 * gen.standard_normal((n, d))
         data = VectorDataset(rows=rows)
-        out = zcdp_known_cov_sample(
-            data, 10.0, 10.0, 0.1, RandomSource(6), _gauss_noise=np.zeros(d)
-        )
-        np.testing.assert_allclose(out, rows.mean(axis=0), atol=1e-12)
+        out = zcdp_known_cov_sample(data, 10.0, 10.0, 0.1, RandomSource(6))
+        noise = math.sqrt((n - 1) / n) * RandomSource(6).generator.standard_normal(d)
+        np.testing.assert_allclose(out, rows.mean(axis=0) + noise, rtol=0, atol=1e-12)
 
     def test_unit_output_variance_d1(self):
         # data ~ N(mu, 1), no clipping: output variance = (n-1)/n + 1/n = 1
@@ -231,10 +229,9 @@ class TestZcdpKnownCov:
 class TestZcdpBoundedCov:
     def test_n1_equal_one_returns_first_row(self):
         data = VectorDataset(rows=[[1.0, 2.0], [5.0, 5.0], [-4.0, 3.0]])
-        out = zcdp_bounded_cov_sample(
-            data, B=100.0, sigma2=1e-12, rng=RandomSource(7), _gauss_noise=np.zeros(2)
-        )
-        np.testing.assert_allclose(out, [1.0, 2.0], atol=1e-12)
+        out = zcdp_bounded_cov_sample(data, B=100.0, sigma2=1e-12, rng=RandomSource(7))
+        noise = math.sqrt(1e-12) * RandomSource(7).generator.standard_normal(2)
+        np.testing.assert_allclose(out, np.array([1.0, 2.0]) + noise, rtol=0, atol=1e-12)
 
     def test_bad_split(self):
         data = VectorDataset(rows=np.zeros((4, 2)))

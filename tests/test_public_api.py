@@ -1,0 +1,22 @@
+import importlib
+import inspect
+import pkgutil
+
+import dpsampler
+
+
+def test_public_functions_have_no_underscore_parameters():
+    # test-only hooks stay out of production signatures; tests patch module
+    # attributes instead
+    offenders = []
+    for info in pkgutil.iter_modules(dpsampler.__path__):
+        module = importlib.import_module(f"dpsampler.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            offenders += [
+                f"{module.__name__}.{name}({param})"
+                for param in inspect.signature(fn).parameters
+                if param.startswith("_")
+            ]
+    assert offenders == []
