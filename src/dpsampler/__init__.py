@@ -7,11 +7,10 @@ audit suite that measures the realized privacy loss against the claimed
 budget.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     CategoricalDist,
-    GaussianFamilySpec,
     KaryDataset,
     PrivacyBudget,
     RandomSource,
@@ -22,7 +21,6 @@ from .core import (
 
 __all__ = [
     "CategoricalDist",
-    "GaussianFamilySpec",
     "KaryDataset",
     "PrivacyBudget",
     "RandomSource",

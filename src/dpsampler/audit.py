@@ -152,28 +152,32 @@ def audit_subrr_pure(
     rows = np.stack([rr_row(x, params) for x in range(1, k + 1)])
     bound = eps if claimed_eps is None else claimed_eps
 
+    # shift[a, b] moves the output law when one record a is replaced by b, so
+    # ratios[a, b, y] is the log ratio at outcome y; the flat argmax keeps the
+    # first maximum in (a, b, y) order, which fixes the reported witness
+    shift = (rows[None, :, :] - rows[:, None, :]) / n
+    off_diagonal = ~np.eye(k, dtype=bool)[:, :, None]
+
     best = (0.0, None)
     pairs = 0
     for counts in _compositions(n, k):
         counts_arr = np.asarray(counts, dtype=np.float64)
         base = counts_arr @ rows / n
-        for a in range(k):
-            if counts[a] == 0:
-                continue
-            for b in range(k):
-                if b == a:
-                    continue
-                neighbor = base + (rows[b] - rows[a]) / n
-                pairs += 1
-                ratios = np.log(base) - np.log(neighbor)
-                y = int(np.argmax(ratios))
-                if ratios[y] > best[0]:
-                    best = (float(ratios[y]), {
-                        "counts": list(counts),
-                        "replaced": a + 1,
-                        "replacement": b + 1,
-                        "outcome": y + 1,
-                    })
+        present = counts_arr > 0
+        pairs += int(present.sum()) * (k - 1)
+        # removing an absent record leaves no valid law; those entries are masked
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = np.log(base) - np.log(base + shift)
+        ratios = np.where(off_diagonal & present[:, None, None], raw, -np.inf)
+        flat = int(np.argmax(ratios))
+        if ratios.flat[flat] > best[0]:
+            a, b, y = np.unravel_index(flat, ratios.shape)
+            best = (float(ratios.flat[flat]), {
+                "counts": list(counts),
+                "replaced": int(a) + 1,
+                "replacement": int(b) + 1,
+                "outcome": int(y) + 1,
+            })
     measured = best[0]
     return AuditReport(
         mechanism="subrr",
@@ -207,11 +211,14 @@ def audit_shurr_marginal(
 ) -> AuditReport:
     """Monte Carlo check of the first-output marginal gap between neighbors.
 
-    Simulates the shuffled mechanism on the all-ones dataset and its neighbor
-    with one record replaced (or an explicit ``datasets`` pair), estimates the
-    hockey-stick divergence at beta = e^eps in both directions, and attaches a
-    bootstrap confidence halfwidth.  Advisory only; ``eps0`` may be overridden
-    to plant violations.
+    Draws the first output of the shuffled mechanism ``runs`` independent
+    times on the all-ones dataset and on its neighbor with one record replaced
+    (or on an explicit ``datasets`` pair), estimates the hockey-stick
+    divergence at beta = e^eps in both directions, and attaches a bootstrap
+    confidence halfwidth.  Each draw is RR on a uniformly chosen record: the
+    same law as position 1 of "randomize every record, shuffle, release the
+    first m", which is the law the amplification bound speaks about.
+    Advisory only; ``eps0`` may be overridden to plant violations.
     """
     if runs < 10**4:
         raise ValidationError(f"Monte Carlo audit needs runs >= 1e4, got {runs}")
@@ -231,12 +238,12 @@ def audit_shurr_marginal(
         pair_label = "explicit pair"
 
     gen = rng.generator
-    counts = np.zeros((2, k), dtype=np.int64)
-    for run in range(runs):
-        for side, values in enumerate((values_a, values_b)):
-            randomized = _rr_apply(values, params, gen)
-            first = randomized[gen.permutation(n)[0]]
-            counts[side, first - 1] += 1
+
+    def first_output_counts(values: np.ndarray) -> np.ndarray:
+        picked = values[gen.integers(0, n, size=runs)]
+        return np.bincount(_rr_apply(picked, params, gen), minlength=k + 1)[1:]
+
+    counts = np.stack([first_output_counts(values_a), first_output_counts(values_b)])
 
     beta = math.exp(eps)
 
@@ -283,13 +290,12 @@ def audit_elap_mechanism(
     probes: int,
     rng: RandomSource,
     differing_rows=None,
-    n_rows: int = 4,
     sensitivity_multiplier: float = 1.0,
 ) -> AuditReport:
     """Exact log-density-ratio probe of the Euclidean-Laplace sum mechanism.
 
-    Builds a random pair of neighboring clipped datasets (or uses the supplied
-    differing rows), evaluates the closed-form output log-density ratio
+    Builds a random pair of neighboring clipped four-row datasets (or uses the
+    supplied differing rows), evaluates the closed-form output log-density ratio
     (||y - S'|| - ||y - S||)/b at probe points, and compares the max against
     the realized-shift bound ||S - S'||/b.  Half the probes come from the
     mechanism's own output law, half lie on the segment through S and S'
@@ -307,12 +313,12 @@ def audit_elap_mechanism(
         vec = gen.standard_normal(d)
         return vec * (B * gen.random() ** (1.0 / d) / np.linalg.norm(vec))
 
-    shared = [random_in_ball() for _ in range(n_rows - 1)]
+    shared = [random_in_ball() for _ in range(3)]
     if differing_rows is None:
         differing_rows = (random_in_ball(), random_in_ball())
     row_a = np.asarray(differing_rows[0], dtype=np.float64)
     row_b = np.asarray(differing_rows[1], dtype=np.float64)
-    base = np.sum(shared, axis=0) if shared else np.zeros(d)
+    base = np.sum(shared, axis=0)
     sum_a = base + row_a
     sum_b = base + row_b
 

@@ -11,7 +11,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,31 +174,6 @@ class PrivacyBudget:
         return {"epsilon": self.epsilon, "delta": self.delta, "rho": self.rho}
 
 
-@dataclass(frozen=True)
-class GaussianFamilySpec:
-    """Family of d-dimensional Gaussians with bounded mean norm and covariance.
-
-    ``mean_bound`` and ``cov_bound`` may be ``math.inf`` for the unbounded
-    variants; ``known_identity_cov`` marks the known-covariance case (after
-    whitening the covariance is the identity, so ``cov_bound`` must be 1).
-    """
-
-    d: int
-    mean_bound: float = math.inf
-    cov_bound: float = math.inf
-    known_identity_cov: bool = False
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError(f"d must be >= 1, got {self.d}")
-        if not self.mean_bound > 0:
-            raise ValidationError("mean_bound must be positive (possibly inf)")
-        if not self.cov_bound >= 1:
-            raise ValidationError("cov_bound must be >= 1 (possibly inf)")
-        if self.known_identity_cov and self.cov_bound != 1:
-            raise ValidationError("known identity covariance requires cov_bound = 1")
-
-
 class RandomSource:
     """Seedable pseudo-random stream with reproducible child derivation.
 
@@ -224,10 +198,6 @@ class RandomSource:
     def child(self, index: int) -> "RandomSource":
         """Derive the ``index``-th independent child stream."""
         return RandomSource(self.seed, self.key + (index,))
-
-    def split(self, n: int) -> list["RandomSource"]:
-        """Derive ``n`` mutually independent child streams."""
-        return [self.child(i) for i in range(n)]
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, key={self.key})"

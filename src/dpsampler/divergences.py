@@ -156,14 +156,13 @@ def tv_estimate_binned(
     samples_q: VectorDataset,
     bins_per_axis: int,
     rng: RandomSource | None = None,
-    resamples: int = BOOTSTRAP_RESAMPLES,
 ) -> TvEstimate:
     """Estimate TV distance between two continuous sample sets by histogramming.
 
     Both sets are binned with equal-width bins on their joint bounding box
     (expanded by 1% per side); the estimate is half the L1 distance between
     the two bin-frequency vectors.  The halfwidth is half the central-95%
-    width of ``resamples`` bootstrap replicates of the estimate.
+    width of ``BOOTSTRAP_RESAMPLES`` bootstrap replicates of the estimate.
     """
     if samples_p.d != samples_q.d:
         raise DimensionMismatch(
@@ -190,8 +189,8 @@ def tv_estimate_binned(
     if rng is None:
         rng = RandomSource(0)
     gen = rng.generator
-    reps = np.empty(resamples)
-    for b in range(resamples):
+    reps = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
         boot_p = samples_p.rows[gen.integers(0, samples_p.n, size=samples_p.n)]
         boot_q = samples_q.rows[gen.integers(0, samples_q.n, size=samples_q.n)]
         reps[b] = 0.5 * float(

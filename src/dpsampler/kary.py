@@ -11,6 +11,10 @@ Two mechanisms, both calibrated through the local randomizer
   eps0 = ln(f(eps)^2 * n / ln(4/delta) - 1), shuffle, release the first m.
   The shuffle amplifies the local parameter down to a central (eps, delta)
   via the closed-form amplification bound evaluated by :func:`fmt_eps1`.
+  That bound is a statement about the law of the released m values, which
+  is exactly RR applied to a uniform ordered m-subset of the records drawn
+  without replacement; :func:`shurr_run` samples that law directly, in O(m)
+  RR work.
 
 The exact output law of the subsampled mechanism is the mixture
 ``(1/n) * sum_i RR_{X_i}``, enumerable for audits; sample-complexity
@@ -265,13 +269,17 @@ class ShuRRConfig:
 def shurr_run(
     data: KaryDataset, eps: float, delta: float, m: int, rng: RandomSource
 ) -> np.ndarray:
-    """Randomize every record, shuffle uniformly, release the first m results."""
+    """Release m shuffled randomized-response outputs of the dataset.
+
+    Samples the same joint law as "randomize every record, shuffle uniformly,
+    release the first m": RR on m records chosen uniformly without
+    replacement, in uniformly random order, so positions stay exchangeable.
+    The amplification bound :func:`fmt_eps1` is a statement about that law.
+    """
     config = ShuRRConfig(eps=eps, delta=delta, m=m, n=data.n)
-    params = RRParams(eps0=config.eps0, k=data.k)
     gen = rng.generator
-    randomized = _rr_apply(data.values, params, gen)
-    perm = gen.permutation(data.n)
-    return randomized[perm[:m]]
+    chosen = data.values[gen.choice(data.n, size=m, replace=False)]
+    return _rr_apply(chosen, RRParams(eps0=config.eps0, k=data.k), gen)
 
 
 def shurr_weak_complexity(

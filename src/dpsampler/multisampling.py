@@ -42,9 +42,6 @@ from .kary import (
     subrr_sample_complexity,
 )
 
-OnCall = Callable[[int, int, int, float], None]
-
-
 @dataclass(frozen=True)
 class SamplerSpec:
     """A sampler plus the metadata the combinators need to drive it.
@@ -76,9 +73,7 @@ def _check_tolerance(alpha: float, m: int) -> float:
     return per_output
 
 
-def weak_via_repetition(
-    single: SamplerSpec, m: int, data, rng: RandomSource, on_call: OnCall | None = None
-) -> list:
+def weak_via_repetition(single: SamplerSpec, m: int, data, rng: RandomSource) -> list:
     """m i.i.d. outputs from m disjoint consecutive blocks of the input."""
     block = single.n_per_call(single.alpha)
     if data.n < m * block:
@@ -88,33 +83,27 @@ def weak_via_repetition(
     outputs = []
     for i in range(m):
         start, stop = i * block, (i + 1) * block
-        if on_call is not None:
-            on_call(i, start, stop, single.alpha)
         outputs.append(single.run(data.subset(start, stop), single.alpha, rng.child(i)))
     return outputs
 
 
 def strong_via_precision(
-    weak: SamplerSpec, m: int, alpha: float, data, rng: RandomSource,
-    on_call: OnCall | None = None,
+    weak: SamplerSpec, m: int, alpha: float, data, rng: RandomSource
 ) -> list:
     """Run the weak sampler once at per-output tolerance alpha/m."""
     per_output = _check_tolerance(alpha, m)
     needed = weak.n_per_call(per_output)
     if data.n < needed:
         raise InsufficientData(f"need {needed} records at tolerance {per_output}, got {data.n}")
-    if on_call is not None:
-        on_call(0, 0, data.n, per_output)
     return list(weak.run(data, per_output, rng.child(0)))
 
 
 def strong_via_both(
-    single: SamplerSpec, m: int, alpha: float, data, rng: RandomSource,
-    on_call: OnCall | None = None,
+    single: SamplerSpec, m: int, alpha: float, data, rng: RandomSource
 ) -> list:
     """Single-sampler at tolerance alpha/m repeated on m disjoint blocks."""
     tightened = replace(single, alpha=_check_tolerance(alpha, m))
-    return weak_via_repetition(tightened, m, data, rng, on_call=on_call)
+    return weak_via_repetition(tightened, m, data, rng)
 
 
 def repetition_complexity(single: SamplerSpec, m: int) -> int:
@@ -149,7 +138,7 @@ def shurr_sampler(k: int, eps: float, delta: float, m: int, alpha: float) -> Sam
 
 
 def pure_gaussian_sampler(
-    d: int, R: float, eps: float, alpha: float, c: float = 2.0, C: float = 1.0
+    d: int, R: float, eps: float, alpha: float, c: float = 2.0
 ) -> SamplerSpec:
     """Single-sampler spec for the pure-DP known-covariance Gaussian mechanism."""
 
@@ -158,7 +147,7 @@ def pure_gaussian_sampler(
 
     return SamplerSpec(
         alpha=alpha,
-        n_per_call=lambda a: pure_sample_complexity(d, R, a, eps, C=C, c=c).n_required,
+        n_per_call=lambda a: pure_sample_complexity(d, R, a, eps, c=c).n_required,
         run=lambda block, a, rng: pure_gaussian_sample(block, params(a), rng),
         calibration=lambda a, n: {"B": params(a).B, "sigma2": fresh_draw_variance(n)},
     )

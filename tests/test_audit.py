@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from dpsampler.audit import (
+    AuditReport,
+    _compositions,
+    _verdict,
     audit_elap_mechanism,
     audit_rr_local,
     audit_shurr_marginal,
@@ -13,9 +16,56 @@ from dpsampler.audit import (
     report_to_json,
     reverify,
 )
-from dpsampler.core import RandomSource
-from dpsampler.errors import EnumerationTooLarge, ValidationError
+from dpsampler.core import KaryDataset, PrivacyBudget, RandomSource
+from dpsampler.divergences import eps_delta_closeness
+from dpsampler.errors import EnumerationTooLarge, InsufficientSamples, ValidationError
 from dpsampler.gaussian import ZcdpParams
+from dpsampler.kary import RRParams, rr_mixture_dist, rr_row, subrr_eps0
+
+
+def reference_audit_subrr_pure(k, n, eps, claimed_eps=None):
+    """audit_subrr_pure as a nested loop over (counts, a, b), one outcome vector at a time."""
+    eps0 = subrr_eps0(eps, n)
+    params = RRParams(eps0=eps0, k=k)
+    rows = np.stack([rr_row(x, params) for x in range(1, k + 1)])
+    bound = eps if claimed_eps is None else claimed_eps
+    best = (0.0, None)
+    pairs = 0
+    for counts in _compositions(n, k):
+        base = np.asarray(counts, dtype=np.float64) @ rows / n
+        for a in range(k):
+            if counts[a] == 0:
+                continue
+            for b in range(k):
+                if b == a:
+                    continue
+                neighbor = base + (rows[b] - rows[a]) / n
+                pairs += 1
+                ratios = np.log(base) - np.log(neighbor)
+                y = int(np.argmax(ratios))
+                if ratios[y] > best[0]:
+                    best = (float(ratios[y]), {
+                        "counts": list(counts),
+                        "replaced": a + 1,
+                        "replacement": b + 1,
+                        "outcome": y + 1,
+                    })
+    measured = best[0]
+    return AuditReport(
+        mechanism="subrr",
+        claimed=PrivacyBudget.pure(bound),
+        measured_max_log_ratio=measured,
+        measured_delta=0.0,
+        probe_count=pairs,
+        verdict=_verdict(measured, bound),
+        witness=best[1] or {},
+        details={
+            "measured": measured,
+            "bound": bound,
+            "eps0": eps0,
+            "proof_intermediate_log": math.log1p(math.exp(eps0) / n),
+        },
+    )
 
 
 class TestAuditRRLocal:
@@ -83,6 +133,23 @@ class TestAuditSubRRPure:
         with pytest.raises(EnumerationTooLarge):
             audit_subrr_pure(5, 10, 2.0)
 
+    def test_matches_nested_loop_reference(self):
+        checked = 0
+        for k in range(2, 7):
+            for n in range(1, 9):
+                if k**n > 10**6:
+                    continue
+                for eps in (0.5, 1.0, 2.0):
+                    for claimed in (None, 0.1):
+                        try:
+                            expected = reference_audit_subrr_pure(k, n, eps, claimed)
+                        except InsufficientSamples:
+                            continue
+                        report = audit_subrr_pure(k, n, eps, claimed_eps=claimed)
+                        assert report_to_json(report) == report_to_json(expected), (k, n, eps)
+                        checked += 1
+        assert checked > 200
+
 
 class TestAuditShuRRMarginal:
     def test_identical_datasets_gap_near_zero(self):
@@ -111,6 +178,25 @@ class TestAuditShuRRMarginal:
         )
         assert report.advisory
         assert report.verdict == "fail"
+
+    def test_measured_delta_matches_exact_mixture_laws(self):
+        # position 1 is RR on a uniform record, so the exact gap is the
+        # closeness of the two rr_mixture_dist laws (about 0.2137 here)
+        k, n, eps, eps0 = 3, 4, 0.05, 3.0
+        values_a = np.ones(n, dtype=np.int64)
+        values_b = values_a.copy()
+        values_b[-1] = 3
+        exact = eps_delta_closeness(
+            rr_mixture_dist(KaryDataset(values=values_a, k=k), eps0),
+            rr_mixture_dist(KaryDataset(values=values_b, k=k), eps0),
+            eps,
+        ).delta_at_eps
+        report = audit_shurr_marginal(
+            k, n, eps, 0.001, 10**5, RandomSource(55),
+            eps0=eps0, datasets=(values_a, values_b),
+        )
+        assert exact == pytest.approx(0.2137, abs=1e-4)
+        assert abs(report.measured_delta - exact) <= 3 * report.details["halfwidth"]
 
     def test_runs_floor(self):
         with pytest.raises(ValidationError):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dpsampler.core import (
-    GaussianFamilySpec,
     KaryDataset,
     PrivacyBudget,
     RandomSource,
@@ -119,13 +118,6 @@ class TestPrivacyBudget:
             PrivacyBudget(epsilon=-0.1)
 
 
-class TestGaussianFamilySpec:
-    def test_known_identity_requires_unit_cov(self):
-        GaussianFamilySpec(d=3, mean_bound=2.0, cov_bound=1.0, known_identity_cov=True)
-        with pytest.raises(ValidationError):
-            GaussianFamilySpec(d=3, mean_bound=2.0, cov_bound=2.0, known_identity_cov=True)
-
-
 class TestRandomSource:
     def test_replay(self):
         a = RandomSource(123).generator.standard_normal(100)
@@ -147,11 +139,6 @@ class TestRandomSource:
         after = fresh.child(2).generator.standard_normal(10)
         direct = RandomSource(5).child(2).generator.standard_normal(10)
         assert np.array_equal(after, direct)
-
-    def test_split(self):
-        kids = RandomSource(1).split(4)
-        draws = [k.generator.random() for k in kids]
-        assert len(set(draws)) == 4
 
 
 class TestCsvIO:

@@ -18,6 +18,7 @@ from dpsampler.errors import (
 from dpsampler.kary import (
     RRParams,
     ShuRRConfig,
+    _rr_apply,
     fmt_eps1,
     rr_mixture_dist,
     rr_mixture_weight,
@@ -232,16 +233,27 @@ class TestShuRRRun:
         data = KaryDataset(values=[1, 2, 3, 1, 2, 3], k=3)
         eps, delta = 300.0, 0.5
         out = shurr_run(data, eps, delta, m=6, rng=RandomSource(21))
-        # replay the pipeline: the output must be exactly a permutation of the
-        # randomized-response pass over the inputs
-        from dpsampler.kary import _rr_apply
-
+        # replay the pipeline: an ordered uniform choice of all n records,
+        # then randomized response on the chosen values
         config = ShuRRConfig(eps=eps, delta=delta, m=6, n=6)
         gen = RandomSource(21).generator
-        randomized = _rr_apply(data.values, RRParams(eps0=config.eps0, k=3), gen)
-        perm = gen.permutation(6)
-        assert np.array_equal(out, randomized[perm])
-        assert sorted(out) == sorted(randomized)
+        order = gen.choice(6, size=6, replace=False)
+        assert sorted(order) == list(range(6))
+        randomized = _rr_apply(data.values[order], RRParams(eps0=config.eps0, k=3), gen)
+        assert np.array_equal(out, randomized)
+
+    def test_randomizes_only_released_records(self, monkeypatch):
+        sizes = []
+
+        def recording_rr_apply(values, params, gen):
+            sizes.append(values.size)
+            return _rr_apply(values, params, gen)
+
+        monkeypatch.setattr("dpsampler.kary._rr_apply", recording_rr_apply)
+        data = KaryDataset(values=np.ones(10**5, dtype=np.int64), k=2)
+        out = shurr_run(data, 4.0, 0.01, m=3, rng=RandomSource(27))
+        assert sizes == [3]
+        assert out.shape == (3,)
 
     def test_too_many_outputs(self):
         data = KaryDataset(values=[1, 2, 3, 1, 2, 3], k=3)

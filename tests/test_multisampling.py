@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.stats
 
 from helpers import chi2_statistic
 
-from dpsampler.core import KaryDataset, RandomSource
+from dpsampler.core import KaryDataset, RandomSource, VectorDataset
 from dpsampler.errors import InsufficientData, PrecisionLimit
 from dpsampler.kary import (
     shurr_strong_complexity,
@@ -31,6 +32,24 @@ def kary_data(pattern, copies, k):
     return KaryDataset(values=np.tile(pattern, copies), k=k)
 
 
+def recording(spec, calls):
+    """``spec`` whose run records (first row, rows, tolerance, child index) per call.
+
+    Run it on ``VectorDataset(rows=np.arange(N))``: the first row of a block is
+    then its start index in the input.
+    """
+
+    def run(block, alpha, rng):
+        calls.append((int(block.rows[0, 0]), block.n, alpha, rng.key[-1]))
+        return [len(calls)]
+
+    return replace(spec, run=run)
+
+
+def index_rows(n):
+    return VectorDataset(rows=np.arange(n))
+
+
 class TestWeakViaRepetition:
     def test_m1_matches_single_call_on_first_block(self):
         spec = subrr_sampler(k=3, eps=1.0, alpha=0.2)
@@ -41,18 +60,16 @@ class TestWeakViaRepetition:
         assert out == [direct]
 
     def test_blocks_partition_input(self):
-        spec = subrr_sampler(k=3, eps=1.0, alpha=0.25)
+        calls = []
+        spec = recording(subrr_sampler(k=3, eps=1.0, alpha=0.25), calls)
         block = spec.n_per_call(0.25)
         m = 4
-        data = kary_data([1, 2, 3], 2 * block * m, 3)
-        calls = []
-        weak_via_repetition(
-            spec, m, data, RandomSource(31), on_call=lambda *args: calls.append(args)
-        )
-        assert [c[0] for c in calls] == list(range(m))
-        spans = [(c[1], c[2]) for c in calls]
+        data = index_rows(3 * 2 * block * m)
+        weak_via_repetition(spec, m, data, RandomSource(31))
+        assert [c[3] for c in calls] == list(range(m))
+        spans = [(c[0], c[0] + c[1]) for c in calls]
         assert spans == [(i * block, (i + 1) * block) for i in range(m)]
-        assert all(c[3] == 0.25 for c in calls)
+        assert all(c[2] == 0.25 for c in calls)
 
     def test_insufficient_data(self):
         spec = subrr_sampler(k=3, eps=1.0, alpha=0.2)
@@ -105,12 +122,11 @@ class TestStrongViaPrecision:
         assert out == direct
 
     def test_tolerance_plumbing(self):
-        spec = shurr_sampler(k=2, eps=4.0, delta=0.01, m=2, alpha=0.5)
-        n = spec.n_per_call(0.5 / 2)
-        data = KaryDataset(values=np.ones(n, dtype=np.int64), k=2)
         seen = []
-        strong_via_precision(spec, 2, 0.5, data, RandomSource(35), on_call=lambda *a: seen.append(a))
-        assert seen == [(0, 0, n, 0.25)]
+        spec = recording(shurr_sampler(k=2, eps=4.0, delta=0.01, m=2, alpha=0.5), seen)
+        n = spec.n_per_call(0.5 / 2)
+        strong_via_precision(spec, 2, 0.5, index_rows(n), RandomSource(35))
+        assert seen == [(0, n, 0.25, 0)]
 
     def test_required_n_matches_weak_complexity_at_alpha_over_m(self):
         spec = shurr_sampler(k=10, eps=0.5, delta=1e-6, m=20, alpha=0.2)
@@ -147,25 +163,27 @@ class TestStrongViaBoth:
         assert strong_both_complexity(spec, m, alpha) == expected
 
     def test_blocks_sized_by_tightened_tolerance(self):
-        spec = subrr_sampler(k=3, eps=1.0, alpha=0.3)
+        calls = []
+        spec = recording(subrr_sampler(k=3, eps=1.0, alpha=0.3), calls)
         m, alpha = 3, 0.3
         block = spec.n_per_call(alpha / m)
-        data = kary_data([1, 2, 3], block * m, 3)
-        calls = []
-        strong_via_both(spec, m, alpha, data, RandomSource(39), on_call=lambda *a: calls.append(a))
-        assert [(c[1], c[2]) for c in calls] == [(i * block, (i + 1) * block) for i in range(m)]
-        assert all(c[3] == alpha / m for c in calls)
+        data = index_rows(3 * block * m)
+        strong_via_both(spec, m, alpha, data, RandomSource(39))
+        assert [(c[0], c[0] + c[1]) for c in calls] == [
+            (i * block, (i + 1) * block) for i in range(m)
+        ]
+        assert all(c[2] == alpha / m for c in calls)
 
     def test_per_record_exposure_is_single_block(self):
         # disjointness: each record index appears in exactly one call span
-        spec = subrr_sampler(k=2, eps=2.0, alpha=0.5)
+        calls = []
+        spec = recording(subrr_sampler(k=2, eps=2.0, alpha=0.5), calls)
         m, alpha = 4, 0.5
         block = spec.n_per_call(alpha / m)
-        data = KaryDataset(values=np.ones(block * m, dtype=np.int64), k=2)
+        strong_via_both(spec, m, alpha, index_rows(block * m), RandomSource(40))
         touched = np.zeros(block * m, dtype=int)
-        def record(_i, start, stop, _tol):
-            touched[start:stop] += 1
-        strong_via_both(spec, m, alpha, data, RandomSource(40), on_call=record)
+        for start, rows, _tol, _child in calls:
+            touched[start:start + rows] += 1
         assert np.all(touched == 1)
 
 
@@ -174,8 +192,6 @@ class TestGaussianFactories:
         gen = np.random.default_rng(41)
         spec = pure_gaussian_sampler(d=1, R=1.0, eps=5.0, alpha=0.3)
         block = spec.n_per_call(0.3)
-        from dpsampler.core import VectorDataset
-
         data = VectorDataset(rows=gen.normal(0.0, 1.0, size=(3 * block, 1)))
         out = weak_via_repetition(spec, 3, data, RandomSource(42))
         assert len(out) == 3 and all(o.shape == (1,) for o in out)
@@ -184,8 +200,6 @@ class TestGaussianFactories:
         gen = np.random.default_rng(43)
         spec = zcdp_known_cov_sampler(d=2, R=1.0, eps=1.0, alpha=0.2)
         block = spec.n_per_call(0.2)
-        from dpsampler.core import VectorDataset
-
         data = VectorDataset(rows=gen.normal(size=(block, 2)))
         out = spec.run(data, 0.2, RandomSource(44))
         assert out.shape == (2,)
