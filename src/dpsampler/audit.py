@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CategoricalDist, PrivacyBudget, RandomSource
-from .divergences import hockey_stick_finite
+from .core import CategoricalDist, KaryDataset, PrivacyBudget, RandomSource
+from .divergences import BOOTSTRAP_RESAMPLES, hockey_stick_finite
 from .elap import ELapParams, elap_sample
 from .errors import EnumerationTooLarge, ValidationError
-from .gaussian import ZcdpParams, gaussian_mech_renyi
+from .gaussian import ELapMechanismParams, ZcdpParams, gaussian_mech_renyi
 from .kary import RRParams, _rr_apply, rr_pmf, rr_row, shurr_eps0, subrr_eps0
 
 VERDICT_SLACK = 1e-9
@@ -231,8 +231,8 @@ def audit_shurr_marginal(
         values_b[-1] = 2
         pair_label = "all-ones vs one replaced by 2"
     else:
-        values_a = np.asarray(datasets[0], dtype=np.int64)
-        values_b = np.asarray(datasets[1], dtype=np.int64)
+        values_a = KaryDataset(datasets[0], k).values
+        values_b = KaryDataset(datasets[1], k).values
         if values_a.size != n or values_b.size != n:
             raise ValidationError("explicit datasets must both have n records")
         pair_label = "explicit pair"
@@ -253,8 +253,8 @@ def audit_shurr_marginal(
         return max(hockey_stick_finite(p, q, beta), hockey_stick_finite(q, p, beta))
 
     measured = hs_both(counts[0].astype(float), counts[1].astype(float))
-    boot = np.empty(200)
-    for i in range(200):
+    boot = np.empty(BOOTSTRAP_RESAMPLES)
+    for i in range(BOOTSTRAP_RESAMPLES):
         res_a = gen.multinomial(runs, counts[0] / runs).astype(float)
         res_b = gen.multinomial(runs, counts[1] / runs).astype(float)
         boot[i] = hs_both(res_a, res_b)
@@ -307,6 +307,7 @@ def audit_elap_mechanism(
         raise ValidationError(f"density-ratio audit supports d <= 4, got {d}")
     if probes < 10**3:
         raise ValidationError(f"need probes >= 1e3, got {probes}")
+    b = ELapMechanismParams(B, eps, sensitivity_multiplier).b
     gen = rng.generator
 
     def random_in_ball() -> np.ndarray:
@@ -322,7 +323,6 @@ def audit_elap_mechanism(
     sum_a = base + row_a
     sum_b = base + row_b
 
-    b = sensitivity_multiplier * B / eps
     shift = sum_a - sum_b
     shift_norm = float(np.linalg.norm(shift))
 

@@ -244,36 +244,44 @@ def _run_elap(config: ExperimentConfig):
     return {"count": int(count), "path": config.output_path}, {"d": int(d), "scale": b}, 0
 
 
+# family -> task -> (required parameters, calculator on the parameter dict);
+# `sweep` names each task's column f"{family}_{task}" with dashes as underscores
+_COMPLEXITY = {
+    "kary": {
+        "single": (("k", "alpha", "eps"), lambda p: subrr_sample_complexity(
+            int(p["k"]), p["alpha"], p["eps"])),
+        "weak": (("k", "alpha", "eps", "delta", "m"), lambda p: shurr_weak_complexity(
+            int(p["k"]), p["alpha"], p["eps"], p["delta"], int(p["m"]))),
+        "strong": (("k", "alpha", "eps", "delta", "m"), lambda p: shurr_strong_complexity(
+            int(p["k"]), p["alpha"], p["eps"], p["delta"], int(p["m"]))),
+    },
+    "gaussian": {
+        "pure": (("dim", "R", "alpha", "eps"), lambda p: pure_sample_complexity(
+            int(p["dim"]), p["R"], p["alpha"], p["eps"],
+            C=float(p.get("C") or 1.0), c=float(p.get("c") or 2.0))),
+        "zcdp-known": (("dim", "R", "alpha", "eps"), lambda p: zcdp_known_cov_complexity(
+            int(p["dim"]), p["R"], p["alpha"], p["eps"])),
+        "zcdp-bounded": (("dim", "R", "alpha", "eps"), lambda p: zcdp_bounded_cov_complexity(
+            int(p["dim"]), p["R"], p["alpha"], p["eps"])),
+    },
+}
+
+
+def _calculators(family: str) -> dict:
+    if family not in _COMPLEXITY:
+        raise ConfigInvalid(f"unknown family {family!r}")
+    return _COMPLEXITY[family]
+
+
 def _run_complexity(config: ExperimentConfig):
     params = config.params
     (family, task) = _need(params, "family", "task")
-    if family == "kary":
-        (k, alpha, eps) = _need(params, "k", "alpha", "eps")
-        if task == "single":
-            report = subrr_sample_complexity(int(k), alpha, eps)
-        elif task == "weak":
-            (delta, m) = _need(params, "delta", "m")
-            report = shurr_weak_complexity(int(k), alpha, eps, delta, int(m))
-        elif task == "strong":
-            (delta, m) = _need(params, "delta", "m")
-            report = shurr_strong_complexity(int(k), alpha, eps, delta, int(m))
-        else:
-            raise ConfigInvalid(f"unknown kary task {task!r}")
-    elif family == "gaussian":
-        (d, R, alpha, eps) = _need(params, "dim", "R", "alpha", "eps")
-        if task == "pure":
-            report = pure_sample_complexity(
-                int(d), R, alpha, eps,
-                C=float(params.get("C") or 1.0), c=float(params.get("c") or 2.0),
-            )
-        elif task == "zcdp-known":
-            report = zcdp_known_cov_complexity(int(d), R, alpha, eps)
-        elif task == "zcdp-bounded":
-            report = zcdp_bounded_cov_complexity(int(d), R, alpha, eps)
-        else:
-            raise ConfigInvalid(f"unknown gaussian task {task!r}")
-    else:
-        raise ConfigInvalid(f"unknown family {family!r}")
+    calculators = _calculators(family)
+    if task not in calculators:
+        raise ConfigInvalid(f"unknown {family} task {task!r}")
+    required, calculate = calculators[task]
+    _need(params, *required)
+    report = calculate(params)
     return {"report": report.as_dict()}, {"n_required": report.n_required}, 0
 
 
@@ -334,36 +342,16 @@ def table_sweep(family: str, grid: dict) -> tuple[list[str], list[list]]:
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ConfigInvalid("sweep grid must be nonempty")
     keys = sorted(grid)
-    if family == "kary":
-        needed = {"k", "alpha", "eps", "delta", "m"}
-        columns = ["kary_single", "kary_weak", "kary_strong"]
-    elif family == "gaussian":
-        needed = {"dim", "R", "alpha", "eps"}
-        columns = ["gaussian_pure", "gaussian_zcdp_known", "gaussian_zcdp_bounded"]
-    else:
-        raise ConfigInvalid(f"unknown family {family!r}")
+    calculators = _calculators(family)
+    needed = {name for required, _ in calculators.values() for name in required}
     if set(keys) != needed:
         raise ConfigInvalid(f"{family} sweep needs exactly the parameters {sorted(needed)}")
+    columns = [f"{family}_{task.replace('-', '_')}" for task in calculators]
 
     rows = []
     for combo in itertools.product(*(grid[key] for key in keys)):
         cell = dict(zip(keys, combo))
-        if family == "kary":
-            values = [
-                subrr_sample_complexity(int(cell["k"]), cell["alpha"], cell["eps"]).n_required,
-                shurr_weak_complexity(
-                    int(cell["k"]), cell["alpha"], cell["eps"], cell["delta"], int(cell["m"])
-                ).n_required,
-                shurr_strong_complexity(
-                    int(cell["k"]), cell["alpha"], cell["eps"], cell["delta"], int(cell["m"])
-                ).n_required,
-            ]
-        else:
-            values = [
-                pure_sample_complexity(int(cell["dim"]), cell["R"], cell["alpha"], cell["eps"]).n_required,
-                zcdp_known_cov_complexity(int(cell["dim"]), cell["R"], cell["alpha"], cell["eps"]).n_required,
-                zcdp_bounded_cov_complexity(int(cell["dim"]), cell["R"], cell["alpha"], cell["eps"]).n_required,
-            ]
+        values = [calculate(cell).n_required for _, calculate in calculators.values()]
         rows.append([cell[key] for key in keys] + values)
     return keys + columns, rows
 

@@ -116,6 +116,9 @@ class VectorDataset:
             raise EmptyDataset(f"expected a nonempty (n, d) array, got shape {rows.shape}")
         if rows.shape[1] < 1:
             raise DimensionMismatch("rows must have dimension d >= 1")
+        if not np.isfinite(rows).all():
+            bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
+            raise ValidationError(f"row index {bad} has a non-finite entry: {rows[bad].tolist()}")
         rows = _frozen_array(rows, np.float64)
         object.__setattr__(self, "rows", rows)
 

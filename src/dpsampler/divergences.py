@@ -8,7 +8,8 @@ Exact calculators on finite distributions:
 
 plus the closeness relation built from the hockey-stick divergence in both
 directions, the conversion bound from (eps, delta)-closeness to TV distance,
-and a histogram-based Monte Carlo TV estimator for continuous samplers.
+and a binned Monte Carlo TV estimator for continuous samplers (each row binned
+once, O(n * d) memory).
 
 Conventions: ``0 * log(0/0) = 0`` and ``p * log(p/0) = +inf`` in the Renyi
 sum; hockey-stick order is restricted to ``beta >= 1``.
@@ -146,23 +147,20 @@ class TvEstimate:
         }
 
 
-def _histogram(rows: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
-    hist, _ = np.histogramdd(rows, bins=edges)
-    return hist.ravel() / rows.shape[0]
-
-
 def tv_estimate_binned(
     samples_p: VectorDataset,
     samples_q: VectorDataset,
     bins_per_axis: int,
-    rng: RandomSource | None = None,
+    rng: RandomSource,
 ) -> TvEstimate:
-    """Estimate TV distance between two continuous sample sets by histogramming.
+    """Estimate TV distance between two continuous sample sets by binning.
 
     Both sets are binned with equal-width bins on their joint bounding box
     (expanded by 1% per side); the estimate is half the L1 distance between
-    the two bin-frequency vectors.  The halfwidth is half the central-95%
-    width of ``BOOTSTRAP_RESAMPLES`` bootstrap replicates of the estimate.
+    the two bin-frequency vectors.  Each row is binned once, to the id of its
+    occupied cell, so memory is O(n * d) for n rows however large bins^d is.
+    The halfwidth is half the central-95% width of ``BOOTSTRAP_RESAMPLES``
+    bootstrap replicates of the estimate, each of which resamples the ids.
     """
     if samples_p.d != samples_q.d:
         raise DimensionMismatch(
@@ -181,21 +179,31 @@ def tv_estimate_binned(
         np.linspace(lo[j] - pad[j], hi[j] + pad[j], bins_per_axis + 1)
         for j in range(samples_p.d)
     ]
+    # searchsorted - 1 is histogramdd's bin rule, and the last bin is closed
+    bins = [np.searchsorted(e, col, side="right") for e, col in zip(edges, stacked.T)]
+    cells = np.minimum(np.column_stack(bins) - 1, bins_per_axis - 1)
+    # unique cell rows, not raveled indices, which overflow once bins^d > 2^63;
+    # the inverse's shape differs between numpy 2.x releases
+    occupied_cells, inverse = np.unique(cells, axis=0, return_inverse=True)
+    occupied = occupied_cells.shape[0]
+    inverse = inverse.reshape(-1)
+    ids_p, ids_q = inverse[: samples_p.n], inverse[samples_p.n :]
 
-    freq_p = _histogram(samples_p.rows, edges)
-    freq_q = _histogram(samples_q.rows, edges)
-    estimate = 0.5 * float(np.abs(freq_p - freq_q).sum())
+    def tv(side_p: np.ndarray, side_q: np.ndarray) -> float:
+        freq_p = np.bincount(side_p, minlength=occupied) / side_p.size
+        freq_q = np.bincount(side_q, minlength=occupied) / side_q.size
+        # rounding can push the sum just past 1 when every row has its own cell
+        return min(0.5 * float(np.abs(freq_p - freq_q).sum()), 1.0)
 
-    if rng is None:
-        rng = RandomSource(0)
+    estimate = tv(ids_p, ids_q)
     gen = rng.generator
-    reps = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        boot_p = samples_p.rows[gen.integers(0, samples_p.n, size=samples_p.n)]
-        boot_q = samples_q.rows[gen.integers(0, samples_q.n, size=samples_q.n)]
-        reps[b] = 0.5 * float(
-            np.abs(_histogram(boot_p, edges) - _histogram(boot_q, edges)).sum()
+    reps = [
+        tv(
+            ids_p[gen.integers(0, samples_p.n, size=samples_p.n)],
+            ids_q[gen.integers(0, samples_q.n, size=samples_q.n)],
         )
+        for _ in range(BOOTSTRAP_RESAMPLES)
+    ]
     lo_q, hi_q = np.quantile(reps, [0.025, 0.975])
     return TvEstimate(
         estimate=estimate,

@@ -18,7 +18,12 @@ from dpsampler.audit import (
 )
 from dpsampler.core import KaryDataset, PrivacyBudget, RandomSource
 from dpsampler.divergences import eps_delta_closeness
-from dpsampler.errors import EnumerationTooLarge, InsufficientSamples, ValidationError
+from dpsampler.errors import (
+    EnumerationTooLarge,
+    InsufficientSamples,
+    OutOfDomain,
+    ValidationError,
+)
 from dpsampler.gaussian import ZcdpParams
 from dpsampler.kary import RRParams, rr_mixture_dist, rr_row, subrr_eps0
 
@@ -202,6 +207,17 @@ class TestAuditShuRRMarginal:
         with pytest.raises(ValidationError):
             audit_shurr_marginal(2, 10, 0.5, 0.1, 100, RandomSource(53), eps0=1.0)
 
+    @pytest.mark.parametrize("record", [0, 5])
+    def test_explicit_records_outside_domain_rejected(self, record):
+        values_a = np.ones(4, dtype=np.int64)
+        values_b = values_a.copy()
+        values_b[-1] = record
+        with pytest.raises(OutOfDomain):
+            audit_shurr_marginal(
+                3, 4, 1.0, 0.01, 10**4, RandomSource(57),
+                eps0=2.0, datasets=(values_a, values_b),
+            )
+
 
 class TestAuditElapMechanism:
     def test_equal_sums_give_zero(self):
@@ -237,6 +253,10 @@ class TestAuditElapMechanism:
         assert report.verdict == "pass"  # realized-shift bound holds
         assert report.advisory  # but the bare eps claim is not certified
         assert not report.details["bare_eps_ok"]
+
+    def test_zero_eps_rejected(self):
+        with pytest.raises(ValidationError):
+            audit_elap_mechanism(2, 1.0, 0.0, 2000, RandomSource(58))
 
     def test_random_pairs_never_exceed_shift_bound(self):
         for seed in range(5):

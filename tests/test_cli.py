@@ -177,6 +177,17 @@ class TestSampleGaussian:
             expected = np.vstack([draw(RandomSource(seed).child(i)) for i in range(3)])
             assert np.array_equal(read_vector_csv(out).rows, expected), variant
 
+    def test_non_finite_input_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("0.5\n" * 50 + "nan\n" + "0.5\n" * 49)
+        code, _, err = run_cli(
+            capsys,
+            ["sample-gaussian", "--variant", "pure", "--in", str(path),
+             "--R", "1", "--alpha", "0.1", "--eps", "1", "--seed", "16"],
+        )
+        assert code == 1
+        assert "row index 50" in err
+
     def test_multisampling_modes(self, capsys, vector_file):
         for variant in ("pure", "zcdp-known", "zcdp-bounded"):
             for mode in ("repeat", "precision", "both"):
@@ -317,6 +328,23 @@ class TestSweep:
         )
         assert len(rows) == 2
         assert header[-3:] == ["gaussian_pure", "gaussian_zcdp_known", "gaussian_zcdp_bounded"]
+
+    def test_columns_match_complexity_command(self):
+        grids = {
+            "kary": ({"k": [10], "alpha": [0.1], "eps": [0.5], "delta": [1e-6], "m": [7]},
+                     ["single", "weak", "strong"]),
+            "gaussian": ({"dim": [3], "R": [2.0], "alpha": [0.05], "eps": [0.7]},
+                         ["pure", "zcdp-known", "zcdp-bounded"]),
+        }
+        for family, (grid, tasks) in grids.items():
+            header, rows = table_sweep(family, grid)
+            cell = {key: values[0] for key, values in grid.items()}
+            for task in tasks:
+                report = run(ExperimentConfig(
+                    task="complexity", params={"family": family, "task": task, **cell}
+                ))
+                column = f"{family}_{task.replace('-', '_')}"
+                assert report.derived["n_required"] == rows[0][header.index(column)], column
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigInvalid):

@@ -102,6 +102,13 @@ class TestDatasets:
         with pytest.raises(EmptyDataset):
             VectorDataset(rows=np.empty((0, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_vector_non_finite_rejected(self, bad):
+        rows = np.zeros((100, 2))
+        rows[37, 1] = bad
+        with pytest.raises(ValidationError, match="row index 37"):
+            VectorDataset(rows=rows)
+
 
 class TestPrivacyBudget:
     def test_rho_consistency(self):

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dpsampler.core import RandomSource, VectorDataset, validate_categorical
 from dpsampler.divergences import (
+    BOOTSTRAP_RESAMPLES,
     DivergenceOrder,
     eps_delta_closeness,
     hockey_stick_finite,
@@ -191,7 +193,85 @@ class TestClosenessAndConversion:
             assert tv_distance_finite(p, q) <= hs_to_tv_bound(eps, min(delta, 1 - 1e-12)) + 1e-12
 
 
+def dense_tv_reference(samples_p, samples_q, bins_per_axis, rng):
+    """The dense histogramdd estimator that bins every resample afresh."""
+    stacked = np.vstack([samples_p.rows, samples_q.rows])
+    lo = stacked.min(axis=0)
+    hi = stacked.max(axis=0)
+    pad = 0.01 * np.maximum(hi - lo, 1e-12)
+    edges = [
+        np.linspace(lo[j] - pad[j], hi[j] + pad[j], bins_per_axis + 1)
+        for j in range(samples_p.d)
+    ]
+
+    def freq(rows):
+        return np.histogramdd(rows, bins=edges)[0].ravel() / rows.shape[0]
+
+    estimate = 0.5 * float(np.abs(freq(samples_p.rows) - freq(samples_q.rows)).sum())
+    gen = rng.generator
+    reps = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
+        boot_p = samples_p.rows[gen.integers(0, samples_p.n, size=samples_p.n)]
+        boot_q = samples_q.rows[gen.integers(0, samples_q.n, size=samples_q.n)]
+        reps[b] = 0.5 * float(np.abs(freq(boot_p) - freq(boot_q)).sum())
+    lo_q, hi_q = np.quantile(reps, [0.025, 0.975])
+    return estimate, 0.5 * float(hi_q - lo_q)
+
+
+def reference_cases():
+    for d, bins, seed in itertools.product((1, 2, 3, 4), (2, 7, 20), (0, 1)):
+        gen = np.random.default_rng(1000 * d + 10 * bins + seed)
+        # unequal sizes, shifted and rescaled q
+        p = gen.normal(size=(int(gen.integers(50, 400)), d))
+        q = gen.normal(0.3, 1.5, size=(int(gen.integers(50, 400)), d))
+        yield f"d{d}-bins{bins}-seed{seed}", p, q, bins, seed
+    gen = np.random.default_rng(7)
+    p, q = gen.normal(size=(300, 3)), gen.normal(size=(200, 3))
+    p[:, 1] = q[:, 1] = 5.0
+    yield "constant-column", p, q, 10, 3
+    p, q = gen.uniform(size=(300, 2)), gen.uniform(size=(100, 2))
+    p[:5] = np.maximum(p.max(axis=0), q.max(axis=0))
+    yield "repeated-box-maximum", p, q, 5, 4
+    # the 1% pad rounds away at this magnitude, so the largest rows lie on the
+    # top edge itself, which the last bin includes
+    p = 1e17 + 16 * np.arange(40.0)[:, None]
+    q = 1e17 + 16 * np.arange(0.0, 40.0, 3.0)[:, None]
+    yield "rows-on-top-edge", p, q, 6, 5
+
+
 class TestTvEstimateBinned:
+    @pytest.mark.parametrize(
+        "p, q, bins, seed",
+        [pytest.param(*case, id=name) for name, *case in reference_cases()],
+    )
+    def test_matches_dense_histogram_reference(self, p, q, bins, seed):
+        samples_p, samples_q = VectorDataset(rows=p), VectorDataset(rows=q)
+        result = tv_estimate_binned(samples_p, samples_q, bins, RandomSource(seed))
+        estimate, halfwidth = dense_tv_reference(samples_p, samples_q, bins, RandomSource(seed))
+        assert result.estimate == pytest.approx(estimate, abs=1e-12)
+        assert result.halfwidth == pytest.approx(halfwidth, abs=1e-12)
+
+    def test_memory_independent_of_bin_count(self):
+        # 40^5 = 1e8 cells: a dense histogram needs about 1 GB per call
+        gen = np.random.default_rng(59)
+        p = VectorDataset(rows=gen.normal(size=(2000, 5)))
+        q = VectorDataset(rows=gen.normal(0.1, 1.0, size=(2000, 5)))
+        tracemalloc.start()
+        try:
+            result = tv_estimate_binned(p, q, 40, RandomSource(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert 0.0 <= result.estimate <= 1.0
+
+    def test_every_row_in_its_own_cell_stays_in_unit_interval(self):
+        gen = np.random.default_rng(61)
+        p = VectorDataset(rows=gen.normal(size=(500, 30)))
+        q = VectorDataset(rows=gen.normal(size=(500, 30)))
+        result = tv_estimate_binned(p, q, 10, RandomSource(6))
+        assert 0.0 <= result.estimate <= 1.0
+
     def test_identical_files(self):
         gen = np.random.default_rng(41)
         rows = gen.standard_normal((5000, 1))
@@ -221,7 +301,7 @@ class TestTvEstimateBinned:
         p = VectorDataset(rows=np.zeros((3, 1)))
         q = VectorDataset(rows=np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
-            tv_estimate_binned(p, q, 10)
+            tv_estimate_binned(p, q, 10, RandomSource(0))
 
     def test_deterministic_given_seed(self):
         gen = np.random.default_rng(53)

@@ -20,3 +20,17 @@ def test_public_functions_have_no_underscore_parameters():
                 if param.startswith("_")
             ]
     assert offenders == []
+
+
+def test_no_public_function_defaults_its_rng():
+    # seeded output is a contract: every randomized call names its stream
+    offenders = []
+    for info in pkgutil.iter_modules(dpsampler.__path__):
+        module = importlib.import_module(f"dpsampler.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            rng = inspect.signature(fn).parameters.get("rng")
+            if rng is not None and rng.default is not inspect.Parameter.empty:
+                offenders.append(f"{module.__name__}.{name}(rng)")
+    assert offenders == []
