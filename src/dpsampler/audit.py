@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,23 +53,9 @@ def _verdict(measured: float, bound: float) -> str:
     return "pass" if measured <= bound + VERDICT_SLACK else "fail"
 
 
-def report_as_dict(report: AuditReport) -> dict:
-    return {
-        "mechanism": report.mechanism,
-        "claimed": report.claimed.as_dict(),
-        "measured_max_log_ratio": report.measured_max_log_ratio,
-        "measured_delta": report.measured_delta,
-        "probe_count": report.probe_count,
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "advisory": report.advisory,
-        "details": report.details,
-    }
-
-
 def report_to_json(report: AuditReport) -> str:
     """Canonical JSON serialization (sorted keys, no whitespace)."""
-    return json.dumps(report_as_dict(report), sort_keys=True, separators=(",", ":"))
+    return json.dumps(asdict(report), sort_keys=True, separators=(",", ":"))
 
 
 def report_from_json(payload: str) -> AuditReport:

@@ -15,7 +15,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .audit import (
     audit_shurr_marginal,
     audit_subrr_pure,
     audit_zcdp_gaussian,
-    report_as_dict,
 )
 from .core import (
     RandomSource,
@@ -76,15 +75,6 @@ class ExperimentConfig:
     output_path: str | None = None
     seed: int | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "params": dict(self.params),
-            "input_path": self.input_path,
-            "output_path": self.output_path,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
@@ -109,16 +99,6 @@ class RunReport:
     wall_clock_seconds: float
     version: str
     exit_code: int
-
-    def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "outputs": self.outputs,
-            "derived": self.derived,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "version": self.version,
-            "exit_code": self.exit_code,
-        }
 
 
 def _need(params: dict, *names):
@@ -181,9 +161,18 @@ def _run_sample_kary(config: ExperimentConfig):
     return summary, derived, 0
 
 
-def _gaussian_sampler_spec(variant: str, d: int, R: float, eps: float, alpha: float, c: float):
+def _given(params: dict, *names) -> dict:
+    """The optional parameters that were given; the rest keep their library defaults."""
+    return {name: params[name] for name in names if params.get(name) is not None}
+
+
+def _gaussian_sampler_spec(
+    variant: str, d: int, R: float, eps: float, alpha: float, params: dict
+):
     if variant == "pure":
-        return pure_gaussian_sampler(d, R, eps, alpha, c=c)
+        return pure_gaussian_sampler(d, R, eps, alpha, **_given(params, "c"))
+    if params.get("c") is not None:
+        raise ConfigInvalid(f"--c applies to the pure variant only, not {variant!r}")
     if variant == "zcdp-known":
         return zcdp_known_cov_sampler(d, R, eps, alpha)
     if variant == "zcdp-bounded":
@@ -195,27 +184,27 @@ def _run_sample_gaussian(config: ExperimentConfig):
     if config.input_path is None:
         raise ConfigInvalid("sample-gaussian requires --in")
     params = config.params
-    (variant, alpha, eps, R) = _need(params, "variant", "alpha", "eps", "R")
+    (variant, mode, alpha, eps, R) = _need(params, "variant", "mode", "alpha", "eps", "R")
     data = read_vector_csv(config.input_path)
     if params.get("dim") is not None and params["dim"] != data.d:
         raise ConfigInvalid(f"--dim {params['dim']} does not match data dimension {data.d}")
     rng = _rng(config)
-    mode = params.get("mode") or "once"
-    spec = _gaussian_sampler_spec(variant, data.d, R, eps, alpha, float(params.get("c") or 2.0))
+    spec = _gaussian_sampler_spec(variant, data.d, R, eps, alpha, params)
     derived = {"d": data.d, "n": data.n}
 
     if mode == "once":
+        (count,) = _need(params, "count")
+        if count < 1:
+            raise ConfigInvalid(f"--count must be >= 1, got {count}")
         derived.update(spec.calibration(alpha, data.n))
-        count = int(params.get("count") or 1)
-        outputs = [spec.run(data, alpha, rng.child(i)) for i in range(count)]
-    elif mode in ("repeat", "precision", "both"):
+        outputs = [spec.run(data, alpha, rng.child(i)) for i in range(int(count))]
+    elif mode in ("repeat", "both"):
+        # no weak Gaussian sampler exists, so there is no precision-only mode
         (m,) = _need(params, "m")
         if mode == "repeat":
             derived["n_per_call"] = spec.n_per_call(alpha)
             outputs = weak_via_repetition(spec, int(m), data, rng)
         else:
-            # no non-repetition weak gaussian sampler exists, so precision
-            # degenerates to repetition at the tightened tolerance
             derived["n_per_call"] = spec.n_per_call(alpha / int(m))
             outputs = strong_via_both(spec, int(m), alpha, data, rng)
     else:
@@ -257,8 +246,7 @@ _COMPLEXITY = {
     },
     "gaussian": {
         "pure": (("dim", "R", "alpha", "eps"), lambda p: pure_sample_complexity(
-            int(p["dim"]), p["R"], p["alpha"], p["eps"],
-            C=float(p.get("C") or 1.0), c=float(p.get("c") or 2.0))),
+            int(p["dim"]), p["R"], p["alpha"], p["eps"], **_given(p, "C", "c"))),
         "zcdp-known": (("dim", "R", "alpha", "eps"), lambda p: zcdp_known_cov_complexity(
             int(p["dim"]), p["R"], p["alpha"], p["eps"])),
         "zcdp-bounded": (("dim", "R", "alpha", "eps"), lambda p: zcdp_bounded_cov_complexity(
@@ -282,7 +270,7 @@ def _run_complexity(config: ExperimentConfig):
     required, calculate = calculators[task]
     _need(params, *required)
     report = calculate(params)
-    return {"report": report.as_dict()}, {"n_required": report.n_required}, 0
+    return {"report": asdict(report)}, {"n_required": report.n_required}, 0
 
 
 def _run_tvdist(config: ExperimentConfig):
@@ -292,7 +280,7 @@ def _run_tvdist(config: ExperimentConfig):
     estimate = tv_estimate_binned(
         read_vector_csv(path_p), read_vector_csv(path_q), int(bins), rng
     )
-    return {"report": estimate.as_dict()}, estimate.as_dict(), 0
+    return {"report": asdict(estimate)}, asdict(estimate), 0
 
 
 def _run_audit(config: ExperimentConfig):
@@ -305,23 +293,18 @@ def _run_audit(config: ExperimentConfig):
         (k, n, eps) = _need(params, "k", "n", "eps")
         report = audit_subrr_pure(int(k), int(n), eps, claimed_eps=params.get("claimed_eps"))
     elif mechanism == "shurr":
-        (k, n, eps, delta) = _need(params, "k", "n", "eps", "delta")
+        (k, n, eps, delta, runs) = _need(params, "k", "n", "eps", "delta", "runs")
         report = audit_shurr_marginal(
-            int(k), int(n), eps, delta, int(params.get("runs") or 10**4), _rng(config),
-            eps0=params.get("eps0"),
+            int(k), int(n), eps, delta, int(runs), _rng(config), eps0=params.get("eps0")
         )
     elif mechanism == "elap":
-        (d, B, eps) = _need(params, "dim", "B", "eps")
-        report = audit_elap_mechanism(
-            int(d), B, eps, int(params.get("probes") or 10**4), _rng(config)
-        )
+        (d, B, eps, probes) = _need(params, "dim", "B", "eps", "probes")
+        report = audit_elap_mechanism(int(d), B, eps, int(probes), _rng(config))
     elif mechanism == "zcdp":
-        (variant, B, sigma2, eps, n) = _need(params, "variant", "B", "sigma2", "eps", "n")
-        zp = ZcdpParams(
-            variant=variant, B=B, sigma2=sigma2, eps=eps, n=int(n),
-            n1=params.get("n1"), n2=params.get("n2"),
+        (variant, B, sigma2, eps, n, orders) = _need(
+            params, "variant", "B", "sigma2", "eps", "n", "orders"
         )
-        orders = params.get("orders") or [1.5, 2.0, 4.0, 16.0]
+        zp = ZcdpParams(variant=variant, B=B, sigma2=sigma2, eps=eps, n=int(n))
         report = audit_zcdp_gaussian(zp, orders)
     else:
         raise ConfigInvalid(f"unknown audit mechanism {mechanism!r}")
@@ -330,7 +313,7 @@ def _run_audit(config: ExperimentConfig):
         code = 0
     else:
         code = 3 if report.advisory else 2
-    return {"report": report_as_dict(report)}, report.details, code
+    return {"report": asdict(report)}, report.details, code
 
 
 def table_sweep(family: str, grid: dict) -> tuple[list[str], list[list]]:
@@ -387,7 +370,7 @@ def run(config: ExperimentConfig) -> RunReport:
     start = time.perf_counter()
     outputs, derived, exit_code = _TASKS[config.task](config)
     return RunReport(
-        config=config.as_dict(),
+        config=asdict(config),
         outputs=outputs,
         derived=derived,
         wall_clock_seconds=time.perf_counter() - start,
@@ -406,6 +389,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
 
 
 def _build_parser() -> _Parser:
@@ -429,14 +416,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sample-gaussian", help="private samples from a vector dataset")
     p.add_argument("--variant", required=True, choices=["pure", "zcdp-known", "zcdp-bounded"])
-    p.add_argument("--mode", default="once", choices=["once", "repeat", "precision", "both"])
+    p.add_argument("--mode", default="once", choices=["once", "repeat", "both"])
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--in", dest="input_path", required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--c", type=float, default=None, help="clip constant, pure variant only")
     p.add_argument("--count", type=int, default=1, help="independent runs on the same data")
     common(p, seed_required=True)
 
@@ -480,22 +467,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--B", type=float, default=None)
     p.add_argument("--sigma2", type=float, default=None)
     p.add_argument("--variant", default=None)
-    p.add_argument("--n1", type=int, default=None)
-    p.add_argument("--n2", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--probes", type=int, default=None)
-    p.add_argument("--orders", type=_float_list, default=None)
+    p.add_argument("--runs", type=int, default=10**4)
+    p.add_argument("--probes", type=int, default=10**4)
+    p.add_argument("--orders", type=_float_list, default=[1.5, 2.0, 4.0, 16.0])
     common(p, seed_required=False)
 
     p = sub.add_parser("sweep", help="complexity tables over a parameter grid")
     p.add_argument("--family", required=True, choices=["kary", "gaussian"])
-    p.add_argument("--k", type=lambda s: [int(v) for v in s.split(",")], default=None)
-    p.add_argument("--dim", type=lambda s: [int(v) for v in s.split(",")], default=None)
+    p.add_argument("--k", type=_int_list, default=None)
+    p.add_argument("--dim", type=_int_list, default=None)
     p.add_argument("--R", type=_float_list, default=None)
     p.add_argument("--alpha", type=_float_list, default=None)
     p.add_argument("--eps", type=_float_list, default=None)
     p.add_argument("--delta", type=_float_list, default=None)
-    p.add_argument("--m", type=lambda s: [int(v) for v in s.split(",")], default=None)
+    p.add_argument("--m", type=_int_list, default=None)
     common(p, seed_required=False)
 
     return parser
@@ -521,7 +506,7 @@ def main(argv=None) -> int:
     except DPSamplerError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    payload = json.dumps(report.as_dict(), sort_keys=True)
+    payload = json.dumps(asdict(report), sort_keys=True)
     print(payload)
     if args.json:
         with open(args.json, "w") as fh:

@@ -173,9 +173,6 @@ class PrivacyBudget:
     def zcdp(cls, epsilon: float) -> "PrivacyBudget":
         return cls(epsilon=epsilon, delta=0.0, rho=epsilon**2 / 2)
 
-    def as_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "delta": self.delta, "rho": self.rho}
-
 
 class RandomSource:
     """Seedable pseudo-random stream with reproducible child derivation.

@@ -137,14 +137,7 @@ class TvEstimate:
 
     estimate: float
     halfwidth: float
-    bins_per_axis: int
-
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "halfwidth": self.halfwidth,
-            "bins": self.bins_per_axis,
-        }
+    bins: int
 
 
 def tv_estimate_binned(
@@ -208,5 +201,5 @@ def tv_estimate_binned(
     return TvEstimate(
         estimate=estimate,
         halfwidth=0.5 * float(hi_q - lo_q),
-        bins_per_axis=bins_per_axis,
+        bins=bins_per_axis,
     )

@@ -58,7 +58,7 @@ class NormViolation(ValidationError):
 
 
 class BadSplit(ValidationError):
-    """Dataset row count does not match the declared n1 + 2*n2 split."""
+    """Row count is not divisible by 3 for the n1 = n2 = n/3 bounded-covariance split."""
 
 
 # --- sampler preconditions ----------------------------------------------------

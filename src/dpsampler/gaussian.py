@@ -242,32 +242,25 @@ def bounded_cov_sensitivity(n1: int, n2: int, B: float) -> float:
     return 2.0 * B * coeff
 
 
+def _bounded_cov_split(n: int) -> int:
+    """Block size n1 = n2 = n/3 of the bounded-covariance statistic."""
+    if n % 3 != 0:
+        raise BadSplit(f"row count {n} is not divisible by 3 for the n1 = n2 = n/3 split")
+    return n // 3
+
+
 def zcdp_bounded_cov_sample(
-    data: VectorDataset,
-    B: float,
-    sigma2: float,
-    rng: RandomSource,
-    n1: int | None = None,
-    n2: int | None = None,
+    data: VectorDataset, B: float, sigma2: float, rng: RandomSource
 ) -> np.ndarray:
-    """Bounded-covariance single draw from n1 + 2*n2 clipped rows.
+    """Bounded-covariance single draw from n = 3q clipped rows, split n1 = n2 = q.
 
     Output is Z + (1/n1) * sum of the first n1 rows
     + sqrt((1 - 1/n1)/(2*n2)) * sum of consecutive differences of the
-    remaining 2*n2 rows, with Z ~ N(0, sigma2 * I).  Defaults split the rows
-    as n1 = n2 = n/3.
+    remaining 2*n2 rows, with Z ~ N(0, sigma2 * I).
     """
     if not sigma2 > 0:
         raise ValidationError(f"sigma2 must be positive, got {sigma2}")
-    n = data.n
-    if n1 is None and n2 is None:
-        if n % 3 != 0:
-            raise BadSplit(f"row count {n} is not divisible by 3 for the n1 = n2 default")
-        n1 = n2 = n // 3
-    if n1 is None or n2 is None or n1 < 1 or n2 < 1:
-        raise BadSplit("both n1 and n2 must be given and >= 1")
-    if n != n1 + 2 * n2:
-        raise BadSplit(f"row count {n} != n1 + 2*n2 = {n1 + 2 * n2}")
+    n1 = n2 = _bounded_cov_split(data.n)
 
     clipped = _clip_rows(data.rows, B)
     mean_part = clipped[:n1].sum(axis=0) / n1
@@ -297,7 +290,9 @@ class ZcdpParams:
     """Parameters of a zCDP Gaussian mechanism run, for auditing.
 
     Only structural consistency is validated here; whether ``sigma2`` covers
-    the sensitivity at budget ``eps`` is exactly what the audit measures.
+    the sensitivity at budget ``eps`` is exactly what the audit measures.  A
+    ``bounded_cov`` run splits its n rows as n1 = n2 = n/3, as the sampler
+    does, so n must be divisible by 3.
     """
 
     variant: str
@@ -305,8 +300,6 @@ class ZcdpParams:
     sigma2: float
     eps: float
     n: int
-    n1: int | None = None
-    n2: int | None = None
 
     def __post_init__(self):
         if self.variant not in ("known_cov", "bounded_cov"):
@@ -314,18 +307,14 @@ class ZcdpParams:
         if not self.B > 0 or not self.sigma2 > 0 or not self.eps > 0 or self.n < 1:
             raise ValidationError("B, sigma2, eps must be positive and n >= 1")
         if self.variant == "bounded_cov":
-            if self.n1 is None or self.n2 is None:
-                raise ValidationError("bounded_cov requires n1 and n2")
-            if self.n1 != self.n2:
-                raise ValidationError("bounded_cov uses the n1 = n2 parameter choice")
-            if self.n != self.n1 + 2 * self.n2:
-                raise BadSplit(f"n={self.n} != n1 + 2*n2 = {self.n1 + 2 * self.n2}")
+            _bounded_cov_split(self.n)
 
     def sensitivity(self) -> float:
         """Replacement sensitivity of the pre-noise statistic."""
         if self.variant == "known_cov":
             return 2.0 * self.B / self.n
-        return bounded_cov_sensitivity(self.n1, self.n2, self.B)
+        q = _bounded_cov_split(self.n)
+        return bounded_cov_sensitivity(q, q, self.B)
 
 
 def gaussian_mech_renyi(delta_norm: float, sigma: float, order: float) -> float:

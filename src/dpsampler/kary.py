@@ -45,6 +45,16 @@ from .errors import (
 STRONG_ALPHA_FLOOR = 1e-12
 
 
+def _check_tolerance(alpha: float, m: int) -> float:
+    """Per-output tolerance alpha/m of a strong sampler, refused below the floor."""
+    per_output = alpha / m
+    if per_output < STRONG_ALPHA_FLOOR:
+        raise PrecisionLimit(
+            f"per-output tolerance alpha/m = {per_output} below floor {STRONG_ALPHA_FLOOR}"
+        )
+    return per_output
+
+
 def _tolerant_ceil(x: float) -> int:
     """Ceiling that forgives float noise just above an exact integer."""
     return int(math.ceil(x - 1e-9 * max(1.0, abs(x))))
@@ -163,13 +173,6 @@ class ComplexityReport:
     def __post_init__(self):
         if self.n_required < 1:
             raise ValidationError(f"n_required must be >= 1, got {self.n_required}")
-
-    def as_dict(self) -> dict:
-        return {
-            "n_required": self.n_required,
-            "formula_name": self.formula_name,
-            "inputs": dict(self.inputs),
-        }
 
 
 def _check_alpha(alpha: float) -> None:
@@ -309,12 +312,7 @@ def shurr_strong_complexity(
     _check_alpha(alpha)
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    per_output = alpha / m
-    if per_output < STRONG_ALPHA_FLOOR:
-        raise PrecisionLimit(
-            f"per-output tolerance alpha/m = {per_output} below floor {STRONG_ALPHA_FLOOR}"
-        )
-    weak = shurr_weak_complexity(k, per_output, eps, delta, m)
+    weak = shurr_weak_complexity(k, _check_tolerance(alpha, m), eps, delta, m)
     return ComplexityReport(
         n_required=weak.n_required,
         formula_name="kary_strong",

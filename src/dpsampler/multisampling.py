@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .core import RandomSource
-from .errors import InsufficientData, PrecisionLimit
+from .errors import InsufficientData
 from .gaussian import (
     PureGaussianSamplerParams,
     bounded_cov_clip_bound,
@@ -35,7 +35,7 @@ from .gaussian import (
     zcdp_known_cov_sample,
 )
 from .kary import (
-    STRONG_ALPHA_FLOOR,
+    _check_tolerance,
     shurr_run,
     shurr_weak_complexity,
     subrr_sample,
@@ -62,15 +62,6 @@ class SamplerSpec:
     n_per_call: Callable[[float], int]
     run: Callable[[Any, float, RandomSource], Any]
     calibration: Callable[[float, int], dict] | None = None
-
-
-def _check_tolerance(alpha: float, m: int) -> float:
-    per_output = alpha / m
-    if per_output < STRONG_ALPHA_FLOOR:
-        raise PrecisionLimit(
-            f"per-output tolerance alpha/m = {per_output} below floor {STRONG_ALPHA_FLOOR}"
-        )
-    return per_output
 
 
 def weak_via_repetition(single: SamplerSpec, m: int, data, rng: RandomSource) -> list:

@@ -294,9 +294,7 @@ class TestAuditZcdpGaussian:
         assert report.measured_max_log_ratio == 0.0
 
     def test_bounded_cov_uses_direct_max_sensitivity(self):
-        params = ZcdpParams(
-            variant="bounded_cov", B=1.0, sigma2=4.0, eps=1.0, n=9, n1=3, n2=3
-        )
+        params = ZcdpParams(variant="bounded_cov", B=1.0, sigma2=4.0, eps=1.0, n=9)
         report = audit_zcdp_gaussian(params, [2.0])
         assert report.witness["sensitivity"] == pytest.approx(
             2.0 * math.sqrt((1 - 1 / 3) / 6.0)

@@ -22,6 +22,14 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def exit_code(argv) -> int:
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture
 def kary_file(tmp_path):
     path = tmp_path / "kary.csv"
@@ -190,7 +198,7 @@ class TestSampleGaussian:
 
     def test_multisampling_modes(self, capsys, vector_file):
         for variant in ("pure", "zcdp-known", "zcdp-bounded"):
-            for mode in ("repeat", "precision", "both"):
+            for mode in ("repeat", "both"):
                 code, stdout, _ = run_cli(
                     capsys,
                     ["sample-gaussian", "--variant", variant, "--mode", mode,
@@ -351,23 +359,93 @@ class TestSweep:
             table_sweep("kary", {})
 
 
-class TestRunReportRoundTrip:
-    def test_rerun_from_echoed_config(self, capsys, kary_file, tmp_path):
-        out = tmp_path / "first.csv"
-        code, stdout, _ = run_cli(
+class TestRejectedParameters:
+    @pytest.mark.parametrize("argv", [
+        ["--variant", "pure", "--count", "0"],
+        ["--variant", "pure", "--c", "0"],
+        ["--variant", "zcdp-known", "--c", "3"],
+        ["--variant", "pure", "--mode", "precision", "--m", "3"],
+    ], ids=["count-0", "c-0", "zcdp-known-c-3", "mode-precision"])
+    def test_sample_gaussian_exits_one(self, capsys, vector_file, tmp_path, argv):
+        out = tmp_path / "never.csv"
+        code = exit_code(
+            ["sample-gaussian", "--in", str(vector_file), "--R", "1", "--alpha", "0.4",
+             "--eps", "5", "--seed", "1", "--out", str(out)] + argv
+        )
+        assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--mechanism", "shurr", "--k", "2", "--n", "2301", "--eps", "4.0", "--delta", "0.01",
+         "--seed", "9", "--runs", "0"],
+        ["--mechanism", "elap", "--dim", "2", "--B", "1.0", "--eps", "1.0", "--seed", "13",
+         "--probes", "0"],
+        ["--mechanism", "zcdp", "--variant", "bounded_cov", "--B", "1.0", "--sigma2", "4.0",
+         "--eps", "1.0", "--n", "10"],
+    ], ids=["runs-0", "probes-0", "bounded-cov-n10"])
+    def test_audit_exits_one(self, capsys, argv):
+        assert exit_code(["audit"] + argv) == 1
+
+    def test_bounded_cov_audit_splits_n_by_three(self, capsys):
+        code, out, _ = run_cli(
             capsys,
-            ["sample-kary", "--mode", "shuffle", "--in", str(kary_file),
-             "--eps", "300", "--delta", "0.5", "--m", "20",
-             "--seed", "21", "--out", str(out)],
+            ["audit", "--mechanism", "zcdp", "--variant", "bounded_cov", "--B", "1.0",
+             "--sigma2", "4.0", "--eps", "1.0", "--n", "9"],
         )
         assert code == 0
-        first_bytes = out.read_bytes()
-        echoed = json.loads(stdout)["config"]
-        echoed["output_path"] = str(tmp_path / "second.csv")
-        report = run(ExperimentConfig.from_dict(echoed))
-        assert (tmp_path / "second.csv").read_bytes() == first_bytes
-        # every derived parameter needed for reproduction is in the report
-        assert "eps0" in report.derived and "eps1" in report.derived
+        report = json.loads(out)
+        assert report["outputs"]["report"]["witness"]["sensitivity"] == pytest.approx(
+            2.0 * math.sqrt((1 - 1 / 3) / 6.0)
+        )
+        # argparse owns the defaults, and the report echoes the values used
+        assert report["config"]["params"]["orders"] == [1.5, 2.0, 4.0, 16.0]
+
+
+class TestRunReportRoundTrip:
+    def test_rerun_from_echoed_config(self, capsys, kary_file, vector_file, tmp_path):
+        gen = np.random.default_rng(84)
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        write_vector_csv(p, gen.normal(size=(500, 1)))
+        write_vector_csv(q, gen.normal(0.3, 1.0, size=(500, 1)))
+        gaussian = ["--in", str(vector_file), "--R", "1", "--alpha", "0.4", "--eps", "5"]
+        cases = [
+            ["sample-kary", "--mode", "shuffle", "--in", str(kary_file),
+             "--eps", "300", "--delta", "0.5", "--m", "20", "--seed", "21"],
+            ["elap", "--dim", "2", "--scale", "1.5", "--count", "5", "--seed", "22"],
+            ["tvdist", "--p", str(p), "--q", str(q), "--bins", "10", "--seed", "23"],
+            ["audit", "--mechanism", "shurr", "--k", "2", "--n", "10", "--eps", "0.05",
+             "--delta", "0.001", "--eps0", "12.0", "--seed", "24"],
+            ["audit", "--mechanism", "elap", "--dim", "2", "--B", "1.0", "--eps", "1.0",
+             "--seed", "25"],
+            ["complexity", "--family", "gaussian", "--task", "pure", "--dim", "2",
+             "--R", "1", "--alpha", "0.1", "--eps", "1"],
+        ]
+        for variant in ("pure", "zcdp-known", "zcdp-bounded"):
+            cases += [
+                ["sample-gaussian", "--variant", variant, "--count", "2", "--seed", "26"],
+                ["sample-gaussian", "--variant", variant, "--mode", "repeat", "--m", "3",
+                 "--seed", "27"],
+                ["sample-gaussian", "--variant", variant, "--mode", "both", "--m", "3",
+                 "--seed", "28"],
+            ]
+        for i, argv in enumerate(cases):
+            if argv[0] == "sample-gaussian":
+                argv = argv + gaussian
+            out = tmp_path / f"artifact{i}.csv"
+            code, stdout, _ = run_cli(capsys, argv + ["--out", str(out)])
+            first = json.loads(stdout)
+            first_bytes = out.read_bytes() if out.exists() else None
+            if first_bytes is not None:
+                out.unlink()
+            report = run(ExperimentConfig.from_dict(first["config"]))
+            assert report.exit_code == code, argv
+            second_bytes = out.read_bytes() if out.exists() else None
+            assert second_bytes == first_bytes, argv
+            assert report.outputs == first["outputs"], argv
+            assert report.derived == first["derived"], argv
+            # every derived parameter needed for reproduction is in the report
+            if argv[0] == "sample-kary":
+                assert "eps0" in report.derived and "eps1" in report.derived
 
     def test_report_written_to_json_path(self, capsys, tmp_path):
         json_path = tmp_path / "report.json"

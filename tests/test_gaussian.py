@@ -237,10 +237,6 @@ class TestZcdpBoundedCov:
         data = VectorDataset(rows=np.zeros((4, 2)))
         with pytest.raises(BadSplit):
             zcdp_bounded_cov_sample(data, 1.0, 1.0, RandomSource(8))
-        with pytest.raises(BadSplit):
-            zcdp_bounded_cov_sample(
-                VectorDataset(rows=np.zeros((6, 2))), 1.0, 1.0, RandomSource(8), n1=3, n2=2
-            )
 
     def test_moments_match_structure(self):
         # no clipping, inputs N(mu, Sigma): mean mu, covariance sigma2*I + Sigma
@@ -321,16 +317,16 @@ class TestZcdpBoundedCov:
 class TestZcdpParams:
     def test_structure_validation(self):
         ZcdpParams(variant="known_cov", B=1.0, sigma2=0.5, eps=1.0, n=10)
-        ZcdpParams(variant="bounded_cov", B=1.0, sigma2=0.5, eps=1.0, n=9, n1=3, n2=3)
+        ZcdpParams(variant="bounded_cov", B=1.0, sigma2=0.5, eps=1.0, n=9)
         with pytest.raises(ValidationError):
             ZcdpParams(variant="other", B=1.0, sigma2=0.5, eps=1.0, n=10)
-        with pytest.raises(ValidationError):
-            ZcdpParams(variant="bounded_cov", B=1.0, sigma2=0.5, eps=1.0, n=9, n1=3, n2=2)
+        with pytest.raises(BadSplit):
+            ZcdpParams(variant="bounded_cov", B=1.0, sigma2=0.5, eps=1.0, n=10)
 
     def test_sensitivities(self):
         known = ZcdpParams(variant="known_cov", B=2.0, sigma2=0.5, eps=1.0, n=10)
         assert known.sensitivity() == pytest.approx(0.4)
-        bounded = ZcdpParams(variant="bounded_cov", B=2.0, sigma2=0.5, eps=1.0, n=9, n1=3, n2=3)
+        bounded = ZcdpParams(variant="bounded_cov", B=2.0, sigma2=0.5, eps=1.0, n=9)
         assert bounded.sensitivity() == pytest.approx(
             2.0 * 2.0 * math.sqrt((1 - 1 / 3) / 6.0)
         )
