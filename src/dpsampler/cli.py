@@ -196,11 +196,16 @@ def _run_sample_gaussian(config: ExperimentConfig):
         (count,) = _need(params, "count")
         if count < 1:
             raise ConfigInvalid(f"--count must be >= 1, got {count}")
+        if params.get("m") is not None:
+            raise ConfigInvalid("--m applies to --mode repeat and both only; once mode takes --count")
         derived.update(spec.calibration(alpha, data.n))
         outputs = [spec.run(data, alpha, rng.child(i)) for i in range(int(count))]
     elif mode in ("repeat", "both"):
         # no weak Gaussian sampler exists, so there is no precision-only mode
         (m,) = _need(params, "m")
+        # a combinator makes one run of m draws; --count repeats single runs in once mode
+        if params.get("count") not in (None, 1):
+            raise ConfigInvalid(f"--mode {mode} makes one run of --m draws, not --count {params['count']}")
         if mode == "repeat":
             derived["n_per_call"] = spec.n_per_call(alpha)
             outputs = weak_via_repetition(spec, int(m), data, rng)
@@ -269,6 +274,8 @@ def _run_complexity(config: ExperimentConfig):
         raise ConfigInvalid(f"unknown {family} task {task!r}")
     required, calculate = calculators[task]
     _need(params, *required)
+    if (family, task) != ("gaussian", "pure") and _given(params, "c", "C"):
+        raise ConfigInvalid(f"--c and --C apply to --family gaussian --task pure only, not {family} {task}")
     report = calculate(params)
     return {"report": asdict(report)}, {"n_required": report.n_required}, 0
 

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,11 +208,64 @@ class RandomSource:
 #
 # k-ary: one integer per line.  Vector: one comma-separated float vector per
 # line.  A single non-numeric first line is treated as a header and skipped.
+# Files are UTF-8 text.  ``_data_lines`` and the ``csv`` module define the
+# format.  A file whose bytes all lie in the format's plain alphabet below (so
+# no header, quotes or spaces) is parsed in one numpy pass instead; numpy
+# parses each cell with the same rules as ``int``/``float``, and any parse
+# failure, blank cell or width mismatch falls back to the ``csv`` path, so
+# both paths accept the same files and return the same datasets.
+
+_KARY_BYTES = b"0123456789\r\n"
+_VECTOR_BYTES = b"0123456789.eE+-,\r\n"
 
 
-def _data_lines(path) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+def _read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _plain_lines(raw: bytes, alphabet: bytes) -> list[bytes] | None:
+    """The nonblank lines of ``raw`` if all its bytes lie in ``alphabet``, else None."""
+    if raw.translate(None, alphabet):
+        return None
+    return raw.split() or None  # no alphabet has a space, so split() splits lines
+
+
+def _parse(cells: list[bytes], dtype) -> np.ndarray | None:
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _plain_vectors(raw: bytes) -> np.ndarray | None:
+    lines = _plain_lines(raw, _VECTOR_BYTES)
+    if lines is None:
+        return None
+    width = lines[0].count(b",") + 1
+    cells = raw.replace(b",", b" ").split()
+    # with equal comma counts, a blank cell such as "1,,2" leaves a cell short
+    if {line.count(b",") for line in lines} != {width - 1} or len(cells) != len(lines) * width:
+        return None
+    rows = _parse(cells, np.float64)
+    return None if rows is None else rows.reshape(len(lines), width)
+
+
+def _data_lines(raw: bytes, path) -> list[list[str]]:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+    try:
+        rows = [
+            row for row in csv.reader(io.StringIO(text, newline=""))
+            if row and any(cell.strip() for cell in row)
+        ]
+    except csv.Error as exc:
+        raise ValidationError(f"malformed CSV in {path}: {exc}") from exc
     if not rows:
         raise EmptyDataset(f"no data rows in {path}")
     try:
@@ -225,37 +279,49 @@ def _data_lines(path) -> list[list[str]]:
 
 def read_kary_csv(path, k: int | None = None) -> KaryDataset:
     """Read one integer per line; ``k`` defaults to the largest value seen."""
-    rows = _data_lines(path)
-    try:
-        values = [int(row[0]) for row in rows]
-    except ValueError as exc:
-        raise ValidationError(f"non-integer value in k-ary dataset {path}: {exc}") from exc
+    raw = _read_bytes(path)
+    lines = _plain_lines(raw, _KARY_BYTES)
+    values = None if lines is None else _parse(lines, np.int64)
+    if values is None:
+        rows = _data_lines(raw, path)
+        try:
+            ints = [int(row[0]) for row in rows]
+        except ValueError as exc:
+            raise ValidationError(f"non-integer value in k-ary dataset {path}: {exc}") from exc
+        try:
+            values = np.array(ints, dtype=np.int64)
+        except OverflowError as exc:
+            raise OutOfDomain(f"value outside the int64 range in k-ary dataset {path}") from exc
     if k is None:
-        k = max(max(values), 2)
-    return KaryDataset(values=np.asarray(values), k=k)
+        k = max(int(values.max()), 2)
+    return KaryDataset(values=values, k=k)
 
 
 def read_vector_csv(path) -> VectorDataset:
     """Read one comma-separated real vector per line."""
-    rows = _data_lines(path)
-    try:
-        vectors = [[float(cell) for cell in row] for row in rows]
-    except ValueError as exc:
-        raise ValidationError(f"non-numeric value in vector dataset {path}: {exc}") from exc
-    widths = {len(v) for v in vectors}
-    if len(widths) != 1:
-        raise DimensionMismatch(f"inconsistent row widths {sorted(widths)} in {path}")
-    return VectorDataset(rows=np.asarray(vectors))
+    raw = _read_bytes(path)
+    rows = _plain_vectors(raw)
+    if rows is None:
+        lines = _data_lines(raw, path)
+        try:
+            vectors = [[float(cell) for cell in row] for row in lines]
+        except ValueError as exc:
+            raise ValidationError(f"non-numeric value in vector dataset {path}: {exc}") from exc
+        widths = {len(v) for v in vectors}
+        if len(widths) != 1:
+            raise DimensionMismatch(f"inconsistent row widths {sorted(widths)} in {path}")
+        rows = np.asarray(vectors)
+    return VectorDataset(rows=rows)
 
 
 def write_kary_csv(path, values) -> None:
+    ints = tuple(map(int, np.asarray(values).ravel().tolist()))
     with open(path, "w", newline="") as fh:
-        for v in np.asarray(values).ravel():
-            fh.write(f"{int(v)}\n")
+        fh.write(("%d\n" * len(ints)) % ints)
 
 
 def write_vector_csv(path, rows) -> None:
     arr = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    line = ",".join(["%r"] * arr.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
-        for row in arr:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.write((line * arr.shape[0]) % tuple(arr.ravel().tolist()))

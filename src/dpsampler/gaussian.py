@@ -35,17 +35,6 @@ from .errors import (
 from .kary import ComplexityReport, _tolerant_ceil
 
 
-def clip_to_ball(x, B: float) -> np.ndarray:
-    """Project x onto the l2 ball of radius B; direction is preserved."""
-    if not B > 0:
-        raise ValidationError(f"clip bound must be positive, got {B}")
-    vec = np.asarray(x, dtype=np.float64)
-    norm = float(np.linalg.norm(vec))
-    if norm <= B:
-        return vec.copy()
-    return vec * (B / norm)
-
-
 def _clip_rows(rows: np.ndarray, B: float) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1)
     scale = np.minimum(B / np.maximum(norms, 1e-300), 1.0)

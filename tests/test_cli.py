@@ -365,7 +365,11 @@ class TestRejectedParameters:
         ["--variant", "pure", "--c", "0"],
         ["--variant", "zcdp-known", "--c", "3"],
         ["--variant", "pure", "--mode", "precision", "--m", "3"],
-    ], ids=["count-0", "c-0", "zcdp-known-c-3", "mode-precision"])
+        ["--variant", "pure", "--mode", "repeat", "--m", "3", "--count", "0"],
+        ["--variant", "zcdp-known", "--mode", "both", "--m", "3", "--count", "2"],
+        ["--variant", "pure", "--m", "3"],
+    ], ids=["count-0", "c-0", "zcdp-known-c-3", "mode-precision", "repeat-count-0",
+            "both-count-2", "once-m-3"])
     def test_sample_gaussian_exits_one(self, capsys, vector_file, tmp_path, argv):
         out = tmp_path / "never.csv"
         code = exit_code(
@@ -385,6 +389,39 @@ class TestRejectedParameters:
     ], ids=["runs-0", "probes-0", "bounded-cov-n10"])
     def test_audit_exits_one(self, capsys, argv):
         assert exit_code(["audit"] + argv) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "gaussian", "--task", "zcdp-known", "--dim", "2", "--R", "1",
+         "--alpha", "0.1", "--eps", "1", "--c", "3", "--C", "5"],
+        ["--family", "gaussian", "--task", "zcdp-bounded", "--dim", "2", "--R", "1",
+         "--alpha", "0.1", "--eps", "1", "--C", "5"],
+        ["--family", "kary", "--task", "single", "--k", "10", "--alpha", "0.1", "--eps", "1",
+         "--c", "3"],
+    ], ids=["zcdp-known-c-C", "zcdp-bounded-C", "kary-single-c"])
+    def test_complexity_constants_outside_pure_exit_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["complexity"] + argv)
+        assert code == 1
+        assert out == ""
+        assert "--c and --C apply to --family gaussian --task pure only" in err
+
+    @pytest.mark.parametrize("content", [
+        None,
+        b"1\n\xff\n",
+        b"1\n99999999999999999999\n",
+        b"1\n" + b"2" * 200_000 + b"\n",
+    ], ids=["missing-file", "not-utf8", "beyond-int64", "cell-over-csv-field-limit"])
+    def test_unreadable_input_exits_one(self, capsys, tmp_path, content):
+        path = tmp_path / "input.csv"
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run_cli(
+            capsys,
+            ["sample-kary", "--mode", "sub", "--in", str(path), "--eps", "1", "--seed", "1"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
     def test_bounded_cov_audit_splits_n_by_three(self, capsys):
         code, out, _ = run_cli(

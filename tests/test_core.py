@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import dpsampler.core
 from dpsampler.core import (
     KaryDataset,
     PrivacyBudget,
@@ -14,6 +17,7 @@ from dpsampler.core import (
     write_vector_csv,
 )
 from dpsampler.errors import (
+    DPSamplerError,
     DomainTooSmall,
     EmptyDataset,
     NotNormalized,
@@ -174,3 +178,193 @@ class TestCsvIO:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(ValidationError):
             read_vector_csv(path)
+
+
+# Files that probe the edges of the CSV format.  Each is read by the one-pass
+# numpy path where it applies and by the csv-module path alone; both must give
+# the same dataset or the same typed error.
+AWKWARD_FILES = {
+    "header": b"value\n1\n2\n",
+    "vector-header": b"a,b\n1.5,2\n3,4\n",
+    "blank-lines": b"1\n\n2\n\n",
+    "whitespace-line": b"1\n   \n2\n",
+    "spaces-around": b" 1\n2 \n",
+    "space-separated": b"1 2\n3 4\n",
+    "quoted": b'"1"\n"2"\n',
+    "vector-quoted": b'"1.5",2\n3,4\n',
+    "extra-columns": b"1,5\n2,6\n",
+    "ragged": b"1,2\n3\n",
+    "ragged-equal-totals": b"5,6\n1,2,3\n4\n",
+    "empty-cell": b"1,,2\n3,4,5\n",
+    "leading-empty-cell": b",1\n2,3\n",
+    "trailing-comma": b"1,\n2,\n",
+    "crlf": b"1\r\n2\r\n",
+    "vector-crlf": b"1.5,2\r\n3,4\r\n",
+    "lone-cr": b"1,2\r3,4\r",
+    "cr-cr-lf": b"1,2\r\r\n3,4\n",
+    "cr-before-comma": b"1\r,2\n3,4\n",
+    "no-final-newline": b"1\n2",
+    "vector-no-final-newline": b"1.5,2\n3,4",
+    "non-numeric": b"1\nx\n",
+    "vector-non-numeric": b"1,2\n3,x\n",
+    "lone-minus": b"1\n-\n",
+    "lone-e": b"1\ne\n",
+    "lone-dot": b"1\n.\n",
+    "vector-lone-minus": b"1,2\n-,3\n",
+    "vector-lone-e": b"1,2\n3,e\n",
+    "first-cell-e": b"e\n1\n",
+    "double-sign": b"+-1\n2\n",
+    "nan": b"1\nnan\n",
+    "inf": b"1.0\ninf\n",
+    "overflow-to-inf": b"1e400\n2\n",
+    "leading-zeros": b"007\n3\n",
+    "plus-sign": b"+1\n2\n",
+    "float-spellings": b".5\n5.\n1e+05\n",
+    "signed-vector": b"-1.5,-2e-3\n+3,4E2\n",
+    "zero": b"0\n1\n2\n",
+    "negative": b"-1\n2\n",
+    "fraction": b"1.5\n2\n",
+    "above-k": b"1\n2\n5\n",
+    "int64-max": b"9223372036854775807\n1\n",
+    "beyond-int64": b"99999999999999999999\n1\n",
+    "beyond-int64-after-header": b"value\n99999999999999999999\n",
+    "empty": b"",
+    "only-newlines": b"\n\n",
+    "only-header": b"x\n",
+}
+
+
+def _outcome(read, path):
+    """A dataset's exact contents, or the class of the typed error raised."""
+    try:
+        data = read(path)
+    except DPSamplerError as exc:
+        return type(exc)
+    if isinstance(data, KaryDataset):
+        return data.values.dtype, data.values.tobytes(), data.k, type(data.k)
+    return data.rows.dtype, data.rows.shape, data.rows.tobytes()
+
+
+def _both_paths(monkeypatch, path):
+    readers = [read_kary_csv, lambda p: read_kary_csv(p, k=3), read_vector_csv]
+    default = [_outcome(read, path) for read in readers]
+    with monkeypatch.context() as patch:
+        patch.setattr(dpsampler.core, "_plain_lines", lambda raw, alphabet: None)
+        csv_only = [_outcome(read, path) for read in readers]
+    return default, csv_only
+
+
+def _reference_write_kary_csv(path, values):
+    with open(path, "w", newline="") as fh:
+        for v in np.asarray(values).ravel():
+            fh.write(f"{int(v)}\n")
+
+
+def _reference_write_vector_csv(path, rows):
+    arr = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    with open(path, "w", newline="") as fh:
+        for row in arr:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def _wide_floats(gen, shape):
+    """Finite float64s from random bit patterns (subnormals included) plus hand-picked edges."""
+    x = gen.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    x[~np.isfinite(x)] = 0.0
+    x.flat[:4] = [-0.0, 5e-324, 1e16, -1.7976931348623157e308]
+    return x
+
+
+class TestCsvFastPath:
+    @pytest.mark.parametrize("name", sorted(AWKWARD_FILES))
+    def test_matches_csv_path(self, tmp_path, monkeypatch, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(AWKWARD_FILES[name])
+        default, csv_only = _both_paths(monkeypatch, path)
+        assert default == csv_only
+
+    def test_repr_round_trip_matches_csv_path(self, tmp_path, monkeypatch):
+        gen = np.random.default_rng(90)
+        rows = np.vstack([_wide_floats(gen, (5000, 3)), gen.standard_normal((5000, 3))])
+        path = tmp_path / "vec.csv"
+        write_vector_csv(path, rows)
+        default, csv_only = _both_paths(monkeypatch, path)
+        assert default == csv_only
+        assert default[2] == (np.dtype(np.float64), rows.shape, rows.tobytes())
+
+    def test_cell_parse_matches_python(self):
+        # the one-pass path rests on numpy accepting a cell exactly when
+        # float()/int() does, with the same value
+        tokens = [
+            "".join(chars)
+            for size in range(1, 6)
+            for chars in itertools.product("09.eE+-", repeat=size)
+        ]
+        # correctly rounded halfway, subnormal and overflow edges
+        tokens += [
+            "9007199254740993",
+            "1.00000000000000011102230246251565404236316680908203125",
+            "2.2250738585072011e-308",
+            "2.4703282292062327e-324",
+            "2.4703282292062328e-324",
+            "1.7976931348623158e308",
+            "1.7976931348623159e308",
+        ]
+        for token in tokens:
+            parsed = dpsampler.core._parse([token.encode()], np.float64)
+            try:
+                expected = float(token)
+            except ValueError:
+                assert parsed is None, token
+            else:
+                assert parsed is not None, token
+                assert parsed.tobytes() == np.float64(expected).tobytes(), token
+        for token, expected in [("0" * 30 + "7", 7), ("9223372036854775807", 2**63 - 1)]:
+            assert dpsampler.core._parse([token.encode()], np.int64).tolist() == [expected]
+        assert dpsampler.core._parse([b"9223372036854775808"], np.int64) is None
+
+    def test_plain_files_skip_the_csv_module(self, tmp_path, monkeypatch):
+        kary, vector, header = tmp_path / "k.csv", tmp_path / "v.csv", tmp_path / "h.csv"
+        write_kary_csv(kary, [3, 1, 2])
+        write_vector_csv(vector, [[0.5, -1.0], [2.0, 1e-8]])
+        header.write_text("value\n1\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(dpsampler.core.csv, "reader", refuse)
+        assert read_kary_csv(kary).values.tolist() == [3, 1, 2]
+        assert read_vector_csv(vector).rows.tolist() == [[0.5, -1.0], [2.0, 1e-8]]
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            read_kary_csv(header)
+
+
+class TestCsvWriters:
+    @pytest.mark.parametrize("values", [
+        np.arange(1, 1001),
+        np.array([1.0, 2.0, 30.0]),
+        np.array([-2.7, 2.7, 0.0]),
+        np.array([[1, 2], [3, 4]], dtype=np.uint8),
+        np.array([True, False]),
+        [4, 5, 6],
+        7,
+        np.array([], dtype=np.int64),
+    ], ids=["int64", "integer-valued-float", "truncated-float", "2d-uint8", "bool", "list",
+            "scalar", "empty"])
+    def test_kary_matches_reference(self, tmp_path, values):
+        write_kary_csv(tmp_path / "new.csv", values)
+        _reference_write_kary_csv(tmp_path / "ref.csv", values)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [
+        _wide_floats(np.random.default_rng(91), (2000, 3)),
+        np.random.default_rng(92).standard_normal((300, 1)),
+        np.array([0.1, -0.0, np.inf, np.nan]),
+        [[1, 2], [3, 4]],
+        np.empty((0, 2)),
+        np.empty(0),
+    ], ids=["wide-floats", "one-column", "one-row-nonfinite", "int-list", "no-rows", "empty-1d"])
+    def test_vector_matches_reference(self, tmp_path, rows):
+        write_vector_csv(tmp_path / "new.csv", rows)
+        _reference_write_vector_csv(tmp_path / "ref.csv", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -15,8 +15,8 @@ from dpsampler.gaussian import (
     ELapMechanismParams,
     PureGaussianSamplerParams,
     ZcdpParams,
+    _clip_rows,
     bounded_cov_sensitivity,
-    clip_to_ball,
     elap_mechanism,
     gaussian_mech_renyi,
     known_cov_clip_bound,
@@ -30,25 +30,27 @@ from dpsampler.gaussian import (
 
 
 class TestClipToBall:
+    """`_clip_rows` projects each row onto the l2 ball of radius B."""
+
     def test_identity_inside(self):
-        x = np.array([0.5, -0.5])
-        assert np.array_equal(clip_to_ball(x, 2.0), x)
+        x = np.array([[0.5, -0.5]])
+        assert np.array_equal(_clip_rows(x, 2.0), x)
 
     def test_scales_outside(self):
-        np.testing.assert_allclose(clip_to_ball([3.0, 4.0], 2.5), [1.5, 2.0])
+        np.testing.assert_allclose(_clip_rows(np.array([[3.0, 4.0]]), 2.5), [[1.5, 2.0]])
 
     def test_zero_vector(self):
-        assert np.array_equal(clip_to_ball(np.zeros(3), 1.0), np.zeros(3))
+        assert np.array_equal(_clip_rows(np.zeros((1, 3)), 1.0), np.zeros((1, 3)))
 
     def test_idempotent_and_bounded(self):
         gen = np.random.default_rng(61)
         for _ in range(200):
             d = int(gen.integers(1, 6))
-            x = gen.standard_normal(d) * gen.uniform(0.1, 10.0)
+            x = gen.standard_normal((1, d)) * gen.uniform(0.1, 10.0)
             B = float(gen.uniform(0.1, 5.0))
-            once = clip_to_ball(x, B)
+            once = _clip_rows(x, B)
             assert np.linalg.norm(once) <= B + 1e-12
-            np.testing.assert_allclose(clip_to_ball(once, B), once, atol=1e-15)
+            np.testing.assert_allclose(_clip_rows(once, B), once, atol=1e-15)
 
 
 class TestElapMechanism:
@@ -86,8 +88,8 @@ class TestElapMechanism:
             eps = float(gen.uniform(0.2, 3.0))
             b = B / eps
             rows = gen.standard_normal((5, d))
-            rows = np.array([clip_to_ball(r, B) for r in rows])
-            replaced = clip_to_ball(gen.standard_normal(d), B)
+            rows = _clip_rows(rows, B)
+            replaced = _clip_rows(gen.standard_normal((1, d)), B)[0]
             sum_a = rows.sum(axis=0)
             sum_b = sum_a - rows[0] + replaced
             probe = gen.standard_normal((200, d)) * 3.0 * b
@@ -117,7 +119,7 @@ class TestPureGaussianSampler:
         d, n, runs = 2, 8, 40_000
         params = PureGaussianSamplerParams(R=1.0, d=d, alpha=0.1, eps=1.0)
         rows = gen.standard_normal((n, d))
-        clipped_mean = np.array([clip_to_ball(r, params.B) for r in rows]).mean(axis=0)
+        clipped_mean = _clip_rows(rows, params.B).mean(axis=0)
         data = VectorDataset(rows=rows)
         rng = RandomSource(66)
         outs = np.array([pure_gaussian_sample(data, params, rng.child(i)) for i in range(runs)])
@@ -270,7 +272,7 @@ class TestZcdpBoundedCov:
         bound = bounded_cov_sensitivity(q, q, B)
 
         def statistic(rows):
-            clipped = np.array([clip_to_ball(r, B) for r in rows])
+            clipped = _clip_rows(rows, B)
             mean_part = clipped[:q].sum(axis=0) / q
             pairs = clipped[q:].reshape(q, 2, d)
             return mean_part + math.sqrt((1 - 1 / q) / (2 * q)) * (
