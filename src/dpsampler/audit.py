@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import CategoricalDist, KaryDataset, PrivacyBudget, RandomSource
-from .divergences import BOOTSTRAP_RESAMPLES, hockey_stick_finite
+from .core import KaryDataset, PrivacyBudget, RandomSource
+from .divergences import BOOTSTRAP_RESAMPLES, DivergenceOrder
 from .elap import ELapParams, elap_sample
 from .errors import EnumerationTooLarge, ValidationError
 from .gaussian import ELapMechanismParams, ZcdpParams, gaussian_mech_renyi
@@ -112,14 +112,25 @@ def audit_rr_local(k: int, eps0: float, claimed_eps: float | None = None) -> Aud
 # --- subsampled randomized response --------------------------------------------
 
 
-def _compositions(total: int, parts: int):
-    # all count vectors of length `parts` summing to `total`
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+SUBRR_PROBE_BUDGET = 10**6
+SUBRR_CHUNK_ENTRIES = 2**18
+
+
+def _count_vectors(total: int, parts: int) -> np.ndarray:
+    """All count vectors of length ``parts`` summing to ``total``, lexicographically.
+
+    Stars and bars: each choice of ``parts - 1`` bar slots among
+    ``total + parts - 1`` gives the counts as the gaps between bars, and
+    ``itertools.combinations`` yields the choices in the same lexicographic order.
+    """
+    slots = total + parts - 1
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+    ).reshape(-1, parts - 1)
+    vectors = bars.shape[0]
+    edges = np.hstack([np.full((vectors, 1), -1), bars, np.full((vectors, 1), slots)])
+    return np.diff(edges, axis=1) - 1
 
 
 def audit_subrr_pure(
@@ -129,37 +140,47 @@ def audit_subrr_pure(
 
     Enumerates datasets by their count vectors (the output law depends only on
     counts) and all single-record replacements, taking the exact max ratio over
-    outcomes.  The enumeration budget caps k^n at 10^6.
+    outcomes.  The enumeration budget caps the probe count, C(n+k-1, k-1)
+    count vectors times k(k-1) ordered record pairs, at 10^6.
     """
-    if k**n > 10**6:
-        raise EnumerationTooLarge(f"k^n = {k**n} exceeds the 10^6 enumeration budget")
     eps0 = subrr_eps0(eps, n)
     params = RRParams(eps0=eps0, k=k)
+    probes = math.comb(n + k - 1, k - 1) * k * (k - 1)
+    if probes > SUBRR_PROBE_BUDGET:
+        raise EnumerationTooLarge(
+            f"k={k}, n={n} needs C(n+k-1, k-1)*k*(k-1) = {probes} probes, "
+            f"over the {SUBRR_PROBE_BUDGET} enumeration budget"
+        )
     rows = np.stack([rr_row(x, params) for x in range(1, k + 1)])
     bound = eps if claimed_eps is None else claimed_eps
 
     # shift[a, b] moves the output law when one record a is replaced by b, so
-    # ratios[a, b, y] is the log ratio at outcome y; the flat argmax keeps the
-    # first maximum in (a, b, y) order, which fixes the reported witness
+    # ratios[c, a, b, y] is the log ratio at outcome y for count vector c; the
+    # flat argmax keeps the first maximum in (c, a, b, y) order, which fixes
+    # the reported witness
     shift = (rows[None, :, :] - rows[:, None, :]) / n
     off_diagonal = ~np.eye(k, dtype=bool)[:, :, None]
+    counts = _count_vectors(n, k)
+    chunk = max(1, SUBRR_CHUNK_ENTRIES // k**3)
 
     best = (0.0, None)
-    pairs = 0
-    for counts in _compositions(n, k):
-        counts_arr = np.asarray(counts, dtype=np.float64)
-        base = counts_arr @ rows / n
-        present = counts_arr > 0
-        pairs += int(present.sum()) * (k - 1)
+    for start in range(0, counts.shape[0], chunk):
+        block = counts[start : start + chunk]
+        # one (1, k) @ (k, k) product per count vector, bit-equal to c @ rows;
+        # a 2-D (c, k) @ (k, k) product differs in the last bit, which can flip
+        # the witness among tied ratios
+        base = (block[:, None, :].astype(np.float64) @ rows)[:, 0, :] / n
         # removing an absent record leaves no valid law; those entries are masked
         with np.errstate(divide="ignore", invalid="ignore"):
-            raw = np.log(base) - np.log(base + shift)
-        ratios = np.where(off_diagonal & present[:, None, None], raw, -np.inf)
+            ratios = np.log(base[:, None, None, :] + shift)
+            np.subtract(np.log(base)[:, None, None, :], ratios, out=ratios)
+        valid = off_diagonal & (block > 0)[:, :, None, None]
+        np.copyto(ratios, -np.inf, where=~valid)
         flat = int(np.argmax(ratios))
         if ratios.flat[flat] > best[0]:
-            a, b, y = np.unravel_index(flat, ratios.shape)
+            c, a, b, y = np.unravel_index(flat, ratios.shape)
             best = (float(ratios.flat[flat]), {
-                "counts": list(counts),
+                "counts": block[c].tolist(),
                 "replaced": int(a) + 1,
                 "replacement": int(b) + 1,
                 "outcome": int(y) + 1,
@@ -170,7 +191,7 @@ def audit_subrr_pure(
         claimed=PrivacyBudget.pure(bound),
         measured_max_log_ratio=measured,
         measured_delta=0.0,
-        probe_count=pairs,
+        probe_count=int(np.count_nonzero(counts)) * (k - 1),
         verdict=_verdict(measured, bound),
         witness=best[1] or {},
         details={
@@ -230,20 +251,21 @@ def audit_shurr_marginal(
         return np.bincount(_rr_apply(picked, params, gen), minlength=k + 1)[1:]
 
     counts = np.stack([first_output_counts(values_a), first_output_counts(values_b)])
+    beta = DivergenceOrder.hockey_stick(math.exp(eps)).value
 
-    beta = math.exp(eps)
+    def hs_both(freq: np.ndarray) -> np.ndarray:
+        # freq[..., 0, :] and freq[..., 1, :] are the two sides' outcome counts
+        probs = freq / freq.sum(axis=-1, keepdims=True)
+        p, q = probs[..., 0, :], probs[..., 1, :]
+        return np.maximum(
+            np.maximum(p - beta * q, 0.0).sum(axis=-1),
+            np.maximum(q - beta * p, 0.0).sum(axis=-1),
+        )
 
-    def hs_both(freq_a: np.ndarray, freq_b: np.ndarray) -> float:
-        p = CategoricalDist(probs=freq_a / freq_a.sum())
-        q = CategoricalDist(probs=freq_b / freq_b.sum())
-        return max(hockey_stick_finite(p, q, beta), hockey_stick_finite(q, p, beta))
-
-    measured = hs_both(counts[0].astype(float), counts[1].astype(float))
-    boot = np.empty(BOOTSTRAP_RESAMPLES)
-    for i in range(BOOTSTRAP_RESAMPLES):
-        res_a = gen.multinomial(runs, counts[0] / runs).astype(float)
-        res_b = gen.multinomial(runs, counts[1] / runs).astype(float)
-        boot[i] = hs_both(res_a, res_b)
+    measured = float(hs_both(counts.astype(float)))
+    # one multinomial draw per replicate and side, in (replicate, side) order
+    pvals = np.broadcast_to(counts / runs, (BOOTSTRAP_RESAMPLES, 2, k))
+    boot = hs_both(gen.multinomial(runs, pvals).astype(float))
     lo, hi = np.quantile(boot, [0.025, 0.975])
     halfwidth = 0.5 * float(hi - lo)
 

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from dataclasses import dataclass
@@ -208,7 +209,8 @@ class RandomSource:
 #
 # k-ary: one integer per line.  Vector: one comma-separated float vector per
 # line.  A single non-numeric first line is treated as a header and skipped.
-# Files are UTF-8 text.  ``_data_lines`` and the ``csv`` module define the
+# Files are UTF-8 text, and a leading byte-order mark is dropped before either
+# path reads them.  ``_data_lines`` and the ``csv`` module define the
 # format.  A file whose bytes all lie in the format's plain alphabet below (so
 # no header, quotes or spaces) is parsed in one numpy pass instead; numpy
 # parses each cell with the same rules as ``int``/``float``, and any parse
@@ -222,9 +224,11 @@ _VECTOR_BYTES = b"0123456789.eE+-,\r\n"
 def _read_bytes(path) -> bytes:
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            raw = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    # left in, the mark would make the first row non-numeric and read as a header
+    return raw.removeprefix(codecs.BOM_UTF8)
 
 
 def _plain_lines(raw: bytes, alphabet: bytes) -> list[bytes] | None:

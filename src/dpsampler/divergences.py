@@ -140,6 +140,23 @@ class TvEstimate:
     bins: int
 
 
+def _cell_ids(columns: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Rank of each row's cell among the occupied cells, in lexicographic order.
+
+    ``columns`` holds one integer array per axis.  The ids equal the inverse of
+    ``np.unique(np.column_stack(columns), axis=0)``, built one axis at a time
+    with 1-D uniques: the key ``ids * values.size + col_ids`` stays below N^2
+    for N rows, so it cannot overflow however large bins^d is.
+    """
+    values, ids = np.unique(columns[0], return_inverse=True)
+    occupied = values.size
+    for col in columns[1:]:
+        values, col_ids = np.unique(col, return_inverse=True)
+        keys, ids = np.unique(ids * values.size + col_ids, return_inverse=True)
+        occupied = keys.size
+    return ids, occupied
+
+
 def tv_estimate_binned(
     samples_p: VectorDataset,
     samples_q: VectorDataset,
@@ -173,14 +190,12 @@ def tv_estimate_binned(
         for j in range(samples_p.d)
     ]
     # searchsorted - 1 is histogramdd's bin rule, and the last bin is closed
-    bins = [np.searchsorted(e, col, side="right") for e, col in zip(edges, stacked.T)]
-    cells = np.minimum(np.column_stack(bins) - 1, bins_per_axis - 1)
-    # unique cell rows, not raveled indices, which overflow once bins^d > 2^63;
-    # the inverse's shape differs between numpy 2.x releases
-    occupied_cells, inverse = np.unique(cells, axis=0, return_inverse=True)
-    occupied = occupied_cells.shape[0]
-    inverse = inverse.reshape(-1)
-    ids_p, ids_q = inverse[: samples_p.n], inverse[samples_p.n :]
+    cells = [
+        np.minimum(np.searchsorted(e, col, side="right") - 1, bins_per_axis - 1)
+        for e, col in zip(edges, stacked.T)
+    ]
+    ids, occupied = _cell_ids(cells)
+    ids_p, ids_q = ids[: samples_p.n], ids[samples_p.n :]
 
     def tv(side_p: np.ndarray, side_q: np.ndarray) -> float:
         freq_p = np.bincount(side_p, minlength=occupied) / side_p.size

@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dpsampler.audit import (
     AuditReport,
-    _compositions,
     _verdict,
     audit_elap_mechanism,
     audit_rr_local,
@@ -16,8 +16,12 @@ from dpsampler.audit import (
     report_to_json,
     reverify,
 )
-from dpsampler.core import KaryDataset, PrivacyBudget, RandomSource
-from dpsampler.divergences import eps_delta_closeness
+from dpsampler.core import CategoricalDist, KaryDataset, PrivacyBudget, RandomSource
+from dpsampler.divergences import (
+    BOOTSTRAP_RESAMPLES,
+    eps_delta_closeness,
+    hockey_stick_finite,
+)
 from dpsampler.errors import (
     EnumerationTooLarge,
     InsufficientSamples,
@@ -25,7 +29,24 @@ from dpsampler.errors import (
     ValidationError,
 )
 from dpsampler.gaussian import ZcdpParams
-from dpsampler.kary import RRParams, rr_mixture_dist, rr_row, subrr_eps0
+from dpsampler.kary import (
+    RRParams,
+    _rr_apply,
+    rr_mixture_dist,
+    rr_row,
+    shurr_eps0,
+    subrr_eps0,
+)
+
+
+def _compositions(total: int, parts: int):
+    # all count vectors of length `parts` summing to `total`
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def reference_audit_subrr_pure(k, n, eps, claimed_eps=None):
@@ -70,6 +91,50 @@ def reference_audit_subrr_pure(k, n, eps, claimed_eps=None):
             "eps0": eps0,
             "proof_intermediate_log": math.log1p(math.exp(eps0) / n),
         },
+    )
+
+
+def reference_audit_shurr_marginal(k, n, eps, delta, runs, rng, eps0=None):
+    """audit_shurr_marginal with one hs_both call per bootstrap replicate."""
+    if eps0 is None:
+        eps0 = shurr_eps0(eps, delta, n)
+    params = RRParams(eps0=eps0, k=k)
+    values_a = np.ones(n, dtype=np.int64)
+    values_b = values_a.copy()
+    values_b[-1] = 2
+    gen = rng.generator
+
+    def first_output_counts(values):
+        picked = values[gen.integers(0, n, size=runs)]
+        return np.bincount(_rr_apply(picked, params, gen), minlength=k + 1)[1:]
+
+    counts = np.stack([first_output_counts(values_a), first_output_counts(values_b)])
+    beta = math.exp(eps)
+
+    def hs_both(freq_a, freq_b):
+        p = CategoricalDist(probs=freq_a / freq_a.sum())
+        q = CategoricalDist(probs=freq_b / freq_b.sum())
+        return max(hockey_stick_finite(p, q, beta), hockey_stick_finite(q, p, beta))
+
+    measured = hs_both(counts[0].astype(float), counts[1].astype(float))
+    boot = np.empty(BOOTSTRAP_RESAMPLES)
+    for i in range(BOOTSTRAP_RESAMPLES):
+        res_a = gen.multinomial(runs, counts[0] / runs).astype(float)
+        res_b = gen.multinomial(runs, counts[1] / runs).astype(float)
+        boot[i] = hs_both(res_a, res_b)
+    lo, hi = np.quantile(boot, [0.025, 0.975])
+    halfwidth = 0.5 * float(hi - lo)
+    bound = delta + halfwidth
+    return AuditReport(
+        mechanism="shurr",
+        claimed=PrivacyBudget.approx(eps, delta),
+        measured_max_log_ratio=measured,
+        measured_delta=measured,
+        probe_count=runs,
+        verdict=_verdict(measured, bound),
+        witness={"dataset": "all-ones vs one replaced by 2", "k": k, "n": n},
+        advisory=True,
+        details={"measured": measured, "bound": bound, "halfwidth": halfwidth, "eps0": eps0},
     )
 
 
@@ -135,8 +200,24 @@ class TestAuditSubRRPure:
                     )
 
     def test_enumeration_budget(self):
-        with pytest.raises(EnumerationTooLarge):
-            audit_subrr_pure(5, 10, 2.0)
+        # C(n+k-1, k-1) * k(k-1) probes: 3.36e6 at (20, 4) and 1.7e9 at
+        # (100, 3), whose k^n is only 1e6
+        for k, n, probes in [(20, 4, 3_364_900), (100, 3, 1_699_830_000)]:
+            with pytest.raises(EnumerationTooLarge, match=f"= {probes} probes"):
+                audit_subrr_pure(k, n, 2.0)
+        # 20,020 probes, though k^n is 9.8e6
+        report = audit_subrr_pure(5, 10, 2.0)
+        assert report_to_json(report) == report_to_json(reference_audit_subrr_pure(5, 10, 2.0))
+
+    def test_memory_is_chunked(self):
+        # 1,540 count vectors x 20^3 entries: about 98 MB per array unchunked
+        tracemalloc.start()
+        try:
+            audit_subrr_pure(20, 3, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_matches_nested_loop_reference(self):
         checked = 0
@@ -202,6 +283,17 @@ class TestAuditShuRRMarginal:
         )
         assert exact == pytest.approx(0.2137, abs=1e-4)
         assert abs(report.measured_delta - exact) <= 3 * report.details["halfwidth"]
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_replicate_reference(self, k, seed):
+        # the benchmark's point and a planted near-deterministic eps0
+        for args, eps0 in [((2301, 4.0, 0.01), None), ((10, 0.05, 0.001), 12.0)]:
+            report = audit_shurr_marginal(k, *args, 10**4, RandomSource(seed), eps0=eps0)
+            expected = reference_audit_shurr_marginal(
+                k, *args, 10**4, RandomSource(seed), eps0=eps0
+            )
+            assert report_to_json(report) == report_to_json(expected), (k, eps0)
 
     def test_runs_floor(self):
         with pytest.raises(ValidationError):

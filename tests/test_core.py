@@ -231,6 +231,10 @@ AWKWARD_FILES = {
     "empty": b"",
     "only-newlines": b"\n\n",
     "only-header": b"x\n",
+    "bom": b"\xef\xbb\xbf1\n2\n3\n",
+    "vector-bom": b"\xef\xbb\xbf0.5,1\n2,3\n",
+    "bom-header": b"\xef\xbb\xbfvalue\n1\n2\n",
+    "bom-quoted": b'\xef\xbb\xbf"1"\n2\n',
 }
 
 
@@ -282,6 +286,13 @@ class TestCsvFastPath:
         path.write_bytes(AWKWARD_FILES[name])
         default, csv_only = _both_paths(monkeypatch, path)
         assert default == csv_only
+
+    def test_byte_order_mark_keeps_first_row(self, tmp_path):
+        kary, vector = tmp_path / "k.csv", tmp_path / "v.csv"
+        kary.write_bytes(b"\xef\xbb\xbf1\n2\n3\n")
+        vector.write_bytes(b"\xef\xbb\xbf0.5,1\n2,3\n")
+        assert read_kary_csv(kary).values.tolist() == [1, 2, 3]
+        assert read_vector_csv(vector).rows.tolist() == [[0.5, 1.0], [2.0, 3.0]]
 
     def test_repr_round_trip_matches_csv_path(self, tmp_path, monkeypatch):
         gen = np.random.default_rng(90)

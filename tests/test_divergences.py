@@ -13,6 +13,7 @@ from dpsampler.divergences import (
     hockey_stick_finite,
     hs_to_tv_bound,
     renyi_finite,
+    _cell_ids,
     tv_distance_finite,
     tv_estimate_binned,
 )
@@ -239,6 +240,49 @@ def reference_cases():
     yield "rows-on-top-edge", p, q, 6, 5
 
 
+def unique_rows_tv_reference(samples_p, samples_q, bins_per_axis, rng):
+    """tv_estimate_binned with cell ids from np.unique(axis=0) over the cell rows."""
+    stacked = np.vstack([samples_p.rows, samples_q.rows])
+    lo = stacked.min(axis=0)
+    hi = stacked.max(axis=0)
+    pad = 0.01 * np.maximum(hi - lo, 1e-12)
+    edges = [
+        np.linspace(lo[j] - pad[j], hi[j] + pad[j], bins_per_axis + 1)
+        for j in range(samples_p.d)
+    ]
+    bins = [np.searchsorted(e, col, side="right") for e, col in zip(edges, stacked.T)]
+    cells = np.minimum(np.column_stack(bins) - 1, bins_per_axis - 1)
+    occupied_cells, inverse = np.unique(cells, axis=0, return_inverse=True)
+    occupied = occupied_cells.shape[0]
+    inverse = inverse.reshape(-1)
+    ids_p, ids_q = inverse[: samples_p.n], inverse[samples_p.n :]
+
+    def tv(side_p, side_q):
+        freq_p = np.bincount(side_p, minlength=occupied) / side_p.size
+        freq_q = np.bincount(side_q, minlength=occupied) / side_q.size
+        return min(0.5 * float(np.abs(freq_p - freq_q).sum()), 1.0)
+
+    estimate = tv(ids_p, ids_q)
+    gen = rng.generator
+    reps = [
+        tv(
+            ids_p[gen.integers(0, samples_p.n, size=samples_p.n)],
+            ids_q[gen.integers(0, samples_q.n, size=samples_q.n)],
+        )
+        for _ in range(BOOTSTRAP_RESAMPLES)
+    ]
+    lo_q, hi_q = np.quantile(reps, [0.025, 0.975])
+    return estimate, 0.5 * float(hi_q - lo_q)
+
+
+def past_int64_case():
+    # (2^21 + 1)^3 cells is past 2^63; rows on a small integer grid share cells
+    gen = np.random.default_rng(8)
+    p = gen.integers(0, 4, size=(300, 3)).astype(float)
+    q = gen.integers(1, 5, size=(200, 3)).astype(float)
+    return p, q, 2**21 + 1, 7
+
+
 class TestTvEstimateBinned:
     @pytest.mark.parametrize(
         "p, q, bins, seed",
@@ -250,6 +294,32 @@ class TestTvEstimateBinned:
         estimate, halfwidth = dense_tv_reference(samples_p, samples_q, bins, RandomSource(seed))
         assert result.estimate == pytest.approx(estimate, abs=1e-12)
         assert result.halfwidth == pytest.approx(halfwidth, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, q, bins, seed",
+        [pytest.param(*case, id=name) for name, *case in reference_cases()]
+        + [pytest.param(*past_int64_case(), id="bins-cubed-past-int64")],
+    )
+    def test_matches_unique_rows_reference(self, p, q, bins, seed):
+        samples_p, samples_q = VectorDataset(rows=p), VectorDataset(rows=q)
+        result = tv_estimate_binned(samples_p, samples_q, bins, RandomSource(seed))
+        estimate, halfwidth = unique_rows_tv_reference(
+            samples_p, samples_q, bins, RandomSource(seed)
+        )
+        assert (result.estimate, result.halfwidth) == (estimate, halfwidth)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cell_ids_match_unique_rows(self, d):
+        # 2^40 bins per axis: the raveled index of a d = 3 cell needs 120 bits
+        # each axis draws from three values, so rows tie on some axes and not others
+        gen = np.random.default_rng(60 + d)
+        pools = gen.integers(0, 2**40, size=(3, d))
+        pools[0], pools[1] = 0, 2**40 - 1
+        cells = pools[gen.integers(0, 3, size=(3000, d)), np.arange(d)]
+        ids, occupied = _cell_ids(list(cells.T))
+        expected_cells, expected = np.unique(cells, axis=0, return_inverse=True)
+        assert ids.tolist() == expected.reshape(-1).tolist()
+        assert occupied == expected_cells.shape[0]
 
     def test_memory_independent_of_bin_count(self):
         # 40^5 = 1e8 cells: a dense histogram needs about 1 GB per call
