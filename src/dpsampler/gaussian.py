@@ -36,8 +36,16 @@ from .kary import ComplexityReport, _tolerant_ceil
 
 
 def _clip_rows(rows: np.ndarray, B: float) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
     scale = np.minimum(B / np.maximum(norms, 1e-300), 1.0)
+    # a finite row whose squared entries overflow takes its scale from the
+    # row divided by its largest absolute entry
+    huge = np.isinf(norms)
+    if huge.any():
+        peak = np.abs(rows[huge]).max(axis=1)
+        unit_norms = np.linalg.norm(rows[huge] / peak[:, None], axis=1)
+        scale[huge] = np.minimum(B / peak / unit_norms, 1.0)
     return rows * scale[:, None]
 
 

@@ -1,23 +1,28 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
+from dpsampler import divergences
 from dpsampler.core import RandomSource, VectorDataset, validate_categorical
 from dpsampler.divergences import (
     BOOTSTRAP_RESAMPLES,
+    MAX_BINS_PER_AXIS,
     DivergenceOrder,
     eps_delta_closeness,
     hockey_stick_finite,
     hs_to_tv_bound,
     renyi_finite,
     _cell_ids,
+    _replicate_counts,
     tv_distance_finite,
     tv_estimate_binned,
 )
-from dpsampler.errors import DimensionMismatch, DomainMismatch, InvalidOrder
+from dpsampler.errors import DimensionMismatch, DomainMismatch, InvalidOrder, ValidationError
 
 
 def random_dist(gen, k):
@@ -275,6 +280,65 @@ def unique_rows_tv_reference(samples_p, samples_q, bins_per_axis, rng):
     return estimate, 0.5 * float(hi_q - lo_q)
 
 
+def count_path_tv_reference(samples_p, samples_q, bins_per_axis, rng):
+    """The estimator from dense histogramdd counts, restricted to occupied cells.
+
+    A side with at least ``ROWS_PER_CELL`` rows per occupied cell draws each
+    replicate's counts with ``gen.multinomial`` over its occupied cells; any
+    other side resamples its rows and bins them afresh.  p draws before q.
+    """
+    stacked = np.vstack([samples_p.rows, samples_q.rows])
+    lo = stacked.min(axis=0)
+    hi = stacked.max(axis=0)
+    pad = 0.01 * np.maximum(hi - lo, 1e-12)
+    edges = [
+        np.linspace(lo[j] - pad[j], hi[j] + pad[j], bins_per_axis + 1)
+        for j in range(samples_p.d)
+    ]
+
+    def counts(rows):
+        return np.histogramdd(rows, bins=edges)[0].ravel()
+
+    counts_p, counts_q = counts(samples_p.rows), counts(samples_q.rows)
+    # raveled order is lexicographic order, the order of the estimator's ids
+    occupied = (counts_p + counts_q) > 0
+
+    def tv(side_p, side_q):
+        freq_p = side_p[occupied] / samples_p.n
+        freq_q = side_q[occupied] / samples_q.n
+        return min(0.5 * float(np.abs(freq_p - freq_q).sum()), 1.0)
+
+    gen = rng.generator
+
+    def replicate(samples, side_counts):
+        cells = np.flatnonzero(side_counts)
+        if cells.size * divergences.ROWS_PER_CELL > samples.n:
+            return counts(samples.rows[gen.integers(0, samples.n, size=samples.n)])
+        draw = np.zeros_like(side_counts)
+        draw[cells] = gen.multinomial(samples.n, side_counts[cells] / samples.n)
+        return draw
+
+    estimate = tv(counts_p, counts_q)
+    reps = [
+        tv(replicate(samples_p, counts_p), replicate(samples_q, counts_q))
+        for _ in range(BOOTSTRAP_RESAMPLES)
+    ]
+    lo_q, hi_q = np.quantile(reps, [0.025, 0.975])
+    return estimate, 0.5 * float(hi_q - lo_q)
+
+
+class RecordingGenerator:
+    """Delegates to a numpy generator and records each method it hands out."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.gen, name)
+
+
 def past_int64_case():
     # (2^21 + 1)^3 cells is past 2^63; rows on a small integer grid share cells
     gen = np.random.default_rng(8)
@@ -288,7 +352,9 @@ class TestTvEstimateBinned:
         "p, q, bins, seed",
         [pytest.param(*case, id=name) for name, *case in reference_cases()],
     )
-    def test_matches_dense_histogram_reference(self, p, q, bins, seed):
+    def test_matches_dense_histogram_reference(self, p, q, bins, seed, monkeypatch):
+        # the reference resamples rows, so every side takes the row path
+        monkeypatch.setattr(divergences, "ROWS_PER_CELL", math.inf)
         samples_p, samples_q = VectorDataset(rows=p), VectorDataset(rows=q)
         result = tv_estimate_binned(samples_p, samples_q, bins, RandomSource(seed))
         estimate, halfwidth = dense_tv_reference(samples_p, samples_q, bins, RandomSource(seed))
@@ -300,13 +366,89 @@ class TestTvEstimateBinned:
         [pytest.param(*case, id=name) for name, *case in reference_cases()]
         + [pytest.param(*past_int64_case(), id="bins-cubed-past-int64")],
     )
-    def test_matches_unique_rows_reference(self, p, q, bins, seed):
+    def test_matches_unique_rows_reference(self, p, q, bins, seed, monkeypatch):
+        monkeypatch.setattr(divergences, "ROWS_PER_CELL", math.inf)
         samples_p, samples_q = VectorDataset(rows=p), VectorDataset(rows=q)
         result = tv_estimate_binned(samples_p, samples_q, bins, RandomSource(seed))
         estimate, halfwidth = unique_rows_tv_reference(
             samples_p, samples_q, bins, RandomSource(seed)
         )
         assert (result.estimate, result.halfwidth) == (estimate, halfwidth)
+
+    @pytest.mark.parametrize("rows_per_cell", ["default", 0])
+    @pytest.mark.parametrize(
+        "p, q, bins, seed",
+        [pytest.param(*case, id=name) for name, *case in reference_cases()],
+    )
+    def test_matches_count_path_reference(self, p, q, bins, seed, rows_per_cell, monkeypatch):
+        # 0 sends every side down the count path
+        if rows_per_cell != "default":
+            monkeypatch.setattr(divergences, "ROWS_PER_CELL", rows_per_cell)
+        samples_p, samples_q = VectorDataset(rows=p), VectorDataset(rows=q)
+        result = tv_estimate_binned(samples_p, samples_q, bins, RandomSource(seed))
+        estimate, halfwidth = count_path_tv_reference(
+            samples_p, samples_q, bins, RandomSource(seed)
+        )
+        assert result.estimate == estimate
+        assert result.halfwidth == pytest.approx(halfwidth, abs=1e-12)
+
+    def test_count_and_row_paths_share_the_replicate_law(self, monkeypatch):
+        # One side: 6 ids in cells 0, 2 and 3 of 4, so each replicate is one of
+        # the 28 count vectors of Multinomial(6, (3, 0, 2, 1) / 6).  Each path
+        # draws 20,000 replicates; a chi-square homogeneity test on the two
+        # tables of count vectors (vectors whose exact expected count is under
+        # 5 pooled) must not reject at level 1e-3.  Were the laws equal, a
+        # fresh seed would fail with probability 1e-3.
+        ids = np.array([0, 0, 0, 2, 2, 3])
+        counts = np.bincount(ids, minlength=4)
+        probs = counts / ids.size
+        draws = 20_000
+
+        def table(rows_per_cell, rng):
+            monkeypatch.setattr(divergences, "ROWS_PER_CELL", rows_per_cell)
+            draw = _replicate_counts(ids, counts, rng.generator)
+            return [tuple(draw().tolist()) for _ in range(draws)]
+
+        count_path = table(0, RandomSource(71))
+        row_path = table(math.inf, RandomSource(72))
+        assert all(v[1] == 0 and sum(v) == ids.size for v in count_path + row_path)
+
+        def expected(vector):
+            coef = math.factorial(ids.size)
+            for c in vector:
+                coef //= math.factorial(c)
+            return draws * coef * math.prod(p**c for p, c in zip(probs, vector))
+
+        outcomes = sorted(set(count_path) | set(row_path))
+        pooled = {v: (v if expected(v) >= 5 else "rare") for v in outcomes}
+        keys = sorted(set(pooled.values()), key=str)
+        tallies = [Counter(pooled[v] for v in side) for side in (count_path, row_path)]
+        observed = np.array([[tally[key] for key in keys] for tally in tallies])
+        assert observed.shape[1] >= 10
+        assert chi2_contingency(observed).pvalue > 1e-3
+
+    def test_count_path_draws_no_integers(self):
+        # 20 bins on one axis: at most 20 occupied cells for 3,000 rows a side
+        gen = np.random.default_rng(73)
+        p = VectorDataset(rows=gen.normal(size=(3000, 1)))
+        q = VectorDataset(rows=gen.normal(0.2, 1.0, size=(3000, 1)))
+        rng = RandomSource(8)
+        rng._gen = RecordingGenerator(rng._gen)
+        tv_estimate_binned(p, q, 20, rng)
+        assert rng._gen.calls == ["multinomial"] * 2 * BOOTSTRAP_RESAMPLES
+
+    def test_refuses_bin_count_above_cap_before_allocating(self):
+        gen = np.random.default_rng(74)
+        p = VectorDataset(rows=gen.normal(size=(50, 3)))
+        q = VectorDataset(rows=gen.normal(size=(50, 3)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"{MAX_BINS_PER_AXIS}.*{2**40}"):
+                tv_estimate_binned(p, q, 2**40, RandomSource(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_cell_ids_match_unique_rows(self, d):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ class TestClipToBall:
 
     def test_zero_vector(self):
         assert np.array_equal(_clip_rows(np.zeros((1, 3)), 1.0), np.zeros((1, 3)))
+
+    def test_huge_rows_clip_to_the_sphere(self):
+        # squaring 1e155 overflows to inf, which used to scale the row to 0
+        rows = np.array([[1e155], [0.5], [-3e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _clip_rows(rows, 2.0).tolist() == [[2.0], [0.5], [-2.0]]
+            wide = _clip_rows(np.array([[3e200, -4e200], [3.0, 4.0]]), 2.5)
+        np.testing.assert_allclose(wide, [[1.5, -2.0], [1.5, 2.0]], rtol=1e-15)
 
     def test_idempotent_and_bounded(self):
         gen = np.random.default_rng(61)

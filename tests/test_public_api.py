@@ -1,6 +1,8 @@
 import importlib
 import inspect
 import pkgutil
+import tomllib
+from pathlib import Path
 
 import dpsampler
 
@@ -34,3 +36,10 @@ def test_no_public_function_defaults_its_rng():
             if rng is not None and rng.default is not inspect.Parameter.empty:
                 offenders.append(f"{module.__name__}.{name}(rng)")
     assert offenders == []
+
+
+def test_version_matches_pyproject():
+    # seeded output is versioned, so the package and its metadata move together
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert dpsampler.__version__ == tomllib.load(f)["project"]["version"]
