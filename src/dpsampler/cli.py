@@ -476,7 +476,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--variant", default=None)
     p.add_argument("--runs", type=int, default=10**4)
     p.add_argument("--probes", type=int, default=10**4)
-    p.add_argument("--orders", type=_float_list, default=[1.5, 2.0, 4.0, 16.0])
+    p.add_argument("--orders", type=_float_list, default=(1.5, 2.0, 4.0, 16.0))
     common(p, seed_required=False)
 
     p = sub.add_parser("sweep", help="complexity tables over a parameter grid")
@@ -493,6 +493,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once: every default is immutable, so one parse cannot change the next
+_PARSER = _build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     skip = {"command", "seed", "out", "json", "input_path"}
     params = {k: v for k, v in vars(args).items() if k not in skip}
@@ -506,7 +510,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     config = _config_from_args(args)
     try:
         report = run(config)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,13 +213,19 @@ class RandomSource:
 # Files are UTF-8 text, and a leading byte-order mark is dropped before either
 # path reads them.  ``_data_lines`` and the ``csv`` module define the
 # format.  A file whose bytes all lie in the format's plain alphabet below (so
-# no header, quotes or spaces) is parsed in one numpy pass instead; numpy
-# parses each cell with the same rules as ``int``/``float``, and any parse
-# failure, blank cell or width mismatch falls back to the ``csv`` path, so
-# both paths accept the same files and return the same datasets.
+# no header, quotes or spaces) is parsed in one C-level numpy text pass
+# instead; numpy parses each cell with the same rules as ``int``/``float``.
+# Counting its cells against the file's nonblank lines decides whether that
+# pass stands: a parse that stops early, a blank cell or a ragged row falls
+# back to the ``csv`` path, as does a k-ary value at the int64 maximum, where
+# numpy saturates on overflow.  So both paths accept the same files and
+# return the same datasets.
 
+# no sign: numpy parses a lone "+" or "-" as the int 0
 _KARY_BYTES = b"0123456789\r\n"
 _VECTOR_BYTES = b"0123456789.eE+-,\r\n"
+_COMMAS_TO_SPACES = bytes.maketrans(b",", b" ")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _read_bytes(path) -> bytes:
@@ -231,31 +238,59 @@ def _read_bytes(path) -> bytes:
     return raw.removeprefix(codecs.BOM_UTF8)
 
 
-def _plain_lines(raw: bytes, alphabet: bytes) -> list[bytes] | None:
-    """The nonblank lines of ``raw`` if all its bytes lie in ``alphabet``, else None."""
-    if raw.translate(None, alphabet):
-        return None
-    return raw.split() or None  # no alphabet has a space, so split() splits lines
+def _line_starts(raw: bytes) -> np.ndarray:
+    """A mask of the bytes of ``raw`` that begin a nonblank line."""
+    data = np.frombuffer(raw, np.uint8)
+    is_break = data < 14  # "\r" and "\n" are the only such bytes either alphabet has
+    starts = ~is_break
+    starts[1:] &= is_break[:-1]
+    return starts
 
 
-def _parse(cells: list[bytes], dtype) -> np.ndarray | None:
-    try:
-        return np.array(cells, dtype=dtype)
-    except (ValueError, OverflowError):
+def _cells(text: bytes, dtype) -> np.ndarray | None:
+    """The whitespace-separated cells of ``text`` in one numpy pass, or None if it stops early.
+
+    Whitespace alone parses to one garbage cell, and an int64 overflow
+    saturates at the maximum; callers check for both.
+    """
+    with warnings.catch_warnings():
+        # older numpy warns instead of raising and returns the cells read so
+        # far, which, when it stopped inside the last cell, are as many as
+        # a full parse gives
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(text, dtype, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _plain_ints(raw: bytes) -> np.ndarray | None:
+    """The k-ary values of a plain-alphabet file in one numpy pass, else None."""
+    if raw.translate(None, _KARY_BYTES):
         return None
+    lines = np.count_nonzero(_line_starts(raw))
+    values = _cells(raw, np.int64) if lines else None
+    if values is None or values.size != lines or values.max() == _INT64_MAX:
+        return None
+    return values
 
 
 def _plain_vectors(raw: bytes) -> np.ndarray | None:
-    lines = _plain_lines(raw, _VECTOR_BYTES)
-    if lines is None:
+    """The rows of a plain-alphabet vector file in one numpy pass, else None."""
+    if raw.translate(None, _VECTOR_BYTES):
         return None
-    width = lines[0].count(b",") + 1
-    cells = raw.replace(b",", b" ").split()
-    # with equal comma counts, a blank cell such as "1,,2" leaves a cell short
-    if {line.count(b",") for line in lines} != {width - 1} or len(cells) != len(lines) * width:
+    starts = np.flatnonzero(_line_starts(raw))
+    commas_at = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(","))
+    # the comma count of each nonblank line
+    commas = np.bincount(np.searchsorted(starts, commas_at, side="right") - 1, minlength=starts.size)
+    if commas.size == 0 or (commas != commas[0]).any():
         return None
-    rows = _parse(cells, np.float64)
-    return None if rows is None else rows.reshape(len(lines), width)
+    width = int(commas[0]) + 1
+    cells = _cells(raw.translate(_COMMAS_TO_SPACES), np.float64)
+    # a blank cell such as "1,,2" leaves the count short
+    if cells is None or cells.size != commas.size * width:
+        return None
+    return cells.reshape(commas.size, width)
 
 
 def _data_lines(raw: bytes, path) -> list[list[str]]:
@@ -284,8 +319,7 @@ def _data_lines(raw: bytes, path) -> list[list[str]]:
 def read_kary_csv(path, k: int | None = None) -> KaryDataset:
     """Read one integer per line; ``k`` defaults to the largest value seen."""
     raw = _read_bytes(path)
-    lines = _plain_lines(raw, _KARY_BYTES)
-    values = None if lines is None else _parse(lines, np.int64)
+    values = _plain_ints(raw)
     if values is None:
         rows = _data_lines(raw, path)
         try:

@@ -493,3 +493,23 @@ class TestRunReportRoundTrip:
         )
         assert code == 0
         assert json.loads(json_path.read_text()) == json.loads(stdout)
+
+    def test_call_order_does_not_change_reports(self, capsys, kary_file):
+        # main shares one parser across calls, defaults included
+        calls = [
+            ["sample-kary", "--mode", "shuffle", "--in", str(kary_file),
+             "--eps", "300", "--delta", "0.5", "--m", "20", "--seed", "21"],
+            ["audit", "--mechanism", "zcdp", "--variant", "known_cov", "--B", "1.0",
+             "--sigma2", "1.0", "--eps", "1.0", "--n", "10"],
+        ]
+
+        def reports(order):
+            results = {}
+            for i in order:
+                code, out, _ = run_cli(capsys, calls[i])
+                report = json.loads(out)
+                del report["wall_clock_seconds"]
+                results[i] = (code, report)
+            return results
+
+        assert reports([0, 1]) == reports([1, 0])

@@ -230,6 +230,10 @@ AWKWARD_FILES = {
     "beyond-int64-after-header": b"value\n99999999999999999999\n",
     "empty": b"",
     "only-newlines": b"\n\n",
+    "only-cr": b"\r",
+    "only-crlfs": b"\r\n\r\n",
+    "int64-max-plus-one": b"9223372036854775808\n",
+    "vector-blank-lines": b"1,2\n\n3,4\n\n",
     "only-header": b"x\n",
     "bom": b"\xef\xbb\xbf1\n2\n3\n",
     "vector-bom": b"\xef\xbb\xbf0.5,1\n2,3\n",
@@ -252,9 +256,19 @@ def _outcome(read, path):
 def _both_paths(monkeypatch, path):
     readers = [read_kary_csv, lambda p: read_kary_csv(p, k=3), read_vector_csv]
     default = [_outcome(read, path) for read in readers]
+    reader, calls = dpsampler.core.csv.reader, []
+
+    def counted_reader(*args, **kwargs):
+        calls.append(args)
+        return reader(*args, **kwargs)
+
     with monkeypatch.context() as patch:
-        patch.setattr(dpsampler.core, "_plain_lines", lambda raw, alphabet: None)
+        patch.setattr(dpsampler.core, "_plain_ints", lambda raw: None)
+        patch.setattr(dpsampler.core, "_plain_vectors", lambda raw: None)
+        patch.setattr(dpsampler.core.csv, "reader", counted_reader)
         csv_only = [_outcome(read, path) for read in readers]
+    # else the csv-only side took the one-pass path too and compared it with itself
+    assert len(calls) == len(readers), path
     return default, csv_only
 
 
@@ -322,7 +336,7 @@ class TestCsvFastPath:
             "1.7976931348623159e308",
         ]
         for token in tokens:
-            parsed = dpsampler.core._parse([token.encode()], np.float64)
+            parsed = dpsampler.core._cells(token.encode(), np.float64)
             try:
                 expected = float(token)
             except ValueError:
@@ -330,24 +344,58 @@ class TestCsvFastPath:
             else:
                 assert parsed is not None, token
                 assert parsed.tobytes() == np.float64(expected).tobytes(), token
-        for token, expected in [("0" * 30 + "7", 7), ("9223372036854775807", 2**63 - 1)]:
-            assert dpsampler.core._parse([token.encode()], np.int64).tolist() == [expected]
-        assert dpsampler.core._parse([b"9223372036854775808"], np.int64) is None
+        # the k-ary alphabet's cells are digits only
+        ints = ["".join(chars) for size in range(1, 7) for chars in itertools.product("0159", repeat=size)]
+        ints += ["0" * 30 + "7", "9223372036854775806", "9223372036854775807"]
+        for token in ints:
+            assert dpsampler.core._cells(token.encode(), np.int64).tolist() == [int(token)], token
+        # past the int64 range numpy saturates instead of failing, so the
+        # reader takes the maximum itself as a possible overflow
+        for token in ["9223372036854775808", "18446744073709551616", "9" * 30]:
+            assert dpsampler.core._cells(token.encode(), np.int64).tolist() == [2**63 - 1], token
+        # numpy reads a lone sign as the int 0, which int() refuses; so the
+        # k-ary alphabet admits no sign, and a signed value takes the csv path
+        for token in ["+", "-"]:
+            assert dpsampler.core._cells(token.encode(), np.int64).tolist() == [0], token
+        assert not set(b"+-") & set(dpsampler.core._KARY_BYTES)
 
     def test_plain_files_skip_the_csv_module(self, tmp_path, monkeypatch):
+        # the writers' own output must take the one-pass path, or every CLI
+        # read would silently fall back to the slow one
+        gen = np.random.default_rng(93)
+        values, rows = gen.integers(1, 11, 10_000), _wide_floats(gen, (10_000, 3))
         kary, vector, header = tmp_path / "k.csv", tmp_path / "v.csv", tmp_path / "h.csv"
-        write_kary_csv(kary, [3, 1, 2])
-        write_vector_csv(vector, [[0.5, -1.0], [2.0, 1e-8]])
+        write_kary_csv(kary, values)
+        write_vector_csv(vector, rows)
         header.write_text("value\n1\n")
 
         def refuse(*args, **kwargs):
             raise AssertionError("csv.reader called")
 
         monkeypatch.setattr(dpsampler.core.csv, "reader", refuse)
-        assert read_kary_csv(kary).values.tolist() == [3, 1, 2]
-        assert read_vector_csv(vector).rows.tolist() == [[0.5, -1.0], [2.0, 1e-8]]
+        assert read_kary_csv(kary).values.tolist() == values.tolist()
+        assert read_vector_csv(vector).rows.tobytes() == rows.tobytes()
         with pytest.raises(AssertionError, match="csv.reader called"):
             read_kary_csv(header)
+
+    def test_random_plain_files_match_csv_path(self, monkeypatch):
+        # short files over each plain alphabet, and a dense pool of the bytes
+        # that make blank cells, ragged rows and blank lines
+        gen = np.random.default_rng(94)
+        pools = [dpsampler.core._KARY_BYTES, dpsampler.core._VECTOR_BYTES, b"12,\n"]
+        file = {}
+        # served from memory: opening 18k files would be most of the test's time
+        monkeypatch.setattr(dpsampler.core, "_read_bytes", lambda path: file["raw"])
+        plain = [0, 0]
+        for pool in pools:
+            for _ in range(1000):
+                raw = file["raw"] = bytes(gen.choice(list(pool), size=int(gen.integers(0, 13))).tolist())
+                default, csv_only = _both_paths(monkeypatch, "fuzz.csv")
+                assert default == csv_only, raw
+                plain[0] += dpsampler.core._plain_ints(raw) is not None
+                plain[1] += dpsampler.core._plain_vectors(raw) is not None
+        # each one-pass reader must accept a good share, or this compares little
+        assert min(plain) > 1000
 
 
 class TestCsvWriters:
