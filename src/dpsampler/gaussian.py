@@ -18,6 +18,7 @@ way by the audit module.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,30 @@ def _clip_rows(rows: np.ndarray, B: float) -> np.ndarray:
         unit_norms = np.linalg.norm(rows[huge] / peak[:, None], axis=1)
         scale[huge] = np.minimum(B / peak / unit_norms, 1.0)
     return rows * scale[:, None]
+
+
+# Pre-noise statistic of each Gaussian sampler, per dataset:
+# {data: {(sampler, B): stat}}.  A VectorDataset's rows are a private read-only
+# copy and the dataclass hashes by identity, so an entry cannot go stale, and
+# the weak key drops it with its dataset.  Each entry is O(d); only the noise
+# is drawn per call.
+_STATS: "weakref.WeakKeyDictionary[VectorDataset, dict]" = weakref.WeakKeyDictionary()
+
+
+def _clipped_stat(data: VectorDataset, sampler: str, B: float, compute):
+    """``compute()`` on its first call for (data, sampler, B); the stored result after."""
+    stats = _STATS.get(data)
+    if stats is None:
+        stats = _STATS[data] = {}
+    stat = stats.get((sampler, B))
+    if stat is None:
+        stat = stats[(sampler, B)] = compute()
+    return stat
+
+
+def _check_finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 def fresh_draw_variance(n: int) -> float:
@@ -134,7 +159,7 @@ def pure_gaussian_sample(
     B = params.B
     # the rows are clipped right here, so elap_mechanism's second norm pass is skipped
     b = ELapMechanismParams(B=B, eps=params.eps).b
-    clipped_sum = _clip_rows(data.rows, B).sum(axis=0)
+    clipped_sum = _clipped_stat(data, "pure", B, lambda: _clip_rows(data.rows, B).sum(axis=0))
     noisy_sum = clipped_sum + elap_sample(ELapParams(d=params.d, b=b), rng)
     sigma = math.sqrt(fresh_draw_variance(n))
     return sigma * rng.generator.standard_normal(params.d) + noisy_sum / n
@@ -158,10 +183,17 @@ def pure_sample_complexity(
 # --- zCDP samplers -----------------------------------------------------------
 
 
-def known_cov_clip_bound(d: int, R: float, alpha: float) -> float:
-    """Clip radius R + sqrt(2 * (d + ln(1/alpha))) for the known-covariance sampler."""
+def _check_clip_inputs(d: int, R: float, alpha: float) -> None:
     if not 0 < alpha < 1:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    if d < 1:
+        raise ValidationError(f"d must be >= 1, got {d}")
+    _check_finite_positive("R", R)
+
+
+def known_cov_clip_bound(d: int, R: float, alpha: float) -> float:
+    """Clip radius R + sqrt(2 * (d + ln(1/alpha))) for the known-covariance sampler."""
+    _check_clip_inputs(d, R, alpha)
     return R + math.sqrt(2.0 * (d + math.log(1.0 / alpha)))
 
 
@@ -179,20 +211,23 @@ def zcdp_known_cov_sample(
     """
     n = data.n
     B = known_cov_clip_bound(data.d, R, alpha)
+    _check_finite_positive("eps", eps)
     sigma = math.sqrt(fresh_draw_variance(n))
     if n < 2 or 2.0 * B / (eps * n) > sigma:
         needed = zcdp_known_cov_complexity(data.d, R, alpha, eps).n_required
         raise TooFewSamples(
             f"zCDP condition sigma >= 2B/(eps*n) fails at n={n}; need n >= {needed}"
         )
-    clipped_mean = _clip_rows(data.rows, B).mean(axis=0)
+    clipped_mean = _clipped_stat(
+        data, "known", B, lambda: _clip_rows(data.rows, B).mean(axis=0)
+    )
     return clipped_mean + sigma * rng.generator.standard_normal(data.d)
 
 
 def zcdp_known_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
     """Smallest n >= 2 with 2B/(eps*n) <= sqrt((n-1)/n), by integer bisection."""
-    if not eps > 0 or not R > 0 or d < 1:
-        raise ValidationError("d, R, eps must be positive")
+    if not eps > 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
     B = known_cov_clip_bound(d, R, alpha)
 
     def ok(n: int) -> bool:
@@ -217,8 +252,7 @@ def zcdp_known_cov_complexity(d: int, R: float, alpha: float, eps: float) -> Com
 
 def bounded_cov_clip_bound(d: int, R: float, alpha: float) -> float:
     """Clip radius R + sqrt(2 * d * ln(2/alpha)) for the bounded-covariance sampler."""
-    if not 0 < alpha < 1:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    _check_clip_inputs(d, R, alpha)
     return R + math.sqrt(2.0 * d * math.log(2.0 / alpha))
 
 
@@ -235,6 +269,7 @@ def bounded_cov_sensitivity(n1: int, n2: int, B: float) -> float:
     """
     if n1 < 1 or n2 < 1:
         raise ValidationError("n1 and n2 must be >= 1")
+    _check_finite_positive("B", B)
     coeff = max(1.0 / n1, math.sqrt((1.0 - 1.0 / n1) / (2.0 * n2)))
     return 2.0 * B * coeff
 
@@ -257,22 +292,27 @@ def zcdp_bounded_cov_sample(
     """
     if not sigma2 > 0:
         raise ValidationError(f"sigma2 must be positive, got {sigma2}")
+    _check_finite_positive("B", B)
     n1 = n2 = _bounded_cov_split(data.n)
 
-    clipped = _clip_rows(data.rows, B)
-    mean_part = clipped[:n1].sum(axis=0) / n1
-    pairs = clipped[n1:].reshape(n2, 2, data.d)
-    diff_part = math.sqrt((1.0 - 1.0 / n1) / (2.0 * n2)) * (
-        pairs[:, 0, :] - pairs[:, 1, :]
-    ).sum(axis=0)
+    def parts():
+        clipped = _clip_rows(data.rows, B)
+        mean_part = clipped[:n1].sum(axis=0) / n1
+        pairs = clipped[n1:].reshape(n2, 2, data.d)
+        diff_part = math.sqrt((1.0 - 1.0 / n1) / (2.0 * n2)) * (
+            pairs[:, 0, :] - pairs[:, 1, :]
+        ).sum(axis=0)
+        return mean_part, diff_part
+
+    mean_part, diff_part = _clipped_stat(data, "bounded", B, parts)
     noise = math.sqrt(sigma2) * rng.generator.standard_normal(data.d)
     return noise + mean_part + diff_part
 
 
 def zcdp_bounded_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
     """n = ceil(4 * sqrt(d) * B^2 / (alpha * eps^2)) with B = R + sqrt(2d ln(2/alpha))."""
-    if not eps > 0 or not R > 0 or d < 1:
-        raise ValidationError("d, R, eps must be positive")
+    if not eps > 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
     B = bounded_cov_clip_bound(d, R, alpha)
     bound = 4.0 * math.sqrt(d) * B * B / (alpha * eps * eps)
     return ComplexityReport(

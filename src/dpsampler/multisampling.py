@@ -23,6 +23,7 @@ from .core import RandomSource
 from .errors import InsufficientData
 from .gaussian import (
     PureGaussianSamplerParams,
+    _check_finite_positive,
     bounded_cov_clip_bound,
     bounded_cov_sigma2,
     fresh_draw_variance,
@@ -158,6 +159,8 @@ def zcdp_known_cov_sampler(d: int, R: float, eps: float, alpha: float) -> Sample
 
 def zcdp_bounded_cov_sampler(d: int, R: float, eps: float, alpha: float) -> SamplerSpec:
     """Single-sampler spec for the zCDP bounded-covariance Gaussian mechanism."""
+    # once mode never reaches the complexity formula, the only reader of eps
+    _check_finite_positive("eps", eps)
 
     def n_per_call(a: float) -> int:
         n = zcdp_bounded_cov_complexity(d, R, a, eps).n_required

@@ -6,7 +6,8 @@ import pytest
 
 from dpsampler.cli import ExperimentConfig, main, run, table_sweep
 from dpsampler.core import RandomSource, read_vector_csv, write_kary_csv, write_vector_csv
-from dpsampler.errors import ConfigInvalid
+import dpsampler.gaussian
+from dpsampler.errors import ConfigInvalid, ValidationError
 from dpsampler.gaussian import (
     PureGaussianSamplerParams,
     pure_gaussian_sample,
@@ -184,6 +185,51 @@ class TestSampleGaussian:
             assert code == 0
             expected = np.vstack([draw(RandomSource(seed).child(i)) for i in range(3)])
             assert np.array_equal(read_vector_csv(out).rows, expected), variant
+
+    def test_repeated_releases_clip_once(self, capsys, monkeypatch, vector_file):
+        clip_rows = dpsampler.gaussian._clip_rows
+        calls = []
+
+        def counting_clip_rows(rows, B):
+            calls.append(B)
+            return clip_rows(rows, B)
+
+        monkeypatch.setattr(dpsampler.gaussian, "_clip_rows", counting_clip_rows)
+        for variant in ("pure", "zcdp-known", "zcdp-bounded"):
+            calls.clear()
+            code, _, _ = run_cli(
+                capsys,
+                ["sample-gaussian", "--variant", variant, "--count", "10",
+                 "--in", str(vector_file), "--R", "1", "--alpha", "0.1", "--eps", "1",
+                 "--seed", "17"],
+            )
+            assert code == 0
+            assert len(calls) == 1, variant
+
+    @pytest.mark.parametrize("variant", ["zcdp-known", "zcdp-bounded"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "-1"), ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--R", "-10"), ("--R", "inf"),
+    ])
+    def test_invalid_zcdp_parameters_exit_one(self, capsys, vector_file, tmp_path,
+                                              variant, flag, value):
+        params = {"variant": variant, "mode": "once", "count": 1, "alpha": 0.1,
+                  "eps": 1.0, "R": 1.0, flag.lstrip("-"): float(value)}
+        with pytest.raises(ValidationError):
+            run(ExperimentConfig(task="sample-gaussian", params=params,
+                                 input_path=str(vector_file), seed=18))
+        out = tmp_path / "never.csv"
+        # argparse keeps the last value given for a flag
+        code, stdout, err = run_cli(
+            capsys,
+            ["sample-gaussian", "--variant", variant, "--in", str(vector_file),
+             "--alpha", "0.1", "--eps", "1", "--R", "1", "--seed", "18", "--out", str(out),
+             flag, value],
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "must be finite and positive" in err
+        assert not out.exists()
 
     def test_non_finite_input_exits_one(self, capsys, tmp_path):
         path = tmp_path / "nan.csv"

@@ -1,4 +1,7 @@
+import concurrent.futures
+import gc
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -16,8 +19,11 @@ from dpsampler.gaussian import (
     ELapMechanismParams,
     PureGaussianSamplerParams,
     ZcdpParams,
+    _STATS,
     _clip_rows,
+    bounded_cov_clip_bound,
     bounded_cov_sensitivity,
+    bounded_cov_sigma2,
     elap_mechanism,
     gaussian_mech_renyi,
     known_cov_clip_bound,
@@ -324,6 +330,120 @@ class TestZcdpBoundedCov:
         n1 = zcdp_bounded_cov_complexity(64, 1e-9, 0.1, 1.0).n_required
         n2 = zcdp_bounded_cov_complexity(128, 1e-9, 0.1, 1.0).n_required
         assert 2.5 < n2 / n1 < 3.1
+
+
+class TestClippedStatMemo:
+    """Each sampler's pre-noise statistic is computed once per (dataset, sampler, B)."""
+
+    @staticmethod
+    def _data(seed: int, n: int = 30, d: int = 2) -> VectorDataset:
+        return VectorDataset(rows=3.0 * np.random.default_rng(seed).standard_normal((n, d)))
+
+    def test_two_tolerances_give_two_entries_equal_to_fresh_computations(self):
+        data = self._data(1)
+        for alpha in (0.1, 0.01):
+            params = PureGaussianSamplerParams(R=1.0, d=2, alpha=alpha, eps=1.0)
+            pure_gaussian_sample(data, params, RandomSource(2))
+            zcdp_known_cov_sample(data, 1.0, 1.0, alpha, RandomSource(3))
+            zcdp_bounded_cov_sample(
+                data, bounded_cov_clip_bound(2, 1.0, alpha), bounded_cov_sigma2(2, alpha),
+                RandomSource(4),
+            )
+        stats = _STATS[data]
+        assert len(stats) == 6
+        for alpha in (0.1, 0.01):
+            B = PureGaussianSamplerParams(R=1.0, d=2, alpha=alpha, eps=1.0).B
+            assert np.array_equal(stats[("pure", B)], _clip_rows(data.rows, B).sum(axis=0))
+            B = known_cov_clip_bound(2, 1.0, alpha)
+            assert np.array_equal(stats[("known", B)], _clip_rows(data.rows, B).mean(axis=0))
+            B = bounded_cov_clip_bound(2, 1.0, alpha)
+            clipped = _clip_rows(data.rows, B)
+            pairs = clipped[10:].reshape(10, 2, 2)
+            mean_part, diff_part = stats[("bounded", B)]
+            assert np.array_equal(mean_part, clipped[:10].sum(axis=0) / 10)
+            assert np.array_equal(
+                diff_part,
+                math.sqrt((1 - 1 / 10) / 20) * (pairs[:, 0, :] - pairs[:, 1, :]).sum(axis=0),
+            )
+
+    def test_repeated_calls_clip_once(self, monkeypatch):
+        calls = []
+
+        def counting_clip_rows(rows, B):
+            calls.append(B)
+            return _clip_rows(rows, B)
+
+        monkeypatch.setattr(dpsampler.gaussian, "_clip_rows", counting_clip_rows)
+        data = self._data(5)
+        params = PureGaussianSamplerParams(R=1.0, d=2, alpha=0.1, eps=1.0)
+        for i in range(5):
+            pure_gaussian_sample(data, params, RandomSource(6).child(i))
+        assert calls == [params.B]
+
+    def test_entry_is_a_d_vector_and_dies_with_its_dataset(self):
+        gc.collect()
+        before = len(_STATS)
+        data = self._data(7, n=300, d=4)
+        pure_gaussian_sample(
+            data, PureGaussianSamplerParams(R=1.0, d=4, alpha=0.1, eps=1.0), RandomSource(8)
+        )
+        (stat,) = _STATS[data].values()
+        assert stat.shape == (4,)
+        assert len(_STATS) == before + 1
+        del data, stat
+        gc.collect()
+        assert len(_STATS) == before
+
+    def test_threads_sharing_datasets_get_the_serial_outputs(self):
+        # a race may compute one statistic twice, never store a different one
+        params = PureGaussianSamplerParams(R=1.0, d=2, alpha=0.1, eps=1.0)
+        rows = [3.0 * np.random.default_rng(s).standard_normal((200, 2)) for s in range(4)]
+
+        def releases(shared):
+            out = []
+            for i in range(40):
+                data = shared[i % 4] if shared else VectorDataset(rows=rows[i % 4])
+                out.append(pure_gaussian_sample(data, params, RandomSource(12).child(i)))
+            return np.array(out)
+
+        expected = releases(None)
+        shared = [VectorDataset(rows=r) for r in rows]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(releases, shared if t % 2 else None) for t in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert np.array_equal(result, expected)
+
+    @pytest.mark.parametrize("B", [-1.0, 0.0, math.nan, math.inf])
+    def test_bounded_sampler_refuses_bad_B_before_the_memo(self, B):
+        data = self._data(9)
+        with pytest.raises(ValidationError, match="B must be finite and positive"):
+            zcdp_bounded_cov_sample(data, B, 0.1, RandomSource(10))
+        assert data not in _STATS
+
+
+class TestZcdpValidation:
+    @pytest.mark.parametrize("B", [-1.0, 0.0, math.nan, math.inf])
+    def test_bounded_sensitivity_refuses_bad_B(self, B):
+        with pytest.raises(ValidationError):
+            bounded_cov_sensitivity(3, 3, B)
+
+    @pytest.mark.parametrize("clip_bound", [known_cov_clip_bound, bounded_cov_clip_bound])
+    @pytest.mark.parametrize("d, R", [(0, 1.0), (2, -10.0), (2, 0.0), (2, math.nan), (2, math.inf)])
+    def test_clip_bounds_refuse_bad_d_and_R(self, clip_bound, d, R):
+        with pytest.raises(ValidationError):
+            clip_bound(d, R, 0.1)
+
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
+    def test_known_sampler_refuses_bad_eps(self, eps):
+        data = VectorDataset(rows=np.ones((30, 2)))
+        with pytest.raises(ValidationError, match="eps must be finite and positive"):
+            zcdp_known_cov_sample(data, 1.0, eps, 0.1, RandomSource(11))
 
 
 class TestZcdpParams:

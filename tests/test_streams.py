@@ -1,0 +1,175 @@
+"""The seeded-stream contract: fixed-seed outputs against recorded digests.
+
+Each case hashes the bytes of a seeded output with SHA-256 and compares the
+hex digest with the one recorded for the running ``__version__``.  A change
+that alters which random numbers are drawn, or the bits of any statistic they
+are added to, fails here until it bumps ``__version__`` and records the new
+digests under it.  The 0.3.0 digests were recorded with numpy 2.4.6.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from dpsampler import __version__
+from dpsampler.cli import main
+from dpsampler.core import KaryDataset, RandomSource, VectorDataset, write_vector_csv
+from dpsampler.divergences import tv_estimate_binned
+from dpsampler.elap import ELapParams, elap_sample
+from dpsampler.gaussian import (
+    PureGaussianSamplerParams,
+    bounded_cov_clip_bound,
+    bounded_cov_sigma2,
+    pure_gaussian_sample,
+    zcdp_bounded_cov_sample,
+    zcdp_known_cov_sample,
+)
+from dpsampler.kary import shurr_run, subrr_sample
+
+DIGESTS = {
+    "0.3.0": {
+        "elap_sample": "5cebb21aca15adf6fe9d653ce7855f1d72023281beaf6e05bab6260b6bd2e62a",
+        "pure_gaussian_sample": {
+            "first": "e549b6d0729a0ce96f273d6d0105f9c849b542d5175c30427ad2d1c4b5cdd8e5",
+            "repeated": "940c51a06f9975352674778bf94cf24f5fe7193fad9dae0d68a45f38d7bb83fd"
+        },
+        "sample-gaussian": {
+            "pure/both-m3": "ddf7f6f34b88b20f065851a90ca766462df921471967ebb359722ee53594e344",
+            "pure/once": "602fbbe53e5b8259d633a98444f81f07e597ea8d172ea9ba5767d7377f8621c9",
+            "pure/once-count10": "6f04897729c44784357d02987611709fb33fa4ca84e8e92095c1f5efb43b2e57",
+            "pure/repeat-m3": "712cf6317034a5d57a1b2d248befd0e91e03dc68304faa6fa09d6a9bd3ea34a7",
+            "zcdp-bounded/both-m3": "7271d82c1f88535b472b4f543d9ff277bd19c8b422a052006938541212093416",
+            "zcdp-bounded/once": "46ef9221b2afc8308f71888b58a0aafd6297f037ab30a179b67c72b72c5aa970",
+            "zcdp-bounded/once-count10": "cee83a9e85b559190ab2870ff3a0b9875a04869380c387a6647c6c72f4fffe6e",
+            "zcdp-bounded/repeat-m3": "93770f7c5590d33e7f706acc614454d64f4e5967444af03b56e84ef9642e03c3",
+            "zcdp-known/both-m3": "8fe75b5993efc96968b5b4249819e3b80d7a5e9b46407b81931622348b53e3b5",
+            "zcdp-known/once": "779f6a09929a6b558af9289fd89da71553d4d75add5006b63b70a56eac891b81",
+            "zcdp-known/once-count10": "3a2e7fbd06a05114f7536e91d1efdcb7c3ae1570cb24d730c2051c640af26a38",
+            "zcdp-known/repeat-m3": "3e013060c83ae6068416c39d5811112737412da54eb1c56118c576325fd4a901"
+        },
+        "shurr_run": "4ac2ebee059bdd8be220b1742bc9a184a832922b52809ed4a2872c0d40a9ebc0",
+        "subrr_sample": "fd617ae45c38f9505a71c0ec057cf9849e5d0104bca92c9a4cd4fe46402f7cee",
+        "tv_estimate_binned": {
+            "d1": "51e7134f5ef9068fe81b04c8e10b84c44f2cfe61f694de163005d3e52c968d2c",
+            "d2": "855f6f4d43000b1fba036b333e96ee180387256d3cadaf33b1c30f42dbe5a538"
+        },
+        "zcdp_bounded_cov_sample": {
+            "first": "38799ed29b12b1897731237190aa6512c3ae6628ed261f7e7838a3c170c1e3a1",
+            "repeated": "9ed6c7d7b3ff438742fc6bca4c130c264a71d89fd30f102c444af23ef891a6ff"
+        },
+        "zcdp_known_cov_sample": {
+            "first": "76778f6eaff817107bd57136e6d230d94f2ad6e4bffab2c7d6e933deb0fb4dd7",
+            "repeated": "f763a21d1f87f7c07b60db6b27d66f1071de009d2b7dd206fb8e8f306f512aa2"
+        }
+    },
+}
+
+
+def _sha(values, dtype: str) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=dtype).tobytes()).hexdigest()
+
+
+def _kary(seed: int, k: int, n: int) -> KaryDataset:
+    return KaryDataset(values=np.random.default_rng(seed).integers(1, k + 1, size=n), k=k)
+
+
+def _vectors(seed: int, n: int, d: int) -> VectorDataset:
+    gen = np.random.default_rng(seed)
+    return VectorDataset(rows=gen.uniform(-1, 1, d) + 1.5 * gen.standard_normal((n, d)))
+
+
+def _subrr(tmp_path):
+    data = _kary(1, 5, 200)
+    return _sha([subrr_sample(data, 1.0, RandomSource(11).child(i)) for i in range(50)], "<i8")
+
+
+def _shurr(tmp_path):
+    return _sha(shurr_run(_kary(2, 5, 20_000), 1.0, 1e-6, 100, RandomSource(12)), "<i8")
+
+
+def _elap(tmp_path):
+    return _sha(elap_sample(ELapParams(d=3, b=0.7), RandomSource(13), size=100), "<f8")
+
+
+def _gaussian_calls(sample, seed: int, n: int):
+    """First call on a fresh dataset, then four repeated calls on the same one."""
+    data = _vectors(seed, n, 2)
+    root = RandomSource(seed)
+    first = sample(data, root.child(0))
+    repeated = [sample(data, root.child(i)) for i in range(1, 5)]
+    return {"first": _sha(first, "<f8"), "repeated": _sha(repeated, "<f8")}
+
+
+def _pure(tmp_path):
+    params = PureGaussianSamplerParams(R=1.0, d=2, alpha=0.1, eps=1.0)
+    return _gaussian_calls(lambda data, rng: pure_gaussian_sample(data, params, rng), 21, 300)
+
+
+def _known(tmp_path):
+    return _gaussian_calls(
+        lambda data, rng: zcdp_known_cov_sample(data, 1.0, 1.0, 0.1, rng), 22, 300
+    )
+
+
+def _bounded(tmp_path):
+    B, sigma2 = bounded_cov_clip_bound(2, 1.0, 0.1), bounded_cov_sigma2(2, 0.1)
+    return _gaussian_calls(
+        lambda data, rng: zcdp_bounded_cov_sample(data, B, sigma2, rng), 23, 300
+    )
+
+
+def _tv(tmp_path):
+    # d = 1 at 20 bins takes the multinomial count path, d = 2 at 30 bins the row path
+    digests = {}
+    for d, bins in ((1, 20), (2, 30)):
+        p, q = _vectors(30 + d, 2_000, d), _vectors(40 + d, 2_000, d)
+        est = tv_estimate_binned(p, q, bins, RandomSource(31))
+        digests[f"d{d}"] = _sha([est.estimate, est.halfwidth], "<f8")
+    return digests
+
+
+CLI_MODES = {
+    "once": ["--mode", "once"],
+    "once-count10": ["--mode", "once", "--count", "10"],
+    "repeat-m3": ["--mode", "repeat", "--m", "3"],
+    "both-m3": ["--mode", "both", "--m", "3"],
+}
+
+
+def _sample_gaussian(tmp_path):
+    source = tmp_path / "vectors.csv"
+    write_vector_csv(source, _vectors(50, 900, 2).rows)
+    digests = {}
+    for variant in ("pure", "zcdp-known", "zcdp-bounded"):
+        for mode, argv in CLI_MODES.items():
+            out = tmp_path / f"{variant}-{mode}.csv"
+            code = main(["sample-gaussian", "--variant", variant, *argv, "--in", str(source),
+                         "--R", "1", "--alpha", "0.4", "--eps", "5", "--seed", "51",
+                         "--out", str(out)])
+            assert code == 0, (variant, mode)
+            digests[f"{variant}/{mode}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+CASES = {
+    "subrr_sample": _subrr,
+    "shurr_run": _shurr,
+    "elap_sample": _elap,
+    "pure_gaussian_sample": _pure,
+    "zcdp_known_cov_sample": _known,
+    "zcdp_bounded_cov_sample": _bounded,
+    "tv_estimate_binned": _tv,
+    "sample-gaussian": _sample_gaussian,
+}
+
+
+def test_digests_are_recorded_for_this_version():
+    assert __version__ in DIGESTS, f"record the stream digests for version {__version__}"
+    assert set(DIGESTS[__version__]) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_seeded_output_matches_recorded_digest(tmp_path, capsys, name):
+    recorded = DIGESTS.get(__version__, {}).get(name)
+    assert CASES[name](tmp_path) == recorded
