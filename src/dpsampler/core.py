@@ -38,6 +38,28 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def _row_norms(rows: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm of each row of a float (n, d) array, less ``center`` if given.
+
+    Bit for bit ``np.linalg.norm(rows - center, axis=1)``.  For small d numpy
+    reduces the short axis with a slow strided loop; summing the d column
+    squares left to right adds in the same order and is several times faster,
+    and subtracting ``center`` one column at a time needs no (n, d) copy.  From
+    d = 8 on, numpy reduces a C-order row by pairwise summation instead, so
+    those widths keep ``np.linalg.norm``.
+    """
+    d = rows.shape[1]
+    if d >= 8:
+        return np.linalg.norm(rows if center is None else rows - center, axis=1)
+    for j in range(d):
+        col = rows[:, j] if center is None else rows[:, j] - center[j]
+        if j == 0:
+            sq = col * col
+        else:
+            sq += col * col
+    return np.sqrt(sq)
+
+
 @dataclass(frozen=True, eq=False)
 class CategoricalDist:
     """Explicit probability vector over the domain [1..k], k >= 2.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource
+from .core import RandomSource, _row_norms
 from .errors import (
     DimensionMismatch,
     InvalidAlpha,
@@ -240,11 +240,12 @@ def elap_sample(params: ELapParams, rng: RandomSource, size: int | None = None):
     count = 1 if size is None else int(size)
     radii = gamma_sample(GammaParams(shape=float(params.d), rate=1.0 / params.b), rng, count)
     dirs = gen.standard_normal((count, params.d))
-    norms = np.linalg.norm(dirs, axis=1)
+    norms = _row_norms(dirs)
     # a zero-norm direction is astronomically unlikely but must not yield NaN
     while np.any(norms < _MIN_DIRECTION_NORM):
         bad = norms < _MIN_DIRECTION_NORM
         dirs[bad] = gen.standard_normal((int(bad.sum()), params.d))
-        norms = np.linalg.norm(dirs, axis=1)
-    out = np.atleast_1d(radii)[:, None] * dirs / norms[:, None]
-    return out[0] if size is None else out
+        norms = _row_norms(dirs)
+    dirs *= np.atleast_1d(radii)[:, None]
+    dirs /= norms[:, None]
+    return dirs[0] if size is None else dirs

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, VectorDataset
+from .core import RandomSource, VectorDataset, _row_norms
 from .elap import ELapParams, elap_sample
 from .errors import (
     BadSplit,
@@ -38,14 +38,14 @@ from .kary import ComplexityReport, _tolerant_ceil
 
 def _clip_rows(rows: np.ndarray, B: float) -> np.ndarray:
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
+        norms = _row_norms(rows)
     scale = np.minimum(B / np.maximum(norms, 1e-300), 1.0)
     # a finite row whose squared entries overflow takes its scale from the
     # row divided by its largest absolute entry
     huge = np.isinf(norms)
     if huge.any():
         peak = np.abs(rows[huge]).max(axis=1)
-        unit_norms = np.linalg.norm(rows[huge] / peak[:, None], axis=1)
+        unit_norms = _row_norms(rows[huge] / peak[:, None])
         scale[huge] = np.minimum(B / peak / unit_norms, 1.0)
     return rows * scale[:, None]
 
@@ -92,12 +92,9 @@ class ELapMechanismParams:
     sensitivity_multiplier: float = 1.0
 
     def __post_init__(self):
-        if not self.B > 0:
-            raise ValidationError(f"B must be positive, got {self.B}")
-        if not self.eps > 0:
-            raise ValidationError(f"eps must be positive, got {self.eps}")
-        if not self.sensitivity_multiplier > 0:
-            raise ValidationError("sensitivity_multiplier must be positive")
+        _check_finite_positive("B", self.B)
+        _check_finite_positive("eps", self.eps)
+        _check_finite_positive("sensitivity_multiplier", self.sensitivity_multiplier)
 
     @property
     def b(self) -> float:
@@ -112,8 +109,7 @@ def elap_mechanism(
     The caller is responsible for clipping; rows whose norm exceeds B by more
     than 1e-9 are rejected.
     """
-    norms = np.linalg.norm(data.rows, axis=1)
-    worst = float(norms.max())
+    worst = float(_row_norms(data.rows).max())
     if worst > params.B + 1e-9:
         raise NormViolation(f"input row norm {worst} exceeds bound B={params.B}")
     return data.rows.sum(axis=0) + elap_sample(ELapParams(d=data.d, b=params.b), rng)
@@ -133,8 +129,11 @@ class PureGaussianSamplerParams:
     c: float = 2.0
 
     def __post_init__(self):
-        if not self.R > 0 or self.d < 1 or not self.eps > 0 or not self.c > 0:
-            raise ValidationError("R, d, eps, c must all be positive")
+        if self.d < 1:
+            raise ValidationError(f"d must be >= 1, got {self.d}")
+        _check_finite_positive("R", self.R)
+        _check_finite_positive("eps", self.eps)
+        _check_finite_positive("c", self.c)
         if not 0 < self.alpha < 1:
             raise InvalidAlpha(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -170,8 +169,7 @@ def pure_sample_complexity(
 ) -> ComplexityReport:
     """n = ceil(C * d * B * ln(d/alpha) * ln(1/alpha) / (alpha * eps))."""
     params = PureGaussianSamplerParams(R=R, d=d, alpha=alpha, eps=eps, c=c)
-    if not C > 0:
-        raise ValidationError(f"C must be positive, got {C}")
+    _check_finite_positive("C", C)
     bound = C * d * params.B * math.log(d / alpha) * math.log(1.0 / alpha) / (alpha * eps)
     return ComplexityReport(
         n_required=max(2, _tolerant_ceil(bound)),
@@ -226,8 +224,7 @@ def zcdp_known_cov_sample(
 
 def zcdp_known_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
     """Smallest n >= 2 with 2B/(eps*n) <= sqrt((n-1)/n), by integer bisection."""
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
+    _check_finite_positive("eps", eps)
     B = known_cov_clip_bound(d, R, alpha)
 
     def ok(n: int) -> bool:
@@ -311,8 +308,7 @@ def zcdp_bounded_cov_sample(
 
 def zcdp_bounded_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
     """n = ceil(4 * sqrt(d) * B^2 / (alpha * eps^2)) with B = R + sqrt(2d ln(2/alpha))."""
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
+    _check_finite_positive("eps", eps)
     B = bounded_cov_clip_bound(d, R, alpha)
     bound = 4.0 * math.sqrt(d) * B * B / (alpha * eps * eps)
     return ComplexityReport(

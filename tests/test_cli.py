@@ -76,6 +76,17 @@ class TestComplexityCommand:
         assert code == 1
         assert "missing required parameter" in err
 
+    @pytest.mark.parametrize("task", ["pure", "zcdp-known", "zcdp-bounded"])
+    def test_complexity_at_infinite_eps_exits_one(self, capsys, task):
+        code, stdout, err = run_cli(
+            capsys,
+            ["complexity", "--family", "gaussian", "--task", task,
+             "--dim", "2", "--R", "1", "--alpha", "0.1", "--eps", "inf"],
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "eps must be finite and positive" in err
+
 
 class TestSampleKary:
     def test_too_many_outputs_exit_one(self, capsys, kary_file):
@@ -229,6 +240,20 @@ class TestSampleGaussian:
         assert code == 1
         assert stdout == ""
         assert "must be finite and positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--eps", "--R"])
+    def test_infinite_pure_parameters_exit_one(self, capsys, vector_file, tmp_path, flag):
+        out = tmp_path / "never.csv"
+        code, stdout, err = run_cli(
+            capsys,
+            ["sample-gaussian", "--variant", "pure", "--in", str(vector_file),
+             "--alpha", "0.1", "--eps", "1", "--R", "1", "--seed", "19", "--out", str(out),
+             flag, "inf"],
+        )
+        assert code == 1
+        assert stdout == ""
+        assert f"{flag.lstrip('-')} must be finite and positive" in err
         assert not out.exists()
 
     def test_non_finite_input_exits_one(self, capsys, tmp_path):

@@ -9,6 +9,7 @@ from dpsampler.core import (
     PrivacyBudget,
     RandomSource,
     VectorDataset,
+    _row_norms,
     empirical_dist,
     read_kary_csv,
     read_vector_csv,
@@ -112,6 +113,59 @@ class TestDatasets:
         rows[37, 1] = bad
         with pytest.raises(ValidationError, match="row index 37"):
             VectorDataset(rows=rows)
+
+
+def _norm_inputs(d: int):
+    """Named (n, d) float arrays: every layout and edge case the row-norm kernel meets."""
+    gen = np.random.default_rng(100 + d)
+    n = 4_000
+    rows = gen.standard_normal((n, d)) * 10.0 ** gen.uniform(-3, 3, (n, 1))
+    special = np.zeros((9, d))
+    special[1] = -0.0
+    special[2, 0] = -0.0
+    special[3] = 1e-160
+    special[4, -1] = -1e-160
+    special[5] = gen.uniform(1e-160, 1e-150, d)
+    special[6] = 1e200  # squares overflow to inf
+    special[7, 0] = -3e200
+    special[8] = 1.5
+    wide = gen.standard_normal((2 * n, 3 * d))
+    return {
+        "c-order": rows,
+        "fortran-order": np.asfortranarray(rows),
+        "strided-view": wide[::2, 1::3],
+        "transposed-view": gen.standard_normal((d, n)).T,
+        "special": special,
+        "special-fortran": np.asfortranarray(special),
+        "one-row": rows[:1].copy(),
+        "one-row-view": wide[5:6, ::3],
+    }
+
+
+class TestRowNorms:
+    """`_row_norms(rows, center)` gives the bits of `np.linalg.norm(rows - center, axis=1)`."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_bit_identical_to_linalg_norm(self, d):
+        center = np.random.default_rng(200 + d).standard_normal(d) * 10.0
+        for name, rows in _norm_inputs(d).items():
+            with np.errstate(over="ignore", under="ignore"):
+                got = _row_norms(rows)
+                want = np.linalg.norm(rows, axis=1)
+                got_centered = _row_norms(rows, center)
+                want_centered = np.linalg.norm(rows - center, axis=1)
+            assert got.shape == want.shape == (rows.shape[0],), name
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d, name)
+            assert np.array_equal(got_centered.view(np.uint64),
+                                  want_centered.view(np.uint64)), (d, name, "centered")
+
+    def test_overflowing_rows_are_inf_and_tiny_rows_stay_finite(self):
+        rows = _norm_inputs(3)["special"]
+        with np.errstate(over="ignore"):
+            norms = _row_norms(rows)
+        assert norms[:3].tolist() == [0.0, 0.0, 0.0]
+        assert np.isinf(norms[6:8]).all()
+        assert np.isfinite(norms[[3, 4, 5, 8]]).all()
 
 
 class TestPrivacyBudget:

@@ -446,6 +446,39 @@ class TestZcdpValidation:
             zcdp_known_cov_sample(data, 1.0, eps, 0.1, RandomSource(11))
 
 
+class TestNonFiniteParameters:
+    """Each Gaussian parameter check names the parameter it refuses, inf included."""
+
+    BAD = [math.inf, -1.0, 0.0, math.nan]
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("name", ["R", "eps", "c"])
+    def test_pure_sampler_params(self, name, value):
+        kwargs = {"R": 1.0, "d": 2, "alpha": 0.1, "eps": 1.0, "c": 2.0, name: value}
+        with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
+            PureGaussianSamplerParams(**kwargs)
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("name", ["B", "eps", "sensitivity_multiplier"])
+    def test_elap_mechanism_params(self, name, value):
+        kwargs = {"B": 1.0, "eps": 1.0, name: value}
+        with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
+            ELapMechanismParams(**kwargs)
+
+    @pytest.mark.parametrize("complexity", [
+        pure_sample_complexity, zcdp_known_cov_complexity, zcdp_bounded_cov_complexity,
+    ])
+    @pytest.mark.parametrize("eps", BAD)
+    def test_complexities_refuse_bad_eps(self, complexity, eps):
+        with pytest.raises(ValidationError, match="^eps must be finite and positive"):
+            complexity(2, 1.0, 0.1, eps)
+
+    @pytest.mark.parametrize("C", BAD)
+    def test_pure_complexity_refuses_bad_C(self, C):
+        with pytest.raises(ValidationError, match="^C must be finite and positive"):
+            pure_sample_complexity(2, 1.0, 0.1, 1.0, C=C)
+
+
 class TestZcdpParams:
     def test_structure_validation(self):
         ZcdpParams(variant="known_cov", B=1.0, sigma2=0.5, eps=1.0, n=10)

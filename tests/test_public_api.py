@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -43,3 +44,48 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
         assert dpsampler.__version__ == tomllib.load(f)["project"]["version"]
+
+
+def _row_norm_calls(tree: ast.AST):
+    """(enclosing function, line) of each ``linalg.norm`` call that passes an axis."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "norm"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "linalg"
+            and (len(node.args) >= 3 or any(k.arg == "axis" for k in node.keywords))
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_row_norms_go_through_the_core_kernel():
+    # np.linalg.norm(..., axis=1) is several times slower than core._row_norms
+    # on narrow rows and gives the same bits; single-vector norms stay allowed
+    source = Path(dpsampler.__file__).parent
+    offenders = []
+    for path in sorted(source.glob("*.py")):
+        for function, line in _row_norm_calls(ast.parse(path.read_text())):
+            if (path.name, function) != ("core.py", "_row_norms"):
+                offenders.append(f"{path.name}:{line} in {function}")
+    assert offenders == []
+
+
+def test_row_norm_guard_sees_axis_calls():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    a = np.linalg.norm(x, axis=1)\n"
+        "    b = numpy.linalg.norm(x, None, 1)\n"
+        "    return np.linalg.norm(x[0]) + a + b\n"
+    )
+    assert _row_norm_calls(tree) == [("f", 2), ("f", 3)]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dpsampler import __version__
+from dpsampler.audit import audit_elap_mechanism, report_to_json
 from dpsampler.cli import main
 from dpsampler.core import KaryDataset, RandomSource, VectorDataset, write_vector_csv
 from dpsampler.divergences import tv_estimate_binned
@@ -48,6 +49,7 @@ DIGESTS = {
             "zcdp-known/once-count10": "3a2e7fbd06a05114f7536e91d1efdcb7c3ae1570cb24d730c2051c640af26a38",
             "zcdp-known/repeat-m3": "3e013060c83ae6068416c39d5811112737412da54eb1c56118c576325fd4a901"
         },
+        "audit_elap_mechanism": "a67e06fadfb642e1a0287fdacf60a18d8c7b1d8bd27b4250edf5f1d025641fd2",
         "shurr_run": "4ac2ebee059bdd8be220b1742bc9a184a832922b52809ed4a2872c0d40a9ebc0",
         "subrr_sample": "fd617ae45c38f9505a71c0ec057cf9849e5d0104bca92c9a4cd4fe46402f7cee",
         "tv_estimate_binned": {
@@ -129,6 +131,22 @@ def _tv(tmp_path):
     return digests
 
 
+def _audit_elap(tmp_path):
+    # d 1-4 at even and odd probe counts, with random, antipodal and equal
+    # differing rows; at d = 1 and with equal rows the argmax point lies in
+    # the from-law half of the probes, elsewhere in the segment half
+    reports = []
+    for d in range(1, 5):
+        e1 = np.eye(d)[0]
+        for probes, rows in ((1_000, None), (1_001, None), (2_000, (e1, -e1)),
+                             (1_001, (0.5 * e1, 0.5 * e1))):
+            report = audit_elap_mechanism(d, 1.0, 1.0, probes, RandomSource(4 * d),
+                                          differing_rows=rows)
+            reports.append(report_to_json(report))
+    reports.append(report_to_json(audit_elap_mechanism(3, 1.0, 1.0, 100_000, RandomSource(5))))
+    return hashlib.sha256("\n".join(reports).encode()).hexdigest()
+
+
 CLI_MODES = {
     "once": ["--mode", "once"],
     "once-count10": ["--mode", "once", "--count", "10"],
@@ -160,6 +178,7 @@ CASES = {
     "zcdp_known_cov_sample": _known,
     "zcdp_bounded_cov_sample": _bounded,
     "tv_estimate_binned": _tv,
+    "audit_elap_mechanism": _audit_elap,
     "sample-gaussian": _sample_gaussian,
 }
 
