@@ -17,11 +17,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import KaryDataset, PrivacyBudget, RandomSource, _row_norms
+from .core import KaryDataset, PrivacyBudget, RandomSource, _check_finite_positive, _row_norms
 from .divergences import BOOTSTRAP_RESAMPLES, DivergenceOrder
 from .elap import ELapParams, elap_sample
 from .errors import EnumerationTooLarge, ValidationError
-from .gaussian import ELapMechanismParams, ZcdpParams, gaussian_mech_renyi
+from .gaussian import GAUSSIAN_CALIBRATIONS, gaussian_calibration
 from .kary import RRParams, _rr_apply, rr_pmf, rr_row, shurr_eps0, subrr_eps0
 
 VERDICT_SLACK = 1e-9
@@ -298,7 +298,6 @@ def audit_elap_mechanism(
     probes: int,
     rng: RandomSource,
     differing_rows=None,
-    sensitivity_multiplier: float = 1.0,
 ) -> AuditReport:
     """Exact log-density-ratio probe of the Euclidean-Laplace sum mechanism.
 
@@ -308,15 +307,18 @@ def audit_elap_mechanism(
     the realized-shift bound ||S - S'||/b.  Half the probes come from the
     mechanism's own output law, half lie on the segment through S and S'
     extended by 3b on both sides, where the extrema live.  The two halves are
-    scored separately and only their log ratios are joined.  The report is
+    scored separately and only their log ratios are joined.  The scale b is
+    the pure sampler's, read from its calibration entry.  The report is
     advisory when ||S - S'|| exceeds B, i.e. when passing the realized-shift
     bound does not certify the bare eps claim.
     """
-    if d > 4:
-        raise ValidationError(f"density-ratio audit supports d <= 4, got {d}")
+    if not 1 <= d <= 4:
+        raise ValidationError(f"density-ratio audit supports 1 <= d <= 4, got {d}")
     if probes < 10**3:
         raise ValidationError(f"need probes >= 1e3, got {probes}")
-    b = ELapMechanismParams(B, eps, sensitivity_multiplier).b
+    _check_finite_positive("B", B)
+    _check_finite_positive("eps", eps)
+    b = GAUSSIAN_CALIBRATIONS["pure"].elap_scale(B, eps)
     gen = rng.generator
 
     def random_in_ball() -> np.ndarray:
@@ -378,34 +380,32 @@ def audit_elap_mechanism(
 # --- zCDP Gaussian mechanisms ---------------------------------------------------
 
 
-def audit_zcdp_gaussian(
-    params: ZcdpParams, orders, delta_norm: float | None = None
-) -> AuditReport:
-    """Analytic Renyi-divergence audit of a Gaussian mechanism against eps^2/2.
+def audit_zcdp_gaussian(variant: str, d: int, R: float, alpha: float, eps: float) -> AuditReport:
+    """Analytic zCDP audit of a Gaussian sampler at its own calibration.
 
-    For each order the divergence at worst-case sensitivity is
-    order * delta^2 / (2 sigma^2); dividing by the order gives a measured rho
-    that must stay at or below eps^2/2 at every order simultaneously.
+    Reads the variant's clip radius B, noise variance sigma2 and replacement
+    sensitivity Delta from its calibration entry, at the n one call of the
+    sampler takes.  The Renyi divergence of a Gaussian shift is linear in the
+    order, so rho = Delta^2 / (2 sigma2) holds at every order; the claim is
+    eps^2/2-zCDP.
     """
-    orders = [float(o) for o in orders]
-    if not orders:
-        raise ValidationError("need at least one Renyi order")
-    delta_used = params.sensitivity() if delta_norm is None else float(delta_norm)
-    sigma = math.sqrt(params.sigma2)
-    per_order = {}
-    measured = 0.0
-    for order in orders:
-        rho_at_order = gaussian_mech_renyi(delta_used, sigma, order) / order
-        per_order[str(order)] = rho_at_order
-        measured = max(measured, rho_at_order)
-    bound = params.eps**2 / 2.0
+    cal = gaussian_calibration(variant)
+    if not cal.zcdp:
+        raise ValidationError(f"variant {variant!r} claims pure DP, not zCDP")
+    n = cal.n_per_call(d, R, alpha, eps)
+    B = cal.clip_bound(d, R, alpha)
+    sigma2 = cal.sigma2(d, alpha, n)
+    sensitivity = cal.sensitivity(B, n)
+    measured = sensitivity * sensitivity / (2.0 * sigma2)
+    bound = eps**2 / 2.0
     return AuditReport(
         mechanism="zcdp",
-        claimed=PrivacyBudget.zcdp(params.eps),
+        claimed=PrivacyBudget.zcdp(eps),
         measured_max_log_ratio=measured,
         measured_delta=0.0,
-        probe_count=len(orders),
+        probe_count=1,
         verdict=_verdict(measured, bound),
-        witness={"variant": params.variant, "sensitivity": delta_used, "sigma": sigma},
-        details={"measured": measured, "bound": bound, "rho_per_order": per_order},
+        witness={"variant": variant, "n": n, "B": B, "sensitivity": sensitivity,
+                 "sigma": math.sqrt(sigma2)},
+        details={"measured": measured, "bound": bound},
     )

@@ -37,12 +37,7 @@ from .core import (
 from .divergences import tv_estimate_binned
 from .elap import ELapParams, GammaParams, elap_sample, elap_tail_radius, gamma_exact_tail
 from .errors import ConfigInvalid, DPSamplerError
-from .gaussian import (
-    ZcdpParams,
-    pure_sample_complexity,
-    zcdp_bounded_cov_complexity,
-    zcdp_known_cov_complexity,
-)
+from .gaussian import GAUSSIAN_CALIBRATIONS
 from .kary import (
     ShuRRConfig,
     fmt_eps1,
@@ -54,14 +49,12 @@ from .kary import (
     subrr_sample_complexity,
 )
 from .multisampling import (
-    pure_gaussian_sampler,
+    gaussian_sampler,
     shurr_sampler,
     strong_via_both,
     strong_via_precision,
     subrr_sampler,
     weak_via_repetition,
-    zcdp_bounded_cov_sampler,
-    zcdp_known_cov_sampler,
 )
 
 
@@ -166,20 +159,6 @@ def _given(params: dict, *names) -> dict:
     return {name: params[name] for name in names if params.get(name) is not None}
 
 
-def _gaussian_sampler_spec(
-    variant: str, d: int, R: float, eps: float, alpha: float, params: dict
-):
-    if variant == "pure":
-        return pure_gaussian_sampler(d, R, eps, alpha, **_given(params, "c"))
-    if params.get("c") is not None:
-        raise ConfigInvalid(f"--c applies to the pure variant only, not {variant!r}")
-    if variant == "zcdp-known":
-        return zcdp_known_cov_sampler(d, R, eps, alpha)
-    if variant == "zcdp-bounded":
-        return zcdp_bounded_cov_sampler(d, R, eps, alpha)
-    raise ConfigInvalid(f"unknown sample-gaussian variant {variant!r}")
-
-
 def _run_sample_gaussian(config: ExperimentConfig):
     if config.input_path is None:
         raise ConfigInvalid("sample-gaussian requires --in")
@@ -189,7 +168,9 @@ def _run_sample_gaussian(config: ExperimentConfig):
     if params.get("dim") is not None and params["dim"] != data.d:
         raise ConfigInvalid(f"--dim {params['dim']} does not match data dimension {data.d}")
     rng = _rng(config)
-    spec = _gaussian_sampler_spec(variant, data.d, R, eps, alpha, params)
+    if variant != "pure" and params.get("c") is not None:
+        raise ConfigInvalid(f"--c applies to the pure variant only, not {variant!r}")
+    spec = gaussian_sampler(variant, data.d, R, eps, alpha, **_given(params, "c"))
     derived = {"d": data.d, "n": data.n}
 
     if mode == "once":
@@ -231,6 +212,8 @@ def _run_elap(config: ExperimentConfig):
         exact = gamma_exact_tail(GammaParams(shape=float(d), rate=1.0 / b), radius)
         return {}, {"tail_radius": radius, "exact_tail": float(exact), "alpha": alpha}, 0
     (count,) = _need(params, "count")
+    if count < 1:
+        raise ConfigInvalid(f"--count must be >= 1, got {count}")
     rng = _rng(config)
     samples = elap_sample(elap_params, rng, size=int(count))
     if config.output_path:
@@ -249,13 +232,11 @@ _COMPLEXITY = {
         "strong": (("k", "alpha", "eps", "delta", "m"), lambda p: shurr_strong_complexity(
             int(p["k"]), p["alpha"], p["eps"], p["delta"], int(p["m"]))),
     },
+    # one task per Gaussian variant; _run_complexity refuses --C and --c for all but pure
     "gaussian": {
-        "pure": (("dim", "R", "alpha", "eps"), lambda p: pure_sample_complexity(
-            int(p["dim"]), p["R"], p["alpha"], p["eps"], **_given(p, "C", "c"))),
-        "zcdp-known": (("dim", "R", "alpha", "eps"), lambda p: zcdp_known_cov_complexity(
-            int(p["dim"]), p["R"], p["alpha"], p["eps"])),
-        "zcdp-bounded": (("dim", "R", "alpha", "eps"), lambda p: zcdp_bounded_cov_complexity(
-            int(p["dim"]), p["R"], p["alpha"], p["eps"])),
+        variant: (("dim", "R", "alpha", "eps"), lambda p, cal=cal: cal.complexity(
+            int(p["dim"]), p["R"], p["alpha"], p["eps"], **_given(p, "C", "c")))
+        for variant, cal in GAUSSIAN_CALIBRATIONS.items()
     },
 }
 
@@ -308,11 +289,8 @@ def _run_audit(config: ExperimentConfig):
         (d, B, eps, probes) = _need(params, "dim", "B", "eps", "probes")
         report = audit_elap_mechanism(int(d), B, eps, int(probes), _rng(config))
     elif mechanism == "zcdp":
-        (variant, B, sigma2, eps, n, orders) = _need(
-            params, "variant", "B", "sigma2", "eps", "n", "orders"
-        )
-        zp = ZcdpParams(variant=variant, B=B, sigma2=sigma2, eps=eps, n=int(n))
-        report = audit_zcdp_gaussian(zp, orders)
+        (variant, d, R, alpha, eps) = _need(params, "variant", "dim", "R", "alpha", "eps")
+        report = audit_zcdp_gaussian(variant, int(d), R, alpha, eps)
     else:
         raise ConfigInvalid(f"unknown audit mechanism {mechanism!r}")
 
@@ -422,7 +400,7 @@ def _build_parser() -> _Parser:
     common(p, seed_required=True)
 
     p = sub.add_parser("sample-gaussian", help="private samples from a vector dataset")
-    p.add_argument("--variant", required=True, choices=["pure", "zcdp-known", "zcdp-bounded"])
+    p.add_argument("--variant", required=True, choices=list(GAUSSIAN_CALIBRATIONS))
     p.add_argument("--mode", default="once", choices=["once", "repeat", "both"])
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--in", dest="input_path", required=True)
@@ -472,11 +450,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--claimed-eps", dest="claimed_eps", type=float, default=None)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--B", type=float, default=None)
-    p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--variant", default=None)
+    p.add_argument("--R", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--variant", default=None,
+                   choices=[v for v, cal in GAUSSIAN_CALIBRATIONS.items() if cal.zcdp])
     p.add_argument("--runs", type=int, default=10**4)
     p.add_argument("--probes", type=int, default=10**4)
-    p.add_argument("--orders", type=_float_list, default=(1.5, 2.0, 4.0, 16.0))
     common(p, seed_required=False)
 
     p = sub.add_parser("sweep", help="complexity tables over a parameter grid")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +37,11 @@ def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(arr, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def _check_finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 def _row_norms(rows: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:

@@ -53,10 +53,6 @@ class NonIntegerShape(ValidationError):
     """The union-bound Gamma tail bound requires an integer shape."""
 
 
-class NormViolation(ValidationError):
-    """An input vector exceeds the promised norm bound."""
-
-
 class BadSplit(ValidationError):
     """Row count is not divisible by 3 for the n1 = n2 = n/3 bounded-covariance split."""
 

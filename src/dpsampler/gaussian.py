@@ -7,32 +7,30 @@ approximate fresh draw.  zCDP paths: clipped empirical mean plus Gaussian
 noise, with the noise scale tied to the replacement sensitivity of the
 statistic.
 
+``GAUSSIAN_CALIBRATIONS`` states each sampler's numbers once, keyed by the
+variant names ``pure``, ``zcdp-known`` and ``zcdp-bounded``: the clip radius
+B, the noise, the replacement sensitivity of the noised statistic and the
+rows one call takes.  The samplers, their complexity calculators, the
+``SamplerSpec`` factories, the CLI and the zCDP audit read them from there.
+
 A note on sensitivity: replacing one row can move the clipped sum by up to
-``2B``, while the pure-DP calibration below uses ``b = B/eps`` (a per-row
-budget of eps per unit of sum movement over B).  ``ELapMechanismParams``
-exposes ``sensitivity_multiplier`` (default 1.0; 2.0 for the conservative
-replacement bound) so the realized log-density ratio can be checked either
-way by the audit module.
+``2B``, while the pure-DP scale ``b = B/eps`` covers a movement of ``B``.
+The pure entry states both, and ``audit_elap_mechanism`` measures the
+realized log-density ratio against the realized shift.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .core import RandomSource, VectorDataset, _row_norms
+from .core import RandomSource, VectorDataset, _check_finite_positive, _row_norms
 from .elap import ELapParams, elap_sample
-from .errors import (
-    BadSplit,
-    InvalidAlpha,
-    InvalidOrder,
-    NormViolation,
-    TooFewSamples,
-    ValidationError,
-)
+from .errors import BadSplit, InvalidAlpha, InvalidOrder, TooFewSamples, ValidationError
 from .kary import ComplexityReport, _tolerant_ceil
 
 
@@ -51,27 +49,22 @@ def _clip_rows(rows: np.ndarray, B: float) -> np.ndarray:
 
 
 # Pre-noise statistic of each Gaussian sampler, per dataset:
-# {data: {(sampler, B): stat}}.  A VectorDataset's rows are a private read-only
+# {data: {(variant, B): stat}}.  A VectorDataset's rows are a private read-only
 # copy and the dataclass hashes by identity, so an entry cannot go stale, and
 # the weak key drops it with its dataset.  Each entry is O(d); only the noise
 # is drawn per call.
 _STATS: "weakref.WeakKeyDictionary[VectorDataset, dict]" = weakref.WeakKeyDictionary()
 
 
-def _clipped_stat(data: VectorDataset, sampler: str, B: float, compute):
-    """``compute()`` on its first call for (data, sampler, B); the stored result after."""
+def _clipped_stat(data: VectorDataset, variant: str, B: float, compute):
+    """``compute()`` on its first call for (data, variant, B); the stored result after."""
     stats = _STATS.get(data)
     if stats is None:
         stats = _STATS[data] = {}
-    stat = stats.get((sampler, B))
+    stat = stats.get((variant, B))
     if stat is None:
-        stat = stats[(sampler, B)] = compute()
+        stat = stats[(variant, B)] = compute()
     return stat
-
-
-def _check_finite_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 def fresh_draw_variance(n: int) -> float:
@@ -80,46 +73,10 @@ def fresh_draw_variance(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class ELapMechanismParams:
-    """Clip bound B, privacy budget eps, and the derived noise scale b.
-
-    ``sensitivity_multiplier`` scales b: 1.0 reproduces the stated calibration
-    b = B/eps; 2.0 covers the worst-case replacement movement of the sum.
-    """
-
-    B: float
-    eps: float
-    sensitivity_multiplier: float = 1.0
-
-    def __post_init__(self):
-        _check_finite_positive("B", self.B)
-        _check_finite_positive("eps", self.eps)
-        _check_finite_positive("sensitivity_multiplier", self.sensitivity_multiplier)
-
-    @property
-    def b(self) -> float:
-        return self.sensitivity_multiplier * self.B / self.eps
-
-
-def elap_mechanism(
-    data: VectorDataset, params: ELapMechanismParams, rng: RandomSource
-) -> np.ndarray:
-    """Noisy vector sum: Euclidean-Laplace noise of scale b added to sum of rows.
-
-    The caller is responsible for clipping; rows whose norm exceeds B by more
-    than 1e-9 are rejected.
-    """
-    worst = float(_row_norms(data.rows).max())
-    if worst > params.B + 1e-9:
-        raise NormViolation(f"input row norm {worst} exceeds bound B={params.B}")
-    return data.rows.sum(axis=0) + elap_sample(ELapParams(d=data.d, b=params.b), rng)
-
-
-@dataclass(frozen=True)
 class PureGaussianSamplerParams:
     """Mean bound R, dimension d, tolerance alpha, budget eps, clip constant c.
 
-    The clip radius is B = R + c * sqrt(d * ln(1/alpha)).
+    ``B`` is the clip radius :func:`pure_clip_bound` gives for (d, R, alpha, c).
     """
 
     R: float
@@ -127,19 +84,26 @@ class PureGaussianSamplerParams:
     alpha: float
     eps: float
     c: float = 2.0
+    B: float = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError(f"d must be >= 1, got {self.d}")
-        _check_finite_positive("R", self.R)
         _check_finite_positive("eps", self.eps)
-        _check_finite_positive("c", self.c)
-        if not 0 < self.alpha < 1:
-            raise InvalidAlpha(f"alpha must be in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "B", pure_clip_bound(self.d, self.R, self.alpha, self.c))
 
-    @property
-    def B(self) -> float:
-        return self.R + self.c * math.sqrt(self.d * math.log(1.0 / self.alpha))
+
+def _check_clip_inputs(d: int, R: float, alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    if d < 1:
+        raise ValidationError(f"d must be >= 1, got {d}")
+    _check_finite_positive("R", R)
+
+
+def pure_clip_bound(d: int, R: float, alpha: float, c: float = 2.0) -> float:
+    """Clip radius R + c * sqrt(d * ln(1/alpha)) for the pure-DP sampler."""
+    _check_clip_inputs(d, R, alpha)
+    _check_finite_positive("c", c)
+    return R + c * math.sqrt(d * math.log(1.0 / alpha))
 
 
 def pure_gaussian_sample(
@@ -155,12 +119,12 @@ def pure_gaussian_sample(
     n = data.n
     if n < 2:
         raise TooFewSamples(f"need n >= 2 for the (n-1)/n noise calibration, got {n}")
+    pure = GAUSSIAN_CALIBRATIONS["pure"]
     B = params.B
-    # the rows are clipped right here, so elap_mechanism's second norm pass is skipped
-    b = ELapMechanismParams(B=B, eps=params.eps).b
+    b = pure.elap_scale(B, params.eps)
     clipped_sum = _clipped_stat(data, "pure", B, lambda: _clip_rows(data.rows, B).sum(axis=0))
     noisy_sum = clipped_sum + elap_sample(ELapParams(d=params.d, b=b), rng)
-    sigma = math.sqrt(fresh_draw_variance(n))
+    sigma = math.sqrt(pure.sigma2(params.d, params.alpha, n))
     return sigma * rng.generator.standard_normal(params.d) + noisy_sum / n
 
 
@@ -181,18 +145,16 @@ def pure_sample_complexity(
 # --- zCDP samplers -----------------------------------------------------------
 
 
-def _check_clip_inputs(d: int, R: float, alpha: float) -> None:
-    if not 0 < alpha < 1:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
-    _check_finite_positive("R", R)
-
-
 def known_cov_clip_bound(d: int, R: float, alpha: float) -> float:
     """Clip radius R + sqrt(2 * (d + ln(1/alpha))) for the known-covariance sampler."""
     _check_clip_inputs(d, R, alpha)
     return R + math.sqrt(2.0 * (d + math.log(1.0 / alpha)))
+
+
+def _known_cov_covers(d: int, B: float, alpha: float, eps: float, n: int) -> bool:
+    """The known-covariance n condition: n >= 2 and sensitivity/eps <= sigma."""
+    known = GAUSSIAN_CALIBRATIONS["zcdp-known"]
+    return n >= 2 and known.sensitivity(B, n) / eps <= math.sqrt(known.sigma2(d, alpha, n))
 
 
 def zcdp_known_cov_sample(
@@ -205,30 +167,31 @@ def zcdp_known_cov_sample(
     """Clipped empirical mean plus N(0, ((n-1)/n) I) noise, under eps^2/2-zCDP.
 
     Requires n large enough that the noise scale covers the mean's replacement
-    sensitivity 2B/n, i.e. 2B/(eps*n) <= sqrt((n-1)/n).
+    sensitivity 2B/n at eps (:func:`_known_cov_covers`).
     """
     n = data.n
-    B = known_cov_clip_bound(data.d, R, alpha)
+    known = GAUSSIAN_CALIBRATIONS["zcdp-known"]
+    B = known.clip_bound(data.d, R, alpha)
     _check_finite_positive("eps", eps)
-    sigma = math.sqrt(fresh_draw_variance(n))
-    if n < 2 or 2.0 * B / (eps * n) > sigma:
+    if not _known_cov_covers(data.d, B, alpha, eps, n):
         needed = zcdp_known_cov_complexity(data.d, R, alpha, eps).n_required
         raise TooFewSamples(
             f"zCDP condition sigma >= 2B/(eps*n) fails at n={n}; need n >= {needed}"
         )
     clipped_mean = _clipped_stat(
-        data, "known", B, lambda: _clip_rows(data.rows, B).mean(axis=0)
+        data, "zcdp-known", B, lambda: _clip_rows(data.rows, B).mean(axis=0)
     )
+    sigma = math.sqrt(known.sigma2(data.d, alpha, n))
     return clipped_mean + sigma * rng.generator.standard_normal(data.d)
 
 
 def zcdp_known_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
-    """Smallest n >= 2 with 2B/(eps*n) <= sqrt((n-1)/n), by integer bisection."""
+    """Smallest n satisfying :func:`_known_cov_covers`, by integer bisection."""
     _check_finite_positive("eps", eps)
     B = known_cov_clip_bound(d, R, alpha)
 
     def ok(n: int) -> bool:
-        return 2.0 * B / (eps * n) <= math.sqrt(fresh_draw_variance(n))
+        return _known_cov_covers(d, B, alpha, eps, n)
 
     hi = 2
     while not ok(hi):
@@ -258,24 +221,23 @@ def bounded_cov_sigma2(d: int, alpha: float) -> float:
     return alpha / (4.0 * math.sqrt(d))
 
 
-def bounded_cov_sensitivity(n1: int, n2: int, B: float) -> float:
-    """Replacement sensitivity of the pre-noise statistic, by direct maximization.
-
-    A changed row enters with coefficient 1/n1 (mean block) or
-    sqrt((1 - 1/n1)/(2*n2)) (difference block) and can move by at most 2B.
-    """
-    if n1 < 1 or n2 < 1:
-        raise ValidationError("n1 and n2 must be >= 1")
-    _check_finite_positive("B", B)
-    coeff = max(1.0 / n1, math.sqrt((1.0 - 1.0 / n1) / (2.0 * n2)))
-    return 2.0 * B * coeff
-
-
-def _bounded_cov_split(n: int) -> int:
-    """Block size n1 = n2 = n/3 of the bounded-covariance statistic."""
+def _bounded_cov_split(n: int) -> tuple[int, float]:
+    """Block size q = n1 = n2 = n/3 and the difference-block weight sqrt((1 - 1/q)/(2q))."""
     if n % 3 != 0:
         raise BadSplit(f"row count {n} is not divisible by 3 for the n1 = n2 = n/3 split")
-    return n // 3
+    q = n // 3
+    return q, math.sqrt((1.0 - 1.0 / q) / (2.0 * q))
+
+
+def _bounded_cov_sensitivity(B: float, n: int) -> float:
+    """Replacement sensitivity of the bounded-covariance statistic, by direct maximization.
+
+    A changed row enters with weight 1/q (mean block) or the difference-block
+    weight, and can move by at most 2B.
+    """
+    _check_finite_positive("B", B)
+    q, diff_weight = _bounded_cov_split(n)
+    return 2.0 * B * max(1.0 / q, diff_weight)
 
 
 def zcdp_bounded_cov_sample(
@@ -290,20 +252,32 @@ def zcdp_bounded_cov_sample(
     if not sigma2 > 0:
         raise ValidationError(f"sigma2 must be positive, got {sigma2}")
     _check_finite_positive("B", B)
-    n1 = n2 = _bounded_cov_split(data.n)
+    q, diff_weight = _bounded_cov_split(data.n)
 
     def parts():
         clipped = _clip_rows(data.rows, B)
-        mean_part = clipped[:n1].sum(axis=0) / n1
-        pairs = clipped[n1:].reshape(n2, 2, data.d)
-        diff_part = math.sqrt((1.0 - 1.0 / n1) / (2.0 * n2)) * (
-            pairs[:, 0, :] - pairs[:, 1, :]
-        ).sum(axis=0)
+        mean_part = clipped[:q].sum(axis=0) / q
+        pairs = clipped[q:].reshape(q, 2, data.d)
+        diff_part = diff_weight * (pairs[:, 0, :] - pairs[:, 1, :]).sum(axis=0)
         return mean_part, diff_part
 
-    mean_part, diff_part = _clipped_stat(data, "bounded", B, parts)
+    mean_part, diff_part = _clipped_stat(data, "zcdp-bounded", B, parts)
     noise = math.sqrt(sigma2) * rng.generator.standard_normal(data.d)
     return noise + mean_part + diff_part
+
+
+def _bounded_cov_release(
+    data: VectorDataset, d: int, R: float, alpha: float, eps: float, rng: RandomSource
+) -> np.ndarray:
+    """One bounded-covariance draw, refused below the rows its noise is calibrated for."""
+    bounded = GAUSSIAN_CALIBRATIONS["zcdp-bounded"]
+    needed = bounded.n_per_call(d, R, alpha, eps)
+    if data.n < needed:
+        raise TooFewSamples(
+            f"bounded-covariance noise is calibrated for n >= {needed} rows; got n={data.n}"
+        )
+    B = bounded.clip_bound(d, R, alpha)
+    return zcdp_bounded_cov_sample(data, B, bounded.sigma2(d, alpha, data.n), rng)
 
 
 def zcdp_bounded_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
@@ -318,38 +292,6 @@ def zcdp_bounded_cov_complexity(d: int, R: float, alpha: float, eps: float) -> C
     )
 
 
-@dataclass(frozen=True)
-class ZcdpParams:
-    """Parameters of a zCDP Gaussian mechanism run, for auditing.
-
-    Only structural consistency is validated here; whether ``sigma2`` covers
-    the sensitivity at budget ``eps`` is exactly what the audit measures.  A
-    ``bounded_cov`` run splits its n rows as n1 = n2 = n/3, as the sampler
-    does, so n must be divisible by 3.
-    """
-
-    variant: str
-    B: float
-    sigma2: float
-    eps: float
-    n: int
-
-    def __post_init__(self):
-        if self.variant not in ("known_cov", "bounded_cov"):
-            raise ValidationError(f"unknown variant {self.variant!r}")
-        if not self.B > 0 or not self.sigma2 > 0 or not self.eps > 0 or self.n < 1:
-            raise ValidationError("B, sigma2, eps must be positive and n >= 1")
-        if self.variant == "bounded_cov":
-            _bounded_cov_split(self.n)
-
-    def sensitivity(self) -> float:
-        """Replacement sensitivity of the pre-noise statistic."""
-        if self.variant == "known_cov":
-            return 2.0 * self.B / self.n
-        q = _bounded_cov_split(self.n)
-        return bounded_cov_sensitivity(q, q, self.B)
-
-
 def gaussian_mech_renyi(delta_norm: float, sigma: float, order: float) -> float:
     """Renyi divergence order * delta_norm^2 / (2 * sigma^2) of a shifted Gaussian."""
     if delta_norm < 0:
@@ -359,3 +301,83 @@ def gaussian_mech_renyi(delta_norm: float, sigma: float, order: float) -> float:
     if not order > 1:
         raise InvalidOrder(f"order must be > 1, got {order}")
     return order * delta_norm * delta_norm / (2.0 * sigma * sigma)
+
+
+# --- calibration table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GaussianCalibration:
+    """The numbers one Gaussian sampler is calibrated by, each stated once.
+
+    Arguments are the dimension d, mean bound R, tolerance alpha, budget eps,
+    clip radius B and the row count n of one call.  ``constants`` are the pure
+    sampler's clip constant ``c`` and, for its complexity, ``C``.
+
+    * ``clip_bound(d, R, alpha, **constants)``: the clip radius B.
+    * ``sigma2(d, alpha, n)``: variance of the Gaussian added to one call's statistic.
+    * ``sensitivity(B, n)``: how far, in l2, replacing one row can move the
+      statistic that the privacy noise covers.
+    * ``complexity(d, R, alpha, eps, **constants)``: the sufficient n, as a report.
+    * ``release(data, d, R, alpha, eps, rng, **constants)``: one draw.
+    * ``rows(n)``: the rows one call takes, given the sufficient n.
+    * ``elap_scale(B, eps)``: the Euclidean-Laplace scale b of the pure
+      sampler's privacy noise.  It is None for the eps^2/2-zCDP variants,
+      whose privacy noise is the sigma2 Gaussian.
+    """
+
+    clip_bound: Callable[..., float]
+    sigma2: Callable[[int, float, int], float]
+    sensitivity: Callable[[float, int], float]
+    complexity: Callable[..., ComplexityReport]
+    release: Callable[..., np.ndarray]
+    rows: Callable[[int], int] = lambda n: n
+    elap_scale: Callable[[float, float], float] | None = None
+
+    @property
+    def zcdp(self) -> bool:
+        return self.elap_scale is None
+
+    def n_per_call(self, d: int, R: float, alpha: float, eps: float, **constants) -> int:
+        """Rows one call takes at these inputs."""
+        return self.rows(self.complexity(d, R, alpha, eps, **constants).n_required)
+
+
+GAUSSIAN_CALIBRATIONS = {
+    "pure": GaussianCalibration(
+        clip_bound=pure_clip_bound,
+        sigma2=lambda d, alpha, n: fresh_draw_variance(n),
+        sensitivity=lambda B, n: 2.0 * B,  # of the clipped sum
+        complexity=pure_sample_complexity,
+        release=lambda data, d, R, alpha, eps, rng, **constants: pure_gaussian_sample(
+            data, PureGaussianSamplerParams(R=R, d=d, alpha=alpha, eps=eps, **constants), rng
+        ),
+        elap_scale=lambda B, eps: B / eps,
+    ),
+    "zcdp-known": GaussianCalibration(
+        clip_bound=known_cov_clip_bound,
+        sigma2=lambda d, alpha, n: fresh_draw_variance(n),
+        sensitivity=lambda B, n: 2.0 * B / n,  # of the clipped mean
+        complexity=zcdp_known_cov_complexity,
+        release=lambda data, d, R, alpha, eps, rng: zcdp_known_cov_sample(
+            data, R, eps, alpha, rng
+        ),
+    ),
+    "zcdp-bounded": GaussianCalibration(
+        clip_bound=bounded_cov_clip_bound,
+        sigma2=lambda d, alpha, n: bounded_cov_sigma2(d, alpha),
+        sensitivity=_bounded_cov_sensitivity,
+        complexity=zcdp_bounded_cov_complexity,
+        release=_bounded_cov_release,
+        rows=lambda n: 3 * math.ceil(n / 3),  # rounded up to the n1 = n2 = n/3 split
+    ),
+}
+
+
+def gaussian_calibration(variant: str) -> GaussianCalibration:
+    """The calibration entry of a Gaussian variant; unknown names are refused."""
+    if variant not in GAUSSIAN_CALIBRATIONS:
+        raise ValidationError(
+            f"unknown Gaussian variant {variant!r}; expected one of {list(GAUSSIAN_CALIBRATIONS)}"
+        )
+    return GAUSSIAN_CALIBRATIONS[variant]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CategoricalDist, KaryDataset, RandomSource
+from .core import CategoricalDist, KaryDataset, RandomSource, _check_finite_positive
 from .errors import (
     InsufficientSamples,
     InvalidAlpha,
@@ -62,14 +62,14 @@ def _tolerant_ceil(x: float) -> int:
 
 @dataclass(frozen=True)
 class RRParams:
-    """Local randomizer parameters: privacy parameter eps0 >= 0, domain size k >= 2."""
+    """Local randomizer parameters: finite privacy parameter eps0 >= 0, domain size k >= 2."""
 
     eps0: float
     k: int
 
     def __post_init__(self):
-        if self.eps0 < 0:
-            raise ValidationError(f"eps0 must be nonnegative, got {self.eps0}")
+        if not (math.isfinite(self.eps0) and self.eps0 >= 0):
+            raise ValidationError(f"eps0 must be finite and nonnegative, got {self.eps0}")
         if self.k < 2:
             raise ValidationError(f"k must be >= 2, got {self.k}")
 
@@ -125,8 +125,7 @@ def rr_sample(x: int, params: RRParams, rng: RandomSource, size: int | None = No
 
 def subrr_eps0(eps: float, n: int) -> float:
     """Local parameter ln(eps * n); defined only when eps * n > 1."""
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
+    _check_finite_positive("eps", eps)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if eps * n <= 1.0:
@@ -185,8 +184,7 @@ def subrr_sample_complexity(k: int, alpha: float, eps: float) -> ComplexityRepor
     _check_alpha(alpha)
     if k < 2:
         raise ValidationError(f"k must be >= 2, got {k}")
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
+    _check_finite_positive("eps", eps)
     n = max(1, _tolerant_ceil((k - 1) * (1.0 - alpha) / (alpha * eps)))
     return ComplexityReport(
         n_required=n,
@@ -200,8 +198,7 @@ def subrr_sample_complexity(k: int, alpha: float, eps: float) -> ComplexityRepor
 
 def shurr_f(eps: float) -> float:
     """Amplification budget split: eps/(16*sqrt(3/2)) below 1, sqrt(eps)/(16*sqrt(3/2)) above."""
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
+    _check_finite_positive("eps", eps)
     scale = 16.0 * math.sqrt(1.5)
     return eps / scale if eps <= 1.0 else math.sqrt(eps) / scale
 

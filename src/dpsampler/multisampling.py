@@ -15,26 +15,12 @@ consumed by exactly one inner call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .core import RandomSource
 from .errors import InsufficientData
-from .gaussian import (
-    PureGaussianSamplerParams,
-    _check_finite_positive,
-    bounded_cov_clip_bound,
-    bounded_cov_sigma2,
-    fresh_draw_variance,
-    known_cov_clip_bound,
-    pure_gaussian_sample,
-    pure_sample_complexity,
-    zcdp_bounded_cov_complexity,
-    zcdp_bounded_cov_sample,
-    zcdp_known_cov_complexity,
-    zcdp_known_cov_sample,
-)
+from .gaussian import gaussian_calibration
 from .kary import (
     _check_tolerance,
     shurr_run,
@@ -54,9 +40,9 @@ class SamplerSpec:
 
     ``calibration(alpha, n)`` is set for the Gaussian samplers only.  It
     returns ``{"B": clip radius, "sigma2": variance of the added Gaussian}``
-    for one invocation on n rows at tolerance alpha, from the same
-    ``gaussian`` definitions that ``run`` applies; RunReports read ``B`` and
-    ``sigma2`` from here.
+    for one invocation on n rows at tolerance alpha, read from the same
+    ``gaussian.GAUSSIAN_CALIBRATIONS`` entry that ``run`` applies; RunReports
+    read ``B`` and ``sigma2`` from here.
     """
 
     alpha: float
@@ -129,48 +115,41 @@ def shurr_sampler(k: int, eps: float, delta: float, m: int, alpha: float) -> Sam
     )
 
 
-def pure_gaussian_sampler(
-    d: int, R: float, eps: float, alpha: float, c: float = 2.0
+def gaussian_sampler(
+    variant: str, d: int, R: float, eps: float, alpha: float, **constants
 ) -> SamplerSpec:
-    """Single-sampler spec for the pure-DP known-covariance Gaussian mechanism."""
+    """Single-sampler spec for a Gaussian variant, read from its calibration entry.
 
-    def params(a: float) -> PureGaussianSamplerParams:
-        return PureGaussianSamplerParams(R=R, d=d, alpha=a, eps=eps, c=c)
-
+    ``constants`` are the variant's optional calibration constants: ``c`` for
+    the pure sampler.
+    """
+    cal = gaussian_calibration(variant)
     return SamplerSpec(
         alpha=alpha,
-        n_per_call=lambda a: pure_sample_complexity(d, R, a, eps, c=c).n_required,
-        run=lambda block, a, rng: pure_gaussian_sample(block, params(a), rng),
-        calibration=lambda a, n: {"B": params(a).B, "sigma2": fresh_draw_variance(n)},
-    )
-
-
-def zcdp_known_cov_sampler(d: int, R: float, eps: float, alpha: float) -> SamplerSpec:
-    """Single-sampler spec for the zCDP known-covariance Gaussian mechanism."""
-    return SamplerSpec(
-        alpha=alpha,
-        n_per_call=lambda a: zcdp_known_cov_complexity(d, R, a, eps).n_required,
-        run=lambda block, a, rng: zcdp_known_cov_sample(block, R, eps, a, rng),
+        n_per_call=lambda a: cal.n_per_call(d, R, a, eps, **constants),
+        run=lambda block, a, rng: cal.release(block, d, R, a, eps, rng, **constants),
         calibration=lambda a, n: {
-            "B": known_cov_clip_bound(d, R, a), "sigma2": fresh_draw_variance(n)
+            "B": cal.clip_bound(d, R, a, **constants), "sigma2": cal.sigma2(d, a, n)
         },
     )
 
 
+def pure_gaussian_sampler(
+    d: int, R: float, eps: float, alpha: float, c: float = 2.0
+) -> SamplerSpec:
+    """Single-sampler spec for the pure-DP known-covariance Gaussian mechanism."""
+    return gaussian_sampler("pure", d, R, eps, alpha, c=c)
+
+
+def zcdp_known_cov_sampler(d: int, R: float, eps: float, alpha: float) -> SamplerSpec:
+    """Single-sampler spec for the zCDP known-covariance Gaussian mechanism."""
+    return gaussian_sampler("zcdp-known", d, R, eps, alpha)
+
+
 def zcdp_bounded_cov_sampler(d: int, R: float, eps: float, alpha: float) -> SamplerSpec:
-    """Single-sampler spec for the zCDP bounded-covariance Gaussian mechanism."""
-    # once mode never reaches the complexity formula, the only reader of eps
-    _check_finite_positive("eps", eps)
+    """Single-sampler spec for the zCDP bounded-covariance Gaussian mechanism.
 
-    def n_per_call(a: float) -> int:
-        n = zcdp_bounded_cov_complexity(d, R, a, eps).n_required
-        return 3 * int(math.ceil(n / 3))  # rows split as n1 = n2 = n/3
-
-    def calibration(a: float, n: int) -> dict:
-        return {"B": bounded_cov_clip_bound(d, R, a), "sigma2": bounded_cov_sigma2(d, a)}
-
-    def run(block, a: float, rng: RandomSource):
-        cal = calibration(a, block.n)
-        return zcdp_bounded_cov_sample(block, cal["B"], cal["sigma2"], rng)
-
-    return SamplerSpec(alpha=alpha, n_per_call=n_per_call, run=run, calibration=calibration)
+    A call refuses fewer rows than ``n_per_call``: this sampler's noise does not
+    grow as n shrinks, so its privacy rests on n.
+    """
+    return gaussian_sampler("zcdp-bounded", d, R, eps, alpha)

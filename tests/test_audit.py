@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -28,7 +29,7 @@ from dpsampler.errors import (
     OutOfDomain,
     ValidationError,
 )
-from dpsampler.gaussian import ZcdpParams
+from dpsampler.gaussian import GAUSSIAN_CALIBRATIONS
 from dpsampler.kary import (
     RRParams,
     _rr_apply,
@@ -37,6 +38,7 @@ from dpsampler.kary import (
     shurr_eps0,
     subrr_eps0,
 )
+from dpsampler.multisampling import gaussian_sampler
 
 
 def _compositions(total: int, parts: int):
@@ -350,6 +352,11 @@ class TestAuditElapMechanism:
         with pytest.raises(ValidationError):
             audit_elap_mechanism(2, 1.0, 0.0, 2000, RandomSource(58))
 
+    @pytest.mark.parametrize("d", [0, -1, 5])
+    def test_dimension_outside_one_to_four_rejected(self, d):
+        with pytest.raises(ValidationError, match="1 <= d <= 4"):
+            audit_elap_mechanism(d, 1.0, 1.0, 2000, RandomSource(59))
+
     def test_random_pairs_never_exceed_shift_bound(self):
         for seed in range(5):
             report = audit_elap_mechanism(3, 1.5, 1.0, 2000, RandomSource(60 + seed))
@@ -357,40 +364,97 @@ class TestAuditElapMechanism:
             assert report.measured_max_log_ratio <= report.details["bound"] + 1e-9
 
 
+# (d, R, alpha, eps) cells for the zCDP audit sweep
+ZCDP_CELLS = [(1, 1.0, 0.1, 1.0), (2, 1.0, 0.1, 1.0), (4, 1.0, 0.05, 0.5), (3, 2.0, 0.2, 2.0)]
+
+
+def _plant(monkeypatch, variant: str, **fields) -> None:
+    """Replace fields of a variant's calibration entry for one test."""
+    entry = dataclasses.replace(GAUSSIAN_CALIBRATIONS[variant], **fields)
+    monkeypatch.setitem(GAUSSIAN_CALIBRATIONS, variant, entry)
+
+
+def _plant_half_sigma(monkeypatch, cell) -> None:
+    """Known covariance adding half the noise its own n is computed for."""
+    known = GAUSSIAN_CALIBRATIONS["zcdp-known"]
+    report = known.complexity(*cell)
+    _plant(monkeypatch, "zcdp-known", complexity=lambda *args: report,
+           sigma2=lambda d, alpha, n: known.sigma2(d, alpha, n) / 4.0)
+
+
 class TestAuditZcdpGaussian:
-    def test_exact_calibration_gives_equality(self):
-        B, n, eps = 2.0, 10, 1.0
-        delta = 2.0 * B / n
-        params = ZcdpParams(
-            variant="known_cov", B=B, sigma2=(delta / eps) ** 2, eps=eps, n=n
-        )
-        report = audit_zcdp_gaussian(params, [1.5, 2.0, 4.0, 16.0])
+    @pytest.mark.parametrize("cell", ZCDP_CELLS)
+    @pytest.mark.parametrize("variant", [
+        "zcdp-known",
+        pytest.param("zcdp-bounded", marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 1: n = 4 sqrt(d) B^2 / (alpha eps^2) leaves rho near 6 eps^2/2"))),
+    ])
+    def test_each_spec_passes_at_its_own_n(self, variant, cell):
+        report = audit_zcdp_gaussian(variant, *cell)
+        assert report.verdict == "pass", report.measured_max_log_ratio / report.details["bound"]
+        assert reverify(report)
+
+    @pytest.mark.parametrize("cell", ZCDP_CELLS)
+    def test_planted_half_sigma_fails_the_sweep(self, monkeypatch, cell):
+        _plant_half_sigma(monkeypatch, cell)
+        with pytest.raises(AssertionError):
+            self.test_each_spec_passes_at_its_own_n("zcdp-known", cell)
+
+    @pytest.mark.parametrize("variant", ["zcdp-known", "zcdp-bounded"])
+    def test_reads_the_samplers_own_calibration(self, variant):
+        d, R, alpha, eps = 2, 1.0, 0.1, 1.0
+        spec = gaussian_sampler(variant, d, R, eps, alpha)
+        n = spec.n_per_call(alpha)
+        calibration = spec.calibration(alpha, n)
+        report = audit_zcdp_gaussian(variant, d, R, alpha, eps)
+        assert report.witness["n"] == n
+        assert report.witness["B"] == calibration["B"]
+        assert report.witness["sigma"] == math.sqrt(calibration["sigma2"])
+
+    def test_bounded_is_about_six_times_over_budget(self):
+        report = audit_zcdp_gaussian("zcdp-bounded", 2, 1.0, 0.1, 1.0)
+        assert report.verdict == "fail"
+        assert 5.8 < report.measured_max_log_ratio / report.details["bound"] < 6.0
+
+    def test_exact_calibration_gives_equality(self, monkeypatch):
+        d, R, alpha, eps = 2, 1.0, 0.1, 1.0
+        known = GAUSSIAN_CALIBRATIONS["zcdp-known"]
+        B = known.clip_bound(d, R, alpha)
+        _plant(monkeypatch, "zcdp-known",
+               sigma2=lambda d, alpha, n: (known.sensitivity(B, n) / eps) ** 2)
+        report = audit_zcdp_gaussian("zcdp-known", d, R, alpha, eps)
         assert report.verdict == "pass"
         assert report.measured_max_log_ratio == pytest.approx(eps**2 / 2, abs=1e-12)
 
-    def test_half_sigma_fails_every_order(self):
-        B, n, eps = 2.0, 10, 1.0
-        delta = 2.0 * B / n
-        params = ZcdpParams(
-            variant="known_cov", B=B, sigma2=(delta / (2 * eps)) ** 2, eps=eps, n=n
-        )
-        report = audit_zcdp_gaussian(params, [1.5, 2.0, 4.0, 16.0])
+    def test_half_sigma_fails_every_order(self, monkeypatch):
+        # rho = Delta^2 / (2 sigma^2) is the same at every Renyi order
+        cell = (2, 1.0, 0.1, 1.0)
+        honest = audit_zcdp_gaussian("zcdp-known", *cell)
+        _plant_half_sigma(monkeypatch, cell)
+        report = audit_zcdp_gaussian("zcdp-known", *cell)
         assert report.verdict == "fail"
-        rho = eps**2 / 2
-        assert all(v > rho for v in report.details["rho_per_order"].values())
+        assert report.measured_max_log_ratio == pytest.approx(
+            4.0 * honest.measured_max_log_ratio, rel=1e-12
+        )
 
-    def test_zero_sensitivity_trivially_passes(self):
-        params = ZcdpParams(variant="known_cov", B=2.0, sigma2=1e-12, eps=0.01, n=10)
-        report = audit_zcdp_gaussian(params, [2.0], delta_norm=0.0)
+    def test_zero_sensitivity_trivially_passes(self, monkeypatch):
+        _plant(monkeypatch, "zcdp-known", sensitivity=lambda B, n: 0.0)
+        report = audit_zcdp_gaussian("zcdp-known", 2, 2.0, 0.1, 0.01)
         assert report.verdict == "pass"
         assert report.measured_max_log_ratio == 0.0
 
     def test_bounded_cov_uses_direct_max_sensitivity(self):
-        params = ZcdpParams(variant="bounded_cov", B=1.0, sigma2=4.0, eps=1.0, n=9)
-        report = audit_zcdp_gaussian(params, [2.0])
+        report = audit_zcdp_gaussian("zcdp-bounded", 2, 1.0, 0.1, 1.0)
+        q = report.witness["n"] // 3
+        assert report.witness["n"] == 3 * q
         assert report.witness["sensitivity"] == pytest.approx(
-            2.0 * math.sqrt((1 - 1 / 3) / 6.0)
+            2.0 * report.witness["B"] * math.sqrt((1 - 1 / q) / (2.0 * q)), rel=1e-12
         )
+
+    @pytest.mark.parametrize("variant", ["pure", "known_cov"])
+    def test_refuses_non_zcdp_variants(self, variant):
+        with pytest.raises(ValidationError):
+            audit_zcdp_gaussian(variant, 2, 1.0, 0.1, 1.0)
 
 
 class TestReportSerialization:
@@ -403,9 +467,7 @@ class TestReportSerialization:
         for report in [
             audit_rr_local(3, 1.0),
             audit_subrr_pure(3, 3, 1.0),
-            audit_zcdp_gaussian(
-                ZcdpParams(variant="known_cov", B=1.0, sigma2=1.0, eps=1.0, n=10), [2.0]
-            ),
+            audit_zcdp_gaussian("zcdp-known", 2, 1.0, 0.1, 1.0),
         ]:
             payload = report_to_json(report)
             loaded = report_from_json(payload)

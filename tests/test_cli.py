@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from dpsampler.cli import ExperimentConfig, main, run, table_sweep
+from dpsampler.cli import _COMPLEXITY, _PARSER, ExperimentConfig, main, run, table_sweep
 from dpsampler.core import RandomSource, read_vector_csv, write_kary_csv, write_vector_csv
 import dpsampler.gaussian
 from dpsampler.errors import ConfigInvalid, ValidationError
 from dpsampler.gaussian import (
+    GAUSSIAN_CALIBRATIONS,
     PureGaussianSamplerParams,
     pure_gaussian_sample,
     zcdp_bounded_cov_sample,
@@ -157,7 +158,7 @@ class TestSampleGaussian:
         assert report["derived"]["B"] == pytest.approx(1 + 2 * math.sqrt(math.log(10)))
 
     def test_zcdp_variants(self, capsys, vector_file):
-        # d = 1, n = 300, R = 1, alpha = 0.1
+        # d = 1, n = 300, R = 1, alpha = 0.1; at eps = 2 the bounded sampler needs 120 rows
         expected = {
             "zcdp-known": (1 + math.sqrt(2 * (1 + math.log(10))), 299 / 300),
             "zcdp-bounded": (1 + math.sqrt(2 * math.log(20)), 0.1 / 4),
@@ -166,7 +167,7 @@ class TestSampleGaussian:
             code, stdout, _ = run_cli(
                 capsys,
                 ["sample-gaussian", "--variant", variant, "--in", str(vector_file),
-                 "--R", "1", "--alpha", "0.1", "--eps", "1", "--seed", "12"],
+                 "--R", "1", "--alpha", "0.1", "--eps", "2", "--seed", "12"],
             )
             assert code == 0
             derived = json.loads(stdout)["derived"]
@@ -175,7 +176,7 @@ class TestSampleGaussian:
 
     def test_once_mode_replays_library_calls(self, capsys, vector_file, tmp_path):
         data = read_vector_csv(vector_file)
-        R, alpha, eps, seed = 1.0, 0.1, 1.0, 15
+        R, alpha, eps, seed = 1.0, 0.1, 2.0, 15
         direct = {
             "pure": lambda rng: pure_gaussian_sample(
                 data, PureGaussianSamplerParams(R=R, d=1, alpha=alpha, eps=eps), rng
@@ -211,7 +212,7 @@ class TestSampleGaussian:
             code, _, _ = run_cli(
                 capsys,
                 ["sample-gaussian", "--variant", variant, "--count", "10",
-                 "--in", str(vector_file), "--R", "1", "--alpha", "0.1", "--eps", "1",
+                 "--in", str(vector_file), "--R", "1", "--alpha", "0.1", "--eps", "2",
                  "--seed", "17"],
             )
             assert code == 0
@@ -266,6 +267,29 @@ class TestSampleGaussian:
         )
         assert code == 1
         assert "row index 50" in err
+
+    def test_bounded_refuses_fewer_rows_than_its_calibration(self, capsys, vector_file, tmp_path):
+        # at eps = 1 the bounded sampler's noise is calibrated for 477 rows, not 300
+        out = tmp_path / "never.csv"
+        code, stdout, err = run_cli(
+            capsys,
+            ["sample-gaussian", "--variant", "zcdp-bounded", "--in", str(vector_file),
+             "--R", "1", "--alpha", "0.1", "--eps", "1", "--seed", "12", "--out", str(out)],
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "n >= 477" in err and "n=300" in err
+        assert not out.exists()
+
+    def test_variant_names_are_one_set(self):
+        commands = next(a for a in _PARSER._actions if a.dest == "command").choices
+
+        def variants(command):
+            return next(a.choices for a in commands[command]._actions if a.dest == "variant")
+
+        names = list(GAUSSIAN_CALIBRATIONS)
+        assert variants("sample-gaussian") == list(_COMPLEXITY["gaussian"]) == names
+        assert variants("audit") == [v for v in names if GAUSSIAN_CALIBRATIONS[v].zcdp]
 
     def test_multisampling_modes(self, capsys, vector_file):
         for variant in ("pure", "zcdp-known", "zcdp-bounded"):
@@ -352,12 +376,23 @@ class TestAuditCommand:
         assert code == 0
 
     def test_zcdp_audit(self, capsys):
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys,
-            ["audit", "--mechanism", "zcdp", "--variant", "known_cov", "--B", "1.0",
-             "--sigma2", "1.0", "--eps", "1.0", "--n", "10", "--orders", "1.5,2,4"],
+            ["audit", "--mechanism", "zcdp", "--variant", "zcdp-known", "--dim", "2",
+             "--R", "1", "--alpha", "0.1", "--eps", "1"],
         )
         assert code == 0
+        assert json.loads(out)["outputs"]["report"]["witness"]["n"] == 9
+
+    def test_zcdp_bounded_audit_fails_at_its_own_n(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["audit", "--mechanism", "zcdp", "--variant", "zcdp-bounded", "--dim", "2",
+             "--R", "1", "--alpha", "0.1", "--eps", "1"],
+        )
+        assert code == 2
+        details = json.loads(out)["derived"]
+        assert 5.8 < details["measured"] / details["bound"] < 6.0
 
 
 class TestSweep:
@@ -455,9 +490,14 @@ class TestRejectedParameters:
          "--seed", "9", "--runs", "0"],
         ["--mechanism", "elap", "--dim", "2", "--B", "1.0", "--eps", "1.0", "--seed", "13",
          "--probes", "0"],
-        ["--mechanism", "zcdp", "--variant", "bounded_cov", "--B", "1.0", "--sigma2", "4.0",
-         "--eps", "1.0", "--n", "10"],
-    ], ids=["runs-0", "probes-0", "bounded-cov-n10"])
+        ["--mechanism", "elap", "--dim", "0", "--B", "1.0", "--eps", "1.0", "--seed", "13"],
+        ["--mechanism", "zcdp", "--variant", "pure", "--dim", "2", "--R", "1", "--alpha", "0.1",
+         "--eps", "1"],
+        ["--mechanism", "zcdp", "--variant", "zcdp-known", "--dim", "2", "--R", "1",
+         "--alpha", "0.1", "--eps", "inf"],
+        ["--mechanism", "rr", "--k", "3", "--eps0", "inf"],
+    ], ids=["runs-0", "probes-0", "elap-dim-0", "zcdp-pure-variant", "zcdp-eps-inf",
+            "rr-eps0-inf"])
     def test_audit_exits_one(self, capsys, argv):
         assert exit_code(["audit"] + argv) == 1
 
@@ -497,16 +537,45 @@ class TestRejectedParameters:
     def test_bounded_cov_audit_splits_n_by_three(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            ["audit", "--mechanism", "zcdp", "--variant", "bounded_cov", "--B", "1.0",
-             "--sigma2", "4.0", "--eps", "1.0", "--n", "9"],
+            ["audit", "--mechanism", "zcdp", "--variant", "zcdp-bounded", "--dim", "1",
+             "--R", "1", "--alpha", "0.1", "--eps", "1"],
         )
-        assert code == 0
-        report = json.loads(out)
-        assert report["outputs"]["report"]["witness"]["sensitivity"] == pytest.approx(
-            2.0 * math.sqrt((1 - 1 / 3) / 6.0)
+        assert code == 2
+        witness = json.loads(out)["outputs"]["report"]["witness"]
+        assert witness["n"] == 477
+        assert witness["sensitivity"] == pytest.approx(
+            2.0 * witness["B"] * math.sqrt((1 - 1 / 159) / (2 * 159)), rel=1e-12
         )
-        # argparse owns the defaults, and the report echoes the values used
-        assert report["config"]["params"]["orders"] == [1.5, 2.0, 4.0, 16.0]
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_elap_count_below_one_exits_one(self, capsys, tmp_path, count):
+        out = tmp_path / "never.csv"
+        code, stdout, err = run_cli(
+            capsys,
+            ["elap", "--dim", "2", "--scale", "1", "--count", count, "--seed", "1",
+             "--out", str(out)],
+        )
+        assert code == 1
+        assert stdout == ""
+        assert f"--count must be >= 1, got {count}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample-kary", "--mode", "sub", "--eps", "inf", "--seed", "1"],
+        ["sample-kary", "--mode", "shuffle", "--eps", "inf", "--delta", "0.5", "--m", "5",
+         "--seed", "1"],
+        ["complexity", "--family", "kary", "--task", "single", "--k", "3", "--alpha", "0.1",
+         "--eps", "inf"],
+        ["complexity", "--family", "kary", "--task", "weak", "--k", "3", "--alpha", "0.1",
+         "--eps", "inf", "--delta", "1e-6", "--m", "5"],
+    ], ids=["sub", "shuffle", "complexity-single", "complexity-weak"])
+    def test_kary_infinite_eps_exits_one(self, capsys, kary_file, argv):
+        if argv[0] == "sample-kary":
+            argv = argv + ["--in", str(kary_file)]
+        code, stdout, err = run_cli(capsys, argv)
+        assert code == 1
+        assert stdout == ""
+        assert "eps must be finite and positive, got inf" in err
 
 
 class TestRunReportRoundTrip:
@@ -570,8 +639,8 @@ class TestRunReportRoundTrip:
         calls = [
             ["sample-kary", "--mode", "shuffle", "--in", str(kary_file),
              "--eps", "300", "--delta", "0.5", "--m", "20", "--seed", "21"],
-            ["audit", "--mechanism", "zcdp", "--variant", "known_cov", "--B", "1.0",
-             "--sigma2", "1.0", "--eps", "1.0", "--n", "10"],
+            ["audit", "--mechanism", "zcdp", "--variant", "zcdp-known", "--dim", "2",
+             "--R", "1", "--alpha", "0.1", "--eps", "1"],
         ]
 
         def reports(order):

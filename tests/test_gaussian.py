@@ -12,19 +12,18 @@ import scipy.stats
 from helpers import ks_critical, ks_statistic
 
 import dpsampler.gaussian
+from dpsampler.audit import audit_elap_mechanism
 from dpsampler.core import RandomSource, VectorDataset
-from dpsampler.elap import GammaParams, gamma_exact_tail
-from dpsampler.errors import BadSplit, NormViolation, TooFewSamples, ValidationError
+from dpsampler.elap import ELapParams, GammaParams, elap_sample, gamma_exact_tail
+from dpsampler.errors import BadSplit, TooFewSamples, ValidationError
 from dpsampler.gaussian import (
-    ELapMechanismParams,
+    GAUSSIAN_CALIBRATIONS,
     PureGaussianSamplerParams,
-    ZcdpParams,
     _STATS,
     _clip_rows,
     bounded_cov_clip_bound,
-    bounded_cov_sensitivity,
     bounded_cov_sigma2,
-    elap_mechanism,
+    gaussian_calibration,
     gaussian_mech_renyi,
     known_cov_clip_bound,
     pure_gaussian_sample,
@@ -70,25 +69,17 @@ class TestClipToBall:
 
 
 class TestElapMechanism:
-    def test_norm_violation(self):
-        data = VectorDataset(rows=[[3.0, 0.0]])
-        with pytest.raises(NormViolation):
-            elap_mechanism(data, ELapMechanismParams(B=2.0, eps=1.0), RandomSource(1))
+    """The pure sampler's privacy noise: ELap at the pure entry's scale b = B/eps."""
 
     def test_vanishing_noise_limit(self):
-        gen = np.random.default_rng(62)
-        rows = gen.standard_normal((20, 3))
-        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)  # norms exactly 1
-        data = VectorDataset(rows=rows)
-        out = elap_mechanism(data, ELapMechanismParams(B=1.0, eps=1e9), RandomSource(2))
-        assert np.linalg.norm(out - rows.sum(axis=0)) < 1e-6
+        b = GAUSSIAN_CALIBRATIONS["pure"].elap_scale(1.0, 1e9)
+        noise = elap_sample(ELapParams(d=3, b=b), RandomSource(2))
+        assert np.linalg.norm(noise) < 1e-6
 
     def test_noise_norm_is_gamma(self):
         d, B, eps = 3, 2.0, 1.0
-        data = VectorDataset(rows=np.zeros((1, d)))
-        params = ELapMechanismParams(B=B, eps=eps)
-        rng = RandomSource(63)
-        outs = np.array([elap_mechanism(data, params, rng) for _ in range(100_000)])
+        b = GAUSSIAN_CALIBRATIONS["pure"].elap_scale(B, eps)
+        outs = elap_sample(ELapParams(d=d, b=b), RandomSource(63), size=100_000)
         norms = np.linalg.norm(outs, axis=1)
         gamma = GammaParams(shape=float(d), rate=eps / B)
         stat = ks_statistic(norms, lambda xs: 1.0 - gamma_exact_tail(gamma, xs))
@@ -114,10 +105,6 @@ class TestElapMechanism:
             ) / b
             bound = eps * np.linalg.norm(sum_a - sum_b) / B
             assert np.abs(ratios).max() <= bound + 1e-9
-
-    def test_sensitivity_multiplier_scales_b(self):
-        params = ELapMechanismParams(B=2.0, eps=1.0, sensitivity_multiplier=2.0)
-        assert params.b == 4.0
 
 
 class TestPureGaussianSampler:
@@ -285,7 +272,7 @@ class TestZcdpBoundedCov:
     def test_realized_sensitivity_below_direct_max(self):
         gen = np.random.default_rng(75)
         q, d, B = 3, 2, 1.5
-        bound = bounded_cov_sensitivity(q, q, B)
+        bound = GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sensitivity(B, 3 * q)
 
         def statistic(rows):
             clipped = _clip_rows(rows, B)
@@ -355,11 +342,11 @@ class TestClippedStatMemo:
             B = PureGaussianSamplerParams(R=1.0, d=2, alpha=alpha, eps=1.0).B
             assert np.array_equal(stats[("pure", B)], _clip_rows(data.rows, B).sum(axis=0))
             B = known_cov_clip_bound(2, 1.0, alpha)
-            assert np.array_equal(stats[("known", B)], _clip_rows(data.rows, B).mean(axis=0))
+            assert np.array_equal(stats[("zcdp-known", B)], _clip_rows(data.rows, B).mean(axis=0))
             B = bounded_cov_clip_bound(2, 1.0, alpha)
             clipped = _clip_rows(data.rows, B)
             pairs = clipped[10:].reshape(10, 2, 2)
-            mean_part, diff_part = stats[("bounded", B)]
+            mean_part, diff_part = stats[("zcdp-bounded", B)]
             assert np.array_equal(mean_part, clipped[:10].sum(axis=0) / 10)
             assert np.array_equal(
                 diff_part,
@@ -431,7 +418,7 @@ class TestZcdpValidation:
     @pytest.mark.parametrize("B", [-1.0, 0.0, math.nan, math.inf])
     def test_bounded_sensitivity_refuses_bad_B(self, B):
         with pytest.raises(ValidationError):
-            bounded_cov_sensitivity(3, 3, B)
+            GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sensitivity(B, 9)
 
     @pytest.mark.parametrize("clip_bound", [known_cov_clip_bound, bounded_cov_clip_bound])
     @pytest.mark.parametrize("d, R", [(0, 1.0), (2, -10.0), (2, 0.0), (2, math.nan), (2, math.inf)])
@@ -459,11 +446,11 @@ class TestNonFiniteParameters:
             PureGaussianSamplerParams(**kwargs)
 
     @pytest.mark.parametrize("value", BAD)
-    @pytest.mark.parametrize("name", ["B", "eps", "sensitivity_multiplier"])
+    @pytest.mark.parametrize("name", ["B", "eps"])
     def test_elap_mechanism_params(self, name, value):
         kwargs = {"B": 1.0, "eps": 1.0, name: value}
         with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
-            ELapMechanismParams(**kwargs)
+            audit_elap_mechanism(2, probes=1000, rng=RandomSource(0), **kwargs)
 
     @pytest.mark.parametrize("complexity", [
         pure_sample_complexity, zcdp_known_cov_complexity, zcdp_bounded_cov_complexity,
@@ -479,22 +466,28 @@ class TestNonFiniteParameters:
             pure_sample_complexity(2, 1.0, 0.1, 1.0, C=C)
 
 
-class TestZcdpParams:
-    def test_structure_validation(self):
-        ZcdpParams(variant="known_cov", B=1.0, sigma2=0.5, eps=1.0, n=10)
-        ZcdpParams(variant="bounded_cov", B=1.0, sigma2=0.5, eps=1.0, n=9)
-        with pytest.raises(ValidationError):
-            ZcdpParams(variant="other", B=1.0, sigma2=0.5, eps=1.0, n=10)
-        with pytest.raises(BadSplit):
-            ZcdpParams(variant="bounded_cov", B=1.0, sigma2=0.5, eps=1.0, n=10)
-
-    def test_sensitivities(self):
-        known = ZcdpParams(variant="known_cov", B=2.0, sigma2=0.5, eps=1.0, n=10)
-        assert known.sensitivity() == pytest.approx(0.4)
-        bounded = ZcdpParams(variant="bounded_cov", B=2.0, sigma2=0.5, eps=1.0, n=9)
-        assert bounded.sensitivity() == pytest.approx(
+class TestCalibrationTable:
+    def test_zcdp_sensitivities(self):
+        assert GAUSSIAN_CALIBRATIONS["zcdp-known"].sensitivity(2.0, 10) == pytest.approx(0.4)
+        assert GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sensitivity(2.0, 9) == pytest.approx(
             2.0 * 2.0 * math.sqrt((1 - 1 / 3) / 6.0)
         )
+        with pytest.raises(BadSplit):
+            GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sensitivity(2.0, 10)
+
+    def test_bounded_rows_round_up_to_the_split(self):
+        bounded = GAUSSIAN_CALIBRATIONS["zcdp-bounded"]
+        assert [bounded.rows(n) for n in (3, 4, 5, 6, 477)] == [3, 6, 6, 6, 477]
+
+    def test_pure_entry_reads_the_clip_constant(self):
+        params = PureGaussianSamplerParams(R=1.0, d=3, alpha=0.1, eps=0.5, c=1.5)
+        assert GAUSSIAN_CALIBRATIONS["pure"].clip_bound(3, 1.0, 0.1, c=1.5) == params.B
+        assert [v for v, cal in GAUSSIAN_CALIBRATIONS.items() if cal.zcdp] == [
+            "zcdp-known", "zcdp-bounded"]
+
+    def test_unknown_variant_refused(self):
+        with pytest.raises(ValidationError, match="unknown Gaussian variant 'known_cov'"):
+            gaussian_calibration("known_cov")
 
 
 class TestGaussianMechRenyi:

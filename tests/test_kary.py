@@ -332,3 +332,24 @@ class TestShuRRComplexity:
     def test_precision_limit(self):
         with pytest.raises(PrecisionLimit):
             shurr_strong_complexity(10, 1e-9, 0.5, 1e-6, 10**7)
+
+
+class TestNonFiniteBudgets:
+    """An infinite budget would keep every record, so each k-ary entry point refuses it."""
+
+    @pytest.mark.parametrize("eps0", [math.inf, math.nan])
+    def test_rr_params_refuse_non_finite_eps0(self, eps0):
+        with pytest.raises(ValidationError, match="^eps0 must be finite and nonnegative"):
+            RRParams(eps0=eps0, k=2)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("calculate", [
+        lambda eps: subrr_eps0(eps, 100),
+        shurr_f,
+        lambda eps: subrr_sample_complexity(3, 0.1, eps),
+        lambda eps: shurr_weak_complexity(3, 0.1, eps, 1e-6, 5),
+        lambda eps: shurr_eps0(eps, 1e-6, 10**6),
+    ], ids=["subrr_eps0", "shurr_f", "subrr_complexity", "shurr_weak_complexity", "shurr_eps0"])
+    def test_budget_calculators_refuse_bad_eps(self, calculate, eps):
+        with pytest.raises(ValidationError, match="^eps must be finite and positive"):
+            calculate(eps)

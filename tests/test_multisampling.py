@@ -8,7 +8,8 @@ import scipy.stats
 from helpers import chi2_statistic
 
 from dpsampler.core import KaryDataset, RandomSource, VectorDataset
-from dpsampler.errors import InsufficientData, PrecisionLimit
+from dpsampler.errors import InsufficientData, PrecisionLimit, TooFewSamples
+from dpsampler.gaussian import bounded_cov_clip_bound, bounded_cov_sigma2, zcdp_bounded_cov_sample
 from dpsampler.kary import (
     shurr_strong_complexity,
     subrr_exact_output_dist,
@@ -208,3 +209,17 @@ class TestGaussianFactories:
         spec = zcdp_bounded_cov_sampler(d=2, R=1.0, eps=1.0, alpha=0.2)
         for alpha in (0.2, 0.1, 0.05):
             assert spec.n_per_call(alpha) % 3 == 0
+
+    def test_zcdp_bounded_run_refuses_fewer_rows_than_n_per_call(self):
+        spec = zcdp_bounded_cov_sampler(d=2, R=1.0, eps=1.0, alpha=0.1)
+        needed = spec.n_per_call(0.1)
+        gen = np.random.default_rng(45)
+        short = VectorDataset(rows=gen.normal(size=(needed - 3, 2)))
+        with pytest.raises(TooFewSamples, match=f"n >= {needed} rows; got n={needed - 3}"):
+            spec.run(short, 0.1, RandomSource(46))
+        # at its own n, a call draws what the sampler draws from the entry's B and sigma2
+        data = VectorDataset(rows=gen.normal(size=(needed, 2)))
+        direct = zcdp_bounded_cov_sample(
+            data, bounded_cov_clip_bound(2, 1.0, 0.1), bounded_cov_sigma2(2, 0.1), RandomSource(47)
+        )
+        assert np.array_equal(spec.run(data, 0.1, RandomSource(47)), direct)
