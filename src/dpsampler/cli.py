@@ -271,9 +271,31 @@ def _run_tvdist(config: ExperimentConfig):
     return {"report": asdict(estimate)}, asdict(estimate), 0
 
 
+# mechanism -> the audit flags it reads (by parameter name); any other given
+# flag exits 1.  --runs counts as given only when it differs from its default.
+_AUDIT_FLAGS = {
+    "rr": ("k", "eps0", "claimed_eps"),
+    "subrr": ("k", "n", "eps", "claimed_eps"),
+    "shurr": ("k", "n", "eps", "delta", "runs", "eps0"),
+    "elap": ("dim", "B", "eps"),
+    "zcdp": ("variant", "dim", "R", "alpha", "eps"),
+}
+_AUDIT_DEFAULTS = {"runs": 10**4}
+
+
 def _run_audit(config: ExperimentConfig):
     params = config.params
     (mechanism,) = _need(params, "mechanism")
+    if mechanism not in _AUDIT_FLAGS:
+        raise ConfigInvalid(f"unknown audit mechanism {mechanism!r}")
+    unread = [
+        "--" + name.replace("_", "-")
+        for name, value in params.items()
+        if name != "mechanism" and name not in _AUDIT_FLAGS[mechanism]
+        and value is not None and value != _AUDIT_DEFAULTS.get(name)
+    ]
+    if unread:
+        raise ConfigInvalid(f"audit --mechanism {mechanism} does not read {', '.join(unread)}")
     if mechanism == "rr":
         (k, eps0) = _need(params, "k", "eps0")
         report = audit_rr_local(int(k), eps0, claimed_eps=params.get("claimed_eps"))
@@ -286,13 +308,11 @@ def _run_audit(config: ExperimentConfig):
             int(k), int(n), eps, delta, int(runs), _rng(config), eps0=params.get("eps0")
         )
     elif mechanism == "elap":
-        (d, B, eps, probes) = _need(params, "dim", "B", "eps", "probes")
-        report = audit_elap_mechanism(int(d), B, eps, int(probes), _rng(config))
-    elif mechanism == "zcdp":
+        (d, B, eps) = _need(params, "dim", "B", "eps")
+        report = audit_elap_mechanism(int(d), B, eps, None, _rng(config))
+    else:
         (variant, d, R, alpha, eps) = _need(params, "variant", "dim", "R", "alpha", "eps")
         report = audit_zcdp_gaussian(variant, int(d), R, alpha, eps)
-    else:
-        raise ConfigInvalid(f"unknown audit mechanism {mechanism!r}")
 
     if report.verdict == "pass":
         code = 0
@@ -454,8 +474,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--variant", default=None,
                    choices=[v for v, cal in GAUSSIAN_CALIBRATIONS.items() if cal.zcdp])
-    p.add_argument("--runs", type=int, default=10**4)
-    p.add_argument("--probes", type=int, default=10**4)
+    p.add_argument("--runs", type=int, default=_AUDIT_DEFAULTS["runs"])
     common(p, seed_required=False)
 
     p = sub.add_parser("sweep", help="complexity tables over a parameter grid")

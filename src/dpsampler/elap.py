@@ -116,8 +116,8 @@ def _erlang_log_tail_terms(k: int, x: np.ndarray) -> np.ndarray:
 
 
 def _erlang_tail(k: int, x: np.ndarray) -> np.ndarray:
-    # Pr(X > x) for X ~ Gamma(k, 1), integer k: Poisson sum in log space
-    x = np.asarray(x, dtype=np.float64)
+    # Pr(X > x) for X ~ Gamma(k, 1), integer k: Poisson sum in log space;
+    # x is gamma_exact_tail's float64 array
     out = np.ones_like(x)
     pos = x > 0
     if np.any(pos):

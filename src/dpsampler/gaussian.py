@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import RandomSource, VectorDataset, _check_finite_positive, _row_norms
 from .elap import ELapParams, elap_sample
-from .errors import BadSplit, InvalidAlpha, InvalidOrder, TooFewSamples, ValidationError
+from .errors import BadSplit, InvalidAlpha, TooFewSamples, ValidationError
 from .kary import ComplexityReport, _tolerant_ceil
 
 
@@ -290,17 +290,6 @@ def zcdp_bounded_cov_complexity(d: int, R: float, alpha: float, eps: float) -> C
         formula_name="gaussian_zcdp_bounded",
         inputs={"d": d, "R": R, "alpha": alpha, "eps": eps, "B": B},
     )
-
-
-def gaussian_mech_renyi(delta_norm: float, sigma: float, order: float) -> float:
-    """Renyi divergence order * delta_norm^2 / (2 * sigma^2) of a shifted Gaussian."""
-    if delta_norm < 0:
-        raise ValidationError(f"delta_norm must be nonnegative, got {delta_norm}")
-    if not sigma > 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    if not order > 1:
-        raise InvalidOrder(f"order must be > 1, got {order}")
-    return order * delta_norm * delta_norm / (2.0 * sigma * sigma)
 
 
 # --- calibration table ----------------------------------------------------------

@@ -23,6 +23,7 @@ from dpsampler.divergences import (
     eps_delta_closeness,
     hockey_stick_finite,
 )
+from dpsampler.elap import ELapParams, elap_sample
 from dpsampler.errors import (
     EnumerationTooLarge,
     InsufficientSamples,
@@ -313,7 +314,89 @@ class TestAuditShuRRMarginal:
             )
 
 
+def _elap_probe_search(d, B, eps, probes, rng, differing_rows=None):
+    """Reference: the 0.3.0 audit's probe search for the largest |log ratio|.
+
+    Half the probes come from the mechanism's own output law around S, half
+    lie on the line through S' and S, extended by 3b on both sides.  Draws the
+    same sums as ``audit_elap_mechanism`` at the same rng.
+    """
+    b = B / eps
+    gen = rng.generator
+
+    def random_in_ball():
+        vec = gen.standard_normal(d)
+        return vec * (B * gen.random() ** (1.0 / d) / np.linalg.norm(vec))
+
+    shared = [random_in_ball() for _ in range(3)]
+    if differing_rows is None:
+        differing_rows = (random_in_ball(), random_in_ball())
+    base = np.sum(shared, axis=0)
+    sum_a = base + np.asarray(differing_rows[0], dtype=np.float64)
+    sum_b = base + np.asarray(differing_rows[1], dtype=np.float64)
+    shift = sum_a - sum_b
+    shift_norm = float(np.linalg.norm(shift))
+    half = probes // 2
+    from_law = elap_sample(ELapParams(d=d, b=b), rng, size=half) + sum_a
+    direction = shift / shift_norm if shift_norm > 0 else np.eye(d)[0]
+    ts = np.linspace(-3.0 * b, shift_norm + 3.0 * b, probes - half)
+    on_segment = sum_b[None, :] + ts[:, None] * direction[None, :]
+    points = np.vstack([from_law, on_segment])
+    ratios = (
+        np.linalg.norm(points - sum_b, axis=1) - np.linalg.norm(points - sum_a, axis=1)
+    ) / b
+    return float(np.abs(ratios).max())
+
+
+def _elap_pairs(d, B):
+    """Differing-row pairs: random (None), antipodal, equal and collinear."""
+    e1 = np.eye(d)[0]
+    u = np.ones(d) / math.sqrt(d)
+    return {
+        "random": None,
+        "antipodal": (B * e1, -B * e1),
+        "equal": (0.5 * B * u, 0.5 * B * u),
+        "collinear": (0.25 * B * u, 0.75 * B * u),
+    }
+
+
 class TestAuditElapMechanism:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_closed_form_matches_probe_search_reference(self, d):
+        B, eps = 1.5, 0.8
+        for pair, rows in _elap_pairs(d, B).items():
+            for seed in range(5):
+                report = audit_elap_mechanism(
+                    d, B, eps, None, RandomSource(300 + seed), differing_rows=rows
+                )
+                reference = _elap_probe_search(
+                    d, B, eps, 2_000, RandomSource(300 + seed), differing_rows=rows
+                )
+                measured = report.measured_max_log_ratio
+                case = (d, pair, seed)
+                # no probe can beat the closed form, and the segment probes beyond
+                # S reach it up to rounding
+                assert measured >= reference - 1e-12, case
+                assert measured == pytest.approx(reference, rel=1e-9, abs=1e-12), case
+                bound = report.details["shift_norm"] / report.details["scale"]
+                assert measured == pytest.approx(bound, rel=1e-12, abs=1e-15), case
+                assert report.details["bound"] == bound
+                assert report.witness["argmax_point"] == report.witness["sum_a"]
+                assert report.probe_count == 1
+                assert report.verdict == "pass"
+
+    @pytest.mark.parametrize("given_pair", [False, True])
+    def test_draws_only_the_ball_rows(self, given_pair):
+        d, seed = 3, 77
+        rows = _elap_pairs(d, 1.0)["antipodal"] if given_pair else None
+        rng = RandomSource(seed)
+        audit_elap_mechanism(d, 1.0, 1.0, 10**5, rng, differing_rows=rows)
+        replay = RandomSource(seed).generator
+        for _ in range(3 if given_pair else 5):
+            replay.standard_normal(d)
+            replay.random()
+        assert rng.generator.bit_generator.state == replay.bit_generator.state
+
     def test_equal_sums_give_zero(self):
         row = np.array([0.5, 0.0])
         report = audit_elap_mechanism(
@@ -330,7 +413,7 @@ class TestAuditElapMechanism:
             differing_rows=(np.zeros(d), np.array([B, 0.0])),
         )
         assert report.details["shift_norm"] == pytest.approx(B, rel=1e-12)
-        # segment probes include points beyond S where the ratio is extremal
+        # the ratio peaks at y = S, where it equals ||S - S'||/b = eps
         assert report.measured_max_log_ratio == pytest.approx(eps, rel=1e-9)
         assert report.verdict == "pass"
         assert not report.advisory

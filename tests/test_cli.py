@@ -499,7 +499,47 @@ class TestRejectedParameters:
     ], ids=["runs-0", "probes-0", "elap-dim-0", "zcdp-pure-variant", "zcdp-eps-inf",
             "rr-eps0-inf"])
     def test_audit_exits_one(self, capsys, argv):
+        # --probes is retired, so "probes-0" is now an unrecognized argument
         assert exit_code(["audit"] + argv) == 1
+
+    def test_probes_flag_is_a_usage_error(self, capsys):
+        code = exit_code(["audit", "--mechanism", "elap", "--dim", "2", "--B", "1.0",
+                          "--eps", "1.0", "--seed", "13", "--probes", "10000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "unrecognized arguments: --probes 10000" in captured.err
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["--mechanism", "zcdp", "--variant", "zcdp-known", "--dim", "2", "--R", "1",
+          "--alpha", "0.1", "--eps", "1", "--n", "10", "--B", "5"], "--n, --B"),
+        (["--mechanism", "rr", "--k", "3", "--eps0", "1", "--dim", "7"], "--dim"),
+        (["--mechanism", "rr", "--k", "3", "--eps0", "1", "--runs", "20000"], "--runs"),
+        (["--mechanism", "subrr", "--k", "2", "--n", "2", "--eps", "1", "--eps0", "1"],
+         "--eps0"),
+        (["--mechanism", "shurr", "--k", "2", "--n", "10", "--eps", "0.05",
+          "--delta", "0.001", "--seed", "9", "--claimed-eps", "1"], "--claimed-eps"),
+        (["--mechanism", "elap", "--dim", "2", "--B", "1", "--eps", "1", "--seed", "13",
+          "--R", "1", "--alpha", "0.1"], "--R, --alpha"),
+    ], ids=["zcdp-n-B", "rr-dim", "rr-runs", "subrr-eps0", "shurr-claimed-eps", "elap-R-alpha"])
+    def test_audit_flags_the_mechanism_does_not_read_exit_one(self, capsys, argv, unread):
+        code, out, err = run_cli(capsys, ["audit"] + argv)
+        assert code == 1
+        assert out == ""
+        mechanism = argv[1]
+        assert err == f"error: audit --mechanism {mechanism} does not read {unread}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--mechanism", "rr", "--k", "3", "--eps0", "1"],
+        ["--mechanism", "shurr", "--k", "2", "--n", "2301", "--eps", "4.0", "--delta", "0.01",
+         "--seed", "9"],
+    ], ids=["rr", "shurr"])
+    def test_audit_echoes_the_default_runs(self, capsys, argv):
+        code, out, _ = run_cli(capsys, ["audit"] + argv)
+        assert code == 0
+        params = json.loads(out)["config"]["params"]
+        assert params["runs"] == 10**4
+        assert "probes" not in params
 
     @pytest.mark.parametrize("argv", [
         ["--family", "gaussian", "--task", "zcdp-known", "--dim", "2", "--R", "1",

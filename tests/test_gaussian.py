@@ -12,7 +12,7 @@ import scipy.stats
 from helpers import ks_critical, ks_statistic
 
 import dpsampler.gaussian
-from dpsampler.audit import audit_elap_mechanism
+from dpsampler.audit import audit_elap_mechanism, audit_zcdp_gaussian
 from dpsampler.core import RandomSource, VectorDataset
 from dpsampler.elap import ELapParams, GammaParams, elap_sample, gamma_exact_tail
 from dpsampler.errors import BadSplit, TooFewSamples, ValidationError
@@ -24,7 +24,6 @@ from dpsampler.gaussian import (
     bounded_cov_clip_bound,
     bounded_cov_sigma2,
     gaussian_calibration,
-    gaussian_mech_renyi,
     known_cov_clip_bound,
     pure_gaussian_sample,
     pure_sample_complexity,
@@ -177,11 +176,14 @@ class TestPureComplexity:
 class TestZcdpKnownCov:
     def test_renyi_bound_at_complexity(self):
         for d, R, alpha, eps in [(1, 1.0, 0.1, 1.0), (4, 2.0, 0.05, 0.5), (16, 1.0, 0.01, 2.0)]:
-            n = zcdp_known_cov_complexity(d, R, alpha, eps).n_required
-            B = known_cov_clip_bound(d, R, alpha)
-            sigma = math.sqrt((n - 1) / n)
+            report = audit_zcdp_gaussian("zcdp-known", d, R, alpha, eps)
+            assert report.verdict == "pass", (d, R, alpha, eps)
+            assert report.witness["n"] == zcdp_known_cov_complexity(d, R, alpha, eps).n_required
             for order in (1.5, 2.0, 4.0, 16.0):
-                assert gaussian_mech_renyi(2.0 * B / n, sigma, order) <= order * eps**2 / 2 + 1e-12
+                divergence = _gaussian_renyi(
+                    report.witness["sensitivity"], report.witness["sigma"], order
+                )
+                assert divergence <= order * eps**2 / 2 + 1e-12
 
     def test_too_few_samples(self):
         data = VectorDataset(rows=np.zeros((3, 1)))
@@ -490,17 +492,25 @@ class TestCalibrationTable:
             gaussian_calibration("known_cov")
 
 
+def _gaussian_renyi(delta_norm: float, sigma: float, order: float) -> float:
+    """Reference: Renyi divergence order * delta_norm^2 / (2 sigma^2) of a shifted Gaussian.
+
+    The zCDP audit states rho = Delta^2 / (2 sigma^2), this divergence per unit order.
+    """
+    return order * delta_norm * delta_norm / (2.0 * sigma * sigma)
+
+
 class TestGaussianMechRenyi:
     def test_zero_shift(self):
         for order in (1.5, 2.0, 8.0):
-            assert gaussian_mech_renyi(0.0, 1.0, order) == 0.0
+            assert _gaussian_renyi(0.0, 1.0, order) == 0.0
 
     def test_unit_case(self):
-        assert gaussian_mech_renyi(1.0, 1.0, 2.0) == pytest.approx(1.0, abs=1e-15)
+        assert _gaussian_renyi(1.0, 1.0, 2.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_in_order(self):
-        v2 = gaussian_mech_renyi(0.7, 1.3, 2.0)
-        v4 = gaussian_mech_renyi(0.7, 1.3, 4.0)
+        v2 = _gaussian_renyi(0.7, 1.3, 2.0)
+        v4 = _gaussian_renyi(0.7, 1.3, 4.0)
         assert v4 == pytest.approx(2.0 * v2, rel=1e-12)
 
     def test_matches_numerical_integration(self):
@@ -516,4 +526,13 @@ class TestGaussianMechRenyi:
 
         total, _ = scipy.integrate.quad(integrand, -40, 40)
         numeric = math.log(total) / (order - 1)
-        assert gaussian_mech_renyi(delta, sigma, order) == pytest.approx(numeric, rel=1e-8)
+        assert _gaussian_renyi(delta, sigma, order) == pytest.approx(numeric, rel=1e-8)
+
+    @pytest.mark.parametrize("variant", ["zcdp-known", "zcdp-bounded"])
+    def test_audit_rho_is_the_divergence_per_unit_order(self, variant):
+        report = audit_zcdp_gaussian(variant, 2, 1.0, 0.1, 1.0)
+        for order in (1.5, 2.0, 16.0):
+            divergence = _gaussian_renyi(
+                report.witness["sensitivity"], report.witness["sigma"], order
+            )
+            assert report.measured_max_log_ratio == pytest.approx(divergence / order, rel=1e-12)
