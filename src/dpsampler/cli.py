@@ -4,8 +4,8 @@ Subcommands: ``sample-kary``, ``sample-gaussian``, ``elap``, ``complexity``,
 ``tvdist``, ``audit``, ``sweep``.  Every randomized command requires an
 explicit ``--seed``; every run emits a JSON RunReport on stdout echoing the
 config and all derived parameters, so any artifact can be regenerated from
-its report.  Exit codes: 0 success/pass, 1 usage or data error, 2 binding
-audit failure, 3 advisory audit failure.
+its report.  Exit codes: 0 success/pass, 1 usage or data error, 2 audit
+failure.
 """
 
 from __future__ import annotations
@@ -272,15 +272,14 @@ def _run_tvdist(config: ExperimentConfig):
 
 
 # mechanism -> the audit flags it reads (by parameter name); any other given
-# flag exits 1.  --runs counts as given only when it differs from its default.
+# flag exits 1.  Only the ELap audit draws random numbers, so only it reads --seed.
 _AUDIT_FLAGS = {
     "rr": ("k", "eps0", "claimed_eps"),
     "subrr": ("k", "n", "eps", "claimed_eps"),
-    "shurr": ("k", "n", "eps", "delta", "runs", "eps0"),
-    "elap": ("dim", "B", "eps"),
+    "shurr": ("k", "n", "eps", "delta", "eps0"),
+    "elap": ("dim", "B", "eps", "seed"),
     "zcdp": ("variant", "dim", "R", "alpha", "eps"),
 }
-_AUDIT_DEFAULTS = {"runs": 10**4}
 
 
 def _run_audit(config: ExperimentConfig):
@@ -290,9 +289,8 @@ def _run_audit(config: ExperimentConfig):
         raise ConfigInvalid(f"unknown audit mechanism {mechanism!r}")
     unread = [
         "--" + name.replace("_", "-")
-        for name, value in params.items()
-        if name != "mechanism" and name not in _AUDIT_FLAGS[mechanism]
-        and value is not None and value != _AUDIT_DEFAULTS.get(name)
+        for name, value in dict(params, seed=config.seed).items()
+        if name != "mechanism" and name not in _AUDIT_FLAGS[mechanism] and value is not None
     ]
     if unread:
         raise ConfigInvalid(f"audit --mechanism {mechanism} does not read {', '.join(unread)}")
@@ -303,9 +301,9 @@ def _run_audit(config: ExperimentConfig):
         (k, n, eps) = _need(params, "k", "n", "eps")
         report = audit_subrr_pure(int(k), int(n), eps, claimed_eps=params.get("claimed_eps"))
     elif mechanism == "shurr":
-        (k, n, eps, delta, runs) = _need(params, "k", "n", "eps", "delta", "runs")
+        (k, n, eps, delta) = _need(params, "k", "n", "eps", "delta")
         report = audit_shurr_marginal(
-            int(k), int(n), eps, delta, int(runs), _rng(config), eps0=params.get("eps0")
+            int(k), int(n), eps, delta, None, None, eps0=params.get("eps0")
         )
     elif mechanism == "elap":
         (d, B, eps) = _need(params, "dim", "B", "eps")
@@ -314,10 +312,7 @@ def _run_audit(config: ExperimentConfig):
         (variant, d, R, alpha, eps) = _need(params, "variant", "dim", "R", "alpha", "eps")
         report = audit_zcdp_gaussian(variant, int(d), R, alpha, eps)
 
-    if report.verdict == "pass":
-        code = 0
-    else:
-        code = 3 if report.advisory else 2
+    code = 0 if report.verdict == "pass" else 2
     return {"report": asdict(report)}, report.details, code
 
 
@@ -474,7 +469,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--variant", default=None,
                    choices=[v for v, cal in GAUSSIAN_CALIBRATIONS.items() if cal.zcdp])
-    p.add_argument("--runs", type=int, default=_AUDIT_DEFAULTS["runs"])
     common(p, seed_required=False)
 
     p = sub.add_parser("sweep", help="complexity tables over a parameter grid")

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 import math
 import tracemalloc
 
@@ -17,14 +19,11 @@ from dpsampler.audit import (
     report_to_json,
     reverify,
 )
-from dpsampler.core import CategoricalDist, KaryDataset, PrivacyBudget, RandomSource
-from dpsampler.divergences import (
-    BOOTSTRAP_RESAMPLES,
-    eps_delta_closeness,
-    hockey_stick_finite,
-)
+from dpsampler.core import KaryDataset, PrivacyBudget, RandomSource
+from dpsampler.divergences import eps_delta_closeness
 from dpsampler.elap import ELapParams, elap_sample
 from dpsampler.errors import (
+    EmptyDataset,
     EnumerationTooLarge,
     InsufficientSamples,
     OutOfDomain,
@@ -33,10 +32,9 @@ from dpsampler.errors import (
 from dpsampler.gaussian import GAUSSIAN_CALIBRATIONS
 from dpsampler.kary import (
     RRParams,
-    _rr_apply,
     rr_mixture_dist,
+    rr_pmf,
     rr_row,
-    shurr_eps0,
     subrr_eps0,
 )
 from dpsampler.multisampling import gaussian_sampler
@@ -97,56 +95,11 @@ def reference_audit_subrr_pure(k, n, eps, claimed_eps=None):
     )
 
 
-def reference_audit_shurr_marginal(k, n, eps, delta, runs, rng, eps0=None):
-    """audit_shurr_marginal with one hs_both call per bootstrap replicate."""
-    if eps0 is None:
-        eps0 = shurr_eps0(eps, delta, n)
-    params = RRParams(eps0=eps0, k=k)
-    values_a = np.ones(n, dtype=np.int64)
-    values_b = values_a.copy()
-    values_b[-1] = 2
-    gen = rng.generator
-
-    def first_output_counts(values):
-        picked = values[gen.integers(0, n, size=runs)]
-        return np.bincount(_rr_apply(picked, params, gen), minlength=k + 1)[1:]
-
-    counts = np.stack([first_output_counts(values_a), first_output_counts(values_b)])
-    beta = math.exp(eps)
-
-    def hs_both(freq_a, freq_b):
-        p = CategoricalDist(probs=freq_a / freq_a.sum())
-        q = CategoricalDist(probs=freq_b / freq_b.sum())
-        return max(hockey_stick_finite(p, q, beta), hockey_stick_finite(q, p, beta))
-
-    measured = hs_both(counts[0].astype(float), counts[1].astype(float))
-    boot = np.empty(BOOTSTRAP_RESAMPLES)
-    for i in range(BOOTSTRAP_RESAMPLES):
-        res_a = gen.multinomial(runs, counts[0] / runs).astype(float)
-        res_b = gen.multinomial(runs, counts[1] / runs).astype(float)
-        boot[i] = hs_both(res_a, res_b)
-    lo, hi = np.quantile(boot, [0.025, 0.975])
-    halfwidth = 0.5 * float(hi - lo)
-    bound = delta + halfwidth
-    return AuditReport(
-        mechanism="shurr",
-        claimed=PrivacyBudget.approx(eps, delta),
-        measured_max_log_ratio=measured,
-        measured_delta=measured,
-        probe_count=runs,
-        verdict=_verdict(measured, bound),
-        witness={"dataset": "all-ones vs one replaced by 2", "k": k, "n": n},
-        advisory=True,
-        details={"measured": measured, "bound": bound, "halfwidth": halfwidth, "eps0": eps0},
-    )
-
-
 class TestAuditRRLocal:
     def test_measured_equals_eps0(self):
         report = audit_rr_local(2, 1.0)
         assert report.measured_max_log_ratio == pytest.approx(1.0, abs=1e-12)
         assert report.verdict == "pass"
-        assert not report.advisory
 
     def test_tightness_fails_understated_claim(self):
         report = audit_rr_local(2, 1.0, claimed_eps=0.99)
@@ -240,37 +193,58 @@ class TestAuditSubRRPure:
         assert checked > 200
 
 
+def _marginal_pmf(values, k, eps0):
+    """First-output law (1/n) * sum_i rr_pmf(x_i, y), one record at a time."""
+    params = RRParams(eps0=eps0, k=k)
+    return [sum(rr_pmf(int(x), y, params) for x in values) / len(values)
+            for y in range(1, k + 1)]
+
+
+def _hockey_stick_both(p, q, eps):
+    beta = math.exp(eps)
+    forward = sum(max(pi - beta * qi, 0.0) for pi, qi in zip(p, q))
+    backward = sum(max(qi - beta * pi, 0.0) for pi, qi in zip(p, q))
+    return max(forward, backward)
+
+
+def _default_pair(n):
+    ones = np.ones(n, dtype=np.int64)
+    replaced = ones.copy()
+    replaced[-1] = 2
+    return ones, replaced
+
+
+# (k, n, eps0, eps) cells for the exact shuffle-marginal audit
+SHURR_GRID = list(itertools.product(range(2, 5), range(1, 7), (0.5, 2.0, 6.0), (0.05, 0.5, 1.0)))
+
+
 class TestAuditShuRRMarginal:
     def test_identical_datasets_gap_near_zero(self):
         values = np.ones(50, dtype=np.int64)
         report = audit_shurr_marginal(
-            2, 50, 4.0, 0.5, 10**4, RandomSource(50),
-            eps0=2.0, datasets=(values, values),
+            2, 50, 4.0, 0.5, None, None, eps0=2.0, datasets=(values, values)
         )
-        assert report.advisory
         assert report.verdict == "pass"
-        assert report.measured_delta <= report.details["halfwidth"] + 1e-9
+        assert report.measured_delta == 0.0
 
     def test_weak_complexity_point_passes(self):
         from dpsampler.kary import shurr_weak_complexity
 
         k, alpha, eps, delta = 2, 0.5, 4.0, 0.01
         n = shurr_weak_complexity(k, alpha, eps, delta, 1).n_required
-        report = audit_shurr_marginal(k, n, eps, delta, 10**4, RandomSource(51))
-        assert report.advisory
+        report = audit_shurr_marginal(k, n, eps, delta, None, None)
         assert report.verdict == "pass"
 
     def test_planted_violation_detected(self):
         # near-deterministic local reports with a tiny claimed budget
-        report = audit_shurr_marginal(
-            2, 10, 0.05, 0.001, 10**4, RandomSource(52), eps0=12.0
-        )
-        assert report.advisory
+        report = audit_shurr_marginal(2, 10, 0.05, 0.001, None, None, eps0=12.0)
         assert report.verdict == "fail"
+        assert report.measured_delta == pytest.approx(0.09999845, abs=1e-8)
+        assert report.details["bound"] == 0.001
 
     def test_measured_delta_matches_exact_mixture_laws(self):
-        # position 1 is RR on a uniform record, so the exact gap is the
-        # closeness of the two rr_mixture_dist laws (about 0.2137 here)
+        # position 1 is RR on a uniform record, so the gap is the closeness of
+        # the two rr_mixture_dist laws
         k, n, eps, eps0 = 3, 4, 0.05, 3.0
         values_a = np.ones(n, dtype=np.int64)
         values_b = values_a.copy()
@@ -281,26 +255,60 @@ class TestAuditShuRRMarginal:
             eps,
         ).delta_at_eps
         report = audit_shurr_marginal(
-            k, n, eps, 0.001, 10**5, RandomSource(55),
-            eps0=eps0, datasets=(values_a, values_b),
+            k, n, eps, 0.001, None, None, eps0=eps0, datasets=(values_a, values_b)
         )
         assert exact == pytest.approx(0.2137, abs=1e-4)
-        assert abs(report.measured_delta - exact) <= 3 * report.details["halfwidth"]
+        assert report.measured_delta == exact
 
-    @pytest.mark.parametrize("k", [2, 3, 10])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_per_replicate_reference(self, k, seed):
-        # the benchmark's point and a planted near-deterministic eps0
+    def test_matches_hand_built_marginals(self):
+        gen = np.random.default_rng(61)
+        for k, n, eps0, eps in SHURR_GRID:
+            values_a = gen.integers(1, k + 1, size=n)
+            values_b = values_a.copy()
+            values_b[gen.integers(n)] = gen.integers(1, k + 1)
+            for pair in (_default_pair(n), (values_a, values_b)):
+                expected = _hockey_stick_both(
+                    _marginal_pmf(pair[0], k, eps0), _marginal_pmf(pair[1], k, eps0), eps
+                )
+                report = audit_shurr_marginal(
+                    k, n, eps, 0.01, None, None, eps0=eps0, datasets=pair
+                )
+                case = (k, n, eps0, eps, pair)
+                assert report.measured_delta == pytest.approx(expected, rel=0, abs=1e-12), case
+                assert report.measured_max_log_ratio == report.measured_delta
+                assert report.details["bound"] == 0.01
+                assert report.probe_count == k
+
+    def test_default_pair_reaches_the_worst_neighbouring_pair(self):
+        # the marginal depends on the counts only, so enumerate count vectors
+        # and every single-record replacement of each
+        for k, n, eps0 in itertools.product(range(2, 5), range(1, 7), (0.5, 2.0, 6.0)):
+            counts = list(_compositions(n, k))
+            laws = {c: _marginal_pmf(np.repeat(np.arange(1, k + 1), c), k, eps0) for c in counts}
+            for eps in (0.05, 0.5, 1.0):
+                worst = 0.0
+                for c in counts:
+                    for a, b in itertools.permutations(range(k), 2):
+                        if c[a] == 0:
+                            continue
+                        neighbor = list(c)
+                        neighbor[a] -= 1
+                        neighbor[b] += 1
+                        worst = max(worst, _hockey_stick_both(laws[c], laws[tuple(neighbor)], eps))
+                report = audit_shurr_marginal(k, n, eps, 0.01, None, None, eps0=eps0)
+                assert report.measured_delta >= worst - 1e-12, (k, n, eps0, eps)
+
+    def test_draws_no_random_numbers(self):
         for args, eps0 in [((2301, 4.0, 0.01), None), ((10, 0.05, 0.001), 12.0)]:
-            report = audit_shurr_marginal(k, *args, 10**4, RandomSource(seed), eps0=eps0)
-            expected = reference_audit_shurr_marginal(
-                k, *args, 10**4, RandomSource(seed), eps0=eps0
-            )
-            assert report_to_json(report) == report_to_json(expected), (k, eps0)
+            rng = RandomSource(62)
+            before = rng.generator.bit_generator.state
+            audit_shurr_marginal(2, *args, 10**4, rng, eps0=eps0)
+            assert rng.generator.bit_generator.state == before
 
-    def test_runs_floor(self):
-        with pytest.raises(ValidationError):
-            audit_shurr_marginal(2, 10, 0.5, 0.1, 100, RandomSource(53), eps0=1.0)
+    def test_empty_dataset_rejected(self):
+        # a planted eps0 skips shurr_eps0's own n >= 1 check
+        with pytest.raises(EmptyDataset):
+            audit_shurr_marginal(2, 0, 1.0, 0.01, None, None, eps0=1.0)
 
     @pytest.mark.parametrize("record", [0, 5])
     def test_explicit_records_outside_domain_rejected(self, record):
@@ -309,8 +317,7 @@ class TestAuditShuRRMarginal:
         values_b[-1] = record
         with pytest.raises(OutOfDomain):
             audit_shurr_marginal(
-                3, 4, 1.0, 0.01, 10**4, RandomSource(57),
-                eps0=2.0, datasets=(values_a, values_b),
+                3, 4, 1.0, 0.01, None, None, eps0=2.0, datasets=(values_a, values_b)
             )
 
 
@@ -404,7 +411,8 @@ class TestAuditElapMechanism:
         )
         assert report.measured_max_log_ratio == 0.0
         assert report.verdict == "pass"
-        assert not report.advisory
+        assert report.details["bare_eps_ok"]
+        assert "advisory" not in report_to_json(report)
 
     def test_shift_equal_to_clip_bound_attains_eps(self):
         d, B, eps = 2, 2.0, 1.3
@@ -416,7 +424,6 @@ class TestAuditElapMechanism:
         # the ratio peaks at y = S, where it equals ||S - S'||/b = eps
         assert report.measured_max_log_ratio == pytest.approx(eps, rel=1e-9)
         assert report.verdict == "pass"
-        assert not report.advisory
         assert report.details["bare_eps_ok"]
 
     def test_adversarial_two_B_shift(self):
@@ -428,8 +435,7 @@ class TestAuditElapMechanism:
         assert report.details["shift_norm"] == pytest.approx(2 * B, rel=1e-12)
         assert report.measured_max_log_ratio == pytest.approx(2 * eps, rel=1e-9)
         assert report.verdict == "pass"  # realized-shift bound holds
-        assert report.advisory  # but the bare eps claim is not certified
-        assert not report.details["bare_eps_ok"]
+        assert not report.details["bare_eps_ok"]  # but the bare eps claim is not certified
 
     def test_zero_eps_rejected(self):
         with pytest.raises(ValidationError):
@@ -556,6 +562,16 @@ class TestReportSerialization:
             loaded = report_from_json(payload)
             assert report_to_json(loaded) == payload
             assert reverify(loaded)
+
+    def test_loads_a_payload_that_carries_advisory(self):
+        # 0.4.0 reports carry an "advisory" key, true here (shift 2B > B); it is ignored
+        rows = (np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
+        report = audit_elap_mechanism(2, 1.0, 1.0, None, RandomSource(71), differing_rows=rows)
+        old = json.loads(report_to_json(report))
+        old["advisory"] = True
+        loaded = report_from_json(json.dumps(old))
+        assert report_to_json(loaded) == report_to_json(report)
+        assert reverify(loaded)
 
     def test_reverify_catches_tampering(self):
         report = audit_rr_local(2, 1.0, claimed_eps=0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -357,15 +358,38 @@ class TestAuditCommand:
         assert code == 2
         assert json.loads(out)["outputs"]["report"]["verdict"] == "fail"
 
-    def test_shurr_advisory_fail_exit_three(self, capsys):
+    def test_shurr_fail_exit_two(self, capsys):
         code, out, _ = run_cli(
             capsys,
             ["audit", "--mechanism", "shurr", "--k", "2", "--n", "10",
-             "--eps", "0.05", "--delta", "0.001", "--eps0", "12.0", "--seed", "9"],
+             "--eps", "0.05", "--delta", "0.001", "--eps0", "12.0"],
         )
-        assert code == 3
+        assert code == 2
         report = json.loads(out)["outputs"]["report"]
-        assert report["advisory"] and report["verdict"] == "fail"
+        assert report["verdict"] == "fail"
+        assert "advisory" not in report
+
+    @pytest.mark.parametrize("mechanism, argv", [
+        ("rr", ["--k", "3", "--eps0", "1", "--claimed-eps", "0.5"]),
+        ("subrr", ["--k", "2", "--n", "2", "--eps", "1", "--claimed-eps", "0.1"]),
+        ("shurr", ["--k", "2", "--n", "10", "--eps", "0.05", "--delta", "0.001",
+                   "--eps0", "12"]),
+        ("elap", ["--dim", "2", "--B", "1", "--eps", "1", "--seed", "13"]),
+        ("zcdp", ["--variant", "zcdp-bounded", "--dim", "2", "--R", "1", "--alpha", "0.1",
+                  "--eps", "1"]),
+    ])
+    def test_every_failing_verdict_exits_two(self, capsys, monkeypatch, mechanism, argv):
+        if mechanism == "elap":
+            # the ELap audit's realized-shift bound equals its measured value,
+            # so no input fails it; plant a failing verdict on a real report
+            audit = dpsampler.cli.audit_elap_mechanism
+            monkeypatch.setattr(dpsampler.cli, "audit_elap_mechanism",
+                                lambda *args: dataclasses.replace(audit(*args), verdict="fail"))
+        code, out, _ = run_cli(capsys, ["audit", "--mechanism", mechanism] + argv)
+        report = json.loads(out)["outputs"]["report"]
+        assert report["verdict"] == "fail"
+        assert code == 2
+        assert "advisory" not in report
 
     def test_elap_audit_passes(self, capsys):
         code, out, _ = run_cli(
@@ -487,7 +511,7 @@ class TestRejectedParameters:
 
     @pytest.mark.parametrize("argv", [
         ["--mechanism", "shurr", "--k", "2", "--n", "2301", "--eps", "4.0", "--delta", "0.01",
-         "--seed", "9", "--runs", "0"],
+         "--runs", "0"],
         ["--mechanism", "elap", "--dim", "2", "--B", "1.0", "--eps", "1.0", "--seed", "13",
          "--probes", "0"],
         ["--mechanism", "elap", "--dim", "0", "--B", "1.0", "--eps", "1.0", "--seed", "13"],
@@ -499,7 +523,8 @@ class TestRejectedParameters:
     ], ids=["runs-0", "probes-0", "elap-dim-0", "zcdp-pure-variant", "zcdp-eps-inf",
             "rr-eps0-inf"])
     def test_audit_exits_one(self, capsys, argv):
-        # --probes is retired, so "probes-0" is now an unrecognized argument
+        # --probes and --runs are retired, so "probes-0" and "runs-0" are now
+        # unrecognized arguments
         assert exit_code(["audit"] + argv) == 1
 
     def test_probes_flag_is_a_usage_error(self, capsys):
@@ -510,18 +535,34 @@ class TestRejectedParameters:
         assert captured.out == ""
         assert "unrecognized arguments: --probes 10000" in captured.err
 
+    def test_runs_flag_is_a_usage_error(self, capsys):
+        code = exit_code(["audit", "--mechanism", "rr", "--k", "3", "--eps0", "1",
+                          "--runs", "20000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "unrecognized arguments: --runs 20000" in captured.err
+
     @pytest.mark.parametrize("argv, unread", [
         (["--mechanism", "zcdp", "--variant", "zcdp-known", "--dim", "2", "--R", "1",
           "--alpha", "0.1", "--eps", "1", "--n", "10", "--B", "5"], "--n, --B"),
         (["--mechanism", "rr", "--k", "3", "--eps0", "1", "--dim", "7"], "--dim"),
-        (["--mechanism", "rr", "--k", "3", "--eps0", "1", "--runs", "20000"], "--runs"),
         (["--mechanism", "subrr", "--k", "2", "--n", "2", "--eps", "1", "--eps0", "1"],
          "--eps0"),
         (["--mechanism", "shurr", "--k", "2", "--n", "10", "--eps", "0.05",
-          "--delta", "0.001", "--seed", "9", "--claimed-eps", "1"], "--claimed-eps"),
+          "--delta", "0.001", "--claimed-eps", "1"], "--claimed-eps"),
         (["--mechanism", "elap", "--dim", "2", "--B", "1", "--eps", "1", "--seed", "13",
           "--R", "1", "--alpha", "0.1"], "--R, --alpha"),
-    ], ids=["zcdp-n-B", "rr-dim", "rr-runs", "subrr-eps0", "shurr-claimed-eps", "elap-R-alpha"])
+        # only the ELap audit draws random numbers
+        (["--mechanism", "rr", "--k", "3", "--eps0", "1", "--seed", "5"], "--seed"),
+        (["--mechanism", "subrr", "--k", "2", "--n", "2", "--eps", "1", "--seed", "5"],
+         "--seed"),
+        (["--mechanism", "shurr", "--k", "2", "--n", "10", "--eps", "0.05",
+          "--delta", "0.001", "--seed", "5"], "--seed"),
+        (["--mechanism", "zcdp", "--variant", "zcdp-known", "--dim", "2", "--R", "1",
+          "--alpha", "0.1", "--eps", "1", "--seed", "5"], "--seed"),
+    ], ids=["zcdp-n-B", "rr-dim", "subrr-eps0", "shurr-claimed-eps", "elap-R-alpha",
+            "rr-seed", "subrr-seed", "shurr-seed", "zcdp-seed"])
     def test_audit_flags_the_mechanism_does_not_read_exit_one(self, capsys, argv, unread):
         code, out, err = run_cli(capsys, ["audit"] + argv)
         assert code == 1
@@ -531,14 +572,13 @@ class TestRejectedParameters:
 
     @pytest.mark.parametrize("argv", [
         ["--mechanism", "rr", "--k", "3", "--eps0", "1"],
-        ["--mechanism", "shurr", "--k", "2", "--n", "2301", "--eps", "4.0", "--delta", "0.01",
-         "--seed", "9"],
+        ["--mechanism", "shurr", "--k", "2", "--n", "2301", "--eps", "4.0", "--delta", "0.01"],
     ], ids=["rr", "shurr"])
-    def test_audit_echoes_the_default_runs(self, capsys, argv):
+    def test_audit_echoes_no_runs(self, capsys, argv):
         code, out, _ = run_cli(capsys, ["audit"] + argv)
         assert code == 0
         params = json.loads(out)["config"]["params"]
-        assert params["runs"] == 10**4
+        assert "runs" not in params
         assert "probes" not in params
 
     @pytest.mark.parametrize("argv", [
@@ -631,7 +671,7 @@ class TestRunReportRoundTrip:
             ["elap", "--dim", "2", "--scale", "1.5", "--count", "5", "--seed", "22"],
             ["tvdist", "--p", str(p), "--q", str(q), "--bins", "10", "--seed", "23"],
             ["audit", "--mechanism", "shurr", "--k", "2", "--n", "10", "--eps", "0.05",
-             "--delta", "0.001", "--eps0", "12.0", "--seed", "24"],
+             "--delta", "0.001", "--eps0", "12.0"],
             ["audit", "--mechanism", "elap", "--dim", "2", "--B", "1.0", "--eps", "1.0",
              "--seed", "25"],
             ["complexity", "--family", "gaussian", "--task", "pure", "--dim", "2",
