@@ -85,13 +85,17 @@ def audit_rr_local(k: int, eps0: float, claimed_eps: float | None = None) -> Aud
     """Exhaustive worst-case log pmf ratio of k-ary randomized response.
 
     The max over inputs x, x' and outcome y equals eps0 exactly; auditing a
-    smaller claimed budget therefore fails with a concrete witness.
+    smaller claimed budget therefore fails with a concrete witness.  Once the
+    keep probability rounds to 1.0, outcome x has mass under x only: ``inf``.
     """
     params = RRParams(eps0=eps0, k=k)
     bound = eps0 if claimed_eps is None else claimed_eps
     best = (0.0, (1, 1, 1))
     for x, x_alt, y in itertools.product(range(1, k + 1), repeat=3):
-        ratio = math.log(rr_pmf(x, y, params) / rr_pmf(x_alt, y, params))
+        mass, mass_alt = rr_pmf(x, y, params), rr_pmf(x_alt, y, params)
+        if mass == 0.0:  # log 0, or 0/0: never the maximum
+            continue
+        ratio = math.log(mass / mass_alt) if mass_alt > 0.0 else math.inf
         if ratio > best[0]:
             best = (ratio, (x, x_alt, y))
     measured = best[0]
@@ -139,7 +143,11 @@ def audit_subrr_pure(
     Enumerates datasets by their count vectors (the output law depends only on
     counts) and all single-record replacements, taking the exact max ratio over
     outcomes.  The enumeration budget caps the probe count, C(n+k-1, k-1)
-    count vectors times k(k-1) ordered record pairs, at 10^6.
+    count vectors times k(k-1) ordered record pairs, at 10^6.  Only the
+    (replaced, replacement, outcome) triples whose probability the replacement
+    moves are evaluated, 2k(k-1) of the k^3 for RR rows, so the cost is
+    C(n+k-1, k-1) times that many log ratios.  An outcome with mass before
+    the replacement and none after it gives ratio ``inf`` and a ``fail``.
     """
     eps0 = subrr_eps0(eps, n)
     params = RRParams(eps0=eps0, k=k)
@@ -152,17 +160,20 @@ def audit_subrr_pure(
     rows = np.stack([rr_row(x, params) for x in range(1, k + 1)])
     bound = eps if claimed_eps is None else claimed_eps
 
-    # shift[a, b] moves the output law when one record a is replaced by b, so
-    # ratios[c, a, b, y] is the log ratio at outcome y for count vector c; the
-    # flat argmax keeps the first maximum in (c, a, b, y) order, which fixes
-    # the reported witness
+    # shift[a, b, y] moves the output law at outcome y when one record a is
+    # replaced by b; ratios[c, j] is the log ratio of the j-th moved triple
+    # for count vector c, and the flat argmax keeps the first maximum in
+    # (c, a, b, y) order, which fixes the reported witness
     shift = (rows[None, :, :] - rows[:, None, :]) / n
     off_diagonal = ~np.eye(k, dtype=bool)[:, :, None]
+    a_idx, b_idx, y_idx = np.nonzero((shift != 0) & off_diagonal)
+    moved = shift[a_idx, b_idx, y_idx]
     counts = _count_vectors(n, k)
-    chunk = max(1, SUBRR_CHUNK_ENTRIES // k**3)
+    chunk = max(1, SUBRR_CHUNK_ENTRIES // max(1, moved.size))
 
     best = (0.0, None)
-    for start in range(0, counts.shape[0], chunk):
+    # an unmoved triple's log ratio is exactly 0, which never beats the best
+    for start in range(0, counts.shape[0] if moved.size else 0, chunk):
         block = counts[start : start + chunk]
         # one (1, k) @ (k, k) product per count vector, bit-equal to c @ rows;
         # a 2-D (c, k) @ (k, k) product differs in the last bit, which can flip
@@ -170,18 +181,17 @@ def audit_subrr_pure(
         base = (block[:, None, :].astype(np.float64) @ rows)[:, 0, :] / n
         # removing an absent record leaves no valid law; those entries are masked
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.log(base[:, None, None, :] + shift)
-            np.subtract(np.log(base)[:, None, None, :], ratios, out=ratios)
-        valid = off_diagonal & (block > 0)[:, :, None, None]
-        np.copyto(ratios, -np.inf, where=~valid)
+            ratios = np.log(base[:, y_idx] + moved)
+            np.subtract(np.log(base)[:, y_idx], ratios, out=ratios)
+        np.copyto(ratios, -np.inf, where=block[:, a_idx] == 0)
         flat = int(np.argmax(ratios))
         if ratios.flat[flat] > best[0]:
-            c, a, b, y = np.unravel_index(flat, ratios.shape)
+            c, j = divmod(flat, moved.size)
             best = (float(ratios.flat[flat]), {
                 "counts": block[c].tolist(),
-                "replaced": int(a) + 1,
-                "replacement": int(b) + 1,
-                "outcome": int(y) + 1,
+                "replaced": int(a_idx[j]) + 1,
+                "replacement": int(b_idx[j]) + 1,
+                "outcome": int(y_idx[j]) + 1,
             })
     measured = best[0]
     return AuditReport(

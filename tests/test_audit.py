@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dpsampler.audit
 from dpsampler.audit import (
     AuditReport,
     _verdict,
@@ -68,7 +69,10 @@ def reference_audit_subrr_pure(k, n, eps, claimed_eps=None):
                     continue
                 neighbor = base + (rows[b] - rows[a]) / n
                 pairs += 1
-                ratios = np.log(base) - np.log(neighbor)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratios = np.log(base) - np.log(neighbor)
+                # an outcome neither law can produce is no evidence either way
+                ratios[(base == 0) & (neighbor == 0)] = -np.inf
                 y = int(np.argmax(ratios))
                 if ratios[y] > best[0]:
                     best = (float(ratios[y]), {
@@ -114,6 +118,16 @@ class TestAuditRRLocal:
 
     def test_factor_two_violation_detected(self):
         assert audit_rr_local(3, 2.0, claimed_eps=1.0).verdict == "fail"
+
+    def test_underflowed_off_diagonal_mass_fails_with_inf(self):
+        # keep_prob rounds to 1.0 at eps0 = 40, so RR (and its sampler) never
+        # flips: outcome x has mass 1 under x and 0 under x', an unbounded ratio
+        assert RRParams(eps0=40.0, k=3).keep_prob == 1.0
+        report = audit_rr_local(3, 40.0)
+        assert report.measured_max_log_ratio == math.inf
+        assert report.verdict == "fail"
+        assert report.witness == {"x": 1, "x_alt": 2, "outcome": 1}
+        assert reverify(report_from_json(report_to_json(report)))
 
 
 class TestAuditSubRRPure:
@@ -175,6 +189,38 @@ class TestAuditSubRRPure:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_underflowed_off_diagonal_mass_fails_with_inf(self):
+        # eps = 1e17 at n = 2 gives keep_prob 1.0: the rows are the identity,
+        # so removing the only record a leaves outcome a no mass at all
+        assert RRParams(eps0=subrr_eps0(1e17, 2), k=3).keep_prob == 1.0
+        report = audit_subrr_pure(3, 2, 1e17)
+        assert report.measured_max_log_ratio == math.inf
+        assert report.verdict == "fail"
+        # count vectors run (0, 0, 2), (0, 1, 1), ...: the first reaches only
+        # log 2, and in the second replacing the lone 2 by a 1 empties outcome 2
+        assert report.witness == {"counts": [0, 1, 1], "replaced": 2, "replacement": 1,
+                                  "outcome": 2}
+
+    def test_no_moved_outcome_measures_zero(self, monkeypatch):
+        # identical rows: no replacement moves any outcome's probability
+        monkeypatch.setattr(dpsampler.audit, "rr_row", lambda x, params: np.full(params.k, 0.25))
+        report = audit_subrr_pure(4, 3, 1.0)
+        assert report.measured_max_log_ratio == 0.0
+        assert report.witness == {}
+        assert report.verdict == "pass"
+
+    @pytest.mark.parametrize("k, n, eps, claimed", [
+        (2, 9, 0.5, None), (3, 5, 1.0, 0.1), (4, 6, 2.0, None), (5, 4, 1.0, None),
+        (3, 2, 1e17, None),
+    ])
+    def test_chunk_boundaries_match_reference(self, monkeypatch, k, n, eps, claimed):
+        # 3 count vectors per chunk of the 2k(k-1) moved triples, so the
+        # running maximum crosses many chunk boundaries
+        monkeypatch.setattr(dpsampler.audit, "SUBRR_CHUNK_ENTRIES", 3 * 2 * k * (k - 1))
+        report = audit_subrr_pure(k, n, eps, claimed_eps=claimed)
+        expected = reference_audit_subrr_pure(k, n, eps, claimed)
+        assert report_to_json(report) == report_to_json(expected)
+
     def test_matches_nested_loop_reference(self):
         checked = 0
         for k in range(2, 7):
@@ -191,6 +237,9 @@ class TestAuditSubRRPure:
                         assert report_to_json(report) == report_to_json(expected), (k, n, eps)
                         checked += 1
         assert checked > 200
+        # keep_prob rounds to 1.0: both sides must measure inf at one witness
+        report = audit_subrr_pure(3, 2, 1e17)
+        assert report_to_json(report) == report_to_json(reference_audit_subrr_pure(3, 2, 1e17))
 
 
 def _marginal_pmf(values, k, eps0):

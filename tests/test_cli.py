@@ -358,6 +358,18 @@ class TestAuditCommand:
         assert code == 2
         assert json.loads(out)["outputs"]["report"]["verdict"] == "fail"
 
+    @pytest.mark.parametrize("argv", [
+        ["--mechanism", "rr", "--k", "3", "--eps0", "40"],
+        ["--mechanism", "subrr", "--k", "3", "--n", "2", "--eps", "1e17"],
+    ])
+    def test_underflowed_rr_mass_fails_with_inf(self, capsys, argv):
+        # keep_prob rounds to 1.0: the release is the identity, an unbounded ratio
+        code, out, _ = run_cli(capsys, ["audit"] + argv)
+        assert code == 2
+        report = json.loads(out)["outputs"]["report"]
+        assert report["verdict"] == "fail"
+        assert report["measured_max_log_ratio"] == math.inf
+
     def test_shurr_fail_exit_two(self, capsys):
         code, out, _ = run_cli(
             capsys,

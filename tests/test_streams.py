@@ -8,7 +8,10 @@ digests under it.  The 0.3.0, 0.4.0 and 0.5.0 digests were recorded with
 numpy 2.4.6.  0.4.0 changed only ``audit_elap_mechanism``, whose report now
 states the closed-form maximum with one witness instead of scoring random
 probes.  0.5.0 changed only ``audit_elap_mechanism`` again: its reports lost
-the ``advisory`` key and are otherwise the 0.4.0 bytes.
+the ``advisory`` key and are otherwise the 0.4.0 bytes.  ``audit_rr_subrr``
+pins the deterministic RR and subsampled-RR audit reports; it draws nothing,
+so its digest guards the reports' bytes, recorded before the subsampled audit
+skipped the outcomes a replacement does not move.
 """
 
 import hashlib
@@ -17,7 +20,12 @@ import numpy as np
 import pytest
 
 from dpsampler import __version__
-from dpsampler.audit import audit_elap_mechanism, report_to_json
+from dpsampler.audit import (
+    audit_elap_mechanism,
+    audit_rr_local,
+    audit_subrr_pure,
+    report_to_json,
+)
 from dpsampler.cli import main
 from dpsampler.core import KaryDataset, RandomSource, VectorDataset, write_vector_csv
 from dpsampler.divergences import tv_estimate_binned
@@ -126,6 +134,7 @@ DIGESTS = {
             "zcdp-known/repeat-m3": "3e013060c83ae6068416c39d5811112737412da54eb1c56118c576325fd4a901"
         },
         "audit_elap_mechanism": "8931440311eacd6a16846d1e02426c4e060d8d3366ec00211268107436fd582f",
+        "audit_rr_subrr": "e735f73ffd0ca61bc99fa6b1cf164e8653921058f9b1ee6bc3344475e80d891d",
         "shurr_run": "4ac2ebee059bdd8be220b1742bc9a184a832922b52809ed4a2872c0d40a9ebc0",
         "subrr_sample": "fd617ae45c38f9505a71c0ec057cf9849e5d0104bca92c9a4cd4fe46402f7cee",
         "tv_estimate_binned": {
@@ -222,6 +231,17 @@ def _audit_elap(tmp_path):
     return hashlib.sha256("\n".join(reports).encode()).hexdigest()
 
 
+def _audit_rr_subrr(tmp_path):
+    reports = [
+        audit_subrr_pure(6, 7, 1.0),
+        audit_subrr_pure(6, 7, 1.0, claimed_eps=0.1),
+        audit_subrr_pure(4, 6, 2.0),
+        audit_subrr_pure(5, 10, 2.0),
+        audit_rr_local(3, 1.0),
+    ]
+    return hashlib.sha256("\n".join(map(report_to_json, reports)).encode()).hexdigest()
+
+
 CLI_MODES = {
     "once": ["--mode", "once"],
     "once-count10": ["--mode", "once", "--count", "10"],
@@ -254,6 +274,7 @@ CASES = {
     "zcdp_bounded_cov_sample": _bounded,
     "tv_estimate_binned": _tv,
     "audit_elap_mechanism": _audit_elap,
+    "audit_rr_subrr": _audit_rr_subrr,
     "sample-gaussian": _sample_gaussian,
 }
 
