@@ -11,10 +11,14 @@ probes.  0.5.0 changed only ``audit_elap_mechanism`` again: its reports lost
 the ``advisory`` key and are otherwise the 0.4.0 bytes.  ``audit_rr_subrr``
 pins the deterministic RR and subsampled-RR audit reports; it draws nothing,
 so its digest guards the reports' bytes, recorded before the subsampled audit
-skipped the outcomes a replacement does not move.
+skipped the outcomes a replacement does not move.  ``kary-reports`` pins the
+k-ary CLI RunReports (every ``sample-kary`` mode, the kary ``complexity`` tasks
+and ``sweep``, and the subrr and shurr audits), recorded before their
+calibration moved into ``kary.KARY_CALIBRATIONS``.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -27,7 +31,13 @@ from dpsampler.audit import (
     report_to_json,
 )
 from dpsampler.cli import main
-from dpsampler.core import KaryDataset, RandomSource, VectorDataset, write_vector_csv
+from dpsampler.core import (
+    KaryDataset,
+    RandomSource,
+    VectorDataset,
+    write_kary_csv,
+    write_vector_csv,
+)
 from dpsampler.divergences import tv_estimate_binned
 from dpsampler.elap import ELapParams, elap_sample
 from dpsampler.gaussian import (
@@ -135,6 +145,7 @@ DIGESTS = {
         },
         "audit_elap_mechanism": "8931440311eacd6a16846d1e02426c4e060d8d3366ec00211268107436fd582f",
         "audit_rr_subrr": "e735f73ffd0ca61bc99fa6b1cf164e8653921058f9b1ee6bc3344475e80d891d",
+        "kary-reports": "e531aa9ca9361fe4aeb6acbfe9d858d872803368d588355beff36801b5452e82",
         "shurr_run": "4ac2ebee059bdd8be220b1742bc9a184a832922b52809ed4a2872c0d40a9ebc0",
         "subrr_sample": "fd617ae45c38f9505a71c0ec057cf9849e5d0104bca92c9a4cd4fe46402f7cee",
         "tv_estimate_binned": {
@@ -265,6 +276,49 @@ def _sample_gaussian(tmp_path):
     return digests
 
 
+KARY_MODES = {
+    "sub": ["--eps", "1"],
+    "shuffle": ["--eps", "4", "--delta", "0.3", "--m", "20"],
+    "repeat": ["--eps", "1", "--alpha", "0.4", "--m", "5"],
+    "precision": ["--eps", "4", "--delta", "0.3", "--alpha", "0.8", "--m", "2"],
+    "both": ["--eps", "1", "--alpha", "0.4", "--m", "3"],
+}
+
+
+def _kary_reports(tmp_path):
+    # every k-ary RunReport, less its wall clock and with the scratch folder
+    # masked, plus the sweep's CSV: the reports read each mechanism's
+    # calibration, so this pins their derived figures as well as the draws
+    source = tmp_path / "kary.csv"
+    write_kary_csv(source, _kary(60, 3, 3_000).values)
+    kary_in = ["--in", str(source)]
+    complexity = ["complexity", "--family", "kary", "--k", "4", "--alpha", "0.1", "--eps", "2",
+                  "--delta", "1e-6", "--m", "8"]
+    runs = [
+        ["sample-kary", "--mode", mode, *kary_in, *argv, "--seed", str(seed)]
+        for mode, argv in KARY_MODES.items() for seed in (61, 62)
+    ] + [[*complexity, "--task", task] for task in ("single", "weak", "strong")] + [
+        ["sweep", "--family", "kary", "--k", "2,5", "--alpha", "0.05,0.3", "--eps", "0.5,4",
+         "--delta", "1e-6,0.2", "--m", "1,10", "--out", str(tmp_path / "sweep.csv")],
+        ["audit", "--mechanism", "subrr", "--k", "3", "--n", "6", "--eps", "1"],
+        ["audit", "--mechanism", "subrr", "--k", "2", "--n", "9", "--eps", "0.5",
+         "--claimed-eps", "0.1"],
+        ["audit", "--mechanism", "shurr", "--k", "2", "--n", "2301", "--eps", "4",
+         "--delta", "0.01"],
+        ["audit", "--mechanism", "shurr", "--k", "3", "--n", "500", "--eps", "4",
+         "--delta", "0.3", "--eps0", "6"],
+    ]
+    reports = []
+    for argv in runs:
+        path = tmp_path / "report.json"
+        assert main([*argv, "--json", str(path)]) in (0, 2), argv
+        report = json.loads(path.read_text())
+        del report["wall_clock_seconds"]
+        reports.append(json.dumps(report, sort_keys=True).replace(str(tmp_path), "TMP"))
+    reports.append((tmp_path / "sweep.csv").read_text())
+    return hashlib.sha256("\n".join(reports).encode()).hexdigest()
+
+
 CASES = {
     "subrr_sample": _subrr,
     "shurr_run": _shurr,
@@ -276,6 +330,7 @@ CASES = {
     "audit_elap_mechanism": _audit_elap,
     "audit_rr_subrr": _audit_rr_subrr,
     "sample-gaussian": _sample_gaussian,
+    "kary-reports": _kary_reports,
 }
 
 
