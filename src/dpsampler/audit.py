@@ -22,7 +22,7 @@ from .core import KaryDataset, PrivacyBudget, RandomSource, _check_finite_positi
 from .divergences import eps_delta_closeness
 from .errors import EnumerationTooLarge, ValidationError
 from .gaussian import GAUSSIAN_CALIBRATIONS, gaussian_calibration
-from .kary import RRParams, rr_mixture_dist, rr_pmf, rr_row, shurr_eps0, subrr_eps0
+from .kary import KARY_CALIBRATIONS, RRParams, rr_mixture_dist, rr_pmf, rr_row
 
 VERDICT_SLACK = 1e-9
 
@@ -145,11 +145,12 @@ def audit_subrr_pure(
     outcomes.  The enumeration budget caps the probe count, C(n+k-1, k-1)
     count vectors times k(k-1) ordered record pairs, at 10^6.  Only the
     (replaced, replacement, outcome) triples whose probability the replacement
-    moves are evaluated, 2k(k-1) of the k^3 for RR rows, so the cost is
-    C(n+k-1, k-1) times that many log ratios.  An outcome with mass before
-    the replacement and none after it gives ratio ``inf`` and a ``fail``.
+    lowers are evaluated, k(k-1) of the k^3 for RR rows: where it stays or
+    rises, log p - log(p + s) <= 0 never beats the running best of 0.  So the
+    cost is C(n+k-1, k-1) times that many log ratios.  An outcome with mass
+    before the replacement and none after it gives ratio ``inf`` and a ``fail``.
     """
-    eps0 = subrr_eps0(eps, n)
+    eps0 = KARY_CALIBRATIONS["sub"].eps0(eps, None, n)
     params = RRParams(eps0=eps0, k=k)
     probes = math.comb(n + k - 1, k - 1) * k * (k - 1)
     if probes > SUBRR_PROBE_BUDGET:
@@ -161,18 +162,19 @@ def audit_subrr_pure(
     bound = eps if claimed_eps is None else claimed_eps
 
     # shift[a, b, y] moves the output law at outcome y when one record a is
-    # replaced by b; ratios[c, j] is the log ratio of the j-th moved triple
+    # replaced by b; ratios[c, j] is the log ratio of the j-th lowering triple
     # for count vector c, and the flat argmax keeps the first maximum in
-    # (c, a, b, y) order, which fixes the reported witness
+    # (c, a, b, y) order, which fixes the reported witness.  Skipping the
+    # other triples halves the (count vectors, triples) temporaries: once the
+    # heap top has been trimmed, each of their fresh pages costs a page fault
     shift = (rows[None, :, :] - rows[:, None, :]) / n
-    off_diagonal = ~np.eye(k, dtype=bool)[:, :, None]
-    a_idx, b_idx, y_idx = np.nonzero((shift != 0) & off_diagonal)
+    a_idx, b_idx, y_idx = np.nonzero(shift < 0)
     moved = shift[a_idx, b_idx, y_idx]
     counts = _count_vectors(n, k)
     chunk = max(1, SUBRR_CHUNK_ENTRIES // max(1, moved.size))
 
     best = (0.0, None)
-    # an unmoved triple's log ratio is exactly 0, which never beats the best
+    # with no lowering triple every log ratio is <= 0 and the best stays 0
     for start in range(0, counts.shape[0] if moved.size else 0, chunk):
         block = counts[start : start + chunk]
         # one (1, k) @ (k, k) product per count vector, bit-equal to c @ rows;
@@ -183,7 +185,7 @@ def audit_subrr_pure(
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.log(base[:, y_idx] + moved)
             np.subtract(np.log(base)[:, y_idx], ratios, out=ratios)
-        np.copyto(ratios, -np.inf, where=block[:, a_idx] == 0)
+        np.copyto(ratios, -np.inf, where=(block == 0)[:, a_idx])
         flat = int(np.argmax(ratios))
         if ratios.flat[flat] > best[0]:
             c, j = divmod(flat, moved.size)
@@ -206,7 +208,7 @@ def audit_subrr_pure(
             "measured": measured,
             "bound": bound,
             "eps0": eps0,
-            "proof_intermediate_log": math.log1p(math.exp(eps0) / n),
+            "proof_intermediate_log": KARY_CALIBRATIONS["sub"].certify(eps0, None, n, k),
         },
     )
 
@@ -238,7 +240,7 @@ def audit_shurr_marginal(
     nothing and ignores them.
     """
     if eps0 is None:
-        eps0 = shurr_eps0(eps, delta, n)
+        eps0 = KARY_CALIBRATIONS["shuffle"].eps0(eps, delta, n)
     pair_label = "explicit pair"
     if datasets is None:
         ones = np.ones(n, dtype=np.int64)

@@ -38,16 +38,7 @@ from .divergences import tv_estimate_binned
 from .elap import ELapParams, GammaParams, elap_sample, elap_tail_radius, gamma_exact_tail
 from .errors import ConfigInvalid, DPSamplerError
 from .gaussian import GAUSSIAN_CALIBRATIONS
-from .kary import (
-    ShuRRConfig,
-    fmt_eps1,
-    shurr_run,
-    shurr_strong_complexity,
-    shurr_weak_complexity,
-    subrr_eps0,
-    subrr_sample,
-    subrr_sample_complexity,
-)
+from .kary import KARY_CALIBRATIONS, shurr_run, subrr_sample
 from .multisampling import (
     gaussian_sampler,
     shurr_sampler,
@@ -116,33 +107,23 @@ def _run_sample_kary(config: ExperimentConfig):
     rng = _rng(config)
     derived = {"k": data.k, "n": data.n}
 
-    if mode == "sub":
-        derived["eps0"] = subrr_eps0(eps, data.n)
-        outputs = [subrr_sample(data, eps, rng)]
-    elif mode == "shuffle":
-        (delta, m) = _need(params, "delta", "m")
-        cfg = ShuRRConfig(eps=eps, delta=delta, m=m, n=data.n)
-        derived.update(
-            eps0=cfg.eps0,
-            f_value=cfg.f_value,
-            eps1=fmt_eps1(cfg.eps0, delta, data.n, data.k),
-        )
-        outputs = list(shurr_run(data, eps, delta, m, rng))
+    if mode in KARY_CALIBRATIONS:
+        (delta, m) = _need(params, "delta", "m") if mode == "shuffle" else (None, None)
+        outputs = (list(shurr_run(data, eps, delta, m, rng)) if mode == "shuffle"
+                   else [subrr_sample(data, eps, rng)])
+        derived.update(KARY_CALIBRATIONS[mode].derived(eps, delta, data.n, data.k))
     elif mode in ("repeat", "precision", "both"):
         (alpha, m) = _need(params, "alpha", "m")
-        if mode == "repeat":
-            spec = subrr_sampler(data.k, eps, alpha)
-            derived["n_per_call"] = spec.n_per_call(alpha)
-            outputs = weak_via_repetition(spec, m, data, rng)
-        elif mode == "precision":
+        if mode == "precision":
             (delta,) = _need(params, "delta")
             spec = shurr_sampler(data.k, eps, delta, m, alpha)
             derived["n_required"] = spec.n_per_call(alpha / m)
             outputs = strong_via_precision(spec, m, alpha, data, rng)
         else:
             spec = subrr_sampler(data.k, eps, alpha)
-            derived["n_per_call"] = spec.n_per_call(alpha / m)
-            outputs = strong_via_both(spec, m, alpha, data, rng)
+            derived["n_per_call"] = spec.n_per_call(alpha if mode == "repeat" else alpha / m)
+            outputs = (weak_via_repetition(spec, m, data, rng) if mode == "repeat"
+                       else strong_via_both(spec, m, alpha, data, rng))
     else:
         raise ConfigInvalid(f"unknown sample-kary mode {mode!r}")
 
@@ -222,15 +203,14 @@ def _run_elap(config: ExperimentConfig):
 
 
 # family -> task -> (required parameters, calculator on the parameter dict);
-# `sweep` names each task's column f"{family}_{task}" with dashes as underscores
+# `sweep` names each task's column f"{family}_{task}" with dashes as underscores.
+# Counts are cast to int, as JSON configs may carry floats.
 _COMPLEXITY = {
+    # the tasks of each k-ary mechanism, in table order: single, weak, strong
     "kary": {
-        "single": (("k", "alpha", "eps"), lambda p: subrr_sample_complexity(
-            int(p["k"]), p["alpha"], p["eps"])),
-        "weak": (("k", "alpha", "eps", "delta", "m"), lambda p: shurr_weak_complexity(
-            int(p["k"]), p["alpha"], p["eps"], p["delta"], int(p["m"]))),
-        "strong": (("k", "alpha", "eps", "delta", "m"), lambda p: shurr_strong_complexity(
-            int(p["k"]), p["alpha"], p["eps"], p["delta"], int(p["m"]))),
+        task: (cal.inputs, lambda p, cal=cal, calculate=calculate: calculate(
+            *(int(p[name]) if name in ("k", "m") else p[name] for name in cal.inputs)))
+        for cal in KARY_CALIBRATIONS.values() for task, calculate in cal.complexity.items()
     },
     # one task per Gaussian variant; _run_complexity refuses --C and --c for all but pure
     "gaussian": {

@@ -31,7 +31,7 @@ import numpy as np
 from .core import RandomSource, VectorDataset, _check_finite_positive, _row_norms
 from .elap import ELapParams, elap_sample
 from .errors import BadSplit, InvalidAlpha, TooFewSamples, ValidationError
-from .kary import ComplexityReport, _tolerant_ceil
+from .kary import ComplexityReport, _least_n, _tolerant_ceil
 
 
 def _clip_rows(rows: np.ndarray, B: float) -> np.ndarray:
@@ -189,22 +189,8 @@ def zcdp_known_cov_complexity(d: int, R: float, alpha: float, eps: float) -> Com
     """Smallest n satisfying :func:`_known_cov_covers`, by integer bisection."""
     _check_finite_positive("eps", eps)
     B = known_cov_clip_bound(d, R, alpha)
-
-    def ok(n: int) -> bool:
-        return _known_cov_covers(d, B, alpha, eps, n)
-
-    hi = 2
-    while not ok(hi):
-        hi *= 2
-    lo = max(2, hi // 2)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
     return ComplexityReport(
-        n_required=lo,
+        n_required=_least_n(lambda n: _known_cov_covers(d, B, alpha, eps, n), 2),
         formula_name="gaussian_zcdp_known",
         inputs={"d": d, "R": R, "alpha": alpha, "eps": eps, "B": B},
     )
@@ -332,31 +318,32 @@ class GaussianCalibration:
         return self.rows(self.complexity(d, R, alpha, eps, **constants).n_required)
 
 
+# entries call the module's functions by name, so a rebound function is seen here
 GAUSSIAN_CALIBRATIONS = {
     "pure": GaussianCalibration(
-        clip_bound=pure_clip_bound,
+        clip_bound=lambda *args, **constants: pure_clip_bound(*args, **constants),
         sigma2=lambda d, alpha, n: fresh_draw_variance(n),
         sensitivity=lambda B, n: 2.0 * B,  # of the clipped sum
-        complexity=pure_sample_complexity,
+        complexity=lambda *args, **constants: pure_sample_complexity(*args, **constants),
         release=lambda data, d, R, alpha, eps, rng, **constants: pure_gaussian_sample(
             data, PureGaussianSamplerParams(R=R, d=d, alpha=alpha, eps=eps, **constants), rng
         ),
         elap_scale=lambda B, eps: B / eps,
     ),
     "zcdp-known": GaussianCalibration(
-        clip_bound=known_cov_clip_bound,
+        clip_bound=lambda *args: known_cov_clip_bound(*args),
         sigma2=lambda d, alpha, n: fresh_draw_variance(n),
         sensitivity=lambda B, n: 2.0 * B / n,  # of the clipped mean
-        complexity=zcdp_known_cov_complexity,
+        complexity=lambda *args: zcdp_known_cov_complexity(*args),
         release=lambda data, d, R, alpha, eps, rng: zcdp_known_cov_sample(
             data, R, eps, alpha, rng
         ),
     ),
     "zcdp-bounded": GaussianCalibration(
-        clip_bound=bounded_cov_clip_bound,
+        clip_bound=lambda *args: bounded_cov_clip_bound(*args),
         sigma2=lambda d, alpha, n: bounded_cov_sigma2(d, alpha),
         sensitivity=_bounded_cov_sensitivity,
-        complexity=zcdp_bounded_cov_complexity,
+        complexity=lambda *args: zcdp_bounded_cov_complexity(*args),
         release=_bounded_cov_release,
         rows=lambda n: 3 * math.ceil(n / 3),  # rounded up to the n1 = n2 = n/3 split
     ),

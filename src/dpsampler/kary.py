@@ -16,6 +16,10 @@ Two mechanisms, both calibrated through the local randomizer
   without replacement; :func:`shurr_run` samples that law directly, in O(m)
   RR work.
 
+``KARY_CALIBRATIONS`` states each mechanism's eps0, central-eps certificate,
+RunReport figures and complexity tasks once, keyed by the CLI's mode names
+``sub`` and ``shuffle``; the samplers, the CLI and both audits read it.
+
 The exact output law of the subsampled mechanism is the mixture
 ``(1/n) * sum_i RR_{X_i}``, enumerable for audits; sample-complexity
 calculators return integer ceilings of the sufficient bounds.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +63,17 @@ def _check_tolerance(alpha: float, m: int) -> float:
 def _tolerant_ceil(x: float) -> int:
     """Ceiling that forgives float noise just above an exact integer."""
     return int(math.ceil(x - 1e-9 * max(1.0, abs(x))))
+
+
+def _least_n(ok: Callable[[int], bool], lo: int) -> int:
+    """Smallest n >= lo with ok(n), for ok monotone in n: doubling, then bisection."""
+    hi = lo
+    while not ok(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid + 1, hi)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -139,9 +155,8 @@ def subrr_eps0(eps: float, n: int) -> float:
 
 def subrr_sample(data: KaryDataset, eps: float, rng: RandomSource) -> int:
     """One private sample: randomized response on a uniformly chosen record."""
-    params = RRParams(eps0=subrr_eps0(eps, data.n), k=data.k)
-    gen = rng.generator
-    r = int(gen.integers(0, data.n))
+    params = RRParams(eps0=KARY_CALIBRATIONS["sub"].eps0(eps, None, data.n), k=data.k)
+    r = int(rng.generator.integers(0, data.n))
     return rr_sample(int(data.values[r]), params, rng)
 
 
@@ -158,7 +173,7 @@ def rr_mixture_dist(data: KaryDataset, eps0: float) -> CategoricalDist:
 
 def subrr_exact_output_dist(data: KaryDataset, eps: float) -> CategoricalDist:
     """Exact output law of the subsampled mechanism at eps0 = ln(eps * n)."""
-    return rr_mixture_dist(data, subrr_eps0(eps, data.n))
+    return rr_mixture_dist(data, KARY_CALIBRATIONS["sub"].eps0(eps, None, data.n))
 
 
 @dataclass(frozen=True)
@@ -203,22 +218,26 @@ def shurr_f(eps: float) -> float:
     return eps / scale if eps <= 1.0 else math.sqrt(eps) / scale
 
 
+# the shuffled mechanism's local parameter ln(ratio - 1) is positive iff this ratio > 2
+def _shurr_ratio(eps: float, delta: float, n: int) -> float:
+    return shurr_f(eps) ** 2 * n / math.log(4.0 / delta)
+
+
 def shurr_min_n(eps: float, delta: float) -> int:
-    """Smallest n for which the shuffled mechanism's local parameter is positive."""
-    # eps0 > 0 requires f^2 * n / ln(4/delta) > 2
-    return _tolerant_ceil(2.0 * math.log(4.0 / delta) / shurr_f(eps) ** 2) + 1
+    """Smallest n that :func:`shurr_eps0` accepts, found on its own test."""
+    return _least_n(lambda n: _shurr_ratio(eps, delta, n) > 2.0, 1)
 
 
 def shurr_eps0(eps: float, delta: float, n: int) -> float:
-    """Local parameter ln(f(eps)^2 * n / ln(4/delta) - 1)."""
+    """Local parameter ln(f(eps)^2 * n / ln(4/delta) - 1), refused unless positive."""
     if not 0 < delta < 1:
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    ratio = shurr_f(eps) ** 2 * n / math.log(4.0 / delta)
-    if ratio <= 1.0 + 1e-9:
+    ratio = _shurr_ratio(eps, delta, n)
+    if not ratio > 2.0:
         raise InsufficientSamples(
-            f"f(eps)^2*n/ln(4/delta) = {ratio} leaves the local parameter undefined; "
+            f"f(eps)^2*n/ln(4/delta) = {ratio} <= 2 leaves eps0 = ln(ratio - 1) not positive; "
             f"need n >= {shurr_min_n(eps, delta)} at eps = {eps}, delta = {delta}"
         )
     return math.log(ratio - 1.0)
@@ -240,32 +259,6 @@ def fmt_eps1(eps0: float, delta: float, n: int, k: int) -> float:
     return math.log1p(8.0 * (e0 + 1.0) * (root + (k + 1) / (k * n)))
 
 
-@dataclass(frozen=True)
-class ShuRRConfig:
-    """Validated parameters of one shuffled-randomized-response run."""
-
-    eps: float
-    delta: float
-    m: int
-    n: int
-    eps0: float = field(init=False)
-    f_value: float = field(init=False)
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError(f"m must be >= 1, got {self.m}")
-        if self.m > self.n:
-            raise TooManyOutputs(f"requested m={self.m} outputs from n={self.n} inputs")
-        eps0 = shurr_eps0(self.eps, self.delta, self.n)
-        if eps0 <= 0:
-            raise InsufficientSamples(
-                f"derived local parameter {eps0} <= 0; "
-                f"need n >= {shurr_min_n(self.eps, self.delta)}"
-            )
-        object.__setattr__(self, "eps0", eps0)
-        object.__setattr__(self, "f_value", shurr_f(self.eps))
-
-
 def shurr_run(
     data: KaryDataset, eps: float, delta: float, m: int, rng: RandomSource
 ) -> np.ndarray:
@@ -276,10 +269,14 @@ def shurr_run(
     replacement, in uniformly random order, so positions stay exchangeable.
     The amplification bound :func:`fmt_eps1` is a statement about that law.
     """
-    config = ShuRRConfig(eps=eps, delta=delta, m=m, n=data.n)
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
+    if m > data.n:
+        raise TooManyOutputs(f"requested m={m} outputs from n={data.n} inputs")
+    params = RRParams(eps0=KARY_CALIBRATIONS["shuffle"].eps0(eps, delta, data.n), k=data.k)
     gen = rng.generator
     chosen = data.values[gen.choice(data.n, size=m, replace=False)]
-    return _rr_apply(chosen, RRParams(eps0=config.eps0, k=data.k), gen)
+    return _rr_apply(chosen, params, gen)
 
 
 def shurr_weak_complexity(
@@ -315,3 +312,51 @@ def shurr_strong_complexity(
         formula_name="kary_strong",
         inputs={"k": k, "alpha": alpha, "eps": eps, "delta": delta, "m": m},
     )
+
+
+# --- calibration table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KaryCalibration:
+    """The numbers one k-ary sampler is calibrated by, each stated once.
+
+    * ``eps0(eps, delta, n)``: the RR parameter on n records, refused unless positive;
+      ``delta`` is None for the pure ``sub`` entry.
+    * ``certify(eps0, delta, n, k)``: the paper's bound on the central eps at that eps0.
+    * ``complexity``: task -> sufficient-n calculator, taking ``inputs`` in that order.
+    * ``figures(eps, eps0, delta, n, k)``: RunReport figures besides eps0.
+    """
+
+    eps0: Callable[[float, float | None, int], float]
+    certify: Callable[[float, float | None, int, int], float]
+    inputs: tuple[str, ...]
+    complexity: dict[str, Callable[..., ComplexityReport]]
+    figures: Callable[..., dict] = lambda eps, eps0, delta, n, k: {}
+
+    def derived(self, eps: float, delta: float | None, n: int, k: int) -> dict:
+        """RunReport figures of one release from n records on [1..k]."""
+        eps0 = self.eps0(eps, delta, n)
+        return {"eps0": eps0, **self.figures(eps, eps0, delta, n, k)}
+
+
+# entries call the module's functions by name, so a rebound function is seen here
+KARY_CALIBRATIONS = {
+    "sub": KaryCalibration(
+        eps0=lambda eps, delta, n: subrr_eps0(eps, n),
+        certify=lambda eps0, delta, n, k: math.log1p(math.exp(eps0) / n),  # = ln(1 + eps)
+        inputs=("k", "alpha", "eps"),
+        complexity={"single": lambda *args: subrr_sample_complexity(*args)},
+    ),
+    "shuffle": KaryCalibration(
+        eps0=lambda eps, delta, n: shurr_eps0(eps, delta, n),
+        certify=lambda eps0, delta, n, k: fmt_eps1(eps0, delta, n, k),
+        inputs=("k", "alpha", "eps", "delta", "m"),
+        complexity={
+            "weak": lambda *args: shurr_weak_complexity(*args),
+            "strong": lambda *args: shurr_strong_complexity(*args),
+        },
+        figures=lambda eps, eps0, delta, n, k: {"f_value": shurr_f(eps),
+                                                "eps1": fmt_eps1(eps0, delta, n, k)},
+    ),
+}

@@ -32,6 +32,7 @@ from dpsampler.errors import (
 )
 from dpsampler.gaussian import GAUSSIAN_CALIBRATIONS
 from dpsampler.kary import (
+    KARY_CALIBRATIONS,
     RRParams,
     rr_mixture_dist,
     rr_pmf,
@@ -214,9 +215,9 @@ class TestAuditSubRRPure:
         (3, 2, 1e17, None),
     ])
     def test_chunk_boundaries_match_reference(self, monkeypatch, k, n, eps, claimed):
-        # 3 count vectors per chunk of the 2k(k-1) moved triples, so the
+        # 3 count vectors per chunk of the k(k-1) lowering triples, so the
         # running maximum crosses many chunk boundaries
-        monkeypatch.setattr(dpsampler.audit, "SUBRR_CHUNK_ENTRIES", 3 * 2 * k * (k - 1))
+        monkeypatch.setattr(dpsampler.audit, "SUBRR_CHUNK_ENTRIES", 3 * k * (k - 1))
         report = audit_subrr_pure(k, n, eps, claimed_eps=claimed)
         expected = reference_audit_subrr_pure(k, n, eps, claimed)
         assert report_to_json(report) == report_to_json(expected)
@@ -353,6 +354,16 @@ class TestAuditShuRRMarginal:
             before = rng.generator.bit_generator.state
             audit_shurr_marginal(2, *args, 10**4, rng, eps0=eps0)
             assert rng.generator.bit_generator.state == before
+
+    def test_n_with_negative_local_parameter_refused(self):
+        # at n = 8,756 ln(f^2 n / ln(4/delta) - 1) = -0.69; the audit refuses it
+        # as the sampler does, naming the smallest n the calibration accepts
+        with pytest.raises(InsufficientSamples, match="need n >= 11675 at"):
+            audit_shurr_marginal(2, 8756, 1.0, 1e-6, None, None)
+
+    def test_eps0_read_from_the_calibration(self):
+        report = audit_shurr_marginal(2, 2301, 4.0, 0.01, None, None)
+        assert report.details["eps0"] == KARY_CALIBRATIONS["shuffle"].eps0(4.0, 0.01, 2301)
 
     def test_empty_dataset_rejected(self):
         # a planted eps0 skips shurr_eps0's own n >= 1 check

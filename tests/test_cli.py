@@ -16,7 +16,7 @@ from dpsampler.gaussian import (
     zcdp_bounded_cov_sample,
     zcdp_known_cov_sample,
 )
-from dpsampler.kary import shurr_weak_complexity, subrr_sample_complexity
+from dpsampler.kary import KARY_CALIBRATIONS, shurr_weak_complexity, subrr_sample_complexity
 
 
 def run_cli(capsys, argv):
@@ -123,6 +123,28 @@ class TestSampleKary:
         report = json.loads(out)
         assert report["derived"]["eps0"] == pytest.approx(math.log(200.0))
         assert len(report["outputs"]["values"]) == 1
+
+    def test_shuffle_mode_reports_the_calibration(self, capsys, kary_file):
+        code, out, _ = run_cli(
+            capsys,
+            ["sample-kary", "--mode", "shuffle", "--in", str(kary_file),
+             "--eps", "300", "--delta", "0.5", "--m", "5", "--seed", "3"],
+        )
+        assert code == 0
+        derived = json.loads(out)["derived"]
+        assert derived == {"k": 3, "n": 200,
+                           **KARY_CALIBRATIONS["shuffle"].derived(300.0, 0.5, 200, 3)}
+        assert set(derived) == {"k", "n", "eps0", "f_value", "eps1"}
+
+    def test_shuffle_below_its_smallest_n_exits_one(self, capsys, kary_file):
+        # n = 200 at eps = 4, delta = 0.3 leaves ln(f^2 n / ln(4/delta) - 1) undefined
+        code, _, err = run_cli(
+            capsys,
+            ["sample-kary", "--mode", "shuffle", "--in", str(kary_file),
+             "--eps", "4", "--delta", "0.3", "--m", "5", "--seed", "3"],
+        )
+        assert code == 1
+        assert "need n >= 498 at" in err
 
     def test_seed_required(self, capsys, kary_file):
         with pytest.raises(SystemExit) as exc:
@@ -281,6 +303,23 @@ class TestSampleGaussian:
         assert stdout == ""
         assert "n >= 477" in err and "n=300" in err
         assert not out.exists()
+
+    def test_kary_tasks_come_from_the_calibration_table(self):
+        assert {task: required for task, (required, _) in _COMPLEXITY["kary"].items()} == {
+            task: cal.inputs for cal in KARY_CALIBRATIONS.values() for task in cal.complexity
+        }
+        assert list(_COMPLEXITY["kary"]) == ["single", "weak", "strong"]
+
+    @pytest.mark.parametrize("task", ["single", "weak", "strong"])
+    def test_kary_counts_given_as_floats_are_cast(self, task):
+        # JSON configs may carry k = 4.0 and m = 8.0
+        params = {"family": "kary", "task": task, "alpha": 0.1, "eps": 2.0, "delta": 1e-6}
+        as_ints = run(ExperimentConfig(task="complexity", params=dict(params, k=4, m=8)))
+        as_floats = run(ExperimentConfig(task="complexity", params=dict(params, k=4.0, m=8.0)))
+        inputs = as_floats.outputs["report"]["inputs"]
+        assert inputs == as_ints.outputs["report"]["inputs"]
+        assert all(type(inputs[name]) is int for name in ("k", "m") if name in inputs)
+        assert as_floats.derived == as_ints.derived
 
     def test_variant_names_are_one_set(self):
         commands = next(a for a in _PARSER._actions if a.dest == "command").choices

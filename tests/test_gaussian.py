@@ -491,6 +491,29 @@ class TestCalibrationTable:
         with pytest.raises(ValidationError, match="unknown Gaussian variant 'known_cov'"):
             gaussian_calibration("known_cov")
 
+    @pytest.mark.parametrize("variant, field, name", [
+        ("pure", "clip_bound", "pure_clip_bound"),
+        ("zcdp-known", "clip_bound", "known_cov_clip_bound"),
+        ("zcdp-bounded", "clip_bound", "bounded_cov_clip_bound"),
+        ("pure", "complexity", "pure_sample_complexity"),
+        ("zcdp-known", "complexity", "zcdp_known_cov_complexity"),
+        ("zcdp-bounded", "complexity", "zcdp_bounded_cov_complexity"),
+    ])
+    def test_entries_call_module_functions_by_name(self, monkeypatch, variant, field, name):
+        # a function rebound in the module (a tracer's wrapper, say) is what the table calls
+        original = getattr(dpsampler.gaussian, name)
+        called = []
+
+        def recording(*args, **constants):
+            called.append(args)
+            return original(*args, **constants)
+
+        monkeypatch.setattr(dpsampler.gaussian, name, recording)
+        args = (2, 1.0, 0.1) if field == "clip_bound" else (2, 1.0, 0.1, 1.0)
+        result = getattr(GAUSSIAN_CALIBRATIONS[variant], field)(*args)
+        assert called[0] == args
+        assert result == original(*args)
+
 
 def _gaussian_renyi(delta_norm: float, sigma: float, order: float) -> float:
     """Reference: Renyi divergence order * delta_norm^2 / (2 sigma^2) of a shifted Gaussian.

@@ -6,6 +6,7 @@ import scipy.stats
 
 from helpers import chi2_statistic
 
+import dpsampler.kary
 from dpsampler.core import KaryDataset, RandomSource, validate_categorical
 from dpsampler.divergences import tv_distance_finite
 from dpsampler.errors import (
@@ -16,8 +17,8 @@ from dpsampler.errors import (
     ValidationError,
 )
 from dpsampler.kary import (
+    KARY_CALIBRATIONS,
     RRParams,
-    ShuRRConfig,
     _rr_apply,
     fmt_eps1,
     rr_mixture_dist,
@@ -27,6 +28,7 @@ from dpsampler.kary import (
     rr_sample,
     shurr_eps0,
     shurr_f,
+    shurr_min_n,
     shurr_run,
     shurr_strong_complexity,
     shurr_weak_complexity,
@@ -235,11 +237,11 @@ class TestShuRRRun:
         out = shurr_run(data, eps, delta, m=6, rng=RandomSource(21))
         # replay the pipeline: an ordered uniform choice of all n records,
         # then randomized response on the chosen values
-        config = ShuRRConfig(eps=eps, delta=delta, m=6, n=6)
+        eps0 = KARY_CALIBRATIONS["shuffle"].eps0(eps, delta, 6)
         gen = RandomSource(21).generator
         order = gen.choice(6, size=6, replace=False)
         assert sorted(order) == list(range(6))
-        randomized = _rr_apply(data.values[order], RRParams(eps0=config.eps0, k=3), gen)
+        randomized = _rr_apply(data.values[order], RRParams(eps0=eps0, k=3), gen)
         assert np.array_equal(out, randomized)
 
     def test_randomizes_only_released_records(self, monkeypatch):
@@ -259,6 +261,11 @@ class TestShuRRRun:
         data = KaryDataset(values=[1, 2, 3, 1, 2, 3], k=3)
         with pytest.raises(TooManyOutputs):
             shurr_run(data, 300.0, 0.5, m=7, rng=RandomSource(22))
+
+    def test_no_outputs_rejected(self):
+        data = KaryDataset(values=[1, 2, 3, 1, 2, 3], k=3)
+        with pytest.raises(ValidationError, match="^m must be >= 1"):
+            shurr_run(data, 300.0, 0.5, m=0, rng=RandomSource(22))
 
     def test_insufficient_n(self):
         data = KaryDataset(values=[1, 2], k=2)
@@ -353,3 +360,108 @@ class TestNonFiniteBudgets:
     def test_budget_calculators_refuse_bad_eps(self, calculate, eps):
         with pytest.raises(ValidationError, match="^eps must be finite and positive"):
             calculate(eps)
+
+
+class TestShuRRMinN:
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-3, 0.01, 0.3])
+    def test_min_n_is_the_first_accepted_n(self, eps, delta):
+        n = shurr_min_n(eps, delta)
+        assert shurr_eps0(eps, delta, n) > 0
+        with pytest.raises(InsufficientSamples, match=f"need n >= {n} at"):
+            shurr_eps0(eps, delta, n - 1)
+
+    def test_frozen_value(self):
+        # eps = 4, delta = 0.3: n = 498 gives eps0 = 0.0027 > 0, n = 497 does not
+        assert shurr_min_n(4.0, 0.3) == 498
+        assert shurr_eps0(4.0, 0.3, 498) == pytest.approx(0.0027, abs=1e-4)
+
+    def test_negative_local_parameter_refused(self):
+        # f^2 * n / ln(4/delta) lies in (1, 2] here, so ln(ratio - 1) would be negative
+        ratio = shurr_f(1.0) ** 2 * 8_756 / math.log(4e6)
+        assert 1.0 < ratio <= 2.0
+        with pytest.raises(InsufficientSamples, match="need n >= 11675 at"):
+            shurr_eps0(1.0, 1e-6, 8_756)
+        data = KaryDataset(values=np.ones(8_756, dtype=np.int64), k=2)
+        with pytest.raises(InsufficientSamples):
+            shurr_run(data, 1.0, 1e-6, 1, RandomSource(28))
+
+    def test_min_n_terminates_at_huge_n(self):
+        n = shurr_min_n(1e-10, 1e-6)
+        assert shurr_eps0(1e-10, 1e-6, n) > 0
+        with pytest.raises(InsufficientSamples):
+            shurr_eps0(1e-10, 1e-6, n - 1)
+
+
+class TestKaryCalibrations:
+    def test_eps0_is_the_mechanisms_local_parameter(self):
+        assert KARY_CALIBRATIONS["sub"].eps0(0.5, None, 40) == subrr_eps0(0.5, 40)
+        assert KARY_CALIBRATIONS["shuffle"].eps0(0.5, 1e-6, 10**6) == shurr_eps0(0.5, 1e-6, 10**6)
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 3.0])
+    def test_sub_certificate_is_log1p_eps(self, eps):
+        n = 50
+        eps0 = KARY_CALIBRATIONS["sub"].eps0(eps, None, n)
+        certificate = KARY_CALIBRATIONS["sub"].certify(eps0, None, n, 4)
+        assert certificate == math.log1p(math.exp(eps0) / n)
+        assert certificate == pytest.approx(math.log1p(eps), rel=1e-12)
+        assert certificate <= eps
+
+    def test_shuffle_certificate_is_fmt_eps1(self):
+        eps0 = KARY_CALIBRATIONS["shuffle"].eps0(2.0, 0.01, 10**5)
+        assert KARY_CALIBRATIONS["shuffle"].certify(eps0, 0.01, 10**5, 3) == fmt_eps1(
+            eps0, 0.01, 10**5, 3
+        )
+
+    def test_derived_figures(self):
+        assert KARY_CALIBRATIONS["sub"].derived(1.0, None, 100, 3) == {"eps0": math.log(100.0)}
+        eps, delta, n, k = 4.0, 0.3, 3_000, 3
+        eps0 = shurr_eps0(eps, delta, n)
+        assert KARY_CALIBRATIONS["shuffle"].derived(eps, delta, n, k) == {
+            "eps0": eps0, "f_value": shurr_f(eps), "eps1": fmt_eps1(eps0, delta, n, k)
+        }
+
+    def test_complexity_tasks_take_their_inputs_in_order(self):
+        cases = {
+            "single": ((10, 0.1, 1.0), subrr_sample_complexity),
+            "weak": ((10, 0.1, 0.5, 1e-6, 8), shurr_weak_complexity),
+            "strong": ((10, 0.1, 0.5, 1e-6, 8), shurr_strong_complexity),
+        }
+        tasks = {}
+        for cal in KARY_CALIBRATIONS.values():
+            for task, calculate in cal.complexity.items():
+                args, direct = cases[task]
+                assert len(cal.inputs) == len(args)
+                assert calculate(*args) == direct(*args)
+                tasks[task] = cal.inputs
+        assert tasks == {
+            "single": ("k", "alpha", "eps"),
+            "weak": ("k", "alpha", "eps", "delta", "m"),
+            "strong": ("k", "alpha", "eps", "delta", "m"),
+        }
+
+    @pytest.mark.parametrize("name, call", [
+        ("subrr_eps0", lambda: KARY_CALIBRATIONS["sub"].eps0(1.0, None, 100)),
+        ("shurr_eps0", lambda: KARY_CALIBRATIONS["shuffle"].eps0(4.0, 0.3, 3_000)),
+        ("fmt_eps1", lambda: KARY_CALIBRATIONS["shuffle"].certify(1.0, 0.3, 3_000, 3)),
+        ("shurr_f", lambda: KARY_CALIBRATIONS["shuffle"].figures(4.0, 1.0, 0.3, 3_000, 3)),
+        ("fmt_eps1", lambda: KARY_CALIBRATIONS["shuffle"].figures(4.0, 1.0, 0.3, 3_000, 3)),
+        ("subrr_sample_complexity",
+         lambda: KARY_CALIBRATIONS["sub"].complexity["single"](10, 0.1, 1.0)),
+        ("shurr_weak_complexity",
+         lambda: KARY_CALIBRATIONS["shuffle"].complexity["weak"](10, 0.1, 0.5, 1e-6, 8)),
+        ("shurr_strong_complexity",
+         lambda: KARY_CALIBRATIONS["shuffle"].complexity["strong"](10, 0.1, 0.5, 1e-6, 8)),
+    ])
+    def test_entries_call_module_functions_by_name(self, monkeypatch, name, call):
+        # a function rebound in the module (a tracer's wrapper, say) is what the table calls
+        original = getattr(dpsampler.kary, name)
+        called = []
+
+        def recording(*args):
+            called.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dpsampler.kary, name, recording)
+        call()
+        assert called

@@ -89,3 +89,44 @@ def test_row_norm_guard_sees_axis_calls():
         "    return np.linalg.norm(x[0]) + a + b\n"
     )
     assert _row_norm_calls(tree) == [("f", 2), ("f", 3)]
+
+
+KARY_CALIBRATION_FUNCTIONS = {"subrr_eps0", "shurr_eps0", "shurr_f", "fmt_eps1"}
+
+
+def _kary_calibration_calls(tree: ast.AST):
+    """(function name, line) of each call to a k-ary calibration function, bare or qualified."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in KARY_CALIBRATION_FUNCTIONS:
+                found.append((name, node.lineno))
+    return sorted(found, key=lambda call: call[1])
+
+
+def test_kary_calibration_is_read_from_its_table():
+    # eps0 and the certificate of each k-ary mechanism are stated in
+    # kary.KARY_CALIBRATIONS; every other module reads them from there
+    source = Path(dpsampler.__file__).parent
+    offenders = []
+    for path in sorted(source.glob("*.py")):
+        if path.name == "kary.py":
+            continue
+        for name, line in _kary_calibration_calls(ast.parse(path.read_text())):
+            offenders.append(f"{path.name}:{line} calls {name}")
+    assert offenders == []
+
+
+def test_kary_calibration_guard_sees_calls():
+    tree = ast.parse(
+        "def f(eps, delta, n):\n"
+        "    a = shurr_eps0(eps, delta, n)\n"
+        "    b = kary.fmt_eps1(a, delta, n, 2)\n"
+        "    c = subrr_eps0\n"
+        "    return dpsampler.kary.shurr_f(eps) + subrr_eps0(eps, n) + a + b\n"
+    )
+    assert _kary_calibration_calls(tree) == [
+        ("shurr_eps0", 2), ("fmt_eps1", 3), ("shurr_f", 5), ("subrr_eps0", 5)
+    ]
