@@ -115,7 +115,6 @@ def audit_rr_local(k: int, eps0: float, claimed_eps: float | None = None) -> Aud
 
 
 SUBRR_PROBE_BUDGET = 10**6
-SUBRR_CHUNK_ENTRIES = 2**18
 
 
 def _count_vectors(total: int, parts: int) -> np.ndarray:
@@ -147,8 +146,9 @@ def audit_subrr_pure(
     (replaced, replacement, outcome) triples whose probability the replacement
     lowers are evaluated, k(k-1) of the k^3 for RR rows: where it stays or
     rises, log p - log(p + s) <= 0 never beats the running best of 0.  So the
-    cost is C(n+k-1, k-1) times that many log ratios.  An outcome with mass
-    before the replacement and none after it gives ratio ``inf`` and a ``fail``.
+    cost is C(n+k-1, k-1) times that many log ratios, at most 10^6 entries in
+    one block.  An outcome with mass before the replacement and none after it
+    gives ratio ``inf`` and a ``fail``.
     """
     eps0 = KARY_CALIBRATIONS["sub"].eps0(eps, None, n)
     params = RRParams(eps0=eps0, k=k)
@@ -171,26 +171,24 @@ def audit_subrr_pure(
     a_idx, b_idx, y_idx = np.nonzero(shift < 0)
     moved = shift[a_idx, b_idx, y_idx]
     counts = _count_vectors(n, k)
-    chunk = max(1, SUBRR_CHUNK_ENTRIES // max(1, moved.size))
 
     best = (0.0, None)
     # with no lowering triple every log ratio is <= 0 and the best stays 0
-    for start in range(0, counts.shape[0] if moved.size else 0, chunk):
-        block = counts[start : start + chunk]
+    if moved.size:
         # one (1, k) @ (k, k) product per count vector, bit-equal to c @ rows;
         # a 2-D (c, k) @ (k, k) product differs in the last bit, which can flip
         # the witness among tied ratios
-        base = (block[:, None, :].astype(np.float64) @ rows)[:, 0, :] / n
+        base = (counts[:, None, :].astype(np.float64) @ rows)[:, 0, :] / n
         # removing an absent record leaves no valid law; those entries are masked
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.log(base[:, y_idx] + moved)
             np.subtract(np.log(base)[:, y_idx], ratios, out=ratios)
-        np.copyto(ratios, -np.inf, where=(block == 0)[:, a_idx])
+        np.copyto(ratios, -np.inf, where=(counts == 0)[:, a_idx])
         flat = int(np.argmax(ratios))
-        if ratios.flat[flat] > best[0]:
+        if ratios.flat[flat] > 0.0:
             c, j = divmod(flat, moved.size)
             best = (float(ratios.flat[flat]), {
-                "counts": block[c].tolist(),
+                "counts": counts[c].tolist(),
                 "replaced": int(a_idx[j]) + 1,
                 "replacement": int(b_idx[j]) + 1,
                 "outcome": int(y_idx[j]) + 1,
@@ -218,7 +216,7 @@ def audit_subrr_pure(
 
 def audit_shurr_marginal(
     k: int, n: int, eps: float, delta: float, runs: int | None, rng: RandomSource | None,
-    eps0: float | None = None, datasets=None,
+    eps0: float | None = None,
 ) -> AuditReport:
     """Exact (eps, delta) gap of the shuffled mechanism's first output.
 
@@ -226,11 +224,10 @@ def audit_shurr_marginal(
     on a uniformly chosen record, with law ``rr_mixture_dist`` of the dataset.
     The audit takes the hockey-stick divergence at e^eps, in both directions,
     between the laws of the all-ones dataset and its neighbor with one record
-    replaced by 2 (or of an explicit ``datasets`` pair), and binds it to
-    ``delta``.  The first output is a post-processing of the release, so a
-    ``fail`` proves the release breaks its claim.  For k 2-4, n 1-6, eps0 in
-    {0.5, 2, 6} and eps in {0.05, 0.5, 1} no neighboring pair has a larger
-    marginal delta than the default one.
+    replaced by 2, and binds it to ``delta``.  The first output is a
+    post-processing of the release, so a ``fail`` proves the release breaks its
+    claim.  For k 2-4, n 1-6, eps0 in {0.5, 2, 6} and eps in {0.05, 0.5, 1} no
+    neighboring pair has a larger marginal delta than this one.
 
     A ``pass`` does not certify the release, whose law is that of all m
     outputs: one record moves the marginal by only 1/n.  At k = 2, n = 36,814,
@@ -241,15 +238,9 @@ def audit_shurr_marginal(
     """
     if eps0 is None:
         eps0 = KARY_CALIBRATIONS["shuffle"].eps0(eps, delta, n)
-    pair_label = "explicit pair"
-    if datasets is None:
-        ones = np.ones(n, dtype=np.int64)
-        datasets, pair_label = (ones, np.append(ones[1:], 2)), "all-ones vs one replaced by 2"
-    pair = [KaryDataset(values, k) for values in datasets]
-    if pair[0].n != n or pair[1].n != n:
-        raise ValidationError("explicit datasets must both have n records")
-
-    laws = [rr_mixture_dist(data, eps0) for data in pair]
+    ones = np.ones(n, dtype=np.int64)
+    pair = (ones, np.append(ones[1:], 2))
+    laws = [rr_mixture_dist(KaryDataset(values, k), eps0) for values in pair]
     measured = eps_delta_closeness(laws[0], laws[1], eps).delta_at_eps
     return AuditReport(
         mechanism="shurr",
@@ -258,7 +249,7 @@ def audit_shurr_marginal(
         measured_delta=measured,
         probe_count=k,
         verdict=_verdict(measured, delta),
-        witness={"dataset": pair_label, "k": k, "n": n},
+        witness={"dataset": "all-ones vs one replaced by 2", "k": k, "n": n},
         details={"measured": measured, "bound": delta, "eps0": eps0},
     )
 

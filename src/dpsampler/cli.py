@@ -151,7 +151,8 @@ def _run_sample_gaussian(config: ExperimentConfig):
     rng = _rng(config)
     if variant != "pure" and params.get("c") is not None:
         raise ConfigInvalid(f"--c applies to the pure variant only, not {variant!r}")
-    spec = gaussian_sampler(variant, data.d, R, eps, alpha, **_given(params, "c"))
+    constants = _given(params, "c")
+    spec = gaussian_sampler(variant, data.d, R, eps, alpha, **constants)
     derived = {"d": data.d, "n": data.n}
 
     if mode == "once":
@@ -160,7 +161,9 @@ def _run_sample_gaussian(config: ExperimentConfig):
             raise ConfigInvalid(f"--count must be >= 1, got {count}")
         if params.get("m") is not None:
             raise ConfigInvalid("--m applies to --mode repeat and both only; once mode takes --count")
-        derived.update(spec.calibration(alpha, data.n))
+        cal = GAUSSIAN_CALIBRATIONS[variant]
+        derived.update(B=cal.clip_bound(data.d, R, alpha, **constants),
+                       sigma2=cal.sigma2(data.d, alpha, data.n))
         outputs = [spec.run(data, alpha, rng.child(i)) for i in range(int(count))]
     elif mode in ("repeat", "both"):
         # no weak Gaussian sampler exists, so there is no precision-only mode

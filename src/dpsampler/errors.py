@@ -76,7 +76,7 @@ class TooFewSamples(DPSamplerError):
 
 
 class PrecisionLimit(DPSamplerError):
-    """Per-output tolerance alpha/m fell below the supported floor."""
+    """Per-output tolerance alpha/m fell below its floor, or a needed n beyond the float range."""
 
 
 # --- audit / orchestration ----------------------------------------------------

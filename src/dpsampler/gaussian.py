@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import RandomSource, VectorDataset, _check_finite_positive, _row_norms
 from .elap import ELapParams, elap_sample
-from .errors import BadSplit, InvalidAlpha, TooFewSamples, ValidationError
+from .errors import BadSplit, DimensionMismatch, InvalidAlpha, TooFewSamples, ValidationError
 from .kary import ComplexityReport, _least_n, _tolerant_ceil
 
 
@@ -65,11 +65,6 @@ def _clipped_stat(data: VectorDataset, variant: str, B: float, compute):
     if stat is None:
         stat = stats[(variant, B)] = compute()
     return stat
-
-
-def fresh_draw_variance(n: int) -> float:
-    """Variance (n-1)/n of the Gaussian that turns a noisy n-row mean into a fresh draw."""
-    return (n - 1) / n
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,7 @@ def pure_gaussian_sample(
     scale B/eps, and returns Z + (noisy sum)/n with Z ~ N(0, ((n-1)/n) I).
     """
     if data.d != params.d:
-        raise ValidationError(f"data dimension {data.d} != params dimension {params.d}")
+        raise DimensionMismatch(f"data dimension {data.d} != params dimension {params.d}")
     n = data.n
     if n < 2:
         raise TooFewSamples(f"need n >= 2 for the (n-1)/n noise calibration, got {n}")
@@ -202,11 +197,6 @@ def bounded_cov_clip_bound(d: int, R: float, alpha: float) -> float:
     return R + math.sqrt(2.0 * d * math.log(2.0 / alpha))
 
 
-def bounded_cov_sigma2(d: int, alpha: float) -> float:
-    """Noise variance alpha/(4*sqrt(d)) of the bounded-covariance sampler."""
-    return alpha / (4.0 * math.sqrt(d))
-
-
 def _bounded_cov_split(n: int) -> tuple[int, float]:
     """Block size q = n1 = n2 = n/3 and the difference-block weight sqrt((1 - 1/q)/(2q))."""
     if n % 3 != 0:
@@ -253,17 +243,17 @@ def zcdp_bounded_cov_sample(
 
 
 def _bounded_cov_release(
-    data: VectorDataset, d: int, R: float, alpha: float, eps: float, rng: RandomSource
+    data: VectorDataset, R: float, alpha: float, eps: float, rng: RandomSource
 ) -> np.ndarray:
     """One bounded-covariance draw, refused below the rows its noise is calibrated for."""
     bounded = GAUSSIAN_CALIBRATIONS["zcdp-bounded"]
-    needed = bounded.n_per_call(d, R, alpha, eps)
+    needed = bounded.n_per_call(data.d, R, alpha, eps)
     if data.n < needed:
         raise TooFewSamples(
             f"bounded-covariance noise is calibrated for n >= {needed} rows; got n={data.n}"
         )
-    B = bounded.clip_bound(d, R, alpha)
-    return zcdp_bounded_cov_sample(data, B, bounded.sigma2(d, alpha, data.n), rng)
+    B = bounded.clip_bound(data.d, R, alpha)
+    return zcdp_bounded_cov_sample(data, B, bounded.sigma2(data.d, alpha, data.n), rng)
 
 
 def zcdp_bounded_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
@@ -294,7 +284,8 @@ class GaussianCalibration:
     * ``sensitivity(B, n)``: how far, in l2, replacing one row can move the
       statistic that the privacy noise covers.
     * ``complexity(d, R, alpha, eps, **constants)``: the sufficient n, as a report.
-    * ``release(data, d, R, alpha, eps, rng, **constants)``: one draw.
+    * ``release(data, R, alpha, eps, rng, **constants)``: one draw from the
+      data, calibrated at its dimension.
     * ``rows(n)``: the rows one call takes, given the sufficient n.
     * ``elap_scale(B, eps)``: the Euclidean-Laplace scale b of the pure
       sampler's privacy noise.  It is None for the eps^2/2-zCDP variants,
@@ -322,26 +313,27 @@ class GaussianCalibration:
 GAUSSIAN_CALIBRATIONS = {
     "pure": GaussianCalibration(
         clip_bound=lambda *args, **constants: pure_clip_bound(*args, **constants),
-        sigma2=lambda d, alpha, n: fresh_draw_variance(n),
+        # the Gaussian that turns the noisy n-row mean into a fresh draw
+        sigma2=lambda d, alpha, n: (n - 1) / n,
         sensitivity=lambda B, n: 2.0 * B,  # of the clipped sum
         complexity=lambda *args, **constants: pure_sample_complexity(*args, **constants),
-        release=lambda data, d, R, alpha, eps, rng, **constants: pure_gaussian_sample(
-            data, PureGaussianSamplerParams(R=R, d=d, alpha=alpha, eps=eps, **constants), rng
+        release=lambda data, R, alpha, eps, rng, **constants: pure_gaussian_sample(
+            data, PureGaussianSamplerParams(R=R, d=data.d, alpha=alpha, eps=eps, **constants), rng
         ),
         elap_scale=lambda B, eps: B / eps,
     ),
     "zcdp-known": GaussianCalibration(
         clip_bound=lambda *args: known_cov_clip_bound(*args),
-        sigma2=lambda d, alpha, n: fresh_draw_variance(n),
+        sigma2=lambda d, alpha, n: (n - 1) / n,
         sensitivity=lambda B, n: 2.0 * B / n,  # of the clipped mean
         complexity=lambda *args: zcdp_known_cov_complexity(*args),
-        release=lambda data, d, R, alpha, eps, rng: zcdp_known_cov_sample(
+        release=lambda data, R, alpha, eps, rng: zcdp_known_cov_sample(
             data, R, eps, alpha, rng
         ),
     ),
     "zcdp-bounded": GaussianCalibration(
         clip_bound=lambda *args: bounded_cov_clip_bound(*args),
-        sigma2=lambda d, alpha, n: bounded_cov_sigma2(d, alpha),
+        sigma2=lambda d, alpha, n: alpha / (4.0 * math.sqrt(d)),
         sensitivity=_bounded_cov_sensitivity,
         complexity=lambda *args: zcdp_bounded_cov_complexity(*args),
         release=_bounded_cov_release,

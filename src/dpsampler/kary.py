@@ -32,6 +32,7 @@ is reported as (eps, delta)-DP in both regimes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,6 +49,9 @@ from .errors import (
 )
 
 STRONG_ALPHA_FLOOR = 1e-12
+# the largest n a sample-size bound can state: float arithmetic overflows past it
+N_CEILING = int(sys.float_info.max)
+_BEYOND_FLOATS = f"the sample size these parameters need is beyond the largest float {N_CEILING:.4g}"
 
 
 def _check_tolerance(alpha: float, m: int) -> float:
@@ -61,15 +65,19 @@ def _check_tolerance(alpha: float, m: int) -> float:
 
 
 def _tolerant_ceil(x: float) -> int:
-    """Ceiling that forgives float noise just above an exact integer."""
+    """Ceiling that forgives float noise just above an exact integer; an overflowed x is refused."""
+    if not math.isfinite(x):
+        raise PrecisionLimit(_BEYOND_FLOATS)
     return int(math.ceil(x - 1e-9 * max(1.0, abs(x))))
 
 
 def _least_n(ok: Callable[[int], bool], lo: int) -> int:
-    """Smallest n >= lo with ok(n), for ok monotone in n: doubling, then bisection."""
+    """Smallest n in [lo, N_CEILING] with ok(n), for ok monotone in n: doubling, then bisection."""
     hi = lo
     while not ok(hi):
-        lo, hi = hi + 1, 2 * hi
+        if hi >= N_CEILING:
+            raise PrecisionLimit(_BEYOND_FLOATS)
+        lo, hi = hi + 1, min(2 * hi, N_CEILING)
     while lo < hi:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if ok(mid) else (mid + 1, hi)
@@ -145,7 +153,7 @@ def subrr_eps0(eps: float, n: int) -> float:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if eps * n <= 1.0:
-        n_min = int(math.floor(1.0 / eps)) + 1
+        n_min = _least_n(lambda m: eps * m > 1.0, 1)
         raise InsufficientSamples(
             f"eps*n = {eps * n} <= 1 leaves the local parameter undefined; "
             f"need n >= {n_min} at eps = {eps}"

@@ -19,15 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .core import RandomSource
-from .errors import InsufficientData
+from .errors import DimensionMismatch, InsufficientData
 from .gaussian import gaussian_calibration
-from .kary import (
-    _check_tolerance,
-    shurr_run,
-    shurr_weak_complexity,
-    subrr_sample,
-    subrr_sample_complexity,
-)
+from .kary import KARY_CALIBRATIONS, _check_tolerance, shurr_run, subrr_sample
 
 @dataclass(frozen=True)
 class SamplerSpec:
@@ -37,18 +31,11 @@ class SamplerSpec:
     tolerance alpha; ``run(data, alpha, rng)`` performs one invocation.
     Single-samplers return one draw per call, weak samplers return their m
     outputs in one call.
-
-    ``calibration(alpha, n)`` is set for the Gaussian samplers only.  It
-    returns ``{"B": clip radius, "sigma2": variance of the added Gaussian}``
-    for one invocation on n rows at tolerance alpha, read from the same
-    ``gaussian.GAUSSIAN_CALIBRATIONS`` entry that ``run`` applies; RunReports
-    read ``B`` and ``sigma2`` from here.
     """
 
     alpha: float
     n_per_call: Callable[[float], int]
     run: Callable[[Any, float, RandomSource], Any]
-    calibration: Callable[[float, int], dict] | None = None
 
 
 def weak_via_repetition(single: SamplerSpec, m: int, data, rng: RandomSource) -> list:
@@ -99,18 +86,20 @@ def strong_both_complexity(single: SamplerSpec, m: int, alpha: float) -> int:
 
 def subrr_sampler(k: int, eps: float, alpha: float) -> SamplerSpec:
     """Single-sampler spec for the subsampled randomized-response mechanism."""
+    single = KARY_CALIBRATIONS["sub"].complexity["single"]
     return SamplerSpec(
         alpha=alpha,
-        n_per_call=lambda a: subrr_sample_complexity(k, a, eps).n_required,
+        n_per_call=lambda a: single(k, a, eps).n_required,
         run=lambda block, a, rng: subrr_sample(block, eps, rng),
     )
 
 
 def shurr_sampler(k: int, eps: float, delta: float, m: int, alpha: float) -> SamplerSpec:
     """Weak multi-sampler spec for the shuffled randomized-response mechanism."""
+    weak = KARY_CALIBRATIONS["shuffle"].complexity["weak"]
     return SamplerSpec(
         alpha=alpha,
-        n_per_call=lambda a: shurr_weak_complexity(k, a, eps, delta, m).n_required,
+        n_per_call=lambda a: weak(k, a, eps, delta, m).n_required,
         run=lambda data, a, rng: shurr_run(data, eps, delta, m, rng),
     )
 
@@ -121,16 +110,19 @@ def gaussian_sampler(
     """Single-sampler spec for a Gaussian variant, read from its calibration entry.
 
     ``constants`` are the variant's optional calibration constants: ``c`` for
-    the pure sampler.
+    the pure sampler.  A call refuses a block whose dimension is not d.
     """
     cal = gaussian_calibration(variant)
+
+    def run(block, a, rng):
+        if block.d != d:
+            raise DimensionMismatch(f"data dimension {block.d} != sampler dimension {d}")
+        return cal.release(block, R, a, eps, rng, **constants)
+
     return SamplerSpec(
         alpha=alpha,
         n_per_call=lambda a: cal.n_per_call(d, R, a, eps, **constants),
-        run=lambda block, a, rng: cal.release(block, d, R, a, eps, rng, **constants),
-        calibration=lambda a, n: {
-            "B": cal.clip_bound(d, R, a, **constants), "sigma2": cal.sigma2(d, a, n)
-        },
+        run=run,
     )
 
 

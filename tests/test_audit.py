@@ -27,7 +27,6 @@ from dpsampler.errors import (
     EmptyDataset,
     EnumerationTooLarge,
     InsufficientSamples,
-    OutOfDomain,
     ValidationError,
 )
 from dpsampler.gaussian import GAUSSIAN_CALIBRATIONS
@@ -181,7 +180,8 @@ class TestAuditSubRRPure:
         assert report_to_json(report) == report_to_json(reference_audit_subrr_pure(5, 10, 2.0))
 
     def test_memory_is_chunked(self):
-        # 1,540 count vectors x 20^3 entries: about 98 MB per array unchunked
+        # 1,540 count vectors x 20^3 entries would be about 98 MB per array; the
+        # 20 * 19 lowering triples make it one block of 4.7 MB per array
         tracemalloc.start()
         try:
             audit_subrr_pure(20, 3, 1.0)
@@ -210,18 +210,6 @@ class TestAuditSubRRPure:
         assert report.witness == {}
         assert report.verdict == "pass"
 
-    @pytest.mark.parametrize("k, n, eps, claimed", [
-        (2, 9, 0.5, None), (3, 5, 1.0, 0.1), (4, 6, 2.0, None), (5, 4, 1.0, None),
-        (3, 2, 1e17, None),
-    ])
-    def test_chunk_boundaries_match_reference(self, monkeypatch, k, n, eps, claimed):
-        # 3 count vectors per chunk of the k(k-1) lowering triples, so the
-        # running maximum crosses many chunk boundaries
-        monkeypatch.setattr(dpsampler.audit, "SUBRR_CHUNK_ENTRIES", 3 * k * (k - 1))
-        report = audit_subrr_pure(k, n, eps, claimed_eps=claimed)
-        expected = reference_audit_subrr_pure(k, n, eps, claimed)
-        assert report_to_json(report) == report_to_json(expected)
-
     def test_matches_nested_loop_reference(self):
         checked = 0
         for k in range(2, 7):
@@ -238,9 +226,11 @@ class TestAuditSubRRPure:
                         assert report_to_json(report) == report_to_json(expected), (k, n, eps)
                         checked += 1
         assert checked > 200
-        # keep_prob rounds to 1.0: both sides must measure inf at one witness
-        report = audit_subrr_pure(3, 2, 1e17)
-        assert report_to_json(report) == report_to_json(reference_audit_subrr_pure(3, 2, 1e17))
+        # keep_prob rounds to 1.0 at eps = 1e17: both sides must measure inf at
+        # one witness; n = 9 lies past the grid
+        for k, n, eps in [(3, 2, 1e17), (2, 9, 0.5)]:
+            report = audit_subrr_pure(k, n, eps)
+            assert report_to_json(report) == report_to_json(reference_audit_subrr_pure(k, n, eps))
 
 
 def _marginal_pmf(values, k, eps0):
@@ -270,10 +260,10 @@ SHURR_GRID = list(itertools.product(range(2, 5), range(1, 7), (0.5, 2.0, 6.0), (
 
 class TestAuditShuRRMarginal:
     def test_identical_datasets_gap_near_zero(self):
-        values = np.ones(50, dtype=np.int64)
-        report = audit_shurr_marginal(
-            2, 50, 4.0, 0.5, None, None, eps0=2.0, datasets=(values, values)
-        )
+        law = rr_mixture_dist(KaryDataset(values=np.ones(50, dtype=np.int64), k=2), 2.0)
+        assert eps_delta_closeness(law, law, 4.0).delta_at_eps == 0.0
+        # at eps0 = 0 every record reports uniformly, so the audited pair's laws agree
+        report = audit_shurr_marginal(2, 50, 4.0, 0.5, None, None, eps0=0.0)
         assert report.verdict == "pass"
         assert report.measured_delta == 0.0
 
@@ -296,38 +286,37 @@ class TestAuditShuRRMarginal:
         # position 1 is RR on a uniform record, so the gap is the closeness of
         # the two rr_mixture_dist laws
         k, n, eps, eps0 = 3, 4, 0.05, 3.0
-        values_a = np.ones(n, dtype=np.int64)
-        values_b = values_a.copy()
-        values_b[-1] = 3
+        values_a, values_b = _default_pair(n)
         exact = eps_delta_closeness(
             rr_mixture_dist(KaryDataset(values=values_a, k=k), eps0),
             rr_mixture_dist(KaryDataset(values=values_b, k=k), eps0),
             eps,
         ).delta_at_eps
-        report = audit_shurr_marginal(
-            k, n, eps, 0.001, None, None, eps0=eps0, datasets=(values_a, values_b)
-        )
+        report = audit_shurr_marginal(k, n, eps, 0.001, None, None, eps0=eps0)
         assert exact == pytest.approx(0.2137, abs=1e-4)
         assert report.measured_delta == exact
 
     def test_matches_hand_built_marginals(self):
+        # the audit on its pair, and the mixture laws it reads on random pairs
         gen = np.random.default_rng(61)
         for k, n, eps0, eps in SHURR_GRID:
             values_a = gen.integers(1, k + 1, size=n)
             values_b = values_a.copy()
             values_b[gen.integers(n)] = gen.integers(1, k + 1)
+            deltas = []
             for pair in (_default_pair(n), (values_a, values_b)):
                 expected = _hockey_stick_both(
                     _marginal_pmf(pair[0], k, eps0), _marginal_pmf(pair[1], k, eps0), eps
                 )
-                report = audit_shurr_marginal(
-                    k, n, eps, 0.01, None, None, eps0=eps0, datasets=pair
-                )
+                laws = [rr_mixture_dist(KaryDataset(values=v, k=k), eps0) for v in pair]
+                deltas.append(eps_delta_closeness(laws[0], laws[1], eps).delta_at_eps)
                 case = (k, n, eps0, eps, pair)
-                assert report.measured_delta == pytest.approx(expected, rel=0, abs=1e-12), case
-                assert report.measured_max_log_ratio == report.measured_delta
-                assert report.details["bound"] == 0.01
-                assert report.probe_count == k
+                assert deltas[-1] == pytest.approx(expected, rel=0, abs=1e-12), case
+            report = audit_shurr_marginal(k, n, eps, 0.01, None, None, eps0=eps0)
+            assert report.measured_delta == deltas[0]
+            assert report.measured_max_log_ratio == report.measured_delta
+            assert report.details["bound"] == 0.01
+            assert report.probe_count == k
 
     def test_default_pair_reaches_the_worst_neighbouring_pair(self):
         # the marginal depends on the counts only, so enumerate count vectors
@@ -369,16 +358,6 @@ class TestAuditShuRRMarginal:
         # a planted eps0 skips shurr_eps0's own n >= 1 check
         with pytest.raises(EmptyDataset):
             audit_shurr_marginal(2, 0, 1.0, 0.01, None, None, eps0=1.0)
-
-    @pytest.mark.parametrize("record", [0, 5])
-    def test_explicit_records_outside_domain_rejected(self, record):
-        values_a = np.ones(4, dtype=np.int64)
-        values_b = values_a.copy()
-        values_b[-1] = record
-        with pytest.raises(OutOfDomain):
-            audit_shurr_marginal(
-                3, 4, 1.0, 0.01, None, None, eps0=2.0, datasets=(values_a, values_b)
-            )
 
 
 def _elap_probe_search(d, B, eps, probes, rng, differing_rows=None):
@@ -552,13 +531,12 @@ class TestAuditZcdpGaussian:
     @pytest.mark.parametrize("variant", ["zcdp-known", "zcdp-bounded"])
     def test_reads_the_samplers_own_calibration(self, variant):
         d, R, alpha, eps = 2, 1.0, 0.1, 1.0
-        spec = gaussian_sampler(variant, d, R, eps, alpha)
-        n = spec.n_per_call(alpha)
-        calibration = spec.calibration(alpha, n)
+        cal = GAUSSIAN_CALIBRATIONS[variant]
+        n = gaussian_sampler(variant, d, R, eps, alpha).n_per_call(alpha)
         report = audit_zcdp_gaussian(variant, d, R, alpha, eps)
         assert report.witness["n"] == n
-        assert report.witness["B"] == calibration["B"]
-        assert report.witness["sigma"] == math.sqrt(calibration["sigma2"])
+        assert report.witness["B"] == cal.clip_bound(d, R, alpha)
+        assert report.witness["sigma"] == math.sqrt(cal.sigma2(d, alpha, n))
 
     def test_bounded_is_about_six_times_over_budget(self):
         report = audit_zcdp_gaussian("zcdp-bounded", 2, 1.0, 0.1, 1.0)

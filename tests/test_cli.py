@@ -709,6 +709,36 @@ class TestRejectedParameters:
         assert "eps must be finite and positive, got inf" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["sample-kary", "--mode", "sub", "--eps", "1e-320", "--seed", "1"],
+        ["sample-kary", "--mode", "shuffle", "--eps", "1e-160", "--delta", "0.5", "--m", "1",
+         "--seed", "1"],
+        ["complexity", "--family", "kary", "--task", "single", "--k", "2", "--alpha", "0.1",
+         "--eps", "1e-320"],
+        ["complexity", "--family", "kary", "--task", "weak", "--k", "2", "--alpha", "0.1",
+         "--eps", "1e-160", "--delta", "0.5", "--m", "2"],
+        ["complexity", "--family", "gaussian", "--task", "pure", "--dim", "1", "--R", "1",
+         "--alpha", "0.1", "--eps", "1e-320"],
+        ["complexity", "--family", "gaussian", "--task", "zcdp-known", "--dim", "1", "--R", "1",
+         "--alpha", "0.1", "--eps", "1e-320"],
+        ["complexity", "--family", "gaussian", "--task", "zcdp-bounded", "--dim", "1", "--R", "1",
+         "--alpha", "0.1", "--eps", "1e-160"],
+        ["audit", "--mechanism", "subrr", "--k", "2", "--n", "3", "--eps", "1e-320"],
+        ["audit", "--mechanism", "shurr", "--k", "2", "--n", "10", "--eps", "1e-160",
+         "--delta", "0.5"],
+    ], ids=["sub", "shuffle", "complexity-single", "complexity-weak", "complexity-pure",
+            "complexity-zcdp-known", "complexity-zcdp-bounded", "audit-subrr", "audit-shurr"])
+    def test_tiny_eps_exits_one_naming_the_float_limit(self, capsys, kary_file, argv):
+        # the n such an eps needs overflows a float; the refusal is one error line
+        if argv[0] == "sample-kary":
+            argv = argv + ["--in", str(kary_file)]
+        code, stdout, err = run_cli(capsys, argv)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "largest float 1.798e+308" in err
+
+
 class TestRunReportRoundTrip:
     def test_rerun_from_echoed_config(self, capsys, kary_file, vector_file, tmp_path):
         gen = np.random.default_rng(84)

@@ -22,7 +22,6 @@ from dpsampler.gaussian import (
     _STATS,
     _clip_rows,
     bounded_cov_clip_bound,
-    bounded_cov_sigma2,
     gaussian_calibration,
     known_cov_clip_bound,
     pure_gaussian_sample,
@@ -335,7 +334,8 @@ class TestClippedStatMemo:
             pure_gaussian_sample(data, params, RandomSource(2))
             zcdp_known_cov_sample(data, 1.0, 1.0, alpha, RandomSource(3))
             zcdp_bounded_cov_sample(
-                data, bounded_cov_clip_bound(2, 1.0, alpha), bounded_cov_sigma2(2, alpha),
+                data, bounded_cov_clip_bound(2, 1.0, alpha),
+                GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sigma2(2, alpha, data.n),
                 RandomSource(4),
             )
         stats = _STATS[data]

@@ -8,14 +8,15 @@ import scipy.stats
 from helpers import chi2_statistic
 
 from dpsampler.core import KaryDataset, RandomSource, VectorDataset
-from dpsampler.errors import InsufficientData, PrecisionLimit, TooFewSamples
-from dpsampler.gaussian import bounded_cov_clip_bound, bounded_cov_sigma2, zcdp_bounded_cov_sample
+from dpsampler.errors import DimensionMismatch, InsufficientData, PrecisionLimit, TooFewSamples
+from dpsampler.gaussian import GAUSSIAN_CALIBRATIONS, bounded_cov_clip_bound, zcdp_bounded_cov_sample
 from dpsampler.kary import (
     shurr_strong_complexity,
     subrr_exact_output_dist,
     subrr_sample_complexity,
 )
 from dpsampler.multisampling import (
+    gaussian_sampler,
     pure_gaussian_sampler,
     repetition_complexity,
     shurr_sampler,
@@ -219,7 +220,15 @@ class TestGaussianFactories:
             spec.run(short, 0.1, RandomSource(46))
         # at its own n, a call draws what the sampler draws from the entry's B and sigma2
         data = VectorDataset(rows=gen.normal(size=(needed, 2)))
+        sigma2 = GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sigma2(2, 0.1, needed)
         direct = zcdp_bounded_cov_sample(
-            data, bounded_cov_clip_bound(2, 1.0, 0.1), bounded_cov_sigma2(2, 0.1), RandomSource(47)
+            data, bounded_cov_clip_bound(2, 1.0, 0.1), sigma2, RandomSource(47)
         )
         assert np.array_equal(spec.run(data, 0.1, RandomSource(47)), direct)
+
+    @pytest.mark.parametrize("variant", ["pure", "zcdp-known", "zcdp-bounded"])
+    def test_run_refuses_data_of_another_dimension(self, variant):
+        spec = gaussian_sampler(variant, 3, 1.0, 1.0, 0.1)
+        rows = np.random.default_rng(48).normal(size=(spec.n_per_call(0.1), 1))
+        with pytest.raises(DimensionMismatch, match="data dimension 1 != sampler dimension 3"):
+            spec.run(VectorDataset(rows=rows), 0.1, RandomSource(49))

@@ -92,31 +92,38 @@ def test_row_norm_guard_sees_axis_calls():
 
 
 KARY_CALIBRATION_FUNCTIONS = {"subrr_eps0", "shurr_eps0", "shurr_f", "fmt_eps1"}
+COMPLEXITY_CALCULATORS = {
+    "subrr_sample_complexity", "shurr_weak_complexity", "shurr_strong_complexity",
+    "pure_sample_complexity", "zcdp_known_cov_complexity", "zcdp_bounded_cov_complexity",
+}
 
 
-def _kary_calibration_calls(tree: ast.AST):
-    """(function name, line) of each call to a k-ary calibration function, bare or qualified."""
+def _calls(tree: ast.AST, names: set[str]):
+    """(function name, line) of each call to one of ``names``, bare or qualified."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in KARY_CALIBRATION_FUNCTIONS:
+            if name in names:
                 found.append((name, node.lineno))
     return sorted(found, key=lambda call: call[1])
+
+
+def _calls_outside(owners: set[str], names: set[str]) -> list[str]:
+    """Calls to ``names`` in the package's modules other than ``owners``."""
+    source = Path(dpsampler.__file__).parent
+    return [
+        f"{path.name}:{line} calls {name}"
+        for path in sorted(source.glob("*.py")) if path.name not in owners
+        for name, line in _calls(ast.parse(path.read_text()), names)
+    ]
 
 
 def test_kary_calibration_is_read_from_its_table():
     # eps0 and the certificate of each k-ary mechanism are stated in
     # kary.KARY_CALIBRATIONS; every other module reads them from there
-    source = Path(dpsampler.__file__).parent
-    offenders = []
-    for path in sorted(source.glob("*.py")):
-        if path.name == "kary.py":
-            continue
-        for name, line in _kary_calibration_calls(ast.parse(path.read_text())):
-            offenders.append(f"{path.name}:{line} calls {name}")
-    assert offenders == []
+    assert _calls_outside({"kary.py"}, KARY_CALIBRATION_FUNCTIONS) == []
 
 
 def test_kary_calibration_guard_sees_calls():
@@ -127,6 +134,23 @@ def test_kary_calibration_guard_sees_calls():
         "    c = subrr_eps0\n"
         "    return dpsampler.kary.shurr_f(eps) + subrr_eps0(eps, n) + a + b\n"
     )
-    assert _kary_calibration_calls(tree) == [
+    assert _calls(tree, KARY_CALIBRATION_FUNCTIONS) == [
         ("shurr_eps0", 2), ("fmt_eps1", 3), ("shurr_f", 5), ("subrr_eps0", 5)
+    ]
+
+
+def test_samplers_are_sized_from_their_calibration_tables():
+    # the rows one call takes are read from kary.KARY_CALIBRATIONS and
+    # gaussian.GAUSSIAN_CALIBRATIONS, whose modules alone name the calculators
+    assert _calls_outside({"kary.py", "gaussian.py"}, COMPLEXITY_CALCULATORS) == []
+
+
+def test_complexity_guard_sees_calls():
+    tree = ast.parse(
+        "def f(k, alpha, eps):\n"
+        "    a = lambda t: subrr_sample_complexity(k, t, eps).n_required\n"
+        "    return gaussian.zcdp_known_cov_complexity(1, 1.0, alpha, eps), a\n"
+    )
+    assert _calls(tree, COMPLEXITY_CALCULATORS) == [
+        ("subrr_sample_complexity", 2), ("zcdp_known_cov_complexity", 3)
     ]

@@ -14,7 +14,11 @@ so its digest guards the reports' bytes, recorded before the subsampled audit
 skipped the outcomes a replacement does not move.  ``kary-reports`` pins the
 k-ary CLI RunReports (every ``sample-kary`` mode, the kary ``complexity`` tasks
 and ``sweep``, and the subrr and shurr audits), recorded before their
-calibration moved into ``kary.KARY_CALIBRATIONS``.
+calibration moved into ``kary.KARY_CALIBRATIONS``.  ``gaussian-reports`` pins
+the Gaussian CLI RunReports (every ``sample-gaussian`` variant and mode, the
+gaussian ``complexity`` tasks and ``sweep``, and both zCDP audits), recorded
+before the samplers' specs and the CLI read B and sigma2 only from
+``gaussian.GAUSSIAN_CALIBRATIONS``.
 """
 
 import hashlib
@@ -41,9 +45,9 @@ from dpsampler.core import (
 from dpsampler.divergences import tv_estimate_binned
 from dpsampler.elap import ELapParams, elap_sample
 from dpsampler.gaussian import (
+    GAUSSIAN_CALIBRATIONS,
     PureGaussianSamplerParams,
     bounded_cov_clip_bound,
-    bounded_cov_sigma2,
     pure_gaussian_sample,
     zcdp_bounded_cov_sample,
     zcdp_known_cov_sample,
@@ -145,6 +149,7 @@ DIGESTS = {
         },
         "audit_elap_mechanism": "8931440311eacd6a16846d1e02426c4e060d8d3366ec00211268107436fd582f",
         "audit_rr_subrr": "e735f73ffd0ca61bc99fa6b1cf164e8653921058f9b1ee6bc3344475e80d891d",
+        "gaussian-reports": "90fc54b0c70cf0b4176e1097debd895a87303563dc3f8a4893720564dda37688",
         "kary-reports": "e531aa9ca9361fe4aeb6acbfe9d858d872803368d588355beff36801b5452e82",
         "shurr_run": "4ac2ebee059bdd8be220b1742bc9a184a832922b52809ed4a2872c0d40a9ebc0",
         "subrr_sample": "fd617ae45c38f9505a71c0ec057cf9849e5d0104bca92c9a4cd4fe46402f7cee",
@@ -211,7 +216,8 @@ def _known(tmp_path):
 
 
 def _bounded(tmp_path):
-    B, sigma2 = bounded_cov_clip_bound(2, 1.0, 0.1), bounded_cov_sigma2(2, 0.1)
+    sigma2 = GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sigma2(2, 0.1, 300)
+    B = bounded_cov_clip_bound(2, 1.0, 0.1)
     return _gaussian_calls(
         lambda data, rng: zcdp_bounded_cov_sample(data, B, sigma2, rng), 23, 300
     )
@@ -319,6 +325,43 @@ def _kary_reports(tmp_path):
     return hashlib.sha256("\n".join(reports).encode()).hexdigest()
 
 
+GAUSSIAN_VARIANTS = ("pure", "zcdp-known", "zcdp-bounded")
+
+
+def _gaussian_reports(tmp_path):
+    # every Gaussian RunReport, less its wall clock and with the scratch folder
+    # masked, plus the sweep's CSV: the reports read each variant's calibration
+    # entry, so this pins B, sigma2 and the rows per call besides the draws
+    source = tmp_path / "vectors.csv"
+    write_vector_csv(source, _vectors(70, 900, 2).rows)
+    sample = ["sample-gaussian", "--in", str(source), "--R", "1", "--alpha", "0.4", "--eps", "5",
+              "--seed", "71"]
+    complexity = ["complexity", "--family", "gaussian", "--dim", "3", "--R", "1", "--alpha",
+                  "0.1", "--eps", "1"]
+    runs = [
+        [*sample, "--variant", variant, *argv]
+        for variant in GAUSSIAN_VARIANTS for argv in CLI_MODES.values()
+    ] + [[*sample, "--variant", "pure", "--mode", "once", "--c", "1.5"]] + [
+        [*complexity, "--task", task] for task in GAUSSIAN_VARIANTS
+    ] + [[*complexity, "--task", "pure", "--c", "1.5", "--C", "0.5"]] + [
+        ["sweep", "--family", "gaussian", "--dim", "1,3", "--R", "1,2", "--alpha", "0.05,0.3",
+         "--eps", "0.5,4", "--out", str(tmp_path / "sweep.csv")],
+    ] + [
+        ["audit", "--mechanism", "zcdp", "--variant", variant, "--dim", "3", "--R", "1",
+         "--alpha", "0.1", "--eps", "1"]
+        for variant in GAUSSIAN_VARIANTS[1:]
+    ]
+    reports = []
+    for argv in runs:
+        path = tmp_path / "report.json"
+        assert main([*argv, "--json", str(path)]) in (0, 2), argv
+        report = json.loads(path.read_text())
+        del report["wall_clock_seconds"]
+        reports.append(json.dumps(report, sort_keys=True).replace(str(tmp_path), "TMP"))
+    reports.append((tmp_path / "sweep.csv").read_text())
+    return hashlib.sha256("\n".join(reports).encode()).hexdigest()
+
+
 CASES = {
     "subrr_sample": _subrr,
     "shurr_run": _shurr,
@@ -331,6 +374,7 @@ CASES = {
     "audit_rr_subrr": _audit_rr_subrr,
     "sample-gaussian": _sample_gaussian,
     "kary-reports": _kary_reports,
+    "gaussian-reports": _gaussian_reports,
 }
 
 
