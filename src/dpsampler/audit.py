@@ -2,27 +2,29 @@
 
 Each audit measures a privacy quantity against a claimed budget and returns
 an :class:`AuditReport` whose verdict is ``pass`` iff the measured value is
-at most the bound plus a 1e-9 numeric slack.  Every audit is exhaustive or
-analytic, and every verdict is binding.  Only the ELap audit draws random
-numbers (its dataset pair); every audit is deterministic given its inputs and
-RandomSource, and reports serialize to canonical JSON for byte-identical
-re-verification.
+at most the bound plus a 1e-9 numeric slack.  Every audit is exact, and every
+verdict is binding.  The three k-ary audits (RR, subsampled RR and the
+shuffled mechanism's first output) compare the exact laws of one worst-case
+neighbouring pair: n ones against n - 1 ones and one 2.  They differ only in
+n (1 for RR), eps0 and the divergence.  The Gaussian audits are closed form.
+Only the ELap audit draws random numbers (its dataset pair); every audit is
+deterministic given its inputs and RandomSource, and reports serialize to
+canonical JSON for byte-identical re-verification.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import KaryDataset, PrivacyBudget, RandomSource, _check_finite_positive, _row_norms
+from .core import CategoricalDist, PrivacyBudget, RandomSource, _check_finite_positive, _row_norms
 from .divergences import eps_delta_closeness
-from .errors import EnumerationTooLarge, ValidationError
+from .errors import EmptyDataset, ValidationError
 from .gaussian import GAUSSIAN_CALIBRATIONS, gaussian_calibration
-from .kary import KARY_CALIBRATIONS, RRParams, rr_mixture_dist, rr_pmf, rr_row
+from .kary import KARY_CALIBRATIONS, RRParams, _rr_mixture
 
 VERDICT_SLACK = 1e-9
 
@@ -33,9 +35,12 @@ class AuditReport:
 
     ``measured_max_log_ratio`` carries the audit's binding scalar: the worst
     log-likelihood ratio for pure-DP audits, the measured zCDP parameter rho
-    for Renyi audits, and the exact additive delta for the hockey-stick audit
-    of the shuffle marginal (mirrored in ``measured_delta``).  ``details`` always
-    holds ``measured`` and ``bound``; the verdict is recomputable from them.
+    for the zCDP audit, and the exact additive delta for the hockey-stick audit
+    of the shuffle marginal (mirrored in ``measured_delta``).  ``probe_count``
+    is the number of outcomes or points the audit compares: k for the k-ary
+    audits, 1 for the closed-form ones.  ``witness`` names where the measured
+    value is reached.  ``details`` always holds ``measured`` and ``bound``; the
+    verdict is recomputable from them.
     """
 
     mechanism: str
@@ -78,130 +83,105 @@ def reverify(report: AuditReport) -> bool:
     return report.verdict == expected
 
 
-# --- local randomized response ------------------------------------------------
+# --- k-ary randomized response: one worst-case neighbouring pair --------------
+
+_MAX_COUNT = int(np.iinfo(np.int64).max)
+
+
+def _worst_pair(k: int, n: int, eps0: float) -> tuple[CategoricalDist, CategoricalDist]:
+    """RR-mixture laws of n ones and of its neighbour with one record replaced by 2.
+
+    The two count vectors are [n, 0, ...] and [n - 1, 1, 0, ...], so this
+    costs O(k) time and memory whatever n is.  They are int64, which bounds n.
+    """
+    if n < 1:
+        raise EmptyDataset(f"the audited pair needs n >= 1 records, got {n}")
+    if n > _MAX_COUNT:
+        raise ValidationError(f"n = {n} overflows the int64 record counts; need n <= {_MAX_COUNT}")
+    params = RRParams(eps0=eps0, k=k)
+    ones = np.zeros(k, dtype=np.int64)
+    ones[0] = n
+    replaced = ones.copy()
+    replaced[:2] = (n - 1, 1)
+    return _rr_mixture(ones, params), _rr_mixture(replaced, params)
+
+
+def _max_log_ratio(laws: tuple[CategoricalDist, CategoricalDist]) -> tuple[float, int, int]:
+    """Largest log(p_y / q_y) over both orders (p, q) of the two laws.
+
+    Returns it with the index in ``laws`` of its p and its outcome y; the first
+    order, and the first outcome, win ties.  Outcomes p gives no mass are
+    skipped, so an outcome with mass under p only gives ``inf``.
+    """
+    best = (-math.inf, 0, 1)
+    for i in (0, 1):
+        p, q = laws[i].probs, laws[1 - i].probs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.log(p / q)
+        ratios[p == 0.0] = -math.inf
+        y = int(np.argmax(ratios))
+        if ratios[y] > best[0]:
+            best = (float(ratios[y]), i, y + 1)
+    return best
 
 
 def audit_rr_local(k: int, eps0: float, claimed_eps: float | None = None) -> AuditReport:
-    """Exhaustive worst-case log pmf ratio of k-ary randomized response.
+    """Worst-case log pmf ratio of k-ary randomized response.
 
-    The max over inputs x, x' and outcome y equals eps0 exactly; auditing a
-    smaller claimed budget therefore fails with a concrete witness.  Once the
-    keep probability rounds to 1.0, outcome x has mass under x only: ``inf``.
+    This is the pair at n = 1: inputs 1 and 2, whose laws are ``rr_row(1)``
+    and ``rr_row(2)``.  Any other pair of inputs relabels it, so the maximum
+    over outcomes equals eps0 exactly; auditing a smaller claimed budget
+    therefore fails with a concrete witness.  Once the keep probability rounds
+    to 1.0, outcome x has mass under x only: ``inf``.
     """
-    params = RRParams(eps0=eps0, k=k)
     bound = eps0 if claimed_eps is None else claimed_eps
-    best = (0.0, (1, 1, 1))
-    for x, x_alt, y in itertools.product(range(1, k + 1), repeat=3):
-        mass, mass_alt = rr_pmf(x, y, params), rr_pmf(x_alt, y, params)
-        if mass == 0.0:  # log 0, or 0/0: never the maximum
-            continue
-        ratio = math.log(mass / mass_alt) if mass_alt > 0.0 else math.inf
-        if ratio > best[0]:
-            best = (ratio, (x, x_alt, y))
-    measured = best[0]
+    measured, alt, outcome = _max_log_ratio(_worst_pair(k, 1, eps0))
+    x, x_alt = (1, 2) if alt == 0 else (2, 1)
     return AuditReport(
         mechanism="rr",
         claimed=PrivacyBudget.pure(bound),
         measured_max_log_ratio=measured,
         measured_delta=0.0,
-        probe_count=k**3,
+        probe_count=k,
         verdict=_verdict(measured, bound),
-        witness={"x": best[1][0], "x_alt": best[1][1], "outcome": best[1][2]},
+        witness={"x": x, "x_alt": x_alt, "outcome": outcome},
         details={"measured": measured, "bound": bound, "eps0": eps0},
     )
-
-
-# --- subsampled randomized response --------------------------------------------
-
-
-SUBRR_PROBE_BUDGET = 10**6
-
-
-def _count_vectors(total: int, parts: int) -> np.ndarray:
-    """All count vectors of length ``parts`` summing to ``total``, lexicographically.
-
-    Stars and bars: each choice of ``parts - 1`` bar slots among
-    ``total + parts - 1`` gives the counts as the gaps between bars, and
-    ``itertools.combinations`` yields the choices in the same lexicographic order.
-    """
-    slots = total + parts - 1
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
-        dtype=np.int64,
-    ).reshape(-1, parts - 1)
-    vectors = bars.shape[0]
-    edges = np.hstack([np.full((vectors, 1), -1), bars, np.full((vectors, 1), slots)])
-    return np.diff(edges, axis=1) - 1
 
 
 def audit_subrr_pure(
     k: int, n: int, eps: float, claimed_eps: float | None = None
 ) -> AuditReport:
-    """Exhaustive worst-case output-probability ratio of the subsampled mechanism.
+    """Worst-case output-probability ratio of the subsampled mechanism.
 
-    Enumerates datasets by their count vectors (the output law depends only on
-    counts) and all single-record replacements, taking the exact max ratio over
-    outcomes.  The enumeration budget caps the probe count, C(n+k-1, k-1)
-    count vectors times k(k-1) ordered record pairs, at 10^6.  Only the
-    (replaced, replacement, outcome) triples whose probability the replacement
-    lowers are evaluated, k(k-1) of the k^3 for RR rows: where it stays or
-    rises, log p - log(p + s) <= 0 never beats the running best of 0.  So the
-    cost is C(n+k-1, k-1) times that many log ratios, at most 10^6 entries in
-    one block.  An outcome with mass before the replacement and none after it
-    gives ratio ``inf`` and a ``fail``.
+    The output law ``rr_mixture_dist`` depends on the counts only.  Replacing
+    one record a by b lowers only outcome a, from P(a) to P(a) - (RR_a(a) -
+    RR_b(a))/n, so the ratio is largest where P(a) is smallest: the dataset
+    holds a single a.  Every such pair is a relabelling of n - 1 ones and one
+    2 against n ones, whose ratio at outcome 2 is 1 + (e^eps0 - 1)/n, the
+    tight subsampling bound.  The audit measures the larger max log ratio of
+    that pair's two exact laws, taken in both directions.  An outcome with
+    mass before the replacement and none after it gives ``inf`` and a ``fail``.
     """
     eps0 = KARY_CALIBRATIONS["sub"].eps0(eps, None, n)
-    params = RRParams(eps0=eps0, k=k)
-    probes = math.comb(n + k - 1, k - 1) * k * (k - 1)
-    if probes > SUBRR_PROBE_BUDGET:
-        raise EnumerationTooLarge(
-            f"k={k}, n={n} needs C(n+k-1, k-1)*k*(k-1) = {probes} probes, "
-            f"over the {SUBRR_PROBE_BUDGET} enumeration budget"
-        )
-    rows = np.stack([rr_row(x, params) for x in range(1, k + 1)])
     bound = eps if claimed_eps is None else claimed_eps
-
-    # shift[a, b, y] moves the output law at outcome y when one record a is
-    # replaced by b; ratios[c, j] is the log ratio of the j-th lowering triple
-    # for count vector c, and the flat argmax keeps the first maximum in
-    # (c, a, b, y) order, which fixes the reported witness.  Skipping the
-    # other triples halves the (count vectors, triples) temporaries: once the
-    # heap top has been trimmed, each of their fresh pages costs a page fault
-    shift = (rows[None, :, :] - rows[:, None, :]) / n
-    a_idx, b_idx, y_idx = np.nonzero(shift < 0)
-    moved = shift[a_idx, b_idx, y_idx]
-    counts = _count_vectors(n, k)
-
-    best = (0.0, None)
-    # with no lowering triple every log ratio is <= 0 and the best stays 0
-    if moved.size:
-        # one (1, k) @ (k, k) product per count vector, bit-equal to c @ rows;
-        # a 2-D (c, k) @ (k, k) product differs in the last bit, which can flip
-        # the witness among tied ratios
-        base = (counts[:, None, :].astype(np.float64) @ rows)[:, 0, :] / n
-        # removing an absent record leaves no valid law; those entries are masked
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.log(base[:, y_idx] + moved)
-            np.subtract(np.log(base)[:, y_idx], ratios, out=ratios)
-        np.copyto(ratios, -np.inf, where=(counts == 0)[:, a_idx])
-        flat = int(np.argmax(ratios))
-        if ratios.flat[flat] > 0.0:
-            c, j = divmod(flat, moved.size)
-            best = (float(ratios.flat[flat]), {
-                "counts": counts[c].tolist(),
-                "replaced": int(a_idx[j]) + 1,
-                "replacement": int(b_idx[j]) + 1,
-                "outcome": int(y_idx[j]) + 1,
-            })
-    measured = best[0]
+    # the replaced law first: removing its lone 2 gives the larger ratio, and
+    # it names the witness on a tie
+    measured, alt, outcome = _max_log_ratio(_worst_pair(k, n, eps0)[::-1])
+    counts, replaced, replacement = ([n - 1, 1], 2, 1) if alt == 0 else ([n, 0], 1, 2)
     return AuditReport(
         mechanism="subrr",
         claimed=PrivacyBudget.pure(bound),
         measured_max_log_ratio=measured,
         measured_delta=0.0,
-        probe_count=int(np.count_nonzero(counts)) * (k - 1),
+        probe_count=k,
         verdict=_verdict(measured, bound),
-        witness=best[1] or {},
+        witness={
+            "counts": counts + [0] * (k - 2),
+            "replaced": replaced,
+            "replacement": replacement,
+            "outcome": outcome,
+        },
         details={
             "measured": measured,
             "bound": bound,
@@ -238,10 +218,7 @@ def audit_shurr_marginal(
     """
     if eps0 is None:
         eps0 = KARY_CALIBRATIONS["shuffle"].eps0(eps, delta, n)
-    ones = np.ones(n, dtype=np.int64)
-    pair = (ones, np.append(ones[1:], 2))
-    laws = [rr_mixture_dist(KaryDataset(values, k), eps0) for values in pair]
-    measured = eps_delta_closeness(laws[0], laws[1], eps).delta_at_eps
+    measured = eps_delta_closeness(*_worst_pair(k, n, eps0), eps).delta_at_eps
     return AuditReport(
         mechanism="shurr",
         claimed=PrivacyBudget.approx(eps, delta),

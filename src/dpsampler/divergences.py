@@ -4,15 +4,13 @@ Exact calculators on finite distributions:
 
 * total variation        ``TV(p, q) = (1/2) * sum_i |p_i - q_i|``
 * hockey-stick           ``HS_beta(p || q) = sum_i max(0, p_i - beta * q_i)``
-* Renyi of order a > 1   ``(1/(a-1)) * log sum_i p_i^a q_i^(1-a)``
 
 plus the closeness relation built from the hockey-stick divergence in both
 directions, the conversion bound from (eps, delta)-closeness to TV distance,
 and a binned Monte Carlo TV estimator for continuous samplers (each row binned
 once, O(n * d) memory).
 
-Conventions: ``0 * log(0/0) = 0`` and ``p * log(p/0) = +inf`` in the Renyi
-sum; hockey-stick order is restricted to ``beta >= 1``.
+Convention: hockey-stick order is restricted to ``beta >= 1``.
 """
 
 from __future__ import annotations
@@ -44,26 +42,6 @@ ROWS_PER_CELL = 20
 
 # Each axis materializes bins_per_axis + 1 float64 edges: 32 MiB at the cap.
 MAX_BINS_PER_AXIS = 2**22
-
-
-@dataclass(frozen=True)
-class DivergenceOrder:
-    """Validated order parameter: Renyi needs order > 1, hockey-stick beta >= 1."""
-
-    kind: str
-    value: float
-
-    @classmethod
-    def renyi(cls, order: float) -> "DivergenceOrder":
-        if not order > 1:
-            raise InvalidOrder(f"Renyi order must be > 1, got {order}")
-        return cls(kind="renyi", value=float(order))
-
-    @classmethod
-    def hockey_stick(cls, beta: float) -> "DivergenceOrder":
-        if not beta >= 1:
-            raise InvalidOrder(f"hockey-stick order must be >= 1, got {beta}")
-        return cls(kind="hockey-stick", value=float(beta))
 
 
 @dataclass(frozen=True)
@@ -100,24 +78,9 @@ def tv_distance_finite(p: CategoricalDist, q: CategoricalDist) -> float:
 def hockey_stick_finite(p: CategoricalDist, q: CategoricalDist, beta: float) -> float:
     """Hockey-stick divergence sum_i max(0, p_i - beta*q_i) = sup_E (P(E) - beta*Q(E))."""
     _check_same_domain(p, q)
-    beta = DivergenceOrder.hockey_stick(beta).value
+    if not beta >= 1:
+        raise InvalidOrder(f"hockey-stick order must be >= 1, got {beta}")
     return float(np.maximum(p.probs - beta * q.probs, 0.0).sum())
-
-
-def renyi_finite(p: CategoricalDist, q: CategoricalDist, order: float) -> float:
-    """Renyi divergence of the given order; +inf when q lacks support that p has."""
-    _check_same_domain(p, q)
-    order = DivergenceOrder.renyi(order).value
-    support = p.probs > 0
-    if np.any(q.probs[support] == 0):
-        return math.inf
-    pp = p.probs[support]
-    qq = q.probs[support]
-    # log-space evaluation with a max shift to avoid under/overflow
-    log_terms = order * np.log(pp) + (1.0 - order) * np.log(qq)
-    shift = log_terms.max()
-    total = shift + math.log(float(np.exp(log_terms - shift).sum()))
-    return max(total / (order - 1.0), 0.0)
 
 
 def eps_delta_closeness(p: CategoricalDist, q: CategoricalDist, eps: float) -> ClosenessResult:

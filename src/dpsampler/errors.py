@@ -79,11 +79,7 @@ class PrecisionLimit(DPSamplerError):
     """Per-output tolerance alpha/m fell below its floor, or a needed n beyond the float range."""
 
 
-# --- audit / orchestration ----------------------------------------------------
-
-class EnumerationTooLarge(DPSamplerError):
-    """Exhaustive audit would exceed the enumeration budget."""
-
+# --- orchestration -----------------------------------------------------------
 
 class ConfigInvalid(DPSamplerError):
     """Experiment configuration is malformed or incomplete."""

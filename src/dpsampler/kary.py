@@ -21,7 +21,7 @@ RunReport figures and complexity tasks once, keyed by the CLI's mode names
 ``sub`` and ``shuffle``; the samplers, the CLI and both audits read it.
 
 The exact output law of the subsampled mechanism is the mixture
-``(1/n) * sum_i RR_{X_i}``, enumerable for audits; sample-complexity
+``(1/n) * sum_i RR_{X_i}``, computed from the dataset's counts; sample-complexity
 calculators return integer ceilings of the sufficient bounds.
 
 The amplification bound is inherently (eps, delta): even though the eps > 1
@@ -168,15 +168,20 @@ def subrr_sample(data: KaryDataset, eps: float, rng: RandomSource) -> int:
     return rr_sample(int(data.values[r]), params, rng)
 
 
+def _rr_mixture(counts: np.ndarray, params: RRParams) -> CategoricalDist:
+    """Exact law (1/n) * sum_x counts[x] * RR_x of RR on a random one of n = sum(counts) records.
+
+    Costs O(k) memory, and O(k) time per nonzero count, whatever n is.
+    """
+    probs = np.zeros(params.k)
+    for x in np.flatnonzero(counts):
+        probs += counts[x] * rr_row(x + 1, params)
+    return CategoricalDist(probs=probs / counts.sum())
+
+
 def rr_mixture_dist(data: KaryDataset, eps0: float) -> CategoricalDist:
     """Exact law (1/n) * sum_i RR_{X_i} of randomized response on a random record."""
-    params = RRParams(eps0=eps0, k=data.k)
-    counts = data.counts()
-    probs = np.zeros(data.k)
-    for x in range(1, data.k + 1):
-        if counts[x - 1]:
-            probs += counts[x - 1] * rr_row(x, params)
-    return CategoricalDist(probs=probs / data.n)
+    return _rr_mixture(data.counts(), RRParams(eps0=eps0, k=data.k))
 
 
 def subrr_exact_output_dist(data: KaryDataset, eps: float) -> CategoricalDist:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .core import RandomSource
-from .errors import DimensionMismatch, InsufficientData
+from .errors import DimensionMismatch, DomainMismatch, InsufficientData
 from .gaussian import gaussian_calibration
 from .kary import KARY_CALIBRATIONS, _check_tolerance, shurr_run, subrr_sample
 
@@ -84,23 +84,40 @@ def strong_both_complexity(single: SamplerSpec, m: int, alpha: float) -> int:
 # --- sampler factories --------------------------------------------------------
 
 
+def _on_domain(k: int, run: Callable[[Any, float, RandomSource], Any]):
+    """``run`` behind a check, made before any draw, that the block's domain size is k."""
+
+    def checked(block, a, rng):
+        if block.k != k:
+            raise DomainMismatch(f"data domain size {block.k} != sampler domain size {k}")
+        return run(block, a, rng)
+
+    return checked
+
+
 def subrr_sampler(k: int, eps: float, alpha: float) -> SamplerSpec:
-    """Single-sampler spec for the subsampled randomized-response mechanism."""
+    """Single-sampler spec for the subsampled randomized-response mechanism.
+
+    A call refuses a block whose domain size is not k.
+    """
     single = KARY_CALIBRATIONS["sub"].complexity["single"]
     return SamplerSpec(
         alpha=alpha,
         n_per_call=lambda a: single(k, a, eps).n_required,
-        run=lambda block, a, rng: subrr_sample(block, eps, rng),
+        run=_on_domain(k, lambda block, a, rng: subrr_sample(block, eps, rng)),
     )
 
 
 def shurr_sampler(k: int, eps: float, delta: float, m: int, alpha: float) -> SamplerSpec:
-    """Weak multi-sampler spec for the shuffled randomized-response mechanism."""
+    """Weak multi-sampler spec for the shuffled randomized-response mechanism.
+
+    A call refuses data whose domain size is not k.
+    """
     weak = KARY_CALIBRATIONS["shuffle"].complexity["weak"]
     return SamplerSpec(
         alpha=alpha,
         n_per_call=lambda a: weak(k, a, eps, delta, m).n_required,
-        run=lambda data, a, rng: shurr_run(data, eps, delta, m, rng),
+        run=_on_domain(k, lambda data, a, rng: shurr_run(data, eps, delta, m, rng)),
     )
 
 

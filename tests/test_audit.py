@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import dpsampler.audit
+import dpsampler.kary
 from dpsampler.audit import (
     AuditReport,
     _verdict,
@@ -25,7 +25,6 @@ from dpsampler.divergences import eps_delta_closeness
 from dpsampler.elap import ELapParams, elap_sample
 from dpsampler.errors import (
     EmptyDataset,
-    EnumerationTooLarge,
     InsufficientSamples,
     ValidationError,
 )
@@ -37,6 +36,7 @@ from dpsampler.kary import (
     rr_pmf,
     rr_row,
     subrr_eps0,
+    subrr_sample_complexity,
 )
 from dpsampler.multisampling import gaussian_sampler
 
@@ -99,7 +99,37 @@ def reference_audit_subrr_pure(k, n, eps, claimed_eps=None):
     )
 
 
+def reference_audit_rr_local(k, eps0):
+    """audit_rr_local's measured value as a loop over every (x, x', y) triple."""
+    params = RRParams(eps0=eps0, k=k)
+    best = 0.0
+    for x, x_alt, y in itertools.product(range(1, k + 1), repeat=3):
+        mass, mass_alt = rr_pmf(x, y, params), rr_pmf(x_alt, y, params)
+        if mass > 0.0:
+            best = max(best, math.log(mass / mass_alt) if mass_alt > 0.0 else math.inf)
+    return best
+
+
+def _same_measure(report, reference):
+    """Equal within 1e-12 relative, or inf on both sides."""
+    if math.isinf(reference):
+        return report.measured_max_log_ratio == reference
+    return report.measured_max_log_ratio == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
 class TestAuditRRLocal:
+    def test_matches_triple_loop_reference(self):
+        for k, eps0 in itertools.product(range(2, 9), (0.0, 0.5, 1.0, 2.0, 6.0, 36.0, 40.0)):
+            for claimed in (None, 0.99 * eps0):
+                report = audit_rr_local(k, eps0, claimed_eps=claimed)
+                reference = reference_audit_rr_local(k, eps0)
+                assert _same_measure(report, reference), (k, eps0)
+                bound = eps0 if claimed is None else claimed
+                assert report.verdict == _verdict(reference, bound), (k, eps0, claimed)
+                if eps0 > 0.0:  # at eps0 = 0 the ratios are rounding noise
+                    assert report.witness == {"x": 1, "x_alt": 2, "outcome": 1}, (k, eps0)
+                assert report.probe_count == k
+
     def test_measured_equals_eps0(self):
         report = audit_rr_local(2, 1.0)
         assert report.measured_max_log_ratio == pytest.approx(1.0, abs=1e-12)
@@ -169,26 +199,32 @@ class TestAuditSubRRPure:
                         <= report.details["proof_intermediate_log"] + 1e-12
                     )
 
-    def test_enumeration_budget(self):
-        # C(n+k-1, k-1) * k(k-1) probes: 3.36e6 at (20, 4) and 1.7e9 at
-        # (100, 3), whose k^n is only 1e6
-        for k, n, probes in [(20, 4, 3_364_900), (100, 3, 1_699_830_000)]:
-            with pytest.raises(EnumerationTooLarge, match=f"= {probes} probes"):
-                audit_subrr_pure(k, n, 2.0)
-        # 20,020 probes, though k^n is 9.8e6
-        report = audit_subrr_pure(5, 10, 2.0)
-        assert report_to_json(report) == report_to_json(reference_audit_subrr_pure(5, 10, 2.0))
+    @pytest.mark.parametrize("k, alpha, eps", [
+        (2, 0.1, 1.0), (6, 0.05, 0.5), (50, 0.01, 1.0), (1000, 0.01, 0.5), (10, 1e-4, 0.1),
+    ])
+    def test_passes_at_its_samplers_own_n(self, k, alpha, eps):
+        # n runs from 18 to 899,910: the worst pair's ratio is 1 + (e^eps0 - 1)/n
+        n = subrr_sample_complexity(k, alpha, eps).n_required
+        report = audit_subrr_pure(k, n, eps)
+        assert report.verdict == "pass"
+        assert report.measured_max_log_ratio == pytest.approx(
+            math.log1p(math.expm1(report.details["eps0"]) / n), rel=1e-12
+        )
+        assert report.witness == {"counts": [n - 1, 1] + [0] * (k - 2), "replaced": 2,
+                                  "replacement": 1, "outcome": 2}
+        planted = audit_subrr_pure(k, n, eps, claimed_eps=report.measured_max_log_ratio - 0.01)
+        assert planted.verdict == "fail"
 
-    def test_memory_is_chunked(self):
-        # 1,540 count vectors x 20^3 entries would be about 98 MB per array; the
-        # 20 * 19 lowering triples make it one block of 4.7 MB per array
+    def test_memory_does_not_grow_with_n(self):
+        # both k-ary audits read two count vectors of length k, not n records
         tracemalloc.start()
         try:
-            audit_subrr_pure(20, 3, 1.0)
+            audit_subrr_pure(20, 10**12, 1.0)
+            audit_shurr_marginal(20, 10**12, 1.0, 1e-6, None, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 2**20
 
     def test_underflowed_off_diagonal_mass_fails_with_inf(self):
         # eps = 1e17 at n = 2 gives keep_prob 1.0: the rows are the identity,
@@ -197,17 +233,17 @@ class TestAuditSubRRPure:
         report = audit_subrr_pure(3, 2, 1e17)
         assert report.measured_max_log_ratio == math.inf
         assert report.verdict == "fail"
-        # count vectors run (0, 0, 2), (0, 1, 1), ...: the first reaches only
-        # log 2, and in the second replacing the lone 2 by a 1 empties outcome 2
-        assert report.witness == {"counts": [0, 1, 1], "replaced": 2, "replacement": 1,
+        # replacing the lone 2 by a 1 empties outcome 2
+        assert report.witness == {"counts": [1, 1, 0], "replaced": 2, "replacement": 1,
                                   "outcome": 2}
 
     def test_no_moved_outcome_measures_zero(self, monkeypatch):
         # identical rows: no replacement moves any outcome's probability
-        monkeypatch.setattr(dpsampler.audit, "rr_row", lambda x, params: np.full(params.k, 0.25))
+        monkeypatch.setattr(dpsampler.kary, "rr_row", lambda x, params: np.full(params.k, 0.25))
         report = audit_subrr_pure(4, 3, 1.0)
         assert report.measured_max_log_ratio == 0.0
-        assert report.witness == {}
+        assert report.witness == {"counts": [2, 1, 0, 0], "replaced": 2, "replacement": 1,
+                                  "outcome": 1}
         assert report.verdict == "pass"
 
     def test_matches_nested_loop_reference(self):
@@ -223,14 +259,18 @@ class TestAuditSubRRPure:
                         except InsufficientSamples:
                             continue
                         report = audit_subrr_pure(k, n, eps, claimed_eps=claimed)
-                        assert report_to_json(report) == report_to_json(expected), (k, n, eps)
+                        case = (k, n, eps, claimed)
+                        assert _same_measure(report, expected.measured_max_log_ratio), case
+                        assert report.verdict == expected.verdict, case
                         checked += 1
         assert checked > 200
-        # keep_prob rounds to 1.0 at eps = 1e17: both sides must measure inf at
-        # one witness; n = 9 lies past the grid
+        # keep_prob rounds to 1.0 at eps = 1e17: both sides must measure inf;
+        # n = 9 lies past the grid
         for k, n, eps in [(3, 2, 1e17), (2, 9, 0.5)]:
             report = audit_subrr_pure(k, n, eps)
-            assert report_to_json(report) == report_to_json(reference_audit_subrr_pure(k, n, eps))
+            expected = reference_audit_subrr_pure(k, n, eps)
+            assert _same_measure(report, expected.measured_max_log_ratio), (k, n, eps)
+            assert report.verdict == expected.verdict, (k, n, eps)
 
 
 def _marginal_pmf(values, k, eps0):
@@ -353,6 +393,14 @@ class TestAuditShuRRMarginal:
     def test_eps0_read_from_the_calibration(self):
         report = audit_shurr_marginal(2, 2301, 4.0, 0.01, None, None)
         assert report.details["eps0"] == KARY_CALIBRATIONS["shuffle"].eps0(4.0, 0.01, 2301)
+
+    def test_n_beyond_the_int64_counts_refused(self):
+        # both k-ary audits count records in int64, so n = 2^63 cannot be held
+        for audit in (lambda n: audit_subrr_pure(3, n, 1.0),
+                      lambda n: audit_shurr_marginal(3, n, 1.0, 0.01, None, None)):
+            assert audit(2**63 - 1).probe_count == 3
+            with pytest.raises(ValidationError, match="need n <= 9223372036854775807"):
+                audit(2**63)
 
     def test_empty_dataset_rejected(self):
         # a planted eps0 skips shurr_eps0's own n >= 1 check

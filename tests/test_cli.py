@@ -785,6 +785,27 @@ class TestRunReportRoundTrip:
             if argv[0] == "sample-kary":
                 assert "eps0" in report.derived and "eps1" in report.derived
 
+    def test_every_task_reports_the_package_version(self, capsys, kary_file, vector_file,
+                                                     tmp_path):
+        argvs = {
+            "sample-kary": ["--mode", "sub", "--in", str(kary_file), "--eps", "1", "--seed", "1"],
+            "sample-gaussian": ["--variant", "pure", "--in", str(vector_file), "--R", "1",
+                                "--alpha", "0.4", "--eps", "5", "--seed", "2"],
+            "elap": ["--dim", "2", "--scale", "1.5", "--count", "2", "--seed", "3"],
+            "complexity": ["--family", "kary", "--task", "single", "--k", "4", "--alpha", "0.2",
+                           "--eps", "1"],
+            "tvdist": ["--p", str(vector_file), "--q", str(vector_file), "--bins", "10",
+                       "--seed", "4"],
+            "audit": ["--mechanism", "rr", "--k", "3", "--eps0", "1"],
+            "sweep": ["--family", "kary", "--k", "2", "--alpha", "0.1", "--eps", "1",
+                      "--delta", "1e-6", "--m", "1", "--out", str(tmp_path / "sweep.csv")],
+        }
+        assert set(argvs) == set(dpsampler.cli._TASKS)
+        for task, argv in argvs.items():
+            code, out, _ = run_cli(capsys, [task, *argv])
+            assert code == 0, task
+            assert json.loads(out)["version"] == dpsampler.__version__, task
+
     def test_report_written_to_json_path(self, capsys, tmp_path):
         json_path = tmp_path / "report.json"
         code, stdout, _ = run_cli(

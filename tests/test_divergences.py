@@ -12,11 +12,9 @@ from dpsampler.core import RandomSource, VectorDataset, validate_categorical
 from dpsampler.divergences import (
     BOOTSTRAP_RESAMPLES,
     MAX_BINS_PER_AXIS,
-    DivergenceOrder,
     eps_delta_closeness,
     hockey_stick_finite,
     hs_to_tv_bound,
-    renyi_finite,
     _cell_ids,
     _replicate_counts,
     tv_distance_finite,
@@ -108,41 +106,8 @@ class TestHockeyStick:
         p = validate_categorical([0.5, 0.5])
         with pytest.raises(InvalidOrder):
             hockey_stick_finite(p, p, 0.5)
-        with pytest.raises(InvalidOrder):
-            DivergenceOrder.hockey_stick(0.99)
-
-
-class TestRenyi:
-    def test_identity(self):
-        p = validate_categorical([0.4, 0.6])
-        assert renyi_finite(p, p, 2.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_point_mass_vs_uniform(self):
-        val = renyi_finite(
-            validate_categorical([1.0, 0.0]), validate_categorical([0.5, 0.5]), 2.0
-        )
-        assert val == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_unsupported_mass(self):
-        val = renyi_finite(
-            validate_categorical([0.5, 0.5]), validate_categorical([1.0, 0.0]), 2.0
-        )
-        assert val == math.inf
-
-    def test_monotone_in_order(self):
-        gen = np.random.default_rng(17)
-        orders = [1.5, 2.0, 4.0, 8.0]
-        for _ in range(50):
-            k = int(gen.integers(2, 7))
-            p, q = random_dist(gen, k), random_dist(gen, k)
-            values = [renyi_finite(p, q, order) for order in orders]
-            for lo, hi in zip(values, values[1:]):
-                assert hi >= lo - 1e-12
-
-    def test_invalid_order(self):
-        p = validate_categorical([0.5, 0.5])
-        with pytest.raises(InvalidOrder):
-            renyi_finite(p, p, 1.0)
+        with pytest.raises(InvalidOrder, match="got 0.99"):
+            hockey_stick_finite(p, p, 0.99)
 
 
 class TestClosenessAndConversion:

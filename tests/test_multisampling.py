@@ -8,7 +8,13 @@ import scipy.stats
 from helpers import chi2_statistic
 
 from dpsampler.core import KaryDataset, RandomSource, VectorDataset
-from dpsampler.errors import DimensionMismatch, InsufficientData, PrecisionLimit, TooFewSamples
+from dpsampler.errors import (
+    DimensionMismatch,
+    DomainMismatch,
+    InsufficientData,
+    PrecisionLimit,
+    TooFewSamples,
+)
 from dpsampler.gaussian import GAUSSIAN_CALIBRATIONS, bounded_cov_clip_bound, zcdp_bounded_cov_sample
 from dpsampler.kary import (
     shurr_strong_complexity,
@@ -187,6 +193,20 @@ class TestStrongViaBoth:
         for start, rows, _tol, _child in calls:
             touched[start:start + rows] += 1
         assert np.all(touched == 1)
+
+
+class TestKaryFactories:
+    def test_repetition_refuses_a_block_of_another_k(self):
+        spec = subrr_sampler(k=3, eps=1.0, alpha=0.2)
+        data = kary_data([1, 2], spec.n_per_call(0.2), 2)
+        with pytest.raises(DomainMismatch, match="data domain size 2 != sampler domain size 3"):
+            weak_via_repetition(spec, 2, data, RandomSource(41))
+
+    def test_precision_refuses_data_of_another_k(self):
+        spec = shurr_sampler(k=3, eps=300.0, delta=0.5, m=1, alpha=0.4)
+        data = kary_data([1, 2, 3, 4], 7, 4)
+        with pytest.raises(DomainMismatch, match="data domain size 4 != sampler domain size 3"):
+            strong_via_precision(spec, 1, 0.4, data, RandomSource(42))
 
 
 class TestGaussianFactories:
