@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -92,10 +93,23 @@ def _need(params: dict, *names):
     return [params[name] for name in names]
 
 
+def _refuse_unread(params: dict, read, what: str) -> None:
+    """Refuse the given (non-null) parameters outside ``read``, naming their flags."""
+    unread = ["--" + name.replace("_", "-")
+              for name, value in params.items() if name not in read and value is not None]
+    if unread:
+        raise ConfigInvalid(f"{what} does not read {', '.join(unread)}")
+
+
 def _rng(config: ExperimentConfig) -> RandomSource:
     if config.seed is None:
         raise ConfigInvalid("this task is randomized; an explicit --seed is required")
     return RandomSource(config.seed)
+
+
+# sample-kary mode -> the flags it reads besides --mode, --k and --eps
+_KARY_FLAGS = {"sub": (), "shuffle": ("delta", "m"), "repeat": ("alpha", "m"),
+               "precision": ("alpha", "m", "delta"), "both": ("alpha", "m")}
 
 
 def _run_sample_kary(config: ExperimentConfig):
@@ -103,6 +117,9 @@ def _run_sample_kary(config: ExperimentConfig):
         raise ConfigInvalid("sample-kary requires --in")
     params = config.params
     (mode, eps) = _need(params, "mode", "eps")
+    if mode not in _KARY_FLAGS:
+        raise ConfigInvalid(f"unknown sample-kary mode {mode!r}")
+    _refuse_unread(params, ("mode", "k", "eps", *_KARY_FLAGS[mode]), f"sample-kary --mode {mode}")
     data = read_kary_csv(config.input_path, k=params.get("k"))
     rng = _rng(config)
     derived = {"k": data.k, "n": data.n}
@@ -112,7 +129,7 @@ def _run_sample_kary(config: ExperimentConfig):
         outputs = (list(shurr_run(data, eps, delta, m, rng)) if mode == "shuffle"
                    else [subrr_sample(data, eps, rng)])
         derived.update(KARY_CALIBRATIONS[mode].derived(eps, delta, data.n, data.k))
-    elif mode in ("repeat", "precision", "both"):
+    else:
         (alpha, m) = _need(params, "alpha", "m")
         if mode == "precision":
             (delta,) = _need(params, "delta")
@@ -124,8 +141,6 @@ def _run_sample_kary(config: ExperimentConfig):
             derived["n_per_call"] = spec.n_per_call(alpha if mode == "repeat" else alpha / m)
             outputs = (weak_via_repetition(spec, m, data, rng) if mode == "repeat"
                        else strong_via_both(spec, m, alpha, data, rng))
-    else:
-        raise ConfigInvalid(f"unknown sample-kary mode {mode!r}")
 
     if config.output_path:
         write_kary_csv(config.output_path, outputs)
@@ -133,11 +148,6 @@ def _run_sample_kary(config: ExperimentConfig):
     if config.output_path is None:
         summary["values"] = [int(v) for v in outputs]
     return summary, derived, 0
-
-
-def _given(params: dict, *names) -> dict:
-    """The optional parameters that were given; the rest keep their library defaults."""
-    return {name: params[name] for name in names if params.get(name) is not None}
 
 
 def _run_sample_gaussian(config: ExperimentConfig):
@@ -149,10 +159,7 @@ def _run_sample_gaussian(config: ExperimentConfig):
     if params.get("dim") is not None and params["dim"] != data.d:
         raise ConfigInvalid(f"--dim {params['dim']} does not match data dimension {data.d}")
     rng = _rng(config)
-    if variant != "pure" and params.get("c") is not None:
-        raise ConfigInvalid(f"--c applies to the pure variant only, not {variant!r}")
-    constants = _given(params, "c")
-    spec = gaussian_sampler(variant, data.d, R, eps, alpha, **constants)
+    spec = gaussian_sampler(variant, data.d, R, eps, alpha)
     derived = {"d": data.d, "n": data.n}
 
     if mode == "once":
@@ -162,7 +169,7 @@ def _run_sample_gaussian(config: ExperimentConfig):
         if params.get("m") is not None:
             raise ConfigInvalid("--m applies to --mode repeat and both only; once mode takes --count")
         cal = GAUSSIAN_CALIBRATIONS[variant]
-        derived.update(B=cal.clip_bound(data.d, R, alpha, **constants),
+        derived.update(B=cal.clip_bound(data.d, R, alpha),
                        sigma2=cal.sigma2(data.d, alpha, data.n))
         outputs = [spec.run(data, alpha, rng.child(i)) for i in range(int(count))]
     elif mode in ("repeat", "both"):
@@ -191,10 +198,13 @@ def _run_elap(config: ExperimentConfig):
     (d, b) = _need(params, "dim", "scale")
     elap_params = ELapParams(d=int(d), b=b)
     if params.get("tail"):
+        _refuse_unread(dict(params, seed=config.seed), ("dim", "scale", "tail", "alpha"),
+                       "elap --tail")
         (alpha,) = _need(params, "alpha")
         radius = elap_tail_radius(elap_params, alpha)
         exact = gamma_exact_tail(GammaParams(shape=float(d), rate=1.0 / b), radius)
         return {}, {"tail_radius": radius, "exact_tail": float(exact), "alpha": alpha}, 0
+    _refuse_unread(params, ("dim", "scale", "tail", "count"), "elap --count")
     (count,) = _need(params, "count")
     if count < 1:
         raise ConfigInvalid(f"--count must be >= 1, got {count}")
@@ -215,10 +225,10 @@ _COMPLEXITY = {
             *(int(p[name]) if name in ("k", "m") else p[name] for name in cal.inputs)))
         for cal in KARY_CALIBRATIONS.values() for task, calculate in cal.complexity.items()
     },
-    # one task per Gaussian variant; _run_complexity refuses --C and --c for all but pure
+    # one task per Gaussian variant
     "gaussian": {
         variant: (("dim", "R", "alpha", "eps"), lambda p, cal=cal: cal.complexity(
-            int(p["dim"]), p["R"], p["alpha"], p["eps"], **_given(p, "C", "c")))
+            int(p["dim"]), p["R"], p["alpha"], p["eps"]))
         for variant, cal in GAUSSIAN_CALIBRATIONS.items()
     },
 }
@@ -238,8 +248,6 @@ def _run_complexity(config: ExperimentConfig):
         raise ConfigInvalid(f"unknown {family} task {task!r}")
     required, calculate = calculators[task]
     _need(params, *required)
-    if (family, task) != ("gaussian", "pure") and _given(params, "c", "C"):
-        raise ConfigInvalid(f"--c and --C apply to --family gaussian --task pure only, not {family} {task}")
     report = calculate(params)
     return {"report": asdict(report)}, {"n_required": report.n_required}, 0
 
@@ -270,13 +278,8 @@ def _run_audit(config: ExperimentConfig):
     (mechanism,) = _need(params, "mechanism")
     if mechanism not in _AUDIT_FLAGS:
         raise ConfigInvalid(f"unknown audit mechanism {mechanism!r}")
-    unread = [
-        "--" + name.replace("_", "-")
-        for name, value in dict(params, seed=config.seed).items()
-        if name != "mechanism" and name not in _AUDIT_FLAGS[mechanism] and value is not None
-    ]
-    if unread:
-        raise ConfigInvalid(f"audit --mechanism {mechanism} does not read {', '.join(unread)}")
+    _refuse_unread(dict(params, seed=config.seed), ("mechanism", *_AUDIT_FLAGS[mechanism]),
+                   f"audit --mechanism {mechanism}")
     if mechanism == "rr":
         (k, eps0) = _need(params, "k", "eps0")
         report = audit_rr_local(int(k), eps0, claimed_eps=params.get("claimed_eps"))
@@ -346,10 +349,27 @@ _TASKS = {
 }
 
 
+# ArgumentParser fields that are not config params: --in, --seed and --out
+# have their own config fields, and --json only redirects the report
+_NOT_PARAMS = {"command", "help", "input_path", "seed", "out", "json"}
+
+
+@functools.cache
+def _task_params(task: str) -> frozenset:
+    """The params keys the task's parser defines."""
+    (tasks,) = [action.choices for action in _PARSER._actions if action.dest == "command"]
+    return frozenset(action.dest for action in tasks[task]._actions) - _NOT_PARAMS
+
+
 def run(config: ExperimentConfig) -> RunReport:
-    """Dispatch a validated config to its task and wrap the result in a report."""
+    """Dispatch a validated config to its task and wrap the result in a report.
+
+    A given params key that the task's parser does not define is refused, so a
+    persisted config cannot name a parameter this version would ignore.
+    """
     if config.task not in _TASKS:
         raise ConfigInvalid(f"unknown task {config.task!r}")
+    _refuse_unread(config.params, _task_params(config.task), config.task)
     start = time.perf_counter()
     outputs, derived, exit_code = _TASKS[config.task](config)
     return RunReport(
@@ -363,6 +383,10 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 class _Parser(argparse.ArgumentParser):
+    # no abbreviations: a retired flag must not pass for a live one (--c for --count)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # usage errors must exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -388,7 +412,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", default=None, help="also write the run report here")
 
     p = sub.add_parser("sample-kary", help="private samples from a finite-domain dataset")
-    p.add_argument("--mode", required=True, choices=["sub", "shuffle", "repeat", "precision", "both"])
+    p.add_argument("--mode", required=True, choices=list(_KARY_FLAGS))
     p.add_argument("--in", dest="input_path", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--eps", type=float, required=True)
@@ -406,7 +430,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--c", type=float, default=None, help="clip constant, pure variant only")
     p.add_argument("--count", type=int, default=1, help="independent runs on the same data")
     common(p, seed_required=True)
 
@@ -428,8 +451,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--C", type=float, default=None)
     common(p, seed_required=False)
 
     p = sub.add_parser("tvdist", help="binned TV estimate between two CSV sample files")
@@ -473,8 +494,7 @@ _PARSER = _build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    skip = {"command", "seed", "out", "json", "input_path"}
-    params = {k: v for k, v in vars(args).items() if k not in skip}
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
     return ExperimentConfig(
         task=args.command,
         params=params,

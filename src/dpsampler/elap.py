@@ -6,24 +6,26 @@
 
 Its norm follows Gamma(shape d, rate 1/b), which gives an exact two-step
 sampler (Gamma radius times a uniform direction), a closed-form tail radius
-``d*b*ln(d/alpha)``, and a union-bound tail estimate for integer shapes.
-Everything here is exact up to floating point: the Gamma sampler is
-rejection-based and the tail/CDF evaluations use the regularized incomplete
-gamma function.
+``d*b*ln(d/alpha)``, and a union-bound tail estimate.  The norm law is the
+only Gamma this package needs, so Gamma shapes are positive integers: the
+exact tail is the Erlang (Poisson) sum and the sampler is Marsaglia-Tsang
+rejection, both exact up to floating point.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, _row_norms
+from .core import RandomSource, _check_finite_positive, _row_norms
 from .errors import (
     DimensionMismatch,
     InvalidAlpha,
     NonIntegerShape,
+    PrecisionLimit,
     ValidationError,
 )
 
@@ -32,7 +34,7 @@ _MIN_DIRECTION_NORM = 1e-300
 
 @dataclass(frozen=True)
 class ELapParams:
-    """Dimension d >= 1 and scale b > 0 of the Euclidean-Laplace distribution."""
+    """Dimension d >= 1 and finite scale b > 0 of the Euclidean-Laplace distribution."""
 
     d: int
     b: float
@@ -40,26 +42,20 @@ class ELapParams:
     def __post_init__(self):
         if self.d < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.d}")
-        if not self.b > 0:
-            raise ValidationError(f"scale must be positive, got {self.b}")
+        _check_finite_positive("scale", self.b)
 
 
 @dataclass(frozen=True)
 class GammaParams:
-    """Gamma distribution with shape k > 0 and rate lambda > 0 (scale 1/lambda)."""
+    """Gamma distribution with integer shape k >= 1 and finite rate lambda > 0 (scale 1/lambda)."""
 
     shape: float
     rate: float
 
     def __post_init__(self):
-        if not self.shape > 0:
-            raise ValidationError(f"shape must be positive, got {self.shape}")
-        if not self.rate > 0:
-            raise ValidationError(f"rate must be positive, got {self.rate}")
-
-    @property
-    def scale(self) -> float:
-        return 1.0 / self.rate
+        if not (self.shape >= 1 and float(self.shape).is_integer()):
+            raise NonIntegerShape(f"shape must be a positive integer, got {self.shape}")
+        _check_finite_positive("rate", self.rate)
 
 
 def elap_log_constant(params: ELapParams) -> float:
@@ -91,106 +87,45 @@ def elap_tail_radius(params: ELapParams, alpha: float) -> float:
     """Radius r = d*b*ln(d/alpha) with Pr(||eta||_2 > r) <= alpha."""
     if not 0 < alpha < 1:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
-    return params.d * params.b * math.log(params.d / alpha)
+    radius = params.d * params.b * math.log(params.d / alpha)
+    if math.isinf(radius):
+        raise PrecisionLimit(f"tail radius d*b*ln(d/alpha) is beyond the largest float "
+                             f"{sys.float_info.max:.4g} at d={params.d}, b={params.b}")
+    return radius
 
 
 def gamma_tail_bound(params: GammaParams, t: float) -> float:
-    """Union-bound tail estimate k * exp(-rate*t/k) for integer shape k.
+    """Union-bound tail estimate k * exp(-rate*t/k) for shape k.
 
-    The bound decomposes a Gamma(k, rate) variable into k iid exponentials,
-    which requires an integer shape.  Values above 1 are clamped (vacuous).
+    The bound decomposes a Gamma(k, rate) variable into k iid exponentials.
+    Values above 1 are clamped (vacuous).
     """
-    if abs(params.shape - round(params.shape)) > 1e-12:
-        raise NonIntegerShape(f"integer shape required, got {params.shape}")
     if not t > 0:
         raise ValidationError(f"t must be positive, got {t}")
-    k = round(params.shape)
+    k = int(params.shape)
     return min(1.0, k * math.exp(-params.rate * t / k))
 
 
-def _erlang_log_tail_terms(k: int, x: np.ndarray) -> np.ndarray:
-    # log of exp(-x) * x^j / j! for j = 0..k-1, evaluated stably
-    j = np.arange(k, dtype=np.float64)
-    logx = np.log(x[:, None])
-    return -x[:, None] + j[None, :] * logx - np.array([math.lgamma(v + 1) for v in j])
-
-
-def _erlang_tail(k: int, x: np.ndarray) -> np.ndarray:
-    # Pr(X > x) for X ~ Gamma(k, 1), integer k: Poisson sum in log space;
-    # x is gamma_exact_tail's float64 array
-    out = np.ones_like(x)
-    pos = x > 0
-    if np.any(pos):
-        terms = _erlang_log_tail_terms(k, x[pos])
-        shift = terms.max(axis=1, keepdims=True)
-        out[pos] = np.exp(shift[:, 0] + np.log(np.exp(terms - shift).sum(axis=1)))
-    return np.clip(out, 0.0, 1.0)
-
-
-def _upper_gamma_series(a: float, x: float) -> float:
-    # Q(a, x) = 1 - P(a, x) with P from the power series; valid for x < a + 1
-    term = 1.0 / a
-    total = term
-    for n in range(1, 10_000):
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    p = total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    return 1.0 - p
-
-
-def _upper_gamma_contfrac(a: float, x: float) -> float:
-    # Q(a, x) by modified Lentz continued fraction; valid for x >= a + 1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
 def gamma_exact_tail(params: GammaParams, t):
-    """Exact upper tail Pr(X > t) for X ~ Gamma(shape, rate).
+    """Exact upper tail Pr(X > t) for X ~ Gamma(k, rate), by the Erlang (Poisson) sum.
 
-    Integer shapes use the closed-form Poisson sum (vectorized over ``t``);
-    non-integer shapes use the series / continued-fraction evaluation of the
-    regularized upper incomplete gamma function at a scalar ``t``.
+    Vectorized over ``t``: a scalar ``t`` gives a float, an array an array.
     """
     t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0):
+    if not np.all(t_arr >= 0):
         raise ValidationError("t must be nonnegative")
-    x = t_arr * params.rate
-
-    if abs(params.shape - round(params.shape)) <= 1e-12:
-        out = _erlang_tail(round(params.shape), np.atleast_1d(x))
-        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
-
-    if t_arr.ndim != 0:
-        raise ValidationError("non-integer shape supports scalar t only")
-    xs = float(x)
-    a = params.shape
-    if xs == 0.0:
-        return 1.0
-    if xs < a + 1.0:
-        q = _upper_gamma_series(a, xs)
-    else:
-        q = _upper_gamma_contfrac(a, xs)
-    return min(max(q, 0.0), 1.0)
+    x = np.atleast_1d(t_arr * params.rate)
+    # sum of exp(-x) * x^j / j! for j = 0..k-1, in log space; no tail at x = inf
+    out = np.where(x == np.inf, 0.0, 1.0)
+    pos = (x > 0) & (x < np.inf)
+    if np.any(pos):
+        j = np.arange(int(params.shape), dtype=np.float64)
+        xs = x[pos][:, None]
+        terms = -xs + j * np.log(xs) - np.array([math.lgamma(v + 1) for v in j])
+        shift = terms.max(axis=1, keepdims=True)
+        out[pos] = np.exp(shift[:, 0] + np.log(np.exp(terms - shift).sum(axis=1)))
+    out = np.clip(out, 0.0, 1.0)
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def _standard_gamma_ge1(shape: float, gen: np.random.Generator, count: int) -> np.ndarray:
@@ -212,19 +147,12 @@ def _standard_gamma_ge1(shape: float, gen: np.random.Generator, count: int) -> n
 
 
 def gamma_sample(params: GammaParams, rng: RandomSource, size: int | None = None):
-    """Exact Gamma sample(s) via rejection sampling.
+    """Exact Gamma sample(s) by Marsaglia-Tsang rejection.
 
-    Shapes >= 1 use the rejection method directly; shapes in (0, 1) boost to
-    shape + 1 and multiply by U^(1/shape), which is also exact.  Returns a
-    scalar when ``size`` is None, else an array of length ``size``.
+    Returns a scalar when ``size`` is None, else an array of length ``size``.
     """
-    gen = rng.generator
     count = 1 if size is None else int(size)
-    if params.shape >= 1.0:
-        out = _standard_gamma_ge1(params.shape, gen, count)
-    else:
-        out = _standard_gamma_ge1(params.shape + 1.0, gen, count)
-        out *= gen.random(count) ** (1.0 / params.shape)
+    out = _standard_gamma_ge1(params.shape, rng.generator, count)
     out /= params.rate
     return float(out[0]) if size is None else out
 

@@ -50,7 +50,7 @@ class InvalidAlpha(ValidationError):
 
 
 class NonIntegerShape(ValidationError):
-    """The union-bound Gamma tail bound requires an integer shape."""
+    """A Gamma shape is not a positive integer, the only shapes the ELap norm law takes."""
 
 
 class BadSplit(ValidationError):
@@ -76,7 +76,7 @@ class TooFewSamples(DPSamplerError):
 
 
 class PrecisionLimit(DPSamplerError):
-    """Per-output tolerance alpha/m fell below its floor, or a needed n beyond the float range."""
+    """Tolerance alpha/m fell below its floor, or a needed n or radius is beyond the float range."""
 
 
 # --- orchestration -----------------------------------------------------------

@@ -69,21 +69,20 @@ def _clipped_stat(data: VectorDataset, variant: str, B: float, compute):
 
 @dataclass(frozen=True)
 class PureGaussianSamplerParams:
-    """Mean bound R, dimension d, tolerance alpha, budget eps, clip constant c.
+    """Mean bound R, dimension d, tolerance alpha, budget eps.
 
-    ``B`` is the clip radius :func:`pure_clip_bound` gives for (d, R, alpha, c).
+    ``B`` is the clip radius :func:`pure_clip_bound` gives for (d, R, alpha).
     """
 
     R: float
     d: int
     alpha: float
     eps: float
-    c: float = 2.0
     B: float = field(init=False)
 
     def __post_init__(self):
         _check_finite_positive("eps", self.eps)
-        object.__setattr__(self, "B", pure_clip_bound(self.d, self.R, self.alpha, self.c))
+        object.__setattr__(self, "B", pure_clip_bound(self.d, self.R, self.alpha))
 
 
 def _check_clip_inputs(d: int, R: float, alpha: float) -> None:
@@ -94,11 +93,10 @@ def _check_clip_inputs(d: int, R: float, alpha: float) -> None:
     _check_finite_positive("R", R)
 
 
-def pure_clip_bound(d: int, R: float, alpha: float, c: float = 2.0) -> float:
-    """Clip radius R + c * sqrt(d * ln(1/alpha)) for the pure-DP sampler."""
+def pure_clip_bound(d: int, R: float, alpha: float) -> float:
+    """Clip radius R + 2 * sqrt(d * ln(1/alpha)) for the pure-DP sampler."""
     _check_clip_inputs(d, R, alpha)
-    _check_finite_positive("c", c)
-    return R + c * math.sqrt(d * math.log(1.0 / alpha))
+    return R + 2.0 * math.sqrt(d * math.log(1.0 / alpha))
 
 
 def pure_gaussian_sample(
@@ -123,17 +121,14 @@ def pure_gaussian_sample(
     return sigma * rng.generator.standard_normal(params.d) + noisy_sum / n
 
 
-def pure_sample_complexity(
-    d: int, R: float, alpha: float, eps: float, C: float = 1.0, c: float = 2.0
-) -> ComplexityReport:
-    """n = ceil(C * d * B * ln(d/alpha) * ln(1/alpha) / (alpha * eps))."""
-    params = PureGaussianSamplerParams(R=R, d=d, alpha=alpha, eps=eps, c=c)
-    _check_finite_positive("C", C)
-    bound = C * d * params.B * math.log(d / alpha) * math.log(1.0 / alpha) / (alpha * eps)
+def pure_sample_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
+    """n = ceil(d * B * ln(d/alpha) * ln(1/alpha) / (alpha * eps))."""
+    params = PureGaussianSamplerParams(R=R, d=d, alpha=alpha, eps=eps)
+    bound = d * params.B * math.log(d / alpha) * math.log(1.0 / alpha) / (alpha * eps)
     return ComplexityReport(
         n_required=max(2, _tolerant_ceil(bound)),
         formula_name="gaussian_pure",
-        inputs={"d": d, "R": R, "alpha": alpha, "eps": eps, "C": C, "c": c, "B": params.B},
+        inputs={"d": d, "R": R, "alpha": alpha, "eps": eps, "B": params.B},
     )
 
 
@@ -276,27 +271,26 @@ class GaussianCalibration:
     """The numbers one Gaussian sampler is calibrated by, each stated once.
 
     Arguments are the dimension d, mean bound R, tolerance alpha, budget eps,
-    clip radius B and the row count n of one call.  ``constants`` are the pure
-    sampler's clip constant ``c`` and, for its complexity, ``C``.
+    clip radius B and the row count n of one call.
 
-    * ``clip_bound(d, R, alpha, **constants)``: the clip radius B.
+    * ``clip_bound(d, R, alpha)``: the clip radius B.
     * ``sigma2(d, alpha, n)``: variance of the Gaussian added to one call's statistic.
     * ``sensitivity(B, n)``: how far, in l2, replacing one row can move the
       statistic that the privacy noise covers.
-    * ``complexity(d, R, alpha, eps, **constants)``: the sufficient n, as a report.
-    * ``release(data, R, alpha, eps, rng, **constants)``: one draw from the
-      data, calibrated at its dimension.
+    * ``complexity(d, R, alpha, eps)``: the sufficient n, as a report.
+    * ``release(data, R, alpha, eps, rng)``: one draw from the data,
+      calibrated at its dimension.
     * ``rows(n)``: the rows one call takes, given the sufficient n.
     * ``elap_scale(B, eps)``: the Euclidean-Laplace scale b of the pure
       sampler's privacy noise.  It is None for the eps^2/2-zCDP variants,
       whose privacy noise is the sigma2 Gaussian.
     """
 
-    clip_bound: Callable[..., float]
+    clip_bound: Callable[[int, float, float], float]
     sigma2: Callable[[int, float, int], float]
     sensitivity: Callable[[float, int], float]
-    complexity: Callable[..., ComplexityReport]
-    release: Callable[..., np.ndarray]
+    complexity: Callable[[int, float, float, float], ComplexityReport]
+    release: Callable[[VectorDataset, float, float, float, RandomSource], np.ndarray]
     rows: Callable[[int], int] = lambda n: n
     elap_scale: Callable[[float, float], float] | None = None
 
@@ -304,21 +298,21 @@ class GaussianCalibration:
     def zcdp(self) -> bool:
         return self.elap_scale is None
 
-    def n_per_call(self, d: int, R: float, alpha: float, eps: float, **constants) -> int:
+    def n_per_call(self, d: int, R: float, alpha: float, eps: float) -> int:
         """Rows one call takes at these inputs."""
-        return self.rows(self.complexity(d, R, alpha, eps, **constants).n_required)
+        return self.rows(self.complexity(d, R, alpha, eps).n_required)
 
 
 # entries call the module's functions by name, so a rebound function is seen here
 GAUSSIAN_CALIBRATIONS = {
     "pure": GaussianCalibration(
-        clip_bound=lambda *args, **constants: pure_clip_bound(*args, **constants),
+        clip_bound=lambda *args: pure_clip_bound(*args),
         # the Gaussian that turns the noisy n-row mean into a fresh draw
         sigma2=lambda d, alpha, n: (n - 1) / n,
         sensitivity=lambda B, n: 2.0 * B,  # of the clipped sum
-        complexity=lambda *args, **constants: pure_sample_complexity(*args, **constants),
-        release=lambda data, R, alpha, eps, rng, **constants: pure_gaussian_sample(
-            data, PureGaussianSamplerParams(R=R, d=data.d, alpha=alpha, eps=eps, **constants), rng
+        complexity=lambda *args: pure_sample_complexity(*args),
+        release=lambda data, R, alpha, eps, rng: pure_gaussian_sample(
+            data, PureGaussianSamplerParams(R=R, d=data.d, alpha=alpha, eps=eps), rng
         ),
         elap_scale=lambda B, eps: B / eps,
     ),

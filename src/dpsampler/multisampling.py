@@ -121,33 +121,28 @@ def shurr_sampler(k: int, eps: float, delta: float, m: int, alpha: float) -> Sam
     )
 
 
-def gaussian_sampler(
-    variant: str, d: int, R: float, eps: float, alpha: float, **constants
-) -> SamplerSpec:
+def gaussian_sampler(variant: str, d: int, R: float, eps: float, alpha: float) -> SamplerSpec:
     """Single-sampler spec for a Gaussian variant, read from its calibration entry.
 
-    ``constants`` are the variant's optional calibration constants: ``c`` for
-    the pure sampler.  A call refuses a block whose dimension is not d.
+    A call refuses a block whose dimension is not d.
     """
     cal = gaussian_calibration(variant)
 
     def run(block, a, rng):
         if block.d != d:
             raise DimensionMismatch(f"data dimension {block.d} != sampler dimension {d}")
-        return cal.release(block, R, a, eps, rng, **constants)
+        return cal.release(block, R, a, eps, rng)
 
     return SamplerSpec(
         alpha=alpha,
-        n_per_call=lambda a: cal.n_per_call(d, R, a, eps, **constants),
+        n_per_call=lambda a: cal.n_per_call(d, R, a, eps),
         run=run,
     )
 
 
-def pure_gaussian_sampler(
-    d: int, R: float, eps: float, alpha: float, c: float = 2.0
-) -> SamplerSpec:
+def pure_gaussian_sampler(d: int, R: float, eps: float, alpha: float) -> SamplerSpec:
     """Single-sampler spec for the pure-DP known-covariance Gaussian mechanism."""
-    return gaussian_sampler("pure", d, R, eps, alpha, c=c)
+    return gaussian_sampler("pure", d, R, eps, alpha)
 
 
 def zcdp_known_cov_sampler(d: int, R: float, eps: float, alpha: float) -> SamplerSpec:

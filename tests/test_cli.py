@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -365,6 +366,18 @@ class TestElapCommand:
         assert derived["tail_radius"] == pytest.approx(3 * math.log(30.0))
         assert derived["exact_tail"] <= 0.1
 
+    @pytest.mark.parametrize("scale, message", [
+        ("1e308", "tail radius d*b*ln(d/alpha) is beyond the largest float"),
+        ("1e-320", "rate must be finite and positive, got inf"),
+    ], ids=["radius-overflows", "rate-overflows"])
+    def test_tail_beyond_the_float_range_exits_one(self, capsys, scale, message):
+        code, out, err = run_cli(
+            capsys, ["elap", "--tail", "--dim", "3", "--scale", scale, "--alpha", "0.1"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
 
 class TestTvdistCommand:
     def test_report_shape(self, capsys, tmp_path):
@@ -641,10 +654,50 @@ class TestRejectedParameters:
          "--c", "3"],
     ], ids=["zcdp-known-c-C", "zcdp-bounded-C", "kary-single-c"])
     def test_complexity_constants_outside_pure_exit_one(self, capsys, argv):
-        code, out, err = run_cli(capsys, ["complexity"] + argv)
+        # no task has --c or --C; see test_retired_constants_are_usage_errors
+        assert exit_code(["complexity"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --" in captured.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sample-gaussian", "--variant", "pure", "--c", "1.5"], "--c 1.5"),
+        # not taken as an abbreviation of --count
+        (["sample-gaussian", "--variant", "pure", "--c", "3"], "--c 3"),
+        (["complexity", "--family", "gaussian", "--task", "pure", "--C", "0.5"], "--C 0.5"),
+        (["complexity", "--family", "gaussian", "--task", "pure", "--c", "1.5"], "--c 1.5"),
+    ], ids=["sample-c-1.5", "sample-c-3", "complexity-C-0.5", "complexity-c-1.5"])
+    def test_retired_constants_are_usage_errors(self, capsys, vector_file, argv, flag):
+        given = {"sample-gaussian": ["--in", str(vector_file), "--R", "1", "--alpha", "0.4",
+                                     "--eps", "5", "--seed", "1"],
+                 "complexity": ["--dim", "2", "--R", "1", "--alpha", "0.1", "--eps", "1"]}
+        assert exit_code(argv + given[argv[0]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample-kary", "--mode", "sub", "--eps", "1", "--alpha", "0.3", "--m", "4",
+          "--delta", "0.5", "--seed", "1"],
+         "sample-kary --mode sub does not read --delta, --m, --alpha"),
+        (["sample-kary", "--mode", "shuffle", "--eps", "300", "--delta", "0.5", "--m", "5",
+          "--alpha", "0.1", "--seed", "1"], "sample-kary --mode shuffle does not read --alpha"),
+        (["sample-kary", "--mode", "repeat", "--eps", "300", "--alpha", "0.5", "--m", "3",
+          "--delta", "0.5", "--seed", "1"], "sample-kary --mode repeat does not read --delta"),
+        (["sample-kary", "--mode", "both", "--eps", "300", "--alpha", "0.5", "--m", "3",
+          "--delta", "0.5", "--seed", "1"], "sample-kary --mode both does not read --delta"),
+        (["elap", "--tail", "--dim", "3", "--scale", "1", "--alpha", "0.1", "--count", "3",
+          "--seed", "2"], "elap --tail does not read --count, --seed"),
+        (["elap", "--dim", "3", "--scale", "1", "--count", "3", "--seed", "2", "--alpha", "0.1"],
+         "elap --count does not read --alpha"),
+    ], ids=["sub", "shuffle", "repeat", "both", "elap-tail", "elap-count"])
+    def test_flags_the_mode_does_not_read_exit_one(self, capsys, kary_file, argv, message):
+        if argv[0] == "sample-kary":
+            argv = argv + ["--in", str(kary_file)]
+        code, out, err = run_cli(capsys, argv)
         assert code == 1
         assert out == ""
-        assert "--c and --C apply to --family gaussian --task pure only" in err
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("content", [
         None,
@@ -784,6 +837,47 @@ class TestRunReportRoundTrip:
             # every derived parameter needed for reproduction is in the report
             if argv[0] == "sample-kary":
                 assert "eps0" in report.derived and "eps1" in report.derived
+
+    def test_060_reports_with_null_constants_replay(self, vector_file, tmp_path):
+        # 0.6.0 echoed the retired pure-sampler constants as nulls; these are its
+        # reports for the same input, less the wall clock and version
+        out = tmp_path / "release.csv"
+        sample = {
+            "config": {"input_path": str(vector_file), "output_path": str(out),
+                       "params": {"R": 1.0, "alpha": 0.4, "c": None, "count": 2, "dim": None,
+                                  "eps": 5.0, "m": None, "mode": "once", "variant": "pure"},
+                       "seed": 26, "task": "sample-gaussian"},
+            "derived": {"B": 2.9144615241619825, "d": 1, "n": 300, "sigma2": 0.9966666666666667},
+            "outputs": {"count": 2, "path": str(out)},
+        }
+        report = run(ExperimentConfig.from_dict(sample["config"]))
+        assert (report.outputs, report.derived) == (sample["outputs"], sample["derived"])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "390688c6e57a8407cd3450a2a37b948c6c6cb57d224188523d5722f6a9360e8a")
+        complexity = {"task": "complexity", "params": {
+            "C": None, "R": 1.0, "alpha": 0.1, "c": None, "delta": None, "dim": 2, "eps": 1.0,
+            "family": "gaussian", "k": None, "m": None, "task": "pure"}}
+        report = run(ExperimentConfig.from_dict(complexity))
+        assert report.derived == {"n_required": 731}
+        assert report.outputs["report"]["inputs"] == {
+            "B": 5.291932052578694, "R": 1.0, "alpha": 0.1, "d": 2, "eps": 1.0}
+
+    @pytest.mark.parametrize("task, params, flag", [
+        ("sample-gaussian", {"variant": "pure", "mode": "once", "count": 1, "R": 1.0,
+                             "alpha": 0.4, "eps": 5.0, "c": 1.5}, "--c"),
+        ("complexity", {"family": "gaussian", "task": "pure", "dim": 2, "R": 1.0,
+                        "alpha": 0.1, "eps": 1.0, "C": 0.5}, "--C"),
+        ("audit", {"mechanism": "rr", "k": 3, "eps0": 1.0, "runs": 100}, "--runs"),
+    ], ids=["sample-c", "complexity-C", "audit-runs"])
+    def test_config_keys_the_task_does_not_define_are_refused(self, vector_file, tmp_path,
+                                                              task, params, flag):
+        # a persisted config must not run with a parameter this version ignores
+        out = tmp_path / "never.csv"
+        config = ExperimentConfig(task=task, params=params, input_path=str(vector_file),
+                                  output_path=str(out), seed=1)
+        with pytest.raises(ConfigInvalid, match=f"^{task} does not read {flag}$"):
+            run(config)
+        assert not out.exists()
 
     def test_every_task_reports_the_package_version(self, capsys, kary_file, vector_file,
                                                      tmp_path):

@@ -24,6 +24,7 @@ from dpsampler.errors import (
     DimensionMismatch,
     InvalidAlpha,
     NonIntegerShape,
+    PrecisionLimit,
     ValidationError,
 )
 
@@ -123,6 +124,15 @@ class TestTailRadius:
         with pytest.raises(InvalidAlpha):
             elap_tail_radius(ELapParams(d=1, b=1.0), 1.5)
 
+    def test_radius_beyond_the_float_range_refused(self):
+        with pytest.raises(PrecisionLimit, match="beyond the largest float"):
+            elap_tail_radius(ELapParams(d=3, b=1e308), 0.1)
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, b):
+        with pytest.raises(ValidationError, match="^scale must be finite and positive"):
+            ELapParams(d=2, b=b)
+
     def test_empirical_tail_below_alpha(self):
         d, b, alpha = 3, 1.0, 0.1
         radius = elap_tail_radius(ELapParams(d=d, b=b), alpha)
@@ -158,8 +168,9 @@ class TestGammaTailBound:
         assert gamma_tail_bound(GammaParams(shape=2.0, rate=1.0), 0.1) == 1.0
 
     def test_non_integer_shape_rejected(self):
+        # the bound cannot be asked at shape 2.5: GammaParams refuses it
         with pytest.raises(NonIntegerShape):
-            gamma_tail_bound(GammaParams(shape=2.5, rate=1.0), 1.0)
+            GammaParams(shape=2.5, rate=1.0)
 
     @pytest.mark.parametrize("shape", list(range(1, 17)))
     @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
@@ -185,7 +196,7 @@ class TestGammaExactTail:
             8.5 * math.exp(-3.0), abs=1e-14
         )
 
-    @pytest.mark.parametrize("shape", [0.5, 1.5, 2.5, 7.3, 31.7, 64.0])
+    @pytest.mark.parametrize("shape", [1.0, 2.0, 3.0, 8.0, 64.0])
     @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
     def test_matches_high_precision_oracle(self, shape, rate):
         params = GammaParams(shape=shape, rate=rate)
@@ -205,6 +216,19 @@ class TestGammaExactTail:
         for t, v in zip(ts, out):
             assert v == pytest.approx(gamma_exact_tail(params, float(t)), abs=1e-15)
 
+    def test_infinite_t_has_no_tail(self):
+        params = GammaParams(shape=3.0, rate=1.0)
+        with np.errstate(all="raise"):
+            assert gamma_exact_tail(params, math.inf) == 0.0
+            out = gamma_exact_tail(params, np.array([0.0, 3.0, math.inf]))
+        assert out[0] == 1.0 and out[2] == 0.0
+        assert out[1] == pytest.approx(8.5 * math.exp(-3.0), abs=1e-14)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_negative_or_nan_t_refused(self, t):
+        with pytest.raises(ValidationError, match="t must be nonnegative"):
+            gamma_exact_tail(GammaParams(shape=2.0, rate=1.0), t)
+
 
 class TestGammaSample:
     def test_exponential_special_case(self):
@@ -222,19 +246,12 @@ class TestGammaSample:
         _, pvalue = scipy.stats.ks_2samp(ours, other)
         assert pvalue > 1e-3
 
-    @pytest.mark.parametrize("shape,rate", [(1.0, 1.0), (2.5, 0.5), (0.5, 1.0), (8.0, 4.0)])
+    @pytest.mark.parametrize("shape,rate", [(1.0, 1.0), (3.0, 0.5), (8.0, 4.0)])
     def test_mean_within_band(self, shape, rate):
         n = 200_000
         samples = gamma_sample(GammaParams(shape=shape, rate=rate), RandomSource(203), size=n)
         band = 5.0 * math.sqrt(shape / rate**2 / n)
         assert abs(samples.mean() - shape / rate) < band
-
-    def test_fractional_shape_distribution(self):
-        samples = gamma_sample(GammaParams(shape=0.5, rate=1.0), RandomSource(204), size=100_000)
-        stat = ks_statistic(
-            samples, lambda xs: scipy.stats.gamma.cdf(xs, a=0.5, scale=1.0)
-        )
-        assert stat < ks_critical(samples.size, 1e-3)
 
     def test_scalar_and_replay(self):
         params = GammaParams(shape=3.0, rate=1.0)
@@ -247,3 +264,14 @@ class TestGammaSample:
             GammaParams(shape=0.0, rate=1.0)
         with pytest.raises(ValidationError):
             GammaParams(shape=1.0, rate=-1.0)
+
+    @pytest.mark.parametrize("shape", [2.5, 0.5, 0.0, -3.0, math.inf, math.nan])
+    def test_shape_must_be_a_positive_integer(self, shape):
+        with pytest.raises(NonIntegerShape, match="^shape must be a positive integer"):
+            GammaParams(shape=shape, rate=1.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rate_must_be_finite(self, rate):
+        # a scale of 1e-320 gives the rate 1/b = inf
+        with pytest.raises(ValidationError, match="^rate must be finite and positive"):
+            GammaParams(shape=3.0, rate=rate)

@@ -155,9 +155,10 @@ class TestPureGaussianSampler:
 
 class TestPureComplexity:
     def test_frozen_value(self):
-        report = pure_sample_complexity(1, 1.0, 0.1, 1.0, C=1.0, c=2.0)
+        report = pure_sample_complexity(1, 1.0, 0.1, 1.0)
         assert report.n_required == 214
         assert report.inputs["B"] == pytest.approx(4.03485425877, abs=1e-9)
+        assert set(report.inputs) == {"d", "R", "alpha", "eps", "B"}
 
     def test_monotone(self):
         base = pure_sample_complexity(2, 1.0, 0.1, 1.0).n_required
@@ -165,11 +166,6 @@ class TestPureComplexity:
         assert pure_sample_complexity(2, 2.0, 0.1, 1.0).n_required >= base
         assert pure_sample_complexity(2, 1.0, 0.05, 1.0).n_required >= base
         assert pure_sample_complexity(2, 1.0, 0.1, 0.5).n_required >= base
-
-    def test_linear_in_C(self):
-        n1 = pure_sample_complexity(2, 1.0, 0.1, 1.0, C=1.0).n_required
-        n2 = pure_sample_complexity(2, 1.0, 0.1, 1.0, C=2.0).n_required
-        assert abs(n2 - 2 * n1) <= 1
 
 
 class TestZcdpKnownCov:
@@ -441,9 +437,9 @@ class TestNonFiniteParameters:
     BAD = [math.inf, -1.0, 0.0, math.nan]
 
     @pytest.mark.parametrize("value", BAD)
-    @pytest.mark.parametrize("name", ["R", "eps", "c"])
+    @pytest.mark.parametrize("name", ["R", "eps"])
     def test_pure_sampler_params(self, name, value):
-        kwargs = {"R": 1.0, "d": 2, "alpha": 0.1, "eps": 1.0, "c": 2.0, name: value}
+        kwargs = {"R": 1.0, "d": 2, "alpha": 0.1, "eps": 1.0, name: value}
         with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
             PureGaussianSamplerParams(**kwargs)
 
@@ -462,11 +458,6 @@ class TestNonFiniteParameters:
         with pytest.raises(ValidationError, match="^eps must be finite and positive"):
             complexity(2, 1.0, 0.1, eps)
 
-    @pytest.mark.parametrize("C", BAD)
-    def test_pure_complexity_refuses_bad_C(self, C):
-        with pytest.raises(ValidationError, match="^C must be finite and positive"):
-            pure_sample_complexity(2, 1.0, 0.1, 1.0, C=C)
-
 
 class TestCalibrationTable:
     def test_zcdp_sensitivities(self):
@@ -482,8 +473,10 @@ class TestCalibrationTable:
         assert [bounded.rows(n) for n in (3, 4, 5, 6, 477)] == [3, 6, 6, 6, 477]
 
     def test_pure_entry_reads_the_clip_constant(self):
-        params = PureGaussianSamplerParams(R=1.0, d=3, alpha=0.1, eps=0.5, c=1.5)
-        assert GAUSSIAN_CALIBRATIONS["pure"].clip_bound(3, 1.0, 0.1, c=1.5) == params.B
+        # the constant is the literal 2 of R + 2 * sqrt(d * ln(1/alpha))
+        params = PureGaussianSamplerParams(R=1.0, d=3, alpha=0.1, eps=0.5)
+        assert GAUSSIAN_CALIBRATIONS["pure"].clip_bound(3, 1.0, 0.1) == params.B
+        assert params.B == 1.0 + 2.0 * math.sqrt(3 * math.log(10.0))
         assert [v for v, cal in GAUSSIAN_CALIBRATIONS.items() if cal.zcdp] == [
             "zcdp-known", "zcdp-bounded"]
 
@@ -504,9 +497,9 @@ class TestCalibrationTable:
         original = getattr(dpsampler.gaussian, name)
         called = []
 
-        def recording(*args, **constants):
+        def recording(*args):
             called.append(args)
-            return original(*args, **constants)
+            return original(*args)
 
         monkeypatch.setattr(dpsampler.gaussian, name, recording)
         args = (2, 1.0, 0.1) if field == "clip_bound" else (2, 1.0, 0.1, 1.0)

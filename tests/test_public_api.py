@@ -2,7 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
-import tomllib
+import re
 from pathlib import Path
 
 import dpsampler
@@ -39,11 +39,23 @@ def test_no_public_function_defaults_its_rng():
     assert offenders == []
 
 
+def _project_version(toml: str) -> str:
+    """The ``version`` key of the ``[project]`` table, read without tomllib (Python 3.11+)."""
+    table = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", toml, re.M | re.S).group(1)
+    return re.search(r'^version\s*=\s*"([^"]*)"', table, re.M).group(1)
+
+
 def test_version_matches_pyproject():
     # seeded output is versioned, so the package and its metadata move together
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as f:
-        assert dpsampler.__version__ == tomllib.load(f)["project"]["version"]
+    assert dpsampler.__version__ == _project_version(pyproject.read_text())
+
+
+def test_project_version_reads_only_the_project_table():
+    toml = ('[tool.x]\nversion = "9"\n\n'
+            '[project]\nname = "p"\nversion = "1.2.3"\n\n'
+            '[y]\nversion = "8"\n')
+    assert _project_version(toml) == "1.2.3"
 
 
 def _row_norm_calls(tree: ast.AST):
