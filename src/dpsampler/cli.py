@@ -198,8 +198,8 @@ def _run_elap(config: ExperimentConfig):
     (d, b) = _need(params, "dim", "scale")
     elap_params = ELapParams(d=int(d), b=b)
     if params.get("tail"):
-        _refuse_unread(dict(params, seed=config.seed), ("dim", "scale", "tail", "alpha"),
-                       "elap --tail")
+        _refuse_unread(dict(params, seed=config.seed, out=config.output_path),
+                       ("dim", "scale", "tail", "alpha"), "elap --tail")
         (alpha,) = _need(params, "alpha")
         radius = elap_tail_radius(elap_params, alpha)
         exact = gamma_exact_tail(GammaParams(shape=float(d), rate=1.0 / b), radius)
@@ -247,6 +247,7 @@ def _run_complexity(config: ExperimentConfig):
     if task not in calculators:
         raise ConfigInvalid(f"unknown {family} task {task!r}")
     required, calculate = calculators[task]
+    _refuse_unread({"out": config.output_path}, (), "complexity")
     _need(params, *required)
     report = calculate(params)
     return {"report": asdict(report)}, {"n_required": report.n_required}, 0
@@ -255,6 +256,7 @@ def _run_complexity(config: ExperimentConfig):
 def _run_tvdist(config: ExperimentConfig):
     params = config.params
     (path_p, path_q, bins) = _need(params, "p", "q", "bins")
+    _refuse_unread({"out": config.output_path}, (), "tvdist")
     rng = _rng(config)
     estimate = tv_estimate_binned(
         read_vector_csv(path_p), read_vector_csv(path_q), int(bins), rng
@@ -263,7 +265,8 @@ def _run_tvdist(config: ExperimentConfig):
 
 
 # mechanism -> the audit flags it reads (by parameter name); any other given
-# flag exits 1.  Only the ELap audit draws random numbers, so only it reads --seed.
+# flag exits 1.  Only the ELap audit draws random numbers, so only it reads
+# --seed; no audit writes an artifact, so none reads --out.
 _AUDIT_FLAGS = {
     "rr": ("k", "eps0", "claimed_eps"),
     "subrr": ("k", "n", "eps", "claimed_eps"),
@@ -278,8 +281,8 @@ def _run_audit(config: ExperimentConfig):
     (mechanism,) = _need(params, "mechanism")
     if mechanism not in _AUDIT_FLAGS:
         raise ConfigInvalid(f"unknown audit mechanism {mechanism!r}")
-    _refuse_unread(dict(params, seed=config.seed), ("mechanism", *_AUDIT_FLAGS[mechanism]),
-                   f"audit --mechanism {mechanism}")
+    _refuse_unread(dict(params, seed=config.seed, out=config.output_path),
+                   ("mechanism", *_AUDIT_FLAGS[mechanism]), f"audit --mechanism {mechanism}")
     if mechanism == "rr":
         (k, eps0) = _need(params, "k", "eps0")
         report = audit_rr_local(int(k), eps0, claimed_eps=params.get("claimed_eps"))

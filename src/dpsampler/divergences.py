@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -42,6 +42,10 @@ ROWS_PER_CELL = 20
 
 # Each axis materializes bins_per_axis + 1 float64 edges: 32 MiB at the cap.
 MAX_BINS_PER_AXIS = 2**22
+
+# When both sides draw multinomials, one call draws a chunk of replicates:
+# (chunk, 2, cells) counts, at most this many entries.
+BOOTSTRAP_CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -115,21 +119,48 @@ class TvEstimate:
     bins: int
 
 
-def _cell_ids(columns: list[np.ndarray]) -> tuple[np.ndarray, int]:
+def _bin_ids(col: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """histogramdd's bin of each value: ``searchsorted(edges, col, "right") - 1``, last bin closed.
+
+    The arithmetic guess ``(col - edges[0]) / step`` uses ``np.linspace``'s own
+    step; each guess is checked against the edges themselves, and the values it
+    misses by rounding take ``searchsorted``.
+    """
+    last = edges.size - 2
+    step = (edges[-1] - edges[0]) / (last + 1)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        guess = np.floor((col - edges[0]) / step)
+    ids = np.clip(np.nan_to_num(guess), 0, last).astype(np.intp)
+    wrong = (edges[ids] > col) | ((edges[ids + 1] <= col) & (ids < last))
+    if wrong.any():
+        ids[wrong] = np.minimum(np.searchsorted(edges, col[wrong], side="right") - 1, last)
+    return ids
+
+
+def _cell_ids(columns: list[np.ndarray], bins: int) -> tuple[np.ndarray, int]:
     """Rank of each row's cell among the occupied cells, in lexicographic order.
 
-    ``columns`` holds one integer array per axis.  The ids equal the inverse of
-    ``np.unique(np.column_stack(columns), axis=0)``, built one axis at a time
-    with 1-D uniques: the key ``ids * values.size + col_ids`` stays below N^2
-    for N rows, so it cannot overflow however large bins^d is.
+    ``columns`` holds one array of bin indices in ``[0, bins)`` per axis.  The
+    ids equal the inverse of ``np.unique(np.column_stack(columns), axis=0)``,
+    from one 1-D unique of the raveled key ``key * bins + col``.  When the next
+    axis would push that key past int64, the key so far is first replaced by
+    its rank among the occupied values, which keeps it below N * bins for N
+    rows however large bins^d is.
     """
-    values, ids = np.unique(columns[0], return_inverse=True)
-    occupied = values.size
+    key, size = columns[0], bins
     for col in columns[1:]:
-        values, col_ids = np.unique(col, return_inverse=True)
-        keys, ids = np.unique(ids * values.size + col_ids, return_inverse=True)
-        occupied = keys.size
-    return ids, occupied
+        if size * bins > 2**63:
+            values, key = np.unique(key, return_inverse=True)
+            size = values.size
+        key = key * bins + col
+        size *= bins
+    values, ids = np.unique(key, return_inverse=True)
+    return ids, values.size
+
+
+def _takes_count_path(counts: np.ndarray) -> bool:
+    """Whether a side has at least ``ROWS_PER_CELL`` rows per occupied cell."""
+    return np.count_nonzero(counts) * ROWS_PER_CELL <= counts.sum()
 
 
 def _replicate_counts(
@@ -142,9 +173,9 @@ def _replicate_counts(
     law; any other side resamples its ids with ``gen.integers`` and counts them.
     """
     n = ids.size
-    cells = np.flatnonzero(counts)
-    if cells.size * ROWS_PER_CELL > n:
+    if not _takes_count_path(counts):
         return lambda: np.bincount(ids[gen.integers(0, n, size=n)], minlength=counts.size)
+    cells = np.flatnonzero(counts)
     pvals = counts[cells] / n
 
     def draw() -> np.ndarray:
@@ -153,6 +184,36 @@ def _replicate_counts(
         return out
 
     return draw
+
+
+def _multinomial_replicates(
+    counts_p: np.ndarray, counts_q: np.ndarray, gen: np.random.Generator
+) -> Iterator[list[np.ndarray]]:
+    """Yield both sides' replicate counts, (chunk, occupied) each, in chunks of replicates.
+
+    One ``gen.multinomial([n_p, n_q], pvals, size=(chunk, 2))`` call draws a
+    chunk.  Each row of ``pvals`` holds its side's occupied cells, padded with
+    zeros on the left: numpy's conditional-binomial loop draws nothing for a
+    zero probability and gives the remainder to the last cell, so the draws
+    equal one ``gen.multinomial(n, counts[cells] / n)`` per side and replicate,
+    p before q.
+    """
+    n = np.array([counts_p.sum(), counts_q.sum()])
+    cells = [np.flatnonzero(counts_p), np.flatnonzero(counts_q)]
+    width = max(c.size for c in cells)
+    pvals = np.zeros((2, width))
+    for row, side, c in zip(pvals, (counts_p, counts_q), cells):
+        row[width - c.size:] = side[c] / side.sum()
+    chunk = max(1, BOOTSTRAP_CHUNK_ENTRIES // (2 * width))
+    for start in range(0, BOOTSTRAP_RESAMPLES, chunk):
+        size = min(chunk, BOOTSTRAP_RESAMPLES - start)
+        draws = gen.multinomial(n, pvals, size=(size, 2))
+        sides = []
+        for j, c in enumerate(cells):
+            side = np.zeros((size, counts_p.size), dtype=counts_p.dtype)
+            side[:, c] = draws[:, j, width - c.size:]
+            sides.append(side)
+        yield sides
 
 
 def tv_estimate_binned(
@@ -174,6 +235,12 @@ def tv_estimate_binned(
     ``ROWS_PER_CELL`` rows per occupied cell draws them with one
     ``gen.multinomial(n, counts / n)`` over those cells, their exact law; any
     other side resamples its n cell ids with ``gen.integers`` and counts them.
+    When both sides take the multinomial, one call draws a chunk of
+    replicates for both sides, the same draws in the same order as one call
+    per side and replicate, in O(chunk * occupied) memory.  Resampling stays
+    one replicate at a time: its cost is per row (the ``gen.integers`` draw,
+    the gather and the count of n ids), and drawing one side's replicates
+    together would reorder the alternating p, q draws.
     """
     if samples_p.d != samples_q.d:
         raise DimensionMismatch(
@@ -189,35 +256,33 @@ def tv_estimate_binned(
     if samples_p.n == 0 or samples_q.n == 0:
         raise EmptyDataset("both sample sets must be nonempty")
 
-    stacked = np.vstack([samples_p.rows, samples_q.rows])
-    lo = stacked.min(axis=0)
-    hi = stacked.max(axis=0)
-    pad = 0.01 * np.maximum(hi - lo, 1e-12)
-    edges = [
-        np.linspace(lo[j] - pad[j], hi[j] + pad[j], bins_per_axis + 1)
-        for j in range(samples_p.d)
-    ]
-    # searchsorted - 1 is histogramdd's bin rule, and the last bin is closed
-    cells = [
-        np.minimum(np.searchsorted(e, col, side="right") - 1, bins_per_axis - 1)
-        for e, col in zip(edges, stacked.T)
-    ]
-    ids, occupied = _cell_ids(cells)
+    cells = []
+    for col_p, col_q in zip(samples_p.rows.T, samples_q.rows.T):
+        lo = min(col_p.min(), col_q.min())
+        hi = max(col_p.max(), col_q.max())
+        pad = 0.01 * max(hi - lo, 1e-12)
+        edges = np.linspace(lo - pad, hi + pad, bins_per_axis + 1)
+        cells.append(np.concatenate([_bin_ids(col_p, edges), _bin_ids(col_q, edges)]))
+    ids, occupied = _cell_ids(cells, bins_per_axis)
     ids_p, ids_q = ids[: samples_p.n], ids[samples_p.n :]
     counts_p = np.bincount(ids_p, minlength=occupied)
     counts_q = np.bincount(ids_q, minlength=occupied)
 
-    def tv(side_p: np.ndarray, side_q: np.ndarray) -> float:
+    def tv(side_p: np.ndarray, side_q: np.ndarray) -> np.ndarray:
         freq_p = side_p / samples_p.n
         freq_q = side_q / samples_q.n
         # rounding can push the sum just past 1 when every row has its own cell
-        return min(0.5 * float(np.abs(freq_p - freq_q).sum()), 1.0)
+        return np.minimum(0.5 * np.abs(freq_p - freq_q).sum(axis=-1), 1.0)
 
-    estimate = tv(counts_p, counts_q)
+    estimate = float(tv(counts_p, counts_q))
     gen = rng.generator
-    draw_p = _replicate_counts(ids_p, counts_p, gen)
-    draw_q = _replicate_counts(ids_q, counts_q, gen)
-    reps = [tv(draw_p(), draw_q()) for _ in range(BOOTSTRAP_RESAMPLES)]
+    if _takes_count_path(counts_p) and _takes_count_path(counts_q):
+        reps = np.concatenate([tv(side_p, side_q) for side_p, side_q
+                               in _multinomial_replicates(counts_p, counts_q, gen)])
+    else:
+        draw_p = _replicate_counts(ids_p, counts_p, gen)
+        draw_q = _replicate_counts(ids_q, counts_q, gen)
+        reps = np.array([tv(draw_p(), draw_q()) for _ in range(BOOTSTRAP_RESAMPLES)])
     lo_q, hi_q = np.quantile(reps, [0.025, 0.975])
     return TvEstimate(
         estimate=estimate,

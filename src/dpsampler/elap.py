@@ -31,10 +31,13 @@ from .errors import (
 
 _MIN_DIRECTION_NORM = 1e-300
 
+# the smallest scale b whose Gamma rate 1/b is a finite float
+MIN_SCALE = math.nextafter(1.0 / sys.float_info.max, math.inf)
+
 
 @dataclass(frozen=True)
 class ELapParams:
-    """Dimension d >= 1 and finite scale b > 0 of the Euclidean-Laplace distribution."""
+    """Dimension d >= 1 and finite scale b >= ``MIN_SCALE`` of the Euclidean-Laplace distribution."""
 
     d: int
     b: float
@@ -43,6 +46,9 @@ class ELapParams:
         if self.d < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.d}")
         _check_finite_positive("scale", self.b)
+        if self.b < MIN_SCALE:
+            raise PrecisionLimit(f"scale must be >= {MIN_SCALE!r}, the smallest whose rate "
+                                 f"1/scale is a finite float, got {self.b}")
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ class TooFewSamples(DPSamplerError):
 
 
 class PrecisionLimit(DPSamplerError):
-    """Tolerance alpha/m fell below its floor, or a needed n or radius is beyond the float range."""
+    """Tolerance alpha/m fell below its floor, or a needed n, radius or rate is beyond the float range."""
 
 
 # --- orchestration -----------------------------------------------------------

@@ -368,7 +368,8 @@ class TestElapCommand:
 
     @pytest.mark.parametrize("scale, message", [
         ("1e308", "tail radius d*b*ln(d/alpha) is beyond the largest float"),
-        ("1e-320", "rate must be finite and positive, got inf"),
+        ("1e-320", "scale must be >= 5.56268464626801e-309, the smallest whose rate 1/scale"
+                   " is a finite float, got 1e-320"),
     ], ids=["radius-overflows", "rate-overflows"])
     def test_tail_beyond_the_float_range_exits_one(self, capsys, scale, message):
         code, out, err = run_cli(
@@ -699,6 +700,26 @@ class TestRejectedParameters:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, what", [
+        (["audit", "--mechanism", "rr", "--k", "3", "--eps0", "1"], "audit --mechanism rr"),
+        (["audit", "--mechanism", "elap", "--dim", "2", "--B", "1", "--eps", "1", "--seed", "13"],
+         "audit --mechanism elap"),
+        (["elap", "--tail", "--dim", "3", "--scale", "1", "--alpha", "0.1"], "elap --tail"),
+        (["complexity", "--family", "kary", "--task", "single", "--k", "4", "--alpha", "0.1",
+          "--eps", "2"], "complexity"),
+        (["tvdist", "--bins", "10", "--seed", "1"], "tvdist"),
+    ], ids=["audit-rr", "audit-elap", "elap-tail", "complexity", "tvdist"])
+    def test_out_where_no_artifact_is_written_exits_one(self, capsys, tmp_path, argv, what):
+        if argv[0] == "tvdist":
+            write_vector_csv(tmp_path / "p.csv", np.zeros((3, 1)))
+            argv = argv + ["--p", str(tmp_path / "p.csv"), "--q", str(tmp_path / "p.csv")]
+        artifact = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, argv + ["--out", str(artifact)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {what} does not read --out\n"
+        assert not artifact.exists()
+
     @pytest.mark.parametrize("content", [
         None,
         b"1\n\xff\n",
@@ -823,7 +844,10 @@ class TestRunReportRoundTrip:
             if argv[0] == "sample-gaussian":
                 argv = argv + gaussian
             out = tmp_path / f"artifact{i}.csv"
-            code, stdout, _ = run_cli(capsys, argv + ["--out", str(out)])
+            # only the tasks that write an artifact read --out
+            if argv[0] in ("sample-kary", "sample-gaussian", "elap"):
+                argv = argv + ["--out", str(out)]
+            code, stdout, _ = run_cli(capsys, argv)
             first = json.loads(stdout)
             first_bytes = out.read_bytes() if out.exists() else None
             if first_bytes is not None:

@@ -10,6 +10,7 @@ from scipy.stats import chi2_contingency
 from dpsampler import divergences
 from dpsampler.core import RandomSource, VectorDataset, validate_categorical
 from dpsampler.divergences import (
+    BOOTSTRAP_CHUNK_ENTRIES,
     BOOTSTRAP_RESAMPLES,
     MAX_BINS_PER_AXIS,
     eps_delta_closeness,
@@ -208,6 +209,14 @@ def reference_cases():
     p = 1e17 + 16 * np.arange(40.0)[:, None]
     q = 1e17 + 16 * np.arange(0.0, 40.0, 3.0)[:, None]
     yield "rows-on-top-edge", p, q, 6, 5
+    yield "count-side-and-row-side", *count_side_and_row_side_case()
+
+
+def count_side_and_row_side_case():
+    # p: 4,000 rows in at most 20 cells takes the count path; q: 60 rows in
+    # more than 3 cells resamples its rows
+    gen = np.random.default_rng(9)
+    return gen.normal(size=(4000, 1)), gen.normal(0.5, 1.0, size=(60, 1)), 20, 6
 
 
 def unique_rows_tv_reference(samples_p, samples_q, bins_per_axis, rng):
@@ -312,6 +321,18 @@ def past_int64_case():
     return p, q, 2**21 + 1, 7
 
 
+def at_bin_cap_case():
+    # (2^22)^3 cells needs a 66-bit raveled key.  Rows on a small grid share
+    # cells, and every axis has rows at both ends of the box, so the first
+    # axis's cells lie near 2^22 * 0.01 and 2^22 * 0.99: a key wrapped past
+    # int64 would reorder and merge cells.
+    gen = np.random.default_rng(10)
+    grid = np.array([0.0, 0.3, 0.6, 1.0])
+    p = grid[gen.integers(0, 4, size=(301, 3))]
+    q = grid[gen.integers(0, 4, size=(199, 3))] ** 2
+    return p, q, MAX_BINS_PER_AXIS, 8
+
+
 class TestTvEstimateBinned:
     @pytest.mark.parametrize(
         "p, q, bins, seed",
@@ -329,7 +350,8 @@ class TestTvEstimateBinned:
     @pytest.mark.parametrize(
         "p, q, bins, seed",
         [pytest.param(*case, id=name) for name, *case in reference_cases()]
-        + [pytest.param(*past_int64_case(), id="bins-cubed-past-int64")],
+        + [pytest.param(*past_int64_case(), id="bins-cubed-past-int64"),
+           pytest.param(*at_bin_cap_case(), id="bins-cubed-at-cap")],
     )
     def test_matches_unique_rows_reference(self, p, q, bins, seed, monkeypatch):
         monkeypatch.setattr(divergences, "ROWS_PER_CELL", math.inf)
@@ -354,8 +376,7 @@ class TestTvEstimateBinned:
         estimate, halfwidth = count_path_tv_reference(
             samples_p, samples_q, bins, RandomSource(seed)
         )
-        assert result.estimate == estimate
-        assert result.halfwidth == pytest.approx(halfwidth, abs=1e-12)
+        assert (result.estimate, result.halfwidth) == (estimate, halfwidth)
 
     def test_count_and_row_paths_share_the_replicate_law(self, monkeypatch):
         # One side: 6 ids in cells 0, 2 and 3 of 4, so each replicate is one of
@@ -392,15 +413,42 @@ class TestTvEstimateBinned:
         assert observed.shape[1] >= 10
         assert chi2_contingency(observed).pvalue > 1e-3
 
-    def test_count_path_draws_no_integers(self):
-        # 20 bins on one axis: at most 20 occupied cells for 3,000 rows a side
+    def test_count_path_draws_no_integers(self, monkeypatch):
+        # 20 bins on one axis: at most 20 occupied cells for 3,000 rows a side,
+        # so each multinomial call draws at least entries // 40 replicates
         gen = np.random.default_rng(73)
         p = VectorDataset(rows=gen.normal(size=(3000, 1)))
         q = VectorDataset(rows=gen.normal(0.2, 1.0, size=(3000, 1)))
-        rng = RandomSource(8)
+        for entries in (BOOTSTRAP_CHUNK_ENTRIES, 2 * 20 * 7):
+            monkeypatch.setattr(divergences, "BOOTSTRAP_CHUNK_ENTRIES", entries)
+            rng = RandomSource(8)
+            rng._gen = RecordingGenerator(rng._gen)
+            tv_estimate_binned(p, q, 20, rng)
+            assert set(rng._gen.calls) == {"multinomial"}
+            assert len(rng._gen.calls) <= math.ceil(BOOTSTRAP_RESAMPLES / (entries // 40))
+
+    def test_count_side_and_row_side_draw_per_replicate(self):
+        p, q, bins, seed = count_side_and_row_side_case()
+        rng = RandomSource(seed)
         rng._gen = RecordingGenerator(rng._gen)
-        tv_estimate_binned(p, q, 20, rng)
-        assert rng._gen.calls == ["multinomial"] * 2 * BOOTSTRAP_RESAMPLES
+        tv_estimate_binned(VectorDataset(rows=p), VectorDataset(rows=q), bins, rng)
+        assert rng._gen.calls == ["multinomial", "integers"] * BOOTSTRAP_RESAMPLES
+
+    def test_count_path_memory_is_per_chunk(self):
+        # 2e5 uniform rows a side in 10^4 bins: at most 10^4 occupied cells, so
+        # both sides take the count path.  Binning the 4e5 rows peaks near
+        # 19 MiB; drawing all 200 replicates at once would add at least
+        # 200 * 2 * 10^4 int64 counts, 30.5 MiB.
+        gen = np.random.default_rng(75)
+        p = VectorDataset(rows=gen.uniform(size=(200_000, 1)))
+        q = VectorDataset(rows=gen.uniform(size=(200_000, 1)))
+        tracemalloc.start()
+        try:
+            tv_estimate_binned(p, q, 10_000, RandomSource(9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
 
     def test_refuses_bin_count_above_cap_before_allocating(self):
         gen = np.random.default_rng(74)
@@ -417,16 +465,18 @@ class TestTvEstimateBinned:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_cell_ids_match_unique_rows(self, d):
-        # 2^40 bins per axis: the raveled index of a d = 3 cell needs 120 bits
-        # each axis draws from three values, so rows tie on some axes and not others
+        # the raveled index of a d = 3 cell needs 66 bits at the bin cap and
+        # 120 bits at 2^40 bins; each axis draws from three values, so rows
+        # tie on some axes and not others
         gen = np.random.default_rng(60 + d)
-        pools = gen.integers(0, 2**40, size=(3, d))
-        pools[0], pools[1] = 0, 2**40 - 1
-        cells = pools[gen.integers(0, 3, size=(3000, d)), np.arange(d)]
-        ids, occupied = _cell_ids(list(cells.T))
-        expected_cells, expected = np.unique(cells, axis=0, return_inverse=True)
-        assert ids.tolist() == expected.reshape(-1).tolist()
-        assert occupied == expected_cells.shape[0]
+        for bins in (MAX_BINS_PER_AXIS, 2**40):
+            pools = gen.integers(0, bins, size=(3, d))
+            pools[0], pools[1] = 0, bins - 1
+            cells = pools[gen.integers(0, 3, size=(3000, d)), np.arange(d)]
+            ids, occupied = _cell_ids(list(cells.T), bins)
+            expected_cells, expected = np.unique(cells, axis=0, return_inverse=True)
+            assert ids.tolist() == expected.reshape(-1).tolist()
+            assert occupied == expected_cells.shape[0]
 
     def test_memory_independent_of_bin_count(self):
         # 40^5 = 1e8 cells: a dense histogram needs about 1 GB per call

@@ -10,6 +10,7 @@ from helpers import chi2_statistic, ks_critical, ks_statistic
 
 from dpsampler.core import RandomSource
 from dpsampler.elap import (
+    MIN_SCALE,
     ELapParams,
     GammaParams,
     elap_density,
@@ -132,6 +133,20 @@ class TestTailRadius:
     def test_scale_must_be_finite_and_positive(self, b):
         with pytest.raises(ValidationError, match="^scale must be finite and positive"):
             ELapParams(d=2, b=b)
+
+    @pytest.mark.parametrize("b", [1e-320, math.nextafter(MIN_SCALE, 0.0)])
+    def test_scale_whose_rate_overflows_refused(self, b):
+        assert 1.0 / b == math.inf
+        with pytest.raises(PrecisionLimit,
+                           match=rf"^scale must be >= {MIN_SCALE!r}, .* got {b!r}$"):
+            ELapParams(d=3, b=b)
+
+    def test_smallest_scale_samples(self):
+        assert math.isfinite(1.0 / MIN_SCALE)
+        params = ELapParams(d=3, b=MIN_SCALE)
+        samples = elap_sample(params, RandomSource(106), size=5)
+        assert np.isfinite(samples).all()
+        assert elap_tail_radius(params, 0.1) > 0
 
     def test_empirical_tail_below_alpha(self):
         d, b, alpha = 3, 1.0, 0.1
