@@ -11,12 +11,14 @@ failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
+import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from types import GenericAlias, MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -86,54 +88,26 @@ class RunReport:
     exit_code: int
 
 
-def _need(params: dict, *names):
-    missing = [name for name in names if params.get(name) is None]
-    if missing:
-        raise ConfigInvalid(f"missing required parameter(s): {', '.join(missing)}")
-    return [params[name] for name in names]
+# Every runner takes the params of its (task, selector) row of `_COMMANDS`,
+# checked and typed by `run`, with --in, --seed and --out among them; it reads
+# each of them and no other.
 
 
-def _refuse_unread(params: dict, read, what: str) -> None:
-    """Refuse the given (non-null) parameters outside ``read``, naming their flags."""
-    unread = ["--" + name.replace("_", "-")
-              for name, value in params.items() if name not in read and value is not None]
-    if unread:
-        raise ConfigInvalid(f"{what} does not read {', '.join(unread)}")
-
-
-def _rng(config: ExperimentConfig) -> RandomSource:
-    if config.seed is None:
-        raise ConfigInvalid("this task is randomized; an explicit --seed is required")
-    return RandomSource(config.seed)
-
-
-# sample-kary mode -> the flags it reads besides --mode, --k and --eps
-_KARY_FLAGS = {"sub": (), "shuffle": ("delta", "m"), "repeat": ("alpha", "m"),
-               "precision": ("alpha", "m", "delta"), "both": ("alpha", "m")}
-
-
-def _run_sample_kary(config: ExperimentConfig):
-    if config.input_path is None:
-        raise ConfigInvalid("sample-kary requires --in")
-    params = config.params
-    (mode, eps) = _need(params, "mode", "eps")
-    if mode not in _KARY_FLAGS:
-        raise ConfigInvalid(f"unknown sample-kary mode {mode!r}")
-    _refuse_unread(params, ("mode", "k", "eps", *_KARY_FLAGS[mode]), f"sample-kary --mode {mode}")
-    data = read_kary_csv(config.input_path, k=params.get("k"))
-    rng = _rng(config)
+def _run_sample_kary(params):
+    (mode, eps) = (params["mode"], params["eps"])
+    data = read_kary_csv(params["in"], k=params["k"])
+    rng = RandomSource(params["seed"])
     derived = {"k": data.k, "n": data.n}
 
     if mode in KARY_CALIBRATIONS:
-        (delta, m) = _need(params, "delta", "m") if mode == "shuffle" else (None, None)
-        outputs = (list(shurr_run(data, eps, delta, m, rng)) if mode == "shuffle"
+        delta = params["delta"] if mode == "shuffle" else None
+        outputs = (list(shurr_run(data, eps, delta, params["m"], rng)) if mode == "shuffle"
                    else [subrr_sample(data, eps, rng)])
         derived.update(KARY_CALIBRATIONS[mode].derived(eps, delta, data.n, data.k))
     else:
-        (alpha, m) = _need(params, "alpha", "m")
+        (alpha, m) = (params["alpha"], params["m"])
         if mode == "precision":
-            (delta,) = _need(params, "delta")
-            spec = shurr_sampler(data.k, eps, delta, m, alpha)
+            spec = shurr_sampler(data.k, eps, params["delta"], m, alpha)
             derived["n_required"] = spec.n_per_call(alpha / m)
             outputs = strong_via_precision(spec, m, alpha, data, rng)
         else:
@@ -142,165 +116,104 @@ def _run_sample_kary(config: ExperimentConfig):
             outputs = (weak_via_repetition(spec, m, data, rng) if mode == "repeat"
                        else strong_via_both(spec, m, alpha, data, rng))
 
-    if config.output_path:
-        write_kary_csv(config.output_path, outputs)
-    summary = {"count": len(outputs), "path": config.output_path}
-    if config.output_path is None:
+    out = params["out"]
+    if out:
+        write_kary_csv(out, outputs)
+    summary = {"count": len(outputs), "path": out}
+    if out is None:
         summary["values"] = [int(v) for v in outputs]
     return summary, derived, 0
 
 
-def _run_sample_gaussian(config: ExperimentConfig):
-    if config.input_path is None:
-        raise ConfigInvalid("sample-gaussian requires --in")
-    params = config.params
-    (variant, mode, alpha, eps, R) = _need(params, "variant", "mode", "alpha", "eps", "R")
-    data = read_vector_csv(config.input_path)
-    if params.get("dim") is not None and params["dim"] != data.d:
+def _run_sample_gaussian(params):
+    (variant, mode, R, alpha) = (params["variant"], params["mode"], params["R"], params["alpha"])
+    data = read_vector_csv(params["in"])
+    if params["dim"] is not None and params["dim"] != data.d:
         raise ConfigInvalid(f"--dim {params['dim']} does not match data dimension {data.d}")
-    rng = _rng(config)
-    spec = gaussian_sampler(variant, data.d, R, eps, alpha)
+    rng = RandomSource(params["seed"])
+    spec = gaussian_sampler(variant, data.d, R, params["eps"], alpha)
     derived = {"d": data.d, "n": data.n}
 
     if mode == "once":
-        (count,) = _need(params, "count")
-        if count < 1:
-            raise ConfigInvalid(f"--count must be >= 1, got {count}")
-        if params.get("m") is not None:
-            raise ConfigInvalid("--m applies to --mode repeat and both only; once mode takes --count")
         cal = GAUSSIAN_CALIBRATIONS[variant]
         derived.update(B=cal.clip_bound(data.d, R, alpha),
                        sigma2=cal.sigma2(data.d, alpha, data.n))
-        outputs = [spec.run(data, alpha, rng.child(i)) for i in range(int(count))]
-    elif mode in ("repeat", "both"):
-        # no weak Gaussian sampler exists, so there is no precision-only mode
-        (m,) = _need(params, "m")
-        # a combinator makes one run of m draws; --count repeats single runs in once mode
-        if params.get("count") not in (None, 1):
-            raise ConfigInvalid(f"--mode {mode} makes one run of --m draws, not --count {params['count']}")
+        outputs = [spec.run(data, alpha, rng.child(i)) for i in range(params["count"])]
+    else:
+        m = params["m"]
         if mode == "repeat":
             derived["n_per_call"] = spec.n_per_call(alpha)
-            outputs = weak_via_repetition(spec, int(m), data, rng)
+            outputs = weak_via_repetition(spec, m, data, rng)
         else:
-            derived["n_per_call"] = spec.n_per_call(alpha / int(m))
-            outputs = strong_via_both(spec, int(m), alpha, data, rng)
-    else:
-        raise ConfigInvalid(f"unknown sample-gaussian mode {mode!r}")
+            derived["n_per_call"] = spec.n_per_call(alpha / m)
+            outputs = strong_via_both(spec, m, alpha, data, rng)
 
     rows = np.vstack(outputs)
-    if config.output_path:
-        write_vector_csv(config.output_path, rows)
-    return {"count": int(rows.shape[0]), "path": config.output_path}, derived, 0
+    if params["out"]:
+        write_vector_csv(params["out"], rows)
+    return {"count": int(rows.shape[0]), "path": params["out"]}, derived, 0
 
 
-def _run_elap(config: ExperimentConfig):
-    params = config.params
-    (d, b) = _need(params, "dim", "scale")
-    elap_params = ELapParams(d=int(d), b=b)
-    if params.get("tail"):
-        _refuse_unread(dict(params, seed=config.seed, out=config.output_path),
-                       ("dim", "scale", "tail", "alpha"), "elap --tail")
-        (alpha,) = _need(params, "alpha")
+def _run_elap(params):
+    (d, b) = (params["dim"], params["scale"])
+    elap_params = ELapParams(d=d, b=b)
+    if params["tail"]:
+        alpha = params["alpha"]
         radius = elap_tail_radius(elap_params, alpha)
         exact = gamma_exact_tail(GammaParams(shape=float(d), rate=1.0 / b), radius)
         return {}, {"tail_radius": radius, "exact_tail": float(exact), "alpha": alpha}, 0
-    _refuse_unread(params, ("dim", "scale", "tail", "count"), "elap --count")
-    (count,) = _need(params, "count")
-    if count < 1:
-        raise ConfigInvalid(f"--count must be >= 1, got {count}")
-    rng = _rng(config)
-    samples = elap_sample(elap_params, rng, size=int(count))
-    if config.output_path:
-        write_vector_csv(config.output_path, samples)
-    return {"count": int(count), "path": config.output_path}, {"d": int(d), "scale": b}, 0
+    count = params["count"]
+    samples = elap_sample(elap_params, RandomSource(params["seed"]), size=count)
+    if params["out"]:
+        write_vector_csv(params["out"], samples)
+    return {"count": count, "path": params["out"]}, {"d": d, "scale": b}, 0
 
 
-# family -> task -> (required parameters, calculator on the parameter dict);
-# `sweep` names each task's column f"{family}_{task}" with dashes as underscores.
-# Counts are cast to int, as JSON configs may carry floats.
-_COMPLEXITY = {
+# family -> task -> (the calculator's inputs, in its argument order; the
+# calculator); `sweep` names each task's column f"{family}_{task}" with dashes
+# as underscores
+_CALCULATORS = {
     # the tasks of each k-ary mechanism, in table order: single, weak, strong
-    "kary": {
-        task: (cal.inputs, lambda p, cal=cal, calculate=calculate: calculate(
-            *(int(p[name]) if name in ("k", "m") else p[name] for name in cal.inputs)))
-        for cal in KARY_CALIBRATIONS.values() for task, calculate in cal.complexity.items()
-    },
+    "kary": {task: (cal.inputs, calculate)
+             for cal in KARY_CALIBRATIONS.values() for task, calculate in cal.complexity.items()},
     # one task per Gaussian variant
-    "gaussian": {
-        variant: (("dim", "R", "alpha", "eps"), lambda p, cal=cal: cal.complexity(
-            int(p["dim"]), p["R"], p["alpha"], p["eps"]))
-        for variant, cal in GAUSSIAN_CALIBRATIONS.items()
-    },
+    "gaussian": {variant: (("dim", "R", "alpha", "eps"), cal.complexity)
+                 for variant, cal in GAUSSIAN_CALIBRATIONS.items()},
 }
 
 
-def _calculators(family: str) -> dict:
-    if family not in _COMPLEXITY:
-        raise ConfigInvalid(f"unknown family {family!r}")
-    return _COMPLEXITY[family]
+def _grid_inputs(family: str) -> tuple[str, ...]:
+    """The inputs of every calculator of a family, each once, in table order."""
+    return tuple(dict.fromkeys(name for inputs, _ in _CALCULATORS[family].values()
+                               for name in inputs))
 
 
-def _run_complexity(config: ExperimentConfig):
-    params = config.params
-    (family, task) = _need(params, "family", "task")
-    calculators = _calculators(family)
-    if task not in calculators:
-        raise ConfigInvalid(f"unknown {family} task {task!r}")
-    required, calculate = calculators[task]
-    _refuse_unread({"out": config.output_path}, (), "complexity")
-    _need(params, *required)
-    report = calculate(params)
+def _run_complexity(params):
+    (inputs, calculate) = _CALCULATORS[params["family"]][params["task"]]
+    report = calculate(*(params[name] for name in inputs))
     return {"report": asdict(report)}, {"n_required": report.n_required}, 0
 
 
-def _run_tvdist(config: ExperimentConfig):
-    params = config.params
-    (path_p, path_q, bins) = _need(params, "p", "q", "bins")
-    _refuse_unread({"out": config.output_path}, (), "tvdist")
-    rng = _rng(config)
-    estimate = tv_estimate_binned(
-        read_vector_csv(path_p), read_vector_csv(path_q), int(bins), rng
-    )
+def _run_tvdist(params):
+    estimate = tv_estimate_binned(read_vector_csv(params["p"]), read_vector_csv(params["q"]),
+                                  params["bins"], RandomSource(params["seed"]))
     return {"report": asdict(estimate)}, asdict(estimate), 0
 
 
-# mechanism -> the audit flags it reads (by parameter name); any other given
-# flag exits 1.  Only the ELap audit draws random numbers, so only it reads
-# --seed; no audit writes an artifact, so none reads --out.
-_AUDIT_FLAGS = {
-    "rr": ("k", "eps0", "claimed_eps"),
-    "subrr": ("k", "n", "eps", "claimed_eps"),
-    "shurr": ("k", "n", "eps", "delta", "eps0"),
-    "elap": ("dim", "B", "eps", "seed"),
-    "zcdp": ("variant", "dim", "R", "alpha", "eps"),
+# mechanism -> its audit of the params of its row
+_AUDITS = {
+    "rr": lambda p: audit_rr_local(p["k"], p["eps0"], claimed_eps=p["claimed_eps"]),
+    "subrr": lambda p: audit_subrr_pure(p["k"], p["n"], p["eps"], claimed_eps=p["claimed_eps"]),
+    "shurr": lambda p: audit_shurr_marginal(p["k"], p["n"], p["eps"], p["delta"], None, None,
+                                            eps0=p["eps0"]),
+    "elap": lambda p: audit_elap_mechanism(p["dim"], p["B"], p["eps"], None,
+                                           RandomSource(p["seed"])),
+    "zcdp": lambda p: audit_zcdp_gaussian(p["variant"], p["dim"], p["R"], p["alpha"], p["eps"]),
 }
 
 
-def _run_audit(config: ExperimentConfig):
-    params = config.params
-    (mechanism,) = _need(params, "mechanism")
-    if mechanism not in _AUDIT_FLAGS:
-        raise ConfigInvalid(f"unknown audit mechanism {mechanism!r}")
-    _refuse_unread(dict(params, seed=config.seed, out=config.output_path),
-                   ("mechanism", *_AUDIT_FLAGS[mechanism]), f"audit --mechanism {mechanism}")
-    if mechanism == "rr":
-        (k, eps0) = _need(params, "k", "eps0")
-        report = audit_rr_local(int(k), eps0, claimed_eps=params.get("claimed_eps"))
-    elif mechanism == "subrr":
-        (k, n, eps) = _need(params, "k", "n", "eps")
-        report = audit_subrr_pure(int(k), int(n), eps, claimed_eps=params.get("claimed_eps"))
-    elif mechanism == "shurr":
-        (k, n, eps, delta) = _need(params, "k", "n", "eps", "delta")
-        report = audit_shurr_marginal(
-            int(k), int(n), eps, delta, None, None, eps0=params.get("eps0")
-        )
-    elif mechanism == "elap":
-        (d, B, eps) = _need(params, "dim", "B", "eps")
-        report = audit_elap_mechanism(int(d), B, eps, None, _rng(config))
-    else:
-        (variant, d, R, alpha, eps) = _need(params, "variant", "dim", "R", "alpha", "eps")
-        report = audit_zcdp_gaussian(variant, int(d), R, alpha, eps)
-
+def _run_audit(params):
+    report = _AUDITS[params["mechanism"]](params)
     code = 0 if report.verdict == "pass" else 2
     return {"report": asdict(report)}, report.details, code
 
@@ -313,68 +226,209 @@ def table_sweep(family: str, grid: dict) -> tuple[list[str], list[list]]:
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ConfigInvalid("sweep grid must be nonempty")
+    if family not in _CALCULATORS:
+        raise ConfigInvalid(f"unknown family {family!r}")
     keys = sorted(grid)
-    calculators = _calculators(family)
-    needed = {name for required, _ in calculators.values() for name in required}
-    if set(keys) != needed:
-        raise ConfigInvalid(f"{family} sweep needs exactly the parameters {sorted(needed)}")
+    if set(keys) != set(_grid_inputs(family)):
+        raise ConfigInvalid(f"{family} sweep needs exactly the parameters "
+                            f"{sorted(_grid_inputs(family))}")
+    calculators = _CALCULATORS[family]
     columns = [f"{family}_{task.replace('-', '_')}" for task in calculators]
 
     rows = []
     for combo in itertools.product(*(grid[key] for key in keys)):
         cell = dict(zip(keys, combo))
-        values = [calculate(cell).n_required for _, calculate in calculators.values()]
+        values = [calculate(*(cell[name] for name in inputs)).n_required
+                  for inputs, calculate in calculators.values()]
         rows.append([cell[key] for key in keys] + values)
     return keys + columns, rows
 
 
-def _run_sweep(config: ExperimentConfig):
-    params = config.params
-    (family,) = _need(params, "family")
-    grid = {k: v for k, v in params.items() if k != "family" and v is not None}
-    header, rows = table_sweep(family, grid)
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
+def _run_sweep(params):
+    family = params["family"]
+    header, rows = table_sweep(family, {name: params[name] for name in _grid_inputs(family)})
+    if params["out"]:
+        with open(params["out"], "w") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(str(v) for v in row) + "\n")
-    return {"rows": len(rows), "path": config.output_path, "header": header}, {}, 0
+    return {"rows": len(rows), "path": params["out"], "header": header}, {}, 0
 
 
-_TASKS = {
-    "sample-kary": _run_sample_kary,
-    "sample-gaussian": _run_sample_gaussian,
-    "elap": _run_elap,
-    "complexity": _run_complexity,
-    "tvdist": _run_tvdist,
-    "audit": _run_audit,
-    "sweep": _run_sweep,
+# --- the flag table ---------------------------------------------------------------
+
+
+# named tuples, not dataclasses: they cost a sixth of a frozen dataclass at import
+class _Flag(NamedTuple):
+    """A flag's value type (a list type for comma-separated grids), default, choices
+    and least value."""
+
+    type: type = str
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+    minimum: int | None = None
+
+
+class _Row(NamedTuple):
+    """The flags one (task, selector) row requires, the further flags it may take,
+    and, where its selector values do not name it, its name in messages."""
+
+    requires: tuple[str, ...]
+    takes: tuple[str, ...] = ()
+    label: str | None = None
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        return self.requires + self.takes
+
+
+class _Command(NamedTuple):
+    """One subcommand: its runner, the flags whose values pick its row, and its rows."""
+
+    help: str
+    run: Callable
+    selectors: tuple[str, ...]
+    rows: dict[tuple, _Row]
+    own: Mapping[str, _Flag] = MappingProxyType({})  # flags it declares unlike `_FLAGS`
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """Every flag of the subcommand, in table order; all take --seed and --out."""
+        return tuple(dict.fromkeys([*(name for row in self.rows.values() for name in row.flags),
+                                    "seed", "out"]))
+
+    def flag(self, name: str) -> _Flag:
+        return self.own.get(name) or _FLAGS[name]
+
+
+# --in, --seed and --out set these config fields, not params
+_FIELDS = {"in": "input_path", "seed": "seed", "out": "output_path"}
+
+# every flag, by params key, with the type and default it has wherever a
+# command does not restate it
+_FLAGS = {
+    **dict.fromkeys(("in", "mode", "mechanism", "family", "task", "p", "q"), _Flag()),
+    "out": _Flag(help="artifact output path"),
+    "variant": _Flag(choices=tuple(GAUSSIAN_CALIBRATIONS)),
+    "tail": _Flag(bool, False),
+    "count": _Flag(int, minimum=1),
+    **dict.fromkeys(("seed", "k", "n", "m", "dim", "bins"), _Flag(int)),
+    **dict.fromkeys(("eps", "delta", "alpha", "R", "B", "eps0", "claimed_eps", "scale"),
+                    _Flag(float)),
+}
+
+_COMMANDS = {
+    "sample-kary": _Command(
+        "private samples from a finite-domain dataset", _run_sample_kary, ("mode",), {
+            (mode,): _Row(("mode", "in", "eps", *per_mode, "seed"), ("k", "out"))
+            for mode, per_mode in {"sub": (), "shuffle": ("delta", "m"), "repeat": ("alpha", "m"),
+                                   "precision": ("alpha", "m", "delta"),
+                                   "both": ("alpha", "m")}.items()
+        }),
+    # once makes --count single runs; repeat and both make one run of --m draws (no
+    # weak Gaussian sampler exists, so there is no precision-only mode)
+    "sample-gaussian": _Command(
+        "private samples from a vector dataset", _run_sample_gaussian, ("mode",), {
+            (mode,): _Row(("variant", "mode", "in", "R", "alpha", "eps", per_mode, "seed"),
+                          ("dim", "out"))
+            for mode, per_mode in {"once": "count", "repeat": "m", "both": "m"}.items()
+        }, own={"mode": _Flag(default="once"),
+                "count": _Flag(int, 1, help="independent runs on the same data", minimum=1)}),
+    "elap": _Command(
+        "sample the Euclidean-Laplace distribution or query its tail", _run_elap, ("tail",), {
+            (True,): _Row(("tail", "dim", "scale", "alpha"), label="--tail"),
+            (False,): _Row(("tail", "dim", "scale", "count", "seed"), ("out",), label="--count"),
+        }),
+    "complexity": _Command(
+        "sufficient sample counts for a sampling task", _run_complexity, ("family", "task"), {
+            (family, task): _Row(("family", "task", *inputs))
+            for family, tasks in _CALCULATORS.items() for task, (inputs, _) in tasks.items()
+        }),
+    "tvdist": _Command(
+        "binned TV estimate between two CSV sample files", _run_tvdist, (), {
+            (): _Row(("p", "q", "bins", "seed")),
+        }),
+    # only the ELap audit draws random numbers; no audit writes an artifact
+    "audit": _Command(
+        "privacy audits with pass/fail verdicts", _run_audit, ("mechanism",), {
+            ("rr",): _Row(("mechanism", "k", "eps0"), ("claimed_eps",)),
+            ("subrr",): _Row(("mechanism", "k", "n", "eps"), ("claimed_eps",)),
+            ("shurr",): _Row(("mechanism", "k", "n", "eps", "delta"), ("eps0",)),
+            ("elap",): _Row(("mechanism", "dim", "B", "eps", "seed")),
+            ("zcdp",): _Row(("mechanism", "variant", "dim", "R", "alpha", "eps")),
+        }, own={"variant": _Flag(choices=tuple(v for v, cal in GAUSSIAN_CALIBRATIONS.items()
+                                               if cal.zcdp))}),
+    "sweep": _Command(
+        "complexity tables over a parameter grid", _run_sweep, ("family",), {
+            (family,): _Row(("family", *_grid_inputs(family)), ("out",))
+            for family in _CALCULATORS
+        }, own={name: _Flag(list[_FLAGS[name].type])
+                for family in _CALCULATORS for name in _grid_inputs(family)}),
 }
 
 
-# ArgumentParser fields that are not config params: --in, --seed and --out
-# have their own config fields, and --json only redirects the report
-_NOT_PARAMS = {"command", "help", "input_path", "seed", "out", "json"}
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-@functools.cache
-def _task_params(task: str) -> frozenset:
-    """The params keys the task's parser defines."""
-    (tasks,) = [action.choices for action in _PARSER._actions if action.dest == "command"]
-    return frozenset(action.dest for action in tasks[task]._actions) - _NOT_PARAMS
+def _refuse(message: str, names) -> None:
+    if names:
+        raise ConfigInvalid(f"{message} {', '.join(map(_option, names))}")
+
+
+def _typed(name: str, flag: _Flag, value):
+    """``value`` as its flag's type, or ConfigInvalid naming the flag.
+
+    An integer flag also takes an integral float, as JSON configs may carry k = 4.0.
+    """
+    kind = flag.type
+    if isinstance(kind, GenericAlias):
+        if not isinstance(value, list):
+            raise ConfigInvalid(f"{_option(name)} must be a list, got {value!r}")
+        return [_typed(name, _Flag(kind.__args__[0]), item) for item in value]
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    abstract = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    if not isinstance(value, abstract) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigInvalid(f"{_option(name)} must be of type {kind.__name__}, got {value!r}")
+    if flag.minimum is not None and value < flag.minimum:
+        raise ConfigInvalid(f"{_option(name)} must be >= {flag.minimum}, got {value}")
+    return int(value) if kind is int else value
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Dispatch a validated config to its task and wrap the result in a report.
+    """Check a config against its row of the flag table, run it and report.
 
-    A given params key that the task's parser does not define is refused, so a
-    persisted config cannot name a parameter this version would ignore.
+    Refuses, before any file is read: a params key the task does not define, so
+    a persisted config cannot name a parameter this version would ignore; a
+    non-null flag the row does not read, unless it equals the flag's default; a
+    missing required flag; and a value not of its flag's type.
     """
-    if config.task not in _TASKS:
+    command = _COMMANDS.get(config.task)
+    if command is None:
         raise ConfigInvalid(f"unknown task {config.task!r}")
-    _refuse_unread(config.params, _task_params(config.task), config.task)
+    flags = command.flags
+    given = {name: value for name, value in config.params.items() if value is not None}
+    _refuse(f"{config.task} does not read",
+            [name for name in given if name in _FIELDS or name not in flags])
+    given.update((name, getattr(config, attr)) for name, attr in _FIELDS.items()
+                 if getattr(config, attr) is not None)
+    given = {name: _typed(name, command.flag(name), value) for name, value in given.items()}
+
+    key = tuple(given.get(name) for name in command.selectors)
+    words = " ".join(f"{_option(name)} {value}" for name, value in zip(command.selectors, key))
+    if key not in command.rows:
+        raise ConfigInvalid(f"{config.task} has no row {words}")
+    row = command.rows[key]
+    what = f"{config.task} {row.label or words}".rstrip()
+    _refuse(f"{what} does not read", [
+        name for name, value in given.items()
+        if name not in row.flags and value != command.flag(name).default])
+    _refuse(f"{what}: missing required parameter(s):",
+            [name for name in row.requires if name not in given])
     start = time.perf_counter()
-    outputs, derived, exit_code = _TASKS[config.task](config)
+    outputs, derived, exit_code = command.run({name: given.get(name) for name in row.flags})
     return RunReport(
         config=asdict(config),
         outputs=outputs,
@@ -397,98 +451,35 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+def _comma_list(kind: type) -> Callable[[str], list]:
+    return lambda text: [kind(v) for v in text.split(",")]
 
 
 def _build_parser() -> _Parser:
+    """One subparser per command of `_COMMANDS`, one option per flag of its rows."""
     parser = _Parser(prog="dpsampler", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seed_required: bool):
-        p.add_argument("--seed", type=int, required=seed_required, default=None)
-        p.add_argument("--out", default=None, help="artifact output path")
+    for task, command in _COMMANDS.items():
+        p = sub.add_parser(task, help=command.help)
+        for name in command.flags:
+            flag = command.flag(name)
+            # argparse requires the selectors and the config fields that every row
+            # requires and no default supplies; `run` checks each row's params
+            required = (flag.default is None and (name in command.selectors or name in _FIELDS)
+                        and all(name in row.requires for row in command.rows.values()))
+            options = {"dest": name, "default": flag.default, "required": required,
+                       "help": flag.help}
+            if flag.type is bool:
+                options["action"] = "store_true"
+            else:
+                options["type"] = (_comma_list(flag.type.__args__[0])
+                                   if isinstance(flag.type, GenericAlias) else flag.type)
+                # a selector's choices are its values in the rows
+                options["choices"] = (list(dict.fromkeys(
+                    key[command.selectors.index(name)] for key in command.rows))
+                    if name in command.selectors else flag.choices)
+            p.add_argument(_option(name), **options)
         p.add_argument("--json", default=None, help="also write the run report here")
-
-    p = sub.add_parser("sample-kary", help="private samples from a finite-domain dataset")
-    p.add_argument("--mode", required=True, choices=list(_KARY_FLAGS))
-    p.add_argument("--in", dest="input_path", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    common(p, seed_required=True)
-
-    p = sub.add_parser("sample-gaussian", help="private samples from a vector dataset")
-    p.add_argument("--variant", required=True, choices=list(GAUSSIAN_CALIBRATIONS))
-    p.add_argument("--mode", default="once", choices=["once", "repeat", "both"])
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--in", dest="input_path", required=True)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--R", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--count", type=int, default=1, help="independent runs on the same data")
-    common(p, seed_required=True)
-
-    p = sub.add_parser("elap", help="sample the Euclidean-Laplace distribution or query its tail")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--scale", type=float, required=True)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--tail", action="store_true")
-    p.add_argument("--alpha", type=float, default=None)
-    common(p, seed_required=False)
-
-    p = sub.add_parser("complexity", help="sufficient sample counts for a sampling task")
-    p.add_argument("--family", required=True, choices=["kary", "gaussian"])
-    p.add_argument("--task", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--m", type=int, default=None)
-    common(p, seed_required=False)
-
-    p = sub.add_parser("tvdist", help="binned TV estimate between two CSV sample files")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--bins", type=int, required=True)
-    common(p, seed_required=True)
-
-    p = sub.add_parser("audit", help="privacy audits with pass/fail verdicts")
-    p.add_argument("--mechanism", required=True, choices=["rr", "subrr", "shurr", "elap", "zcdp"])
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--eps0", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--claimed-eps", dest="claimed_eps", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--B", type=float, default=None)
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--variant", default=None,
-                   choices=[v for v, cal in GAUSSIAN_CALIBRATIONS.items() if cal.zcdp])
-    common(p, seed_required=False)
-
-    p = sub.add_parser("sweep", help="complexity tables over a parameter grid")
-    p.add_argument("--family", required=True, choices=["kary", "gaussian"])
-    p.add_argument("--k", type=_int_list, default=None)
-    p.add_argument("--dim", type=_int_list, default=None)
-    p.add_argument("--R", type=_float_list, default=None)
-    p.add_argument("--alpha", type=_float_list, default=None)
-    p.add_argument("--eps", type=_float_list, default=None)
-    p.add_argument("--delta", type=_float_list, default=None)
-    p.add_argument("--m", type=_int_list, default=None)
-    common(p, seed_required=False)
-
     return parser
 
 
@@ -497,14 +488,10 @@ _PARSER = _build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
-    return ExperimentConfig(
-        task=args.command,
-        params=params,
-        input_path=getattr(args, "input_path", None),
-        output_path=args.out,
-        seed=args.seed,
-    )
+    # --json only redirects the report
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "json")}
+    fields = {attr: params.pop(name, None) for name, attr in _FIELDS.items()}
+    return ExperimentConfig(task=args.command, params=params, **fields)
 
 
 def main(argv=None) -> int:

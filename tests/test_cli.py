@@ -2,11 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dpsampler.cli import _COMPLEXITY, _PARSER, ExperimentConfig, main, run, table_sweep
+from dpsampler.cli import _COMMANDS, _FIELDS, _PARSER, ExperimentConfig, main, run, table_sweep
 from dpsampler.core import RandomSource, read_vector_csv, write_kary_csv, write_vector_csv
 import dpsampler.gaussian
 from dpsampler.errors import ConfigInvalid, ValidationError
@@ -306,30 +307,35 @@ class TestSampleGaussian:
         assert not out.exists()
 
     def test_kary_tasks_come_from_the_calibration_table(self):
-        assert {task: required for task, (required, _) in _COMPLEXITY["kary"].items()} == {
+        rows = _COMMANDS["complexity"].rows
+        assert {task: row.requires[2:] for (family, task), row in rows.items()
+                if family == "kary"} == {
             task: cal.inputs for cal in KARY_CALIBRATIONS.values() for task in cal.complexity
         }
-        assert list(_COMPLEXITY["kary"]) == ["single", "weak", "strong"]
+        assert [task for family, task in rows if family == "kary"] == ["single", "weak", "strong"]
 
     @pytest.mark.parametrize("task", ["single", "weak", "strong"])
     def test_kary_counts_given_as_floats_are_cast(self, task):
-        # JSON configs may carry k = 4.0 and m = 8.0
-        params = {"family": "kary", "task": task, "alpha": 0.1, "eps": 2.0, "delta": 1e-6}
-        as_ints = run(ExperimentConfig(task="complexity", params=dict(params, k=4, m=8)))
-        as_floats = run(ExperimentConfig(task="complexity", params=dict(params, k=4.0, m=8.0)))
+        # JSON configs may carry k = 4.0 and m = 8.0; each task is given its inputs only
+        values = {"k": 4, "alpha": 0.1, "eps": 2.0, "delta": 1e-6, "m": 8}
+        inputs = next(cal.inputs for cal in KARY_CALIBRATIONS.values() if task in cal.complexity)
+        params = {"family": "kary", "task": task, **{name: values[name] for name in inputs}}
+        as_ints = run(ExperimentConfig(task="complexity", params=params))
+        as_floats = run(ExperimentConfig(task="complexity", params={
+            name: float(value) if name in ("k", "m") else value for name, value in params.items()}))
         inputs = as_floats.outputs["report"]["inputs"]
         assert inputs == as_ints.outputs["report"]["inputs"]
         assert all(type(inputs[name]) is int for name in ("k", "m") if name in inputs)
         assert as_floats.derived == as_ints.derived
 
     def test_variant_names_are_one_set(self):
-        commands = next(a for a in _PARSER._actions if a.dest == "command").choices
-
         def variants(command):
-            return next(a.choices for a in commands[command]._actions if a.dest == "variant")
+            return list(_COMMANDS[command].flag("variant").choices)
 
         names = list(GAUSSIAN_CALIBRATIONS)
-        assert variants("sample-gaussian") == list(_COMPLEXITY["gaussian"]) == names
+        gaussian_tasks = [task for family, task in _COMMANDS["complexity"].rows
+                          if family == "gaussian"]
+        assert variants("sample-gaussian") == gaussian_tasks == names
         assert variants("audit") == [v for v in names if GAUSSIAN_CALIBRATIONS[v].zcdp]
 
     def test_multisampling_modes(self, capsys, vector_file):
@@ -543,9 +549,10 @@ class TestSweep:
             header, rows = table_sweep(family, grid)
             cell = {key: values[0] for key, values in grid.items()}
             for task in tasks:
-                report = run(ExperimentConfig(
-                    task="complexity", params={"family": family, "task": task, **cell}
-                ))
+                # each task is given only the inputs its row reads
+                inputs = _COMMANDS["complexity"].rows[family, task].requires[2:]
+                report = run(ExperimentConfig(task="complexity", params={
+                    "family": family, "task": task, **{name: cell[name] for name in inputs}}))
                 column = f"{family}_{task.replace('-', '_')}"
                 assert report.derived["n_required"] == rows[0][header.index(column)], column
 
@@ -706,7 +713,7 @@ class TestRejectedParameters:
          "audit --mechanism elap"),
         (["elap", "--tail", "--dim", "3", "--scale", "1", "--alpha", "0.1"], "elap --tail"),
         (["complexity", "--family", "kary", "--task", "single", "--k", "4", "--alpha", "0.1",
-          "--eps", "2"], "complexity"),
+          "--eps", "2"], "complexity --family kary --task single"),
         (["tvdist", "--bins", "10", "--seed", "1"], "tvdist"),
     ], ids=["audit-rr", "audit-elap", "elap-tail", "complexity", "tvdist"])
     def test_out_where_no_artifact_is_written_exits_one(self, capsys, tmp_path, argv, what):
@@ -918,7 +925,7 @@ class TestRunReportRoundTrip:
             "sweep": ["--family", "kary", "--k", "2", "--alpha", "0.1", "--eps", "1",
                       "--delta", "1e-6", "--m", "1", "--out", str(tmp_path / "sweep.csv")],
         }
-        assert set(argvs) == set(dpsampler.cli._TASKS)
+        assert set(argvs) == set(_COMMANDS)
         for task, argv in argvs.items():
             code, out, _ = run_cli(capsys, [task, *argv])
             assert code == 0, task
@@ -953,3 +960,159 @@ class TestRunReportRoundTrip:
             return results
 
         assert reports([0, 1]) == reports([1, 0])
+
+
+# --- the flag table: every (task, selector) row ----------------------------------
+
+ROWS = [(task, key) for task, command in _COMMANDS.items() for key in command.rows]
+ROW_IDS = [" ".join([task, *map(str, key)]) for task, key in ROWS]
+# a value of each non-string flag type, as typed on the command line
+SAMPLES = {int: "3", float: "0.5", list[int]: "2,3", list[float]: "0.5,0.7"}
+
+
+def _row_name(task, key):
+    # the row as messages name it: its selector flags and values, or elap's mode flag
+    if task == "elap":
+        return "elap --tail" if key[0] else "elap --count"
+    return " ".join([task, *(f"--{s} {v}" for s, v in zip(_COMMANDS[task].selectors, key))])
+
+
+def _row_argv(task, key, flags, tmp_path):
+    """argv giving ``flags``: the row's selector values, else a sample of the flag's type.
+
+    Every path names a file that does not exist, so a run that gets as far as
+    reading its input exits 1 with an error naming that file."""
+    command = _COMMANDS[task]
+    selected = dict(zip(command.selectors, key))
+    argv = [task]
+    for name in flags:
+        flag = command.flag(name)
+        option = "--" + name.replace("_", "-")
+        if flag.type is bool:
+            argv += [option] if selected.get(name, True) else []
+        elif name in selected:
+            argv += [option, selected[name]]
+        elif flag.choices:
+            argv += [option, flag.choices[0]]
+        elif flag.type is str:
+            argv += [option, str(tmp_path / f"{name}.csv")]
+        else:
+            argv += [option, SAMPLES[flag.type]]
+    return argv
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("task, key", ROWS, ids=ROW_IDS)
+    def test_every_flag_the_row_does_not_read_exits_one(self, capsys, tmp_path, task, key):
+        command = _COMMANDS[task]
+        row = command.rows[key]
+        # the subcommand's options are the table's flags, --seed and --out among them
+        subparsers = next(a for a in _PARSER._actions if a.dest == "command").choices
+        assert [a.dest for a in subparsers[task]._actions] == [
+            "help", *command.flags, "json"]
+        unread = [name for name in command.flags if name not in row.flags]
+        for name in unread:
+            argv = _row_argv(task, key, row.requires + (name,), tmp_path)
+            code, out, err = run_cli(capsys, argv)
+            option = "--" + name.replace("_", "-")
+            assert (code, out) == (1, ""), argv
+            assert err == f"error: {_row_name(task, key)} does not read {option}\n", argv
+            assert list(tmp_path.iterdir()) == [], argv
+
+    @pytest.mark.parametrize("task, key", ROWS, ids=ROW_IDS)
+    def test_every_required_flag_left_out_exits_one(self, capsys, tmp_path, task, key):
+        command = _COMMANDS[task]
+        requires = command.rows[key].requires
+        # a flag with a default is never left out: the parser supplies it
+        for name in [name for name in requires if command.flag(name).default is None]:
+            argv = _row_argv(task, key, tuple(n for n in requires if n != name), tmp_path)
+            code = exit_code(argv)
+            out, err = capsys.readouterr()
+            assert (code, out) == (1, ""), argv
+            assert "required" in err and "--" + name.replace("_", "-") in err, argv
+
+    @pytest.mark.parametrize("task, key", ROWS, ids=ROW_IDS)
+    def test_the_runner_reads_exactly_the_flags_of_its_row(self, monkeypatch, kary_file,
+                                                           vector_file, tmp_path, task, key):
+        out = str(tmp_path / "artifact.csv")
+        valid = {
+            "sample-kary": {"in": str(kary_file), "k": 3, "eps": 300.0, "delta": 0.5, "m": 3,
+                            "alpha": 0.5, "seed": 5, "out": out},
+            "sample-gaussian": {"variant": "zcdp-known", "in": str(vector_file), "dim": 1,
+                                "R": 1.0, "alpha": 0.4, "eps": 5.0, "count": 2, "m": 3,
+                                "seed": 6, "out": out},
+            "elap": {"dim": 2, "scale": 1.5, "alpha": 0.1, "count": 2, "seed": 7, "out": out},
+            "complexity": {"k": 4, "dim": 2, "R": 1.0, "alpha": 0.1, "eps": 2.0, "delta": 1e-6,
+                           "m": 8},
+            "tvdist": {"p": str(vector_file), "q": str(vector_file), "bins": 10, "seed": 8},
+            "audit": {"k": 2, "n": 10, "eps": 1.0, "eps0": 1.0, "delta": 1e-3,
+                      "claimed_eps": 1.0, "dim": 2, "B": 1.0, "R": 1.0, "alpha": 0.1,
+                      "variant": "zcdp-known", "seed": 13},
+            "sweep": {"k": [2], "dim": [1], "R": [1.0], "alpha": [0.1], "eps": [1.0],
+                      "delta": [1e-6], "m": [2], "out": out},
+        }[task]
+        command = _COMMANDS[task]
+        values = {**valid, **dict(zip(command.selectors, key))}
+        flags = command.rows[key].flags
+        config = ExperimentConfig(
+            task=task, params={name: values[name] for name in flags if name not in _FIELDS},
+            **{attr: values[name] for name, attr in _FIELDS.items() if name in flags})
+
+        reads, handed = set(), {}
+
+        class Reads(dict):
+            """A params mapping that records the keys read from it."""
+
+            def __getitem__(self, name):
+                reads.add(name)
+                return super().__getitem__(name)
+
+        def recording(params):
+            handed.update(params)
+            return command.run(Reads(params))
+
+        monkeypatch.setitem(_COMMANDS, task, command._replace(run=recording))
+        assert run(config).exit_code in (0, 2)
+        assert set(handed) == set(flags)
+        assert reads == set(flags)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample-gaussian", "--variant", "pure", "--m", "3"],
+         "sample-gaussian --mode once does not read --m"),
+        (["sample-gaussian", "--variant", "zcdp-known", "--mode", "both", "--m", "3",
+          "--count", "2"], "sample-gaussian --mode both does not read --count"),
+        (["sample-gaussian", "--variant", "pure", "--mode", "repeat", "--m", "3",
+          "--count", "3"], "sample-gaussian --mode repeat does not read --count"),
+        (["sample-kary", "--mode", "sub", "--delta", "0.5"],
+         "sample-kary --mode sub does not read --delta"),
+    ], ids=["once-m", "both-count-2", "repeat-count-3", "sub-delta"])
+    def test_flags_are_refused_before_the_input_is_read(self, capsys, tmp_path, argv, message):
+        gaussian = ["--R", "1", "--alpha", "0.4"] if argv[0] == "sample-gaussian" else []
+        code, out, err = run_cli(capsys, argv + gaussian + [
+            "--eps", "5", "--in", str(tmp_path / "missing.csv"), "--seed", "1"])
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("task, params, message", [
+        ("complexity", {"family": "kary", "task": "single", "k": 4.5, "alpha": 0.1, "eps": 2.0},
+         "--k must be of type int, got 4.5"),
+        ("complexity", {"family": "kary", "task": "single", "k": True, "alpha": 0.1, "eps": 2.0},
+         "--k must be of type int, got True"),
+        ("complexity", {"family": "kary", "task": "single", "k": "3", "alpha": 0.1, "eps": 2.0},
+         "--k must be of type int, got '3'"),
+        ("elap", {"tail": False, "dim": 2.7, "scale": 1.0, "count": 2.9},
+         "--dim must be of type int, got 2.7"),
+        ("audit", {"mechanism": "rr", "k": 3, "eps0": "1"},
+         "--eps0 must be of type float, got '1'"),
+        ("audit", {"mechanism": "rr", "k": 3, "eps0": False},
+         "--eps0 must be of type float, got False"),
+        ("sweep", {"family": "gaussian", "dim": [1, 2.5], "R": [1.0], "alpha": [0.1],
+                   "eps": [1.0]}, "--dim must be of type int, got 2.5"),
+        ("sweep", {"family": "gaussian", "dim": 1, "R": [1.0], "alpha": [0.1], "eps": [1.0]},
+         "--dim must be a list, got 1"),
+    ], ids=["int-4.5", "int-true", "int-string", "elap-dim-2.7", "float-string", "float-false",
+            "grid-element", "grid-scalar"])
+    def test_params_of_another_type_are_refused(self, task, params, message):
+        # configs passed to run skip the parser, so run checks each value's type
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+            run(ExperimentConfig(task=task, params=params))
