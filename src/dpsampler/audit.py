@@ -1,22 +1,23 @@
 """Executable privacy verification for the package's mechanisms.
 
 Each audit measures a privacy quantity against a claimed budget and returns
-an :class:`AuditReport` whose verdict is ``pass`` iff the measured value is
-at most the bound plus a 1e-9 numeric slack.  Every audit is exact, and every
-verdict is binding.  The three k-ary audits (RR, subsampled RR and the
-shuffled mechanism's first output) compare the exact laws of one worst-case
-neighbouring pair: n ones against n - 1 ones and one 2.  They differ only in
-n (1 for RR), eps0 and the divergence.  The Gaussian audits are closed form.
-Only the ELap audit draws random numbers (its dataset pair); every audit is
-deterministic given its inputs and RandomSource, and reports serialize to
-canonical JSON for byte-identical re-verification.
+an :class:`AuditReport`, built by ``_report``, whose verdict is ``pass`` iff
+its ``measured`` is at most its ``bound`` plus a 1e-9 numeric slack.  Every
+audit is exact, and every verdict is binding.  The three k-ary audits (RR,
+subsampled RR and the shuffled mechanism's first output) compare the exact
+laws of one worst-case neighbouring pair: n ones against n - 1 ones and one
+2.  They differ only in n (1 for RR), eps0 and the divergence.  The Gaussian
+audits are closed form.  Only the ELap audit draws random numbers (its
+dataset pair); every audit is deterministic given its inputs and
+RandomSource, and reports serialize to canonical JSON for byte-identical
+re-verification.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,22 +32,21 @@ VERDICT_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Outcome of one privacy audit.
+    """Outcome of one privacy audit: one measured value against one bound.
 
-    ``measured_max_log_ratio`` carries the audit's binding scalar: the worst
-    log-likelihood ratio for pure-DP audits, the measured zCDP parameter rho
-    for the zCDP audit, and the exact additive delta for the hockey-stick audit
-    of the shuffle marginal (mirrored in ``measured_delta``).  ``probe_count``
-    is the number of outcomes or points the audit compares: k for the k-ary
-    audits, 1 for the closed-form ones.  ``witness`` names where the measured
-    value is reached.  ``details`` always holds ``measured`` and ``bound``; the
-    verdict is recomputable from them.
+    ``measured`` is the audit's binding figure: the worst log-likelihood ratio
+    for the pure-DP audits, rho for the zCDP audit and the exact additive delta
+    for the shuffle marginal.  ``bound`` is what it must not exceed, and
+    ``verdict`` is ``_verdict(measured, bound)``.  ``probe_count`` is the
+    number of outcomes or points the audit compares: k for the k-ary audits, 1
+    for the closed-form ones.  ``witness`` names where ``measured`` is reached,
+    and ``details`` holds the figures stated nowhere else in the report.
     """
 
     mechanism: str
     claimed: PrivacyBudget
-    measured_max_log_ratio: float
-    measured_delta: float
+    measured: float
+    bound: float
     probe_count: int
     verdict: str
     witness: dict
@@ -57,30 +57,45 @@ def _verdict(measured: float, bound: float) -> str:
     return "pass" if measured <= bound + VERDICT_SLACK else "fail"
 
 
+def _report(mechanism: str, claimed: PrivacyBudget, measured: float, bound: float,
+            probe_count: int, witness: dict, **details) -> AuditReport:
+    """The one place a report is built, so its verdict always follows from measured and bound."""
+    return AuditReport(mechanism, claimed, measured, bound, probe_count,
+                       _verdict(measured, bound), witness, details)
+
+
 def report_to_json(report: AuditReport) -> str:
     """Canonical JSON serialization (sorted keys, no whitespace)."""
     return json.dumps(asdict(report), sort_keys=True, separators=(",", ":"))
 
 
 def report_from_json(payload: str) -> AuditReport:
-    raw = json.loads(payload)
-    claimed = PrivacyBudget(**raw["claimed"])
-    return AuditReport(
-        mechanism=raw["mechanism"],
-        claimed=claimed,
-        measured_max_log_ratio=raw["measured_max_log_ratio"],
-        measured_delta=raw["measured_delta"],
-        probe_count=raw["probe_count"],
-        verdict=raw["verdict"],
-        witness=raw["witness"],
-        details=raw["details"],
-    )
+    """Rebuild a report from its canonical JSON; keys it does not hold are ignored.
+
+    A persisted report is outside input, so a payload that is not a JSON
+    object or lacks a field raises ValidationError naming the fault.
+    """
+    try:
+        raw = json.loads(payload)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"audit report is not JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValidationError(f"audit report must be a JSON object, got {type(raw).__name__}")
+    names = [f.name for f in fields(AuditReport)]
+    missing = [name for name in names if name not in raw]
+    if missing:
+        raise ValidationError(f"audit report lacks the key(s) {', '.join(missing)}")
+    kwargs = {name: raw[name] for name in names}
+    try:
+        kwargs["claimed"] = PrivacyBudget(**kwargs["claimed"])
+    except TypeError as exc:
+        raise ValidationError(f"audit report's claimed budget is malformed: {exc}") from None
+    return AuditReport(**kwargs)
 
 
 def reverify(report: AuditReport) -> bool:
     """Recompute the verdict from the persisted measured/bound pair."""
-    expected = _verdict(report.details["measured"], report.details["bound"])
-    return report.verdict == expected
+    return report.verdict == _verdict(report.measured, report.bound)
 
 
 # --- k-ary randomized response: one worst-case neighbouring pair --------------
@@ -137,16 +152,8 @@ def audit_rr_local(k: int, eps0: float, claimed_eps: float | None = None) -> Aud
     bound = eps0 if claimed_eps is None else claimed_eps
     measured, alt, outcome = _max_log_ratio(_worst_pair(k, 1, eps0))
     x, x_alt = (1, 2) if alt == 0 else (2, 1)
-    return AuditReport(
-        mechanism="rr",
-        claimed=PrivacyBudget.pure(bound),
-        measured_max_log_ratio=measured,
-        measured_delta=0.0,
-        probe_count=k,
-        verdict=_verdict(measured, bound),
-        witness={"x": x, "x_alt": x_alt, "outcome": outcome},
-        details={"measured": measured, "bound": bound, "eps0": eps0},
-    )
+    return _report("rr", PrivacyBudget.pure(bound), measured, bound, k,
+                   {"x": x, "x_alt": x_alt, "outcome": outcome}, eps0=eps0)
 
 
 def audit_subrr_pure(
@@ -169,26 +176,10 @@ def audit_subrr_pure(
     # it names the witness on a tie
     measured, alt, outcome = _max_log_ratio(_worst_pair(k, n, eps0)[::-1])
     counts, replaced, replacement = ([n - 1, 1], 2, 1) if alt == 0 else ([n, 0], 1, 2)
-    return AuditReport(
-        mechanism="subrr",
-        claimed=PrivacyBudget.pure(bound),
-        measured_max_log_ratio=measured,
-        measured_delta=0.0,
-        probe_count=k,
-        verdict=_verdict(measured, bound),
-        witness={
-            "counts": counts + [0] * (k - 2),
-            "replaced": replaced,
-            "replacement": replacement,
-            "outcome": outcome,
-        },
-        details={
-            "measured": measured,
-            "bound": bound,
-            "eps0": eps0,
-            "proof_intermediate_log": KARY_CALIBRATIONS["sub"].certify(eps0, None, n, k),
-        },
-    )
+    witness = {"counts": counts + [0] * (k - 2), "replaced": replaced,
+               "replacement": replacement, "outcome": outcome}
+    return _report("subrr", PrivacyBudget.pure(bound), measured, bound, k, witness, eps0=eps0,
+                   proof_intermediate_log=KARY_CALIBRATIONS["sub"].certify(eps0, None, n, k))
 
 
 # --- shuffled randomized response (first-output marginal) ---------------------
@@ -219,16 +210,8 @@ def audit_shurr_marginal(
     if eps0 is None:
         eps0 = KARY_CALIBRATIONS["shuffle"].eps0(eps, delta, n)
     measured = eps_delta_closeness(*_worst_pair(k, n, eps0), eps).delta_at_eps
-    return AuditReport(
-        mechanism="shurr",
-        claimed=PrivacyBudget.approx(eps, delta),
-        measured_max_log_ratio=measured,
-        measured_delta=measured,
-        probe_count=k,
-        verdict=_verdict(measured, delta),
-        witness={"dataset": "all-ones vs one replaced by 2", "k": k, "n": n},
-        details={"measured": measured, "bound": delta, "eps0": eps0},
-    )
+    return _report("shurr", PrivacyBudget.approx(eps, delta), measured, delta, k,
+                   {"dataset": "all-ones vs one replaced by 2", "k": k, "n": n}, eps0=eps0)
 
 
 # --- Euclidean-Laplace mechanism -----------------------------------------------
@@ -249,8 +232,9 @@ def audit_elap_mechanism(
     log-density ratio (||y - S'|| - ||y - S||)/b between the two, which the
     triangle inequality caps at ||S - S'||/b; the cap is reached at y = S.  So
     the audit states that maximum in closed form, evaluates the ratio at the
-    witness y = S, and compares it with the realized-shift bound ||S - S'||/b.
-    The scale b is the pure sampler's, read from its calibration entry.
+    witness y = S, and binds it to the realized shift: ``bound`` is
+    ||S - S'||/b, not the claimed eps.  The scale b is the pure sampler's,
+    read from its calibration entry; any d >= 1 is audited.
     ``details["bare_eps_ok"]`` is false when ||S - S'|| exceeds B, i.e. when
     passing the realized-shift bound does not certify the bare eps claim.
 
@@ -258,8 +242,8 @@ def audit_elap_mechanism(
     the value.  The rng draws only the shared rows and, when ``differing_rows``
     is not given, the differing pair.
     """
-    if not 1 <= d <= 4:
-        raise ValidationError(f"density-ratio audit supports 1 <= d <= 4, got {d}")
+    if d < 1:
+        raise ValidationError(f"the ELap audit needs d >= 1, got {d}")
     _check_finite_positive("B", B)
     _check_finite_positive("eps", eps)
     b = GAUSSIAN_CALIBRATIONS["pure"].elap_scale(B, eps)
@@ -279,30 +263,12 @@ def audit_elap_mechanism(
     sum_b = base + row_b
     shift_norm = float(np.linalg.norm(sum_a - sum_b))
 
-    witness = sum_a[None, :]
-    measured = float((_row_norms(witness, sum_b)[0] - _row_norms(witness, sum_a)[0]) / b)
-    bound = shift_norm / b
-    bare_eps_ok = measured <= eps + VERDICT_SLACK
-    return AuditReport(
-        mechanism="elap",
-        claimed=PrivacyBudget.pure(eps),
-        measured_max_log_ratio=measured,
-        measured_delta=0.0,
-        probe_count=1,
-        verdict=_verdict(measured, bound),
-        witness={
-            "sum_a": [float(v) for v in sum_a],
-            "sum_b": [float(v) for v in sum_b],
-            "argmax_point": [float(v) for v in sum_a],
-        },
-        details={
-            "measured": measured,
-            "bound": bound,
-            "shift_norm": shift_norm,
-            "scale": b,
-            "bare_eps_ok": bool(bare_eps_ok),
-        },
-    )
+    at_s = sum_a[None, :]
+    measured = float((_row_norms(at_s, sum_b)[0] - _row_norms(at_s, sum_a)[0]) / b)
+    witness = {"sum_a": [float(v) for v in sum_a], "sum_b": [float(v) for v in sum_b]}
+    return _report("elap", PrivacyBudget.pure(eps), measured, shift_norm / b, 1, witness,
+                   shift_norm=shift_norm, scale=b,
+                   bare_eps_ok=bool(measured <= eps + VERDICT_SLACK))
 
 
 # --- zCDP Gaussian mechanisms ---------------------------------------------------
@@ -324,16 +290,7 @@ def audit_zcdp_gaussian(variant: str, d: int, R: float, alpha: float, eps: float
     B = cal.clip_bound(d, R, alpha)
     sigma2 = cal.sigma2(d, alpha, n)
     sensitivity = cal.sensitivity(B, n)
-    measured = sensitivity * sensitivity / (2.0 * sigma2)
-    bound = eps**2 / 2.0
-    return AuditReport(
-        mechanism="zcdp",
-        claimed=PrivacyBudget.zcdp(eps),
-        measured_max_log_ratio=measured,
-        measured_delta=0.0,
-        probe_count=1,
-        verdict=_verdict(measured, bound),
-        witness={"variant": variant, "n": n, "B": B, "sensitivity": sensitivity,
-                 "sigma": math.sqrt(sigma2)},
-        details={"measured": measured, "bound": bound},
-    )
+    witness = {"variant": variant, "n": n, "B": B, "sensitivity": sensitivity,
+               "sigma": math.sqrt(sigma2)}
+    return _report("zcdp", PrivacyBudget.zcdp(eps), sensitivity * sensitivity / (2.0 * sigma2),
+                   eps**2 / 2.0, 1, witness)

@@ -215,7 +215,8 @@ _AUDITS = {
 def _run_audit(params):
     report = _AUDITS[params["mechanism"]](params)
     code = 0 if report.verdict == "pass" else 2
-    return {"report": asdict(report)}, report.details, code
+    return {"report": asdict(report)}, {"measured": report.measured, "bound": report.bound,
+                                        **report.details}, code
 
 
 def table_sweep(family: str, grid: dict) -> tuple[list[str], list[list]]:

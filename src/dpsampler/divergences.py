@@ -50,22 +50,15 @@ BOOTSTRAP_CHUNK_ENTRIES = 2**16
 
 @dataclass(frozen=True)
 class ClosenessResult:
-    """Hockey-stick divergence in both directions at beta = e^eps.
-
-    ``delta_at_eps`` is the smallest delta for which the two distributions
-    are (eps, delta)-close, i.e. the max of the two directed divergences.
-    """
+    """Hockey-stick divergence in both directions at beta = e^eps."""
 
     hs_forward: float
     hs_backward: float
-    delta_at_eps: float
 
-    def __post_init__(self):
-        if self.hs_forward < 0 or self.hs_backward < 0:
-            raise InvalidOrder("hockey-stick divergences must be nonnegative")
-        expected = max(self.hs_forward, self.hs_backward)
-        if abs(self.delta_at_eps - expected) > 1e-15:
-            raise InvalidOrder("delta_at_eps must equal max of the two directions")
+    @property
+    def delta_at_eps(self) -> float:
+        """Smallest delta making the two distributions (eps, delta)-close."""
+        return max(self.hs_forward, self.hs_backward)
 
 
 def _check_same_domain(p: CategoricalDist, q: CategoricalDist) -> None:
@@ -92,9 +85,7 @@ def eps_delta_closeness(p: CategoricalDist, q: CategoricalDist, eps: float) -> C
     if eps < 0:
         raise InvalidOrder(f"eps must be nonnegative, got {eps}")
     beta = math.exp(eps)
-    fwd = hockey_stick_finite(p, q, beta)
-    bwd = hockey_stick_finite(q, p, beta)
-    return ClosenessResult(hs_forward=fwd, hs_backward=bwd, delta_at_eps=max(fwd, bwd))
+    return ClosenessResult(hockey_stick_finite(p, q, beta), hockey_stick_finite(q, p, beta))
 
 
 def hs_to_tv_bound(eps: float, delta: float) -> float:

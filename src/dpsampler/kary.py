@@ -32,6 +32,7 @@ is reported as (eps, delta)-DP in both regimes.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -207,11 +208,18 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    """Refuse a count that is not integral or is below ``least``; 4.0 counts as 4."""
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValidationError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+
+
 def subrr_sample_complexity(k: int, alpha: float, eps: float) -> ComplexityReport:
     """n = ceil((k-1)(1-alpha) / (alpha*eps)), sufficient for TV error alpha."""
     _check_alpha(alpha)
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    _check_count("k", k, 2)
     _check_finite_positive("eps", eps)
     n = max(1, _tolerant_ceil((k - 1) * (1.0 - alpha) / (alpha * eps)))
     return ComplexityReport(
@@ -297,10 +305,8 @@ def shurr_weak_complexity(
 ) -> ComplexityReport:
     """n = max(m, ceil(k*ln(4/delta) / (alpha*f(eps)^2))) for marginal TV error alpha."""
     _check_alpha(alpha)
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    _check_count("m", m, 1)
+    _check_count("k", k, 2)
     if not 0 < delta < 1:
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
     bound = k * math.log(4.0 / delta) / (alpha * shurr_f(eps) ** 2)
@@ -317,8 +323,7 @@ def shurr_strong_complexity(
 ) -> ComplexityReport:
     """Weak complexity at per-output tolerance alpha/m (union bound)."""
     _check_alpha(alpha)
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    _check_count("m", m, 1)
     weak = shurr_weak_complexity(k, _check_tolerance(alpha, m), eps, delta, m)
     return ComplexityReport(
         n_required=weak.n_required,

@@ -143,7 +143,7 @@ def test_criterion_04_subrr_pure_dp_exhaustive():
                 if eps * n <= 1.0:
                     continue
                 report = audit_subrr_pure(k, n, eps)
-                ratio = math.exp(report.measured_max_log_ratio)
+                ratio = math.exp(report.measured)
                 intermediate = 1.0 + math.exp(subrr_eps0(eps, n)) / n  # = 1 + eps
                 if ratio > intermediate + 1e-12:
                     failures.append(f"k={k} n={n} eps={eps}: ratio {ratio} > {intermediate}")

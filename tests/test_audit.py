@@ -9,7 +9,7 @@ import pytest
 
 import dpsampler.kary
 from dpsampler.audit import (
-    AuditReport,
+    _report,
     _verdict,
     audit_elap_mechanism,
     audit_rr_local,
@@ -81,22 +81,8 @@ def reference_audit_subrr_pure(k, n, eps, claimed_eps=None):
                         "replacement": b + 1,
                         "outcome": y + 1,
                     })
-    measured = best[0]
-    return AuditReport(
-        mechanism="subrr",
-        claimed=PrivacyBudget.pure(bound),
-        measured_max_log_ratio=measured,
-        measured_delta=0.0,
-        probe_count=pairs,
-        verdict=_verdict(measured, bound),
-        witness=best[1] or {},
-        details={
-            "measured": measured,
-            "bound": bound,
-            "eps0": eps0,
-            "proof_intermediate_log": math.log1p(math.exp(eps0) / n),
-        },
-    )
+    return _report("subrr", PrivacyBudget.pure(bound), best[0], bound, pairs, best[1] or {},
+                   eps0=eps0, proof_intermediate_log=math.log1p(math.exp(eps0) / n))
 
 
 def reference_audit_rr_local(k, eps0):
@@ -113,8 +99,8 @@ def reference_audit_rr_local(k, eps0):
 def _same_measure(report, reference):
     """Equal within 1e-12 relative, or inf on both sides."""
     if math.isinf(reference):
-        return report.measured_max_log_ratio == reference
-    return report.measured_max_log_ratio == pytest.approx(reference, rel=1e-12, abs=0.0)
+        return report.measured == reference
+    return report.measured == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 class TestAuditRRLocal:
@@ -132,7 +118,7 @@ class TestAuditRRLocal:
 
     def test_measured_equals_eps0(self):
         report = audit_rr_local(2, 1.0)
-        assert report.measured_max_log_ratio == pytest.approx(1.0, abs=1e-12)
+        assert report.measured == pytest.approx(1.0, abs=1e-12)
         assert report.verdict == "pass"
 
     def test_tightness_fails_understated_claim(self):
@@ -143,7 +129,7 @@ class TestAuditRRLocal:
 
     def test_zero_eps0(self):
         report = audit_rr_local(4, 0.0)
-        assert report.measured_max_log_ratio == 0.0
+        assert report.measured == 0.0
         assert report.verdict == "pass"
 
     def test_factor_two_violation_detected(self):
@@ -154,7 +140,7 @@ class TestAuditRRLocal:
         # flips: outcome x has mass 1 under x and 0 under x', an unbounded ratio
         assert RRParams(eps0=40.0, k=3).keep_prob == 1.0
         report = audit_rr_local(3, 40.0)
-        assert report.measured_max_log_ratio == math.inf
+        assert report.measured == math.inf
         assert report.verdict == "fail"
         assert report.witness == {"x": 1, "x_alt": 2, "outcome": 1}
         assert reverify(report_from_json(report_to_json(report)))
@@ -164,16 +150,16 @@ class TestAuditSubRRPure:
     def test_k2_n2_hand_enumeration(self):
         report = audit_subrr_pure(2, 2, 1.0)
         # eps0 = ln 2; worst pair [1,2] vs [2,2] at outcome 1: (1/2)/(1/3) = 3/2
-        assert math.exp(report.measured_max_log_ratio) == pytest.approx(1.5, rel=1e-12)
+        assert math.exp(report.measured) == pytest.approx(1.5, rel=1e-12)
         assert report.verdict == "pass"
         # proof's intermediate bound 1 + e^eps0/n = 2 dominates, itself below e^eps
-        assert report.measured_max_log_ratio <= report.details["proof_intermediate_log"]
+        assert report.measured <= report.details["proof_intermediate_log"]
         assert report.details["proof_intermediate_log"] == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_k3_n3_passes(self):
         report = audit_subrr_pure(3, 3, 0.5)
         assert report.verdict == "pass"
-        assert report.measured_max_log_ratio <= report.details["proof_intermediate_log"] + 1e-12
+        assert report.measured <= report.details["proof_intermediate_log"] + 1e-12
 
     def test_understated_claim_fails_with_witness(self):
         report = audit_subrr_pure(2, 2, 1.0, claimed_eps=0.1)
@@ -184,7 +170,7 @@ class TestAuditSubRRPure:
         # k=4, n=6, eps=2: worst ratio (n-1+eps*n)/n = 17/6 exceeds e^(eps/2)
         report = audit_subrr_pure(4, 6, 2.0, claimed_eps=1.0)
         assert report.verdict == "fail"
-        assert math.exp(report.measured_max_log_ratio) == pytest.approx(17.0 / 6.0, rel=1e-9)
+        assert math.exp(report.measured) == pytest.approx(17.0 / 6.0, rel=1e-9)
 
     def test_grid_respects_intermediate_bound(self):
         for k in (2, 3, 4):
@@ -195,7 +181,7 @@ class TestAuditSubRRPure:
                     report = audit_subrr_pure(k, n, eps)
                     assert report.verdict == "pass"
                     assert (
-                        report.measured_max_log_ratio
+                        report.measured
                         <= report.details["proof_intermediate_log"] + 1e-12
                     )
 
@@ -207,12 +193,12 @@ class TestAuditSubRRPure:
         n = subrr_sample_complexity(k, alpha, eps).n_required
         report = audit_subrr_pure(k, n, eps)
         assert report.verdict == "pass"
-        assert report.measured_max_log_ratio == pytest.approx(
+        assert report.measured == pytest.approx(
             math.log1p(math.expm1(report.details["eps0"]) / n), rel=1e-12
         )
         assert report.witness == {"counts": [n - 1, 1] + [0] * (k - 2), "replaced": 2,
                                   "replacement": 1, "outcome": 2}
-        planted = audit_subrr_pure(k, n, eps, claimed_eps=report.measured_max_log_ratio - 0.01)
+        planted = audit_subrr_pure(k, n, eps, claimed_eps=report.measured - 0.01)
         assert planted.verdict == "fail"
 
     def test_memory_does_not_grow_with_n(self):
@@ -231,7 +217,7 @@ class TestAuditSubRRPure:
         # so removing the only record a leaves outcome a no mass at all
         assert RRParams(eps0=subrr_eps0(1e17, 2), k=3).keep_prob == 1.0
         report = audit_subrr_pure(3, 2, 1e17)
-        assert report.measured_max_log_ratio == math.inf
+        assert report.measured == math.inf
         assert report.verdict == "fail"
         # replacing the lone 2 by a 1 empties outcome 2
         assert report.witness == {"counts": [1, 1, 0], "replaced": 2, "replacement": 1,
@@ -241,7 +227,7 @@ class TestAuditSubRRPure:
         # identical rows: no replacement moves any outcome's probability
         monkeypatch.setattr(dpsampler.kary, "rr_row", lambda x, params: np.full(params.k, 0.25))
         report = audit_subrr_pure(4, 3, 1.0)
-        assert report.measured_max_log_ratio == 0.0
+        assert report.measured == 0.0
         assert report.witness == {"counts": [2, 1, 0, 0], "replaced": 2, "replacement": 1,
                                   "outcome": 1}
         assert report.verdict == "pass"
@@ -260,7 +246,7 @@ class TestAuditSubRRPure:
                             continue
                         report = audit_subrr_pure(k, n, eps, claimed_eps=claimed)
                         case = (k, n, eps, claimed)
-                        assert _same_measure(report, expected.measured_max_log_ratio), case
+                        assert _same_measure(report, expected.measured), case
                         assert report.verdict == expected.verdict, case
                         checked += 1
         assert checked > 200
@@ -269,7 +255,7 @@ class TestAuditSubRRPure:
         for k, n, eps in [(3, 2, 1e17), (2, 9, 0.5)]:
             report = audit_subrr_pure(k, n, eps)
             expected = reference_audit_subrr_pure(k, n, eps)
-            assert _same_measure(report, expected.measured_max_log_ratio), (k, n, eps)
+            assert _same_measure(report, expected.measured), (k, n, eps)
             assert report.verdict == expected.verdict, (k, n, eps)
 
 
@@ -305,7 +291,7 @@ class TestAuditShuRRMarginal:
         # at eps0 = 0 every record reports uniformly, so the audited pair's laws agree
         report = audit_shurr_marginal(2, 50, 4.0, 0.5, None, None, eps0=0.0)
         assert report.verdict == "pass"
-        assert report.measured_delta == 0.0
+        assert report.measured == 0.0
 
     def test_weak_complexity_point_passes(self):
         from dpsampler.kary import shurr_weak_complexity
@@ -319,8 +305,8 @@ class TestAuditShuRRMarginal:
         # near-deterministic local reports with a tiny claimed budget
         report = audit_shurr_marginal(2, 10, 0.05, 0.001, None, None, eps0=12.0)
         assert report.verdict == "fail"
-        assert report.measured_delta == pytest.approx(0.09999845, abs=1e-8)
-        assert report.details["bound"] == 0.001
+        assert report.measured == pytest.approx(0.09999845, abs=1e-8)
+        assert report.bound == 0.001
 
     def test_measured_delta_matches_exact_mixture_laws(self):
         # position 1 is RR on a uniform record, so the gap is the closeness of
@@ -334,7 +320,7 @@ class TestAuditShuRRMarginal:
         ).delta_at_eps
         report = audit_shurr_marginal(k, n, eps, 0.001, None, None, eps0=eps0)
         assert exact == pytest.approx(0.2137, abs=1e-4)
-        assert report.measured_delta == exact
+        assert report.measured == exact
 
     def test_matches_hand_built_marginals(self):
         # the audit on its pair, and the mixture laws it reads on random pairs
@@ -353,9 +339,8 @@ class TestAuditShuRRMarginal:
                 case = (k, n, eps0, eps, pair)
                 assert deltas[-1] == pytest.approx(expected, rel=0, abs=1e-12), case
             report = audit_shurr_marginal(k, n, eps, 0.01, None, None, eps0=eps0)
-            assert report.measured_delta == deltas[0]
-            assert report.measured_max_log_ratio == report.measured_delta
-            assert report.details["bound"] == 0.01
+            assert report.measured == deltas[0]
+            assert report.bound == 0.01
             assert report.probe_count == k
 
     def test_default_pair_reaches_the_worst_neighbouring_pair(self):
@@ -375,7 +360,7 @@ class TestAuditShuRRMarginal:
                         neighbor[b] += 1
                         worst = max(worst, _hockey_stick_both(laws[c], laws[tuple(neighbor)], eps))
                 report = audit_shurr_marginal(k, n, eps, 0.01, None, None, eps0=eps0)
-                assert report.measured_delta >= worst - 1e-12, (k, n, eps0, eps)
+                assert report.measured >= worst - 1e-12, (k, n, eps0, eps)
 
     def test_draws_no_random_numbers(self):
         for args, eps0 in [((2301, 4.0, 0.01), None), ((10, 0.05, 0.001), 12.0)]:
@@ -455,7 +440,8 @@ def _elap_pairs(d, B):
 
 
 class TestAuditElapMechanism:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    # from d = 8 on, _row_norms hands the witness row to np.linalg.norm
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
     def test_closed_form_matches_probe_search_reference(self, d):
         B, eps = 1.5, 0.8
         for pair, rows in _elap_pairs(d, B).items():
@@ -466,7 +452,7 @@ class TestAuditElapMechanism:
                 reference = _elap_probe_search(
                     d, B, eps, 2_000, RandomSource(300 + seed), differing_rows=rows
                 )
-                measured = report.measured_max_log_ratio
+                measured = report.measured
                 case = (d, pair, seed)
                 # no probe can beat the closed form, and the segment probes beyond
                 # S reach it up to rounding
@@ -474,8 +460,8 @@ class TestAuditElapMechanism:
                 assert measured == pytest.approx(reference, rel=1e-9, abs=1e-12), case
                 bound = report.details["shift_norm"] / report.details["scale"]
                 assert measured == pytest.approx(bound, rel=1e-12, abs=1e-15), case
-                assert report.details["bound"] == bound
-                assert report.witness["argmax_point"] == report.witness["sum_a"]
+                assert report.bound == bound
+                assert set(report.witness) == {"sum_a", "sum_b"}
                 assert report.probe_count == 1
                 assert report.verdict == "pass"
 
@@ -496,7 +482,7 @@ class TestAuditElapMechanism:
         report = audit_elap_mechanism(
             2, 1.0, 1.0, 2000, RandomSource(54), differing_rows=(row, row)
         )
-        assert report.measured_max_log_ratio == 0.0
+        assert report.measured == 0.0
         assert report.verdict == "pass"
         assert report.details["bare_eps_ok"]
         assert "advisory" not in report_to_json(report)
@@ -509,7 +495,7 @@ class TestAuditElapMechanism:
         )
         assert report.details["shift_norm"] == pytest.approx(B, rel=1e-12)
         # the ratio peaks at y = S, where it equals ||S - S'||/b = eps
-        assert report.measured_max_log_ratio == pytest.approx(eps, rel=1e-9)
+        assert report.measured == pytest.approx(eps, rel=1e-9)
         assert report.verdict == "pass"
         assert report.details["bare_eps_ok"]
 
@@ -520,7 +506,7 @@ class TestAuditElapMechanism:
             differing_rows=(np.array([-B, 0.0]), np.array([B, 0.0])),
         )
         assert report.details["shift_norm"] == pytest.approx(2 * B, rel=1e-12)
-        assert report.measured_max_log_ratio == pytest.approx(2 * eps, rel=1e-9)
+        assert report.measured == pytest.approx(2 * eps, rel=1e-9)
         assert report.verdict == "pass"  # realized-shift bound holds
         assert not report.details["bare_eps_ok"]  # but the bare eps claim is not certified
 
@@ -528,16 +514,16 @@ class TestAuditElapMechanism:
         with pytest.raises(ValidationError):
             audit_elap_mechanism(2, 1.0, 0.0, 2000, RandomSource(58))
 
-    @pytest.mark.parametrize("d", [0, -1, 5])
+    @pytest.mark.parametrize("d", [0, -1])
     def test_dimension_outside_one_to_four_rejected(self, d):
-        with pytest.raises(ValidationError, match="1 <= d <= 4"):
+        with pytest.raises(ValidationError, match="needs d >= 1"):
             audit_elap_mechanism(d, 1.0, 1.0, 2000, RandomSource(59))
 
     def test_random_pairs_never_exceed_shift_bound(self):
         for seed in range(5):
             report = audit_elap_mechanism(3, 1.5, 1.0, 2000, RandomSource(60 + seed))
             assert report.verdict == "pass"
-            assert report.measured_max_log_ratio <= report.details["bound"] + 1e-9
+            assert report.measured <= report.bound + 1e-9
 
 
 # (d, R, alpha, eps) cells for the zCDP audit sweep
@@ -567,7 +553,7 @@ class TestAuditZcdpGaussian:
     ])
     def test_each_spec_passes_at_its_own_n(self, variant, cell):
         report = audit_zcdp_gaussian(variant, *cell)
-        assert report.verdict == "pass", report.measured_max_log_ratio / report.details["bound"]
+        assert report.verdict == "pass", report.measured / report.bound
         assert reverify(report)
 
     @pytest.mark.parametrize("cell", ZCDP_CELLS)
@@ -589,7 +575,7 @@ class TestAuditZcdpGaussian:
     def test_bounded_is_about_six_times_over_budget(self):
         report = audit_zcdp_gaussian("zcdp-bounded", 2, 1.0, 0.1, 1.0)
         assert report.verdict == "fail"
-        assert 5.8 < report.measured_max_log_ratio / report.details["bound"] < 6.0
+        assert 5.8 < report.measured / report.bound < 6.0
 
     def test_exact_calibration_gives_equality(self, monkeypatch):
         d, R, alpha, eps = 2, 1.0, 0.1, 1.0
@@ -599,7 +585,7 @@ class TestAuditZcdpGaussian:
                sigma2=lambda d, alpha, n: (known.sensitivity(B, n) / eps) ** 2)
         report = audit_zcdp_gaussian("zcdp-known", d, R, alpha, eps)
         assert report.verdict == "pass"
-        assert report.measured_max_log_ratio == pytest.approx(eps**2 / 2, abs=1e-12)
+        assert report.measured == pytest.approx(eps**2 / 2, abs=1e-12)
 
     def test_half_sigma_fails_every_order(self, monkeypatch):
         # rho = Delta^2 / (2 sigma^2) is the same at every Renyi order
@@ -608,15 +594,15 @@ class TestAuditZcdpGaussian:
         _plant_half_sigma(monkeypatch, cell)
         report = audit_zcdp_gaussian("zcdp-known", *cell)
         assert report.verdict == "fail"
-        assert report.measured_max_log_ratio == pytest.approx(
-            4.0 * honest.measured_max_log_ratio, rel=1e-12
+        assert report.measured == pytest.approx(
+            4.0 * honest.measured, rel=1e-12
         )
 
     def test_zero_sensitivity_trivially_passes(self, monkeypatch):
         _plant(monkeypatch, "zcdp-known", sensitivity=lambda B, n: 0.0)
         report = audit_zcdp_gaussian("zcdp-known", 2, 2.0, 0.1, 0.01)
         assert report.verdict == "pass"
-        assert report.measured_max_log_ratio == 0.0
+        assert report.measured == 0.0
 
     def test_bounded_cov_uses_direct_max_sensitivity(self):
         report = audit_zcdp_gaussian("zcdp-bounded", 2, 1.0, 0.1, 1.0)
@@ -632,6 +618,16 @@ class TestAuditZcdpGaussian:
             audit_zcdp_gaussian(variant, 2, 1.0, 0.1, 1.0)
 
 
+def _one_report_per_audit():
+    return [
+        audit_rr_local(3, 1.0),
+        audit_subrr_pure(3, 3, 1.0),
+        audit_shurr_marginal(2, 10, 0.05, 0.001, None, None, eps0=12.0),
+        audit_elap_mechanism(3, 1.0, 1.0, None, RandomSource(72)),
+        audit_zcdp_gaussian("zcdp-known", 2, 1.0, 0.1, 1.0),
+    ]
+
+
 class TestReportSerialization:
     def test_deterministic_given_seed(self):
         a = audit_elap_mechanism(2, 1.0, 1.0, 2000, RandomSource(70))
@@ -639,15 +635,45 @@ class TestReportSerialization:
         assert report_to_json(a) == report_to_json(b)
 
     def test_roundtrip_and_reverify(self):
-        for report in [
-            audit_rr_local(3, 1.0),
-            audit_subrr_pure(3, 3, 1.0),
-            audit_zcdp_gaussian("zcdp-known", 2, 1.0, 0.1, 1.0),
-        ]:
+        for report in _one_report_per_audit():
             payload = report_to_json(report)
             loaded = report_from_json(payload)
             assert report_to_json(loaded) == payload
             assert reverify(loaded)
+
+    def test_details_hold_no_copy_of_measured_or_bound(self):
+        for report in _one_report_per_audit():
+            assert report.verdict == _verdict(report.measured, report.bound)
+            assert not {"measured", "bound"} & set(report.details), report.mechanism
+
+    def test_payload_without_a_key_is_refused_naming_it(self):
+        raw = json.loads(report_to_json(audit_rr_local(3, 1.0)))
+        del raw["claimed"]
+        with pytest.raises(ValidationError, match="lacks the key.* claimed$"):
+            report_from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("claimed", [5, {"eps": 1.0}, {"epsilon": "1"}])
+    def test_malformed_claimed_budget_is_refused(self, claimed):
+        raw = json.loads(report_to_json(audit_rr_local(3, 1.0)))
+        raw["claimed"] = claimed
+        with pytest.raises(ValidationError, match="claimed budget is malformed"):
+            report_from_json(json.dumps(raw))
+
+    def test_text_that_is_not_json_is_refused(self):
+        with pytest.raises(ValidationError, match="not JSON: Expecting value"):
+            report_from_json('{"mechanism": rr}')
+        with pytest.raises(ValidationError, match="must be a JSON object, got list"):
+            report_from_json("[]")
+
+    def test_0_8_0_report_is_refused_naming_its_missing_keys(self):
+        # 0.8.0 kept measured and bound in details and the ratio at top level
+        report = audit_subrr_pure(3, 3, 1.0)
+        raw = json.loads(report_to_json(report))
+        old = {key: value for key, value in raw.items() if key not in ("measured", "bound")}
+        old.update(measured_max_log_ratio=report.measured, measured_delta=0.0)
+        old["details"] = {"measured": report.measured, "bound": report.bound, **raw["details"]}
+        with pytest.raises(ValidationError, match="lacks the key.* measured, bound$"):
+            report_from_json(json.dumps(old))
 
     def test_loads_a_payload_that_carries_advisory(self):
         # 0.4.0 reports carry an "advisory" key, true here (shift 2B > B); it is ignored

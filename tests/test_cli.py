@@ -427,7 +427,7 @@ class TestAuditCommand:
         assert code == 2
         report = json.loads(out)["outputs"]["report"]
         assert report["verdict"] == "fail"
-        assert report["measured_max_log_ratio"] == math.inf
+        assert report["measured"] == math.inf
 
     def test_shurr_fail_exit_two(self, capsys):
         code, out, _ = run_cli(
@@ -559,6 +559,12 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigInvalid):
             table_sweep("kary", {})
+
+    @pytest.mark.parametrize("k, m, name", [(4.5, 8.5, "k"), (4, 8.5, "m")])
+    def test_non_integral_kary_counts_refused(self, k, m, name):
+        grid = {"k": [k], "alpha": [0.1], "eps": [1.0], "delta": [1e-6], "m": [m]}
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got"):
+            table_sweep("kary", grid)
 
 
 class TestRejectedParameters:

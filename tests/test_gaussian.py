@@ -551,4 +551,4 @@ class TestGaussianMechRenyi:
             divergence = _gaussian_renyi(
                 report.witness["sensitivity"], report.witness["sigma"], order
             )
-            assert report.measured_max_log_ratio == pytest.approx(divergence / order, rel=1e-12)
+            assert report.measured == pytest.approx(divergence / order, rel=1e-12)

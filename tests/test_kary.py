@@ -341,6 +341,31 @@ class TestShuRRComplexity:
             shurr_strong_complexity(10, 1e-9, 0.5, 1e-6, 10**7)
 
 
+class TestIntegralCounts:
+    """k and m count categories and outputs: a non-integral one is refused, 4.0 is 4."""
+
+    @pytest.mark.parametrize("name, calculate, args", [
+        ("k", subrr_sample_complexity, (4.5, 0.1, 1.0)),
+        ("m", shurr_weak_complexity, (3, 0.1, 1.0, 1e-6, 2.5)),
+        ("k", shurr_weak_complexity, (3.5, 0.1, 1.0, 1e-6, 2)),
+        ("m", shurr_weak_complexity, (3, 0.1, 1.0, 1e-6, math.nan)),
+        ("m", shurr_strong_complexity, (3, 0.1, 1.0, 1e-6, 2.5)),
+        ("k", shurr_strong_complexity, (3.5, 0.1, 1.0, 1e-6, 2)),
+    ])
+    def test_non_integral_count_refused(self, name, calculate, args):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got"):
+            calculate(*args)
+
+    @pytest.mark.parametrize("calculate, args", [
+        (subrr_sample_complexity, (4, 0.1, 1.0)),
+        (shurr_weak_complexity, (3, 0.1, 1.0, 1e-6, 2)),
+        (shurr_strong_complexity, (3, 0.1, 1.0, 1e-6, 2)),
+    ])
+    def test_integral_float_accepted(self, calculate, args):
+        as_floats = [float(v) if isinstance(v, int) else v for v in args]
+        assert calculate(*as_floats).n_required == calculate(*args).n_required
+
+
 class TestNonFiniteBudgets:
     """An infinite budget would keep every record, so each k-ary entry point refuses it."""
 

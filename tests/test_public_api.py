@@ -58,27 +58,31 @@ def test_project_version_reads_only_the_project_table():
     assert _project_version(toml) == "1.2.3"
 
 
-def _row_norm_calls(tree: ast.AST):
-    """(enclosing function, line) of each ``linalg.norm`` call that passes an axis."""
+def _calls_by_function(tree: ast.AST, matches) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of each call node for which ``matches`` holds."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "norm"
-            and isinstance(node.func.value, ast.Attribute)
-            and node.func.value.attr == "linalg"
-            and (len(node.args) >= 3 or any(k.arg == "axis" for k in node.keywords))
-        ):
+        if isinstance(node, ast.Call) and matches(node):
             found.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(tree, None)
     return found
+
+
+def _row_norm_calls(tree: ast.AST):
+    """(enclosing function, line) of each ``linalg.norm`` call that passes an axis."""
+    return _calls_by_function(tree, lambda node: (
+        isinstance(node.func, ast.Attribute)
+        and node.func.attr == "norm"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "linalg"
+        and (len(node.args) >= 3 or any(k.arg == "axis" for k in node.keywords))
+    ))
 
 
 def test_row_norms_go_through_the_core_kernel():
@@ -101,6 +105,37 @@ def test_row_norm_guard_sees_axis_calls():
         "    return np.linalg.norm(x[0]) + a + b\n"
     )
     assert _row_norm_calls(tree) == [("f", 2), ("f", 3)]
+
+
+def _report_constructions(tree: ast.AST):
+    """(enclosing function, line) of each ``AuditReport(...)`` call, bare or qualified."""
+    return _calls_by_function(tree, lambda node: (
+        getattr(node.func, "id", None) == "AuditReport"
+        or getattr(node.func, "attr", None) == "AuditReport"
+    ))
+
+
+def test_audit_reports_are_built_in_one_place():
+    # audit._report derives every verdict from its measured and bound, and
+    # report_from_json rebuilds a persisted one; no audit builds its own
+    source = Path(dpsampler.__file__).parent
+    allowed = {("audit.py", "_report"), ("audit.py", "report_from_json")}
+    offenders = [
+        f"{path.name}:{line} in {function}"
+        for path in sorted(source.glob("*.py"))
+        for function, line in _report_constructions(ast.parse(path.read_text()))
+        if (path.name, function) not in allowed
+    ]
+    assert offenders == []
+
+
+def test_report_guard_sees_constructions():
+    tree = ast.parse(
+        "def audit_x(measured, bound):\n"
+        "    a = AuditReport('x', None, measured, bound, 1, 'pass', {}, {})\n"
+        "    return audit.AuditReport(**vars(a)), AuditReport\n"
+    )
+    assert _report_constructions(tree) == [("audit_x", 2), ("audit_x", 3)]
 
 
 KARY_CALIBRATION_FUNCTIONS = {"subrr_eps0", "shurr_eps0", "shurr_f", "fmt_eps1"}

@@ -43,6 +43,16 @@ its (task, selector) row does not read, so ``kary-reports`` no longer passes
 ``--delta`` and ``--m`` to the ``single`` complexity task, whose RunReport
 now echoes them as null.  The 0.7.0 code gives the 0.8.0 ``kary-reports``
 digest on the same runs; every other 0.8.0 digest is its 0.7.0 value.
+
+0.9.0 moves no sampler stream either.  An audit report states its binding
+figure once, as ``measured`` against ``bound`` at top level: the 0.8.0
+``measured_max_log_ratio`` becomes ``measured``, ``details.bound`` becomes
+``bound``, and ``measured_delta``, ``details.measured``, ``details.bound``
+and the ELap witness's ``argmax_point`` (a copy of ``sum_a``) are gone.  So
+``audit_elap_mechanism`` and ``audit_rr_subrr`` move, and ``kary-reports``
+and ``gaussian-reports`` move through their audit reports; the audit
+RunReports' ``derived`` blocks keep their 0.8.0 bytes.  Every other 0.9.0
+digest is its 0.8.0 value.
 """
 
 import hashlib
@@ -292,6 +302,45 @@ DIGESTS = {
         "audit_rr_subrr": "b13bc31968ad858d1d93c721cc4222951a869eaaad2983b36f0ffef2143d4171",
         "gaussian-reports": "457074bda91d4b6d351cc6a7e6dbe0f7f6ca8f5289649155537ce5b4814638a5",
         "kary-reports": "e8fb39a22b708dc7b9e430702f94ec69467c47411bc7ef98c6f1da1344197ccd",
+        "shurr_run": "4ac2ebee059bdd8be220b1742bc9a184a832922b52809ed4a2872c0d40a9ebc0",
+        "subrr_sample": "fd617ae45c38f9505a71c0ec057cf9849e5d0104bca92c9a4cd4fe46402f7cee",
+        "tv_estimate_binned": {
+            "d1": "51e7134f5ef9068fe81b04c8e10b84c44f2cfe61f694de163005d3e52c968d2c",
+            "d2": "855f6f4d43000b1fba036b333e96ee180387256d3cadaf33b1c30f42dbe5a538"
+        },
+        "zcdp_bounded_cov_sample": {
+            "first": "38799ed29b12b1897731237190aa6512c3ae6628ed261f7e7838a3c170c1e3a1",
+            "repeated": "9ed6c7d7b3ff438742fc6bca4c130c264a71d89fd30f102c444af23ef891a6ff"
+        },
+        "zcdp_known_cov_sample": {
+            "first": "76778f6eaff817107bd57136e6d230d94f2ad6e4bffab2c7d6e933deb0fb4dd7",
+            "repeated": "f763a21d1f87f7c07b60db6b27d66f1071de009d2b7dd206fb8e8f306f512aa2"
+        }
+    },
+    "0.9.0": {
+        "elap_sample": "5cebb21aca15adf6fe9d653ce7855f1d72023281beaf6e05bab6260b6bd2e62a",
+        "pure_gaussian_sample": {
+            "first": "e549b6d0729a0ce96f273d6d0105f9c849b542d5175c30427ad2d1c4b5cdd8e5",
+            "repeated": "940c51a06f9975352674778bf94cf24f5fe7193fad9dae0d68a45f38d7bb83fd"
+        },
+        "sample-gaussian": {
+            "pure/both-m3": "ddf7f6f34b88b20f065851a90ca766462df921471967ebb359722ee53594e344",
+            "pure/once": "602fbbe53e5b8259d633a98444f81f07e597ea8d172ea9ba5767d7377f8621c9",
+            "pure/once-count10": "6f04897729c44784357d02987611709fb33fa4ca84e8e92095c1f5efb43b2e57",
+            "pure/repeat-m3": "712cf6317034a5d57a1b2d248befd0e91e03dc68304faa6fa09d6a9bd3ea34a7",
+            "zcdp-bounded/both-m3": "7271d82c1f88535b472b4f543d9ff277bd19c8b422a052006938541212093416",
+            "zcdp-bounded/once": "46ef9221b2afc8308f71888b58a0aafd6297f037ab30a179b67c72b72c5aa970",
+            "zcdp-bounded/once-count10": "cee83a9e85b559190ab2870ff3a0b9875a04869380c387a6647c6c72f4fffe6e",
+            "zcdp-bounded/repeat-m3": "93770f7c5590d33e7f706acc614454d64f4e5967444af03b56e84ef9642e03c3",
+            "zcdp-known/both-m3": "8fe75b5993efc96968b5b4249819e3b80d7a5e9b46407b81931622348b53e3b5",
+            "zcdp-known/once": "779f6a09929a6b558af9289fd89da71553d4d75add5006b63b70a56eac891b81",
+            "zcdp-known/once-count10": "3a2e7fbd06a05114f7536e91d1efdcb7c3ae1570cb24d730c2051c640af26a38",
+            "zcdp-known/repeat-m3": "3e013060c83ae6068416c39d5811112737412da54eb1c56118c576325fd4a901"
+        },
+        "audit_elap_mechanism": "eba6973f7585d20e423eb7181ff6c4683f7a95b690fb4793ccb47a40c4866087",
+        "audit_rr_subrr": "de522d0e53eb20ff5a80b0a9d0fb0c5cce409424a038b168a270760bffbe7e75",
+        "gaussian-reports": "a3a9bb9bb21f7ecf2dd731cbcfefb0c95a10518abd17d021a7a02d8fd787c052",
+        "kary-reports": "50bd4abb1ecc2f76462da281948a18b2b6c453d64dd64bf213a85c4dfe57168e",
         "shurr_run": "4ac2ebee059bdd8be220b1742bc9a184a832922b52809ed4a2872c0d40a9ebc0",
         "subrr_sample": "fd617ae45c38f9505a71c0ec057cf9849e5d0104bca92c9a4cd4fe46402f7cee",
         "tv_estimate_binned": {
