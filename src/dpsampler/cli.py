@@ -105,16 +105,17 @@ def _run_sample_kary(params):
                    else [subrr_sample(data, eps, rng)])
         derived.update(KARY_CALIBRATIONS[mode].derived(eps, delta, data.n, data.k))
     else:
+        # each combinator refuses a bad m before the report divides alpha by it
         (alpha, m) = (params["alpha"], params["m"])
         if mode == "precision":
             spec = shurr_sampler(data.k, eps, params["delta"], m, alpha)
-            derived["n_required"] = spec.n_per_call(alpha / m)
             outputs = strong_via_precision(spec, m, alpha, data, rng)
+            derived["n_required"] = spec.n_per_call(alpha / m)
         else:
             spec = subrr_sampler(data.k, eps, alpha)
-            derived["n_per_call"] = spec.n_per_call(alpha if mode == "repeat" else alpha / m)
             outputs = (weak_via_repetition(spec, m, data, rng) if mode == "repeat"
                        else strong_via_both(spec, m, alpha, data, rng))
+            derived["n_per_call"] = spec.n_per_call(alpha if mode == "repeat" else alpha / m)
 
     out = params["out"]
     if out:
@@ -140,13 +141,11 @@ def _run_sample_gaussian(params):
                        sigma2=cal.sigma2(data.d, alpha, data.n))
         outputs = [spec.run(data, alpha, rng.child(i)) for i in range(params["count"])]
     else:
+        # the combinator refuses a bad m before the report divides alpha by it
         m = params["m"]
-        if mode == "repeat":
-            derived["n_per_call"] = spec.n_per_call(alpha)
-            outputs = weak_via_repetition(spec, m, data, rng)
-        else:
-            derived["n_per_call"] = spec.n_per_call(alpha / m)
-            outputs = strong_via_both(spec, m, alpha, data, rng)
+        outputs = (weak_via_repetition(spec, m, data, rng) if mode == "repeat"
+                   else strong_via_both(spec, m, alpha, data, rng))
+        derived["n_per_call"] = spec.n_per_call(alpha if mode == "repeat" else alpha / m)
 
     rows = np.vstack(outputs)
     if params["out"]:

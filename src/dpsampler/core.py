@@ -5,7 +5,7 @@ Conventions used throughout the package:
 * finite-domain elements are the 1-indexed integers ``[1..k]``,
 * probabilities are 64-bit floats; densities are handled in log space,
 * randomness flows through an explicit :class:`RandomSource` so that every
-  experiment is replayable from a 64-bit seed.
+  experiment is replayable from a nonnegative integer seed.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import codecs
 import csv
 import io
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +43,16 @@ def _frozen_array(values, dtype) -> np.ndarray:
 def _check_finite_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """``value`` as an int, refused unless integral and >= ``least``; 4.0 counts as 4."""
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValidationError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def _row_norms(rows: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
@@ -212,11 +223,11 @@ class RandomSource:
     derived statelessly: ``child(i)`` appends ``i`` to the spawn key of the
     underlying ``numpy.random.SeedSequence``, so a tree of parallel streams is
     fully determined by the root seed and the tree position, independent of
-    call order.
+    call order.  Seeds and child indices are integers >= 0; 7.0 counts as 7.
     """
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
-        self.seed = int(seed)
+        self.seed = _check_count("seed", seed, 0)
         self.key = tuple(int(i) for i in _key)
         self._gen = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
@@ -228,7 +239,7 @@ class RandomSource:
 
     def child(self, index: int) -> "RandomSource":
         """Derive the ``index``-th independent child stream."""
-        return RandomSource(self.seed, self.key + (index,))
+        return RandomSource(self.seed, self.key + (_check_count("child index", index, 0),))
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, key={self.key})"

@@ -22,13 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import CategoricalDist, RandomSource, VectorDataset
-from .errors import (
-    DimensionMismatch,
-    DomainMismatch,
-    EmptyDataset,
-    InvalidOrder,
-    ValidationError,
-)
+from .errors import DimensionMismatch, DomainMismatch, EmptyDataset, ValidationError
 
 BOOTSTRAP_RESAMPLES = 200
 
@@ -76,14 +70,14 @@ def hockey_stick_finite(p: CategoricalDist, q: CategoricalDist, beta: float) -> 
     """Hockey-stick divergence sum_i max(0, p_i - beta*q_i) = sup_E (P(E) - beta*Q(E))."""
     _check_same_domain(p, q)
     if not beta >= 1:
-        raise InvalidOrder(f"hockey-stick order must be >= 1, got {beta}")
+        raise ValidationError(f"hockey-stick order must be >= 1, got {beta}")
     return float(np.maximum(p.probs - beta * q.probs, 0.0).sum())
 
 
 def eps_delta_closeness(p: CategoricalDist, q: CategoricalDist, eps: float) -> ClosenessResult:
     """Smallest delta making p and q (eps, delta)-close, via both hockey-stick directions."""
     if eps < 0:
-        raise InvalidOrder(f"eps must be nonnegative, got {eps}")
+        raise ValidationError(f"eps must be nonnegative, got {eps}")
     beta = math.exp(eps)
     return ClosenessResult(hockey_stick_finite(p, q, beta), hockey_stick_finite(q, p, beta))
 
@@ -95,9 +89,9 @@ def hs_to_tv_bound(eps: float, delta: float) -> float:
     but returned as computed.
     """
     if eps < 0:
-        raise InvalidOrder(f"eps must be nonnegative, got {eps}")
+        raise ValidationError(f"eps must be nonnegative, got {eps}")
     if not 0 <= delta < 1:
-        raise InvalidOrder(f"delta must be in [0, 1), got {delta}")
+        raise ValidationError(f"delta must be in [0, 1), got {delta}")
     return 2.0 * delta / (math.exp(eps) + 1.0) + math.expm1(eps)
 
 

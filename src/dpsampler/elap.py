@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, _check_finite_positive, _row_norms
+from .core import RandomSource, _check_count, _check_finite_positive, _row_norms
 from .errors import (
     DimensionMismatch,
     InvalidAlpha,
@@ -37,14 +37,14 @@ MIN_SCALE = math.nextafter(1.0 / sys.float_info.max, math.inf)
 
 @dataclass(frozen=True)
 class ELapParams:
-    """Dimension d >= 1 and finite scale b >= ``MIN_SCALE`` of the Euclidean-Laplace distribution."""
+    """Integer dimension d >= 1 and finite scale b >= ``MIN_SCALE`` of the Euclidean-Laplace
+    distribution; d = 2.0 is taken as 2."""
 
     d: int
     b: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.d}")
+        object.__setattr__(self, "d", _check_count("d", self.d, 1))
         _check_finite_positive("scale", self.b)
         if self.b < MIN_SCALE:
             raise PrecisionLimit(f"scale must be >= {MIN_SCALE!r}, the smallest whose rate "

@@ -41,10 +41,6 @@ class OutOfDomain(ValidationError):
 
 # --- parameter validation -----------------------------------------------------
 
-class InvalidOrder(ValidationError):
-    """Divergence order outside its valid range."""
-
-
 class InvalidAlpha(ValidationError):
     """Error tolerance alpha outside (0, 1)."""
 
@@ -59,20 +55,8 @@ class BadSplit(ValidationError):
 
 # --- sampler preconditions ----------------------------------------------------
 
-class InsufficientSamples(DPSamplerError):
-    """Too few input samples for the mechanism's parameters to be defined."""
-
-
 class InsufficientData(DPSamplerError):
-    """Dataset too small for the requested number of sampler invocations."""
-
-
-class TooManyOutputs(DPSamplerError):
-    """Requested m outputs exceeds the n available randomized inputs."""
-
-
-class TooFewSamples(DPSamplerError):
-    """Sampler requires more input rows for its noise calibration."""
+    """Too few records for a release; the message names the least n, or m and n."""
 
 
 class PrecisionLimit(DPSamplerError):

@@ -12,6 +12,8 @@ variant names ``pure``, ``zcdp-known`` and ``zcdp-bounded``: the clip radius
 B, the noise, the replacement sensitivity of the noised statistic and the
 rows one call takes.  The samplers, their complexity calculators, the
 ``SamplerSpec`` factories, the CLI and the zCDP audit read them from there.
+Each zCDP sampler is its entry's release, ``(data, *, R, alpha, eps, rng)``,
+and refuses a dataset smaller than its calibration fixes (``InsufficientData``).
 
 A note on sensitivity: replacing one row can move the clipped sum by up to
 ``2B``, while the pure-DP scale ``b = B/eps`` covers a movement of ``B``.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .core import RandomSource, VectorDataset, _check_finite_positive, _row_norms
 from .elap import ELapParams, elap_sample
-from .errors import BadSplit, DimensionMismatch, InvalidAlpha, TooFewSamples, ValidationError
+from .errors import BadSplit, DimensionMismatch, InsufficientData, InvalidAlpha, ValidationError
 from .kary import ComplexityReport, _least_n, _tolerant_ceil
 
 
@@ -111,7 +113,7 @@ def pure_gaussian_sample(
         raise DimensionMismatch(f"data dimension {data.d} != params dimension {params.d}")
     n = data.n
     if n < 2:
-        raise TooFewSamples(f"need n >= 2 for the (n-1)/n noise calibration, got {n}")
+        raise InsufficientData(f"need n >= 2 for the (n-1)/n noise calibration, got {n}")
     pure = GAUSSIAN_CALIBRATIONS["pure"]
     B = params.B
     b = pure.elap_scale(B, params.eps)
@@ -148,15 +150,11 @@ def _known_cov_covers(d: int, B: float, alpha: float, eps: float, n: int) -> boo
 
 
 def zcdp_known_cov_sample(
-    data: VectorDataset,
-    R: float,
-    eps: float,
-    alpha: float,
-    rng: RandomSource,
+    data: VectorDataset, *, R: float, alpha: float, eps: float, rng: RandomSource
 ) -> np.ndarray:
     """Clipped empirical mean plus N(0, ((n-1)/n) I) noise, under eps^2/2-zCDP.
 
-    Requires n large enough that the noise scale covers the mean's replacement
+    Refuses an n too small for the noise scale to cover the mean's replacement
     sensitivity 2B/n at eps (:func:`_known_cov_covers`).
     """
     n = data.n
@@ -165,7 +163,7 @@ def zcdp_known_cov_sample(
     _check_finite_positive("eps", eps)
     if not _known_cov_covers(data.d, B, alpha, eps, n):
         needed = zcdp_known_cov_complexity(data.d, R, alpha, eps).n_required
-        raise TooFewSamples(
+        raise InsufficientData(
             f"zCDP condition sigma >= 2B/(eps*n) fails at n={n}; need n >= {needed}"
         )
     clipped_mean = _clipped_stat(
@@ -211,18 +209,18 @@ def _bounded_cov_sensitivity(B: float, n: int) -> float:
     return 2.0 * B * max(1.0 / q, diff_weight)
 
 
-def zcdp_bounded_cov_sample(
+def _bounded_cov_mechanism(
     data: VectorDataset, B: float, sigma2: float, rng: RandomSource
 ) -> np.ndarray:
-    """Bounded-covariance single draw from n = 3q clipped rows, split n1 = n2 = q.
+    """The bounded-covariance draw at any B and sigma2, from n = 3q rows split n1 = n2 = q.
 
-    Output is Z + (1/n1) * sum of the first n1 rows
+    Output is Z + (1/n1) * sum of the first n1 clipped rows
     + sqrt((1 - 1/n1)/(2*n2)) * sum of consecutive differences of the
-    remaining 2*n2 rows, with Z ~ N(0, sigma2 * I).
+    remaining 2*n2 clipped rows, with Z ~ N(0, sigma2 * I).  No n backs an
+    arbitrary sigma2, so only :func:`zcdp_bounded_cov_sample` calls this, with
+    its entry's numbers.
     """
-    if not sigma2 > 0:
-        raise ValidationError(f"sigma2 must be positive, got {sigma2}")
-    _check_finite_positive("B", B)
+    _check_finite_positive("B", B)  # B keys the memo
     q, diff_weight = _bounded_cov_split(data.n)
 
     def parts():
@@ -237,18 +235,22 @@ def zcdp_bounded_cov_sample(
     return noise + mean_part + diff_part
 
 
-def _bounded_cov_release(
-    data: VectorDataset, R: float, alpha: float, eps: float, rng: RandomSource
+def zcdp_bounded_cov_sample(
+    data: VectorDataset, *, R: float, alpha: float, eps: float, rng: RandomSource
 ) -> np.ndarray:
-    """One bounded-covariance draw, refused below the rows its noise is calibrated for."""
+    """One bounded-covariance draw under eps^2/2-zCDP, at the entry's B and sigma2.
+
+    This sampler's noise does not grow as n shrinks, so its privacy rests on
+    n: it refuses fewer rows than the entry's ``n_per_call``.
+    """
     bounded = GAUSSIAN_CALIBRATIONS["zcdp-bounded"]
     needed = bounded.n_per_call(data.d, R, alpha, eps)
     if data.n < needed:
-        raise TooFewSamples(
+        raise InsufficientData(
             f"bounded-covariance noise is calibrated for n >= {needed} rows; got n={data.n}"
         )
     B = bounded.clip_bound(data.d, R, alpha)
-    return zcdp_bounded_cov_sample(data, B, bounded.sigma2(data.d, alpha, data.n), rng)
+    return _bounded_cov_mechanism(data, B, bounded.sigma2(data.d, alpha, data.n), rng)
 
 
 def zcdp_bounded_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
@@ -322,7 +324,7 @@ GAUSSIAN_CALIBRATIONS = {
         sensitivity=lambda B, n: 2.0 * B / n,  # of the clipped mean
         complexity=lambda *args: zcdp_known_cov_complexity(*args),
         release=lambda data, R, alpha, eps, rng: zcdp_known_cov_sample(
-            data, R, eps, alpha, rng
+            data, R=R, alpha=alpha, eps=eps, rng=rng
         ),
     ),
     "zcdp-bounded": GaussianCalibration(
@@ -330,7 +332,9 @@ GAUSSIAN_CALIBRATIONS = {
         sigma2=lambda d, alpha, n: alpha / (4.0 * math.sqrt(d)),
         sensitivity=_bounded_cov_sensitivity,
         complexity=lambda *args: zcdp_bounded_cov_complexity(*args),
-        release=_bounded_cov_release,
+        release=lambda data, R, alpha, eps, rng: zcdp_bounded_cov_sample(
+            data, R=R, alpha=alpha, eps=eps, rng=rng
+        ),
         rows=lambda n: 3 * math.ceil(n / 3),  # rounded up to the n1 = n2 = n/3 split
     ),
 }

@@ -32,22 +32,14 @@ is reported as (eps, delta)-DP in both regimes.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import CategoricalDist, KaryDataset, RandomSource, _check_finite_positive
-from .errors import (
-    InsufficientSamples,
-    InvalidAlpha,
-    OutOfDomain,
-    PrecisionLimit,
-    TooManyOutputs,
-    ValidationError,
-)
+from .core import CategoricalDist, KaryDataset, RandomSource, _check_count, _check_finite_positive
+from .errors import InsufficientData, InvalidAlpha, OutOfDomain, PrecisionLimit, ValidationError
 
 STRONG_ALPHA_FLOOR = 1e-12
 # the largest n a sample-size bound can state: float arithmetic overflows past it
@@ -155,7 +147,7 @@ def subrr_eps0(eps: float, n: int) -> float:
         raise ValidationError(f"n must be >= 1, got {n}")
     if eps * n <= 1.0:
         n_min = _least_n(lambda m: eps * m > 1.0, 1)
-        raise InsufficientSamples(
+        raise InsufficientData(
             f"eps*n = {eps * n} <= 1 leaves the local parameter undefined; "
             f"need n >= {n_min} at eps = {eps}"
         )
@@ -208,14 +200,6 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _check_count(name: str, value: int, least: int) -> None:
-    """Refuse a count that is not integral or is below ``least``; 4.0 counts as 4."""
-    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise ValidationError(f"{name} must be an integer, got {value}")
-    if value < least:
-        raise ValidationError(f"{name} must be >= {least}, got {value}")
-
-
 def subrr_sample_complexity(k: int, alpha: float, eps: float) -> ComplexityReport:
     """n = ceil((k-1)(1-alpha) / (alpha*eps)), sufficient for TV error alpha."""
     _check_alpha(alpha)
@@ -257,7 +241,7 @@ def shurr_eps0(eps: float, delta: float, n: int) -> float:
         raise ValidationError(f"n must be >= 1, got {n}")
     ratio = _shurr_ratio(eps, delta, n)
     if not ratio > 2.0:
-        raise InsufficientSamples(
+        raise InsufficientData(
             f"f(eps)^2*n/ln(4/delta) = {ratio} <= 2 leaves eps0 = ln(ratio - 1) not positive; "
             f"need n >= {shurr_min_n(eps, delta)} at eps = {eps}, delta = {delta}"
         )
@@ -290,10 +274,9 @@ def shurr_run(
     replacement, in uniformly random order, so positions stay exchangeable.
     The amplification bound :func:`fmt_eps1` is a statement about that law.
     """
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    m = _check_count("m", m, 1)
     if m > data.n:
-        raise TooManyOutputs(f"requested m={m} outputs from n={data.n} inputs")
+        raise InsufficientData(f"requested m={m} outputs from n={data.n} inputs")
     params = RRParams(eps0=KARY_CALIBRATIONS["shuffle"].eps0(eps, delta, data.n), k=data.k)
     gen = rng.generator
     chosen = data.values[gen.choice(data.n, size=m, replace=False)]

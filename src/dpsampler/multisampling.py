@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from .core import RandomSource
+from .core import RandomSource, _check_count
 from .errors import DimensionMismatch, DomainMismatch, InsufficientData
 from .gaussian import gaussian_calibration
 from .kary import KARY_CALIBRATIONS, _check_tolerance, shurr_run, subrr_sample
@@ -40,6 +40,7 @@ class SamplerSpec:
 
 def weak_via_repetition(single: SamplerSpec, m: int, data, rng: RandomSource) -> list:
     """m i.i.d. outputs from m disjoint consecutive blocks of the input."""
+    m = _check_count("m", m, 1)
     block = single.n_per_call(single.alpha)
     if data.n < m * block:
         raise InsufficientData(
@@ -56,7 +57,7 @@ def strong_via_precision(
     weak: SamplerSpec, m: int, alpha: float, data, rng: RandomSource
 ) -> list:
     """Run the weak sampler once at per-output tolerance alpha/m."""
-    per_output = _check_tolerance(alpha, m)
+    per_output = _check_tolerance(alpha, _check_count("m", m, 1))
     needed = weak.n_per_call(per_output)
     if data.n < needed:
         raise InsufficientData(f"need {needed} records at tolerance {per_output}, got {data.n}")
@@ -67,17 +68,18 @@ def strong_via_both(
     single: SamplerSpec, m: int, alpha: float, data, rng: RandomSource
 ) -> list:
     """Single-sampler at tolerance alpha/m repeated on m disjoint blocks."""
-    tightened = replace(single, alpha=_check_tolerance(alpha, m))
+    tightened = replace(single, alpha=_check_tolerance(alpha, _check_count("m", m, 1)))
     return weak_via_repetition(tightened, m, data, rng)
 
 
 def repetition_complexity(single: SamplerSpec, m: int) -> int:
     """Total input size m * n(alpha) consumed by repetition."""
-    return m * single.n_per_call(single.alpha)
+    return _check_count("m", m, 1) * single.n_per_call(single.alpha)
 
 
 def strong_both_complexity(single: SamplerSpec, m: int, alpha: float) -> int:
     """Total input size m * n(alpha/m) consumed by precision-tightened repetition."""
+    m = _check_count("m", m, 1)
     return m * single.n_per_call(_check_tolerance(alpha, m))
 
 
@@ -131,7 +133,7 @@ def gaussian_sampler(variant: str, d: int, R: float, eps: float, alpha: float) -
     def run(block, a, rng):
         if block.d != d:
             raise DimensionMismatch(f"data dimension {block.d} != sampler dimension {d}")
-        return cal.release(block, R, a, eps, rng)
+        return cal.release(block, R=R, alpha=a, eps=eps, rng=rng)
 
     return SamplerSpec(
         alpha=alpha,

@@ -40,10 +40,10 @@ from dpsampler.elap import (
 )
 from dpsampler.gaussian import (
     PureGaussianSamplerParams,
+    _bounded_cov_mechanism,
     known_cov_clip_bound,
     pure_gaussian_sample,
     pure_sample_complexity,
-    zcdp_bounded_cov_sample,
     zcdp_known_cov_complexity,
 )
 from dpsampler.kary import (
@@ -254,6 +254,9 @@ def test_criterion_08_zcdp_identities():
 
 
 def test_criterion_09_bounded_cov_structure():
+    # the raw mechanism: the criterion states the output structure at any
+    # sigma2 and unclipped rows, here sigma2 = 0.25 and B = 1e6, which no
+    # calibration entry gives at n = 12
     start = time.perf_counter()
     failures = []
     d, q, runs = 2, 4, 10**5
@@ -266,7 +269,7 @@ def test_criterion_09_bounded_cov_structure():
     outs = np.empty((runs, d))
     for i in range(runs):
         rows = mu + gen.standard_normal((3 * q, d)) @ chol.T
-        outs[i] = zcdp_bounded_cov_sample(
+        outs[i] = _bounded_cov_mechanism(
             VectorDataset(rows=rows), B=1e6, sigma2=sigma2, rng=rng.child(i)
         )
     expected_cov = sigma2 * np.eye(d) + cov

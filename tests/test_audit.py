@@ -23,11 +23,7 @@ from dpsampler.audit import (
 from dpsampler.core import KaryDataset, PrivacyBudget, RandomSource
 from dpsampler.divergences import eps_delta_closeness
 from dpsampler.elap import ELapParams, elap_sample
-from dpsampler.errors import (
-    EmptyDataset,
-    InsufficientSamples,
-    ValidationError,
-)
+from dpsampler.errors import EmptyDataset, InsufficientData, ValidationError
 from dpsampler.gaussian import GAUSSIAN_CALIBRATIONS
 from dpsampler.kary import (
     KARY_CALIBRATIONS,
@@ -242,7 +238,7 @@ class TestAuditSubRRPure:
                     for claimed in (None, 0.1):
                         try:
                             expected = reference_audit_subrr_pure(k, n, eps, claimed)
-                        except InsufficientSamples:
+                        except InsufficientData:
                             continue
                         report = audit_subrr_pure(k, n, eps, claimed_eps=claimed)
                         case = (k, n, eps, claimed)
@@ -372,7 +368,7 @@ class TestAuditShuRRMarginal:
     def test_n_with_negative_local_parameter_refused(self):
         # at n = 8,756 ln(f^2 n / ln(4/delta) - 1) = -0.69; the audit refuses it
         # as the sampler does, naming the smallest n the calibration accepts
-        with pytest.raises(InsufficientSamples, match="need n >= 11675 at"):
+        with pytest.raises(InsufficientData, match="need n >= 11675 at"):
             audit_shurr_marginal(2, 8756, 1.0, 1e-6, None, None)
 
     def test_eps0_read_from_the_calibration(self):

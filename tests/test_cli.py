@@ -206,9 +206,11 @@ class TestSampleGaussian:
             "pure": lambda rng: pure_gaussian_sample(
                 data, PureGaussianSamplerParams(R=R, d=1, alpha=alpha, eps=eps), rng
             ),
-            "zcdp-known": lambda rng: zcdp_known_cov_sample(data, R, eps, alpha, rng),
+            "zcdp-known": lambda rng: zcdp_known_cov_sample(
+                data, R=R, alpha=alpha, eps=eps, rng=rng
+            ),
             "zcdp-bounded": lambda rng: zcdp_bounded_cov_sample(
-                data, 1 + math.sqrt(2 * math.log(2 / alpha)), alpha / 4, rng
+                data, R=R, alpha=alpha, eps=eps, rng=rng
             ),
         }
         for variant, draw in direct.items():
@@ -568,6 +570,28 @@ class TestSweep:
 
 
 class TestRejectedParameters:
+    @pytest.mark.parametrize("argv, m", [
+        (["sample-kary", "--mode", "repeat", "--eps", "1", "--alpha", "0.4", "--m", "0"], 0),
+        (["sample-kary", "--mode", "both", "--eps", "1", "--alpha", "0.4", "--m", "0"], 0),
+        (["sample-kary", "--mode", "precision", "--eps", "4", "--delta", "0.3", "--alpha", "0.8",
+          "--m", "0"], 0),
+        (["sample-gaussian", "--variant", "pure", "--mode", "repeat", "--R", "1", "--alpha",
+          "0.4", "--eps", "5", "--m", "0"], 0),
+        (["sample-gaussian", "--variant", "pure", "--mode", "both", "--R", "1", "--alpha",
+          "0.4", "--eps", "5", "--m", "-3"], -3),
+    ], ids=["kary-repeat-0", "kary-both-0", "kary-precision-0", "gaussian-repeat-0",
+            "gaussian-both--3"])
+    def test_combinators_refuse_m_below_one(self, capsys, kary_file, vector_file, tmp_path,
+                                            argv, m):
+        # the combinator refuses m before it draws, or divides alpha by it
+        source = kary_file if argv[0] == "sample-kary" else vector_file
+        out = tmp_path / "never.csv"
+        code, stdout, err = run_cli(
+            capsys, argv + ["--in", str(source), "--seed", "1", "--out", str(out)])
+        assert (code, stdout) == (1, "")
+        assert err == f"error: m must be >= 1, got {m}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["--variant", "pure", "--count", "0"],
         ["--variant", "pure", "--c", "0"],
@@ -1007,6 +1031,32 @@ def _row_argv(task, key, flags, tmp_path):
     return argv
 
 
+def _valid_values(task, key, kary_file, vector_file, tmp_path):
+    """A value for every flag of the task that runs each of its rows, the row's selectors
+    included."""
+    out = str(tmp_path / "artifact.csv")
+    valid = {
+        "sample-kary": {"in": str(kary_file), "k": 3, "eps": 300.0, "delta": 0.5, "m": 3,
+                        "alpha": 0.5, "seed": 5, "out": out},
+        "sample-gaussian": {"variant": "zcdp-known", "in": str(vector_file), "dim": 1,
+                            "R": 1.0, "alpha": 0.4, "eps": 5.0, "count": 2, "m": 3,
+                            "seed": 6, "out": out},
+        "elap": {"dim": 2, "scale": 1.5, "alpha": 0.1, "count": 2, "seed": 7, "out": out},
+        "complexity": {"k": 4, "dim": 2, "R": 1.0, "alpha": 0.1, "eps": 2.0, "delta": 1e-6,
+                       "m": 8},
+        "tvdist": {"p": str(vector_file), "q": str(vector_file), "bins": 10, "seed": 8},
+        "audit": {"k": 2, "n": 10, "eps": 1.0, "eps0": 1.0, "delta": 1e-3,
+                  "claimed_eps": 1.0, "dim": 2, "B": 1.0, "R": 1.0, "alpha": 0.1,
+                  "variant": "zcdp-known", "seed": 13},
+        "sweep": {"k": [2], "dim": [1], "R": [1.0], "alpha": [0.1], "eps": [1.0],
+                  "delta": [1e-6], "m": [2], "out": out},
+    }[task]
+    return {**valid, **dict(zip(_COMMANDS[task].selectors, key))}
+
+
+SEEDED_ROWS = [(task, key) for task, key in ROWS if "seed" in _COMMANDS[task].rows[key].requires]
+
+
 class TestFlagTable:
     @pytest.mark.parametrize("task, key", ROWS, ids=ROW_IDS)
     def test_every_flag_the_row_does_not_read_exits_one(self, capsys, tmp_path, task, key):
@@ -1040,25 +1090,8 @@ class TestFlagTable:
     @pytest.mark.parametrize("task, key", ROWS, ids=ROW_IDS)
     def test_the_runner_reads_exactly_the_flags_of_its_row(self, monkeypatch, kary_file,
                                                            vector_file, tmp_path, task, key):
-        out = str(tmp_path / "artifact.csv")
-        valid = {
-            "sample-kary": {"in": str(kary_file), "k": 3, "eps": 300.0, "delta": 0.5, "m": 3,
-                            "alpha": 0.5, "seed": 5, "out": out},
-            "sample-gaussian": {"variant": "zcdp-known", "in": str(vector_file), "dim": 1,
-                                "R": 1.0, "alpha": 0.4, "eps": 5.0, "count": 2, "m": 3,
-                                "seed": 6, "out": out},
-            "elap": {"dim": 2, "scale": 1.5, "alpha": 0.1, "count": 2, "seed": 7, "out": out},
-            "complexity": {"k": 4, "dim": 2, "R": 1.0, "alpha": 0.1, "eps": 2.0, "delta": 1e-6,
-                           "m": 8},
-            "tvdist": {"p": str(vector_file), "q": str(vector_file), "bins": 10, "seed": 8},
-            "audit": {"k": 2, "n": 10, "eps": 1.0, "eps0": 1.0, "delta": 1e-3,
-                      "claimed_eps": 1.0, "dim": 2, "B": 1.0, "R": 1.0, "alpha": 0.1,
-                      "variant": "zcdp-known", "seed": 13},
-            "sweep": {"k": [2], "dim": [1], "R": [1.0], "alpha": [0.1], "eps": [1.0],
-                      "delta": [1e-6], "m": [2], "out": out},
-        }[task]
         command = _COMMANDS[task]
-        values = {**valid, **dict(zip(command.selectors, key))}
+        values = _valid_values(task, key, kary_file, vector_file, tmp_path)
         flags = command.rows[key].flags
         config = ExperimentConfig(
             task=task, params={name: values[name] for name in flags if name not in _FIELDS},
@@ -1081,6 +1114,23 @@ class TestFlagTable:
         assert run(config).exit_code in (0, 2)
         assert set(handed) == set(flags)
         assert reads == set(flags)
+
+    @pytest.mark.parametrize("task, key", SEEDED_ROWS,
+                             ids=[" ".join([task, *map(str, key)]) for task, key in SEEDED_ROWS])
+    def test_a_negative_seed_exits_one_naming_it(self, capsys, kary_file, vector_file,
+                                                 tmp_path, task, key):
+        # every row that requires --seed runs otherwise, so RandomSource is what refuses
+        values = {**_valid_values(task, key, kary_file, vector_file, tmp_path), "seed": -1}
+        argv = [task]
+        for name in _COMMANDS[task].rows[key].requires:
+            option = "--" + name.replace("_", "-")
+            if isinstance(values[name], bool):
+                argv += [option] if values[name] else []
+            else:
+                argv += [option, str(values[name])]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: seed must be >= 0, got -1\n", argv
 
     @pytest.mark.parametrize("argv, message", [
         (["sample-gaussian", "--variant", "pure", "--m", "3"],

@@ -205,6 +205,28 @@ class TestRandomSource:
         direct = RandomSource(5).child(2).generator.standard_normal(10)
         assert np.array_equal(after, direct)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: RandomSource(-1), "seed must be >= 0, got -1"),
+        (lambda: RandomSource(1.5), "seed must be an integer, got 1.5"),
+        (lambda: RandomSource(float("nan")), "seed must be an integer, got nan"),
+        (lambda: RandomSource("3"), "seed must be an integer, got 3"),
+        (lambda: RandomSource(3).child(-1), "child index must be >= 0, got -1"),
+        (lambda: RandomSource(3).child(2.5), "child index must be an integer, got 2.5"),
+    ], ids=["seed-negative", "seed-1.5", "seed-nan", "seed-string", "child-negative",
+            "child-2.5"])
+    def test_negative_or_fractional_seeds_and_indices_refused(self, make, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make()
+
+    def test_integral_floats_and_seeds_beyond_64_bits_are_taken(self):
+        def draws(rng):
+            return rng.generator.standard_normal(5)
+
+        assert np.array_equal(draws(RandomSource(7.0)), draws(RandomSource(7)))
+        assert np.array_equal(draws(RandomSource(7).child(3.0)), draws(RandomSource(7).child(3)))
+        assert RandomSource(7.0).seed == 7 and RandomSource(7).child(3.0).key == (3,)
+        assert draws(RandomSource(2**64)).shape == (5,)
+
 
 class TestCsvIO:
     def test_kary_roundtrip(self, tmp_path):

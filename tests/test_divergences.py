@@ -21,7 +21,7 @@ from dpsampler.divergences import (
     tv_distance_finite,
     tv_estimate_binned,
 )
-from dpsampler.errors import DimensionMismatch, DomainMismatch, InvalidOrder, ValidationError
+from dpsampler.errors import DimensionMismatch, DomainMismatch, ValidationError
 
 
 def random_dist(gen, k):
@@ -105,9 +105,9 @@ class TestHockeyStick:
 
     def test_invalid_order(self):
         p = validate_categorical([0.5, 0.5])
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(ValidationError):
             hockey_stick_finite(p, p, 0.5)
-        with pytest.raises(InvalidOrder, match="got 0.99"):
+        with pytest.raises(ValidationError, match="got 0.99"):
             hockey_stick_finite(p, p, 0.99)
 
 

@@ -129,6 +129,18 @@ class TestTailRadius:
         with pytest.raises(PrecisionLimit, match="beyond the largest float"):
             elap_tail_radius(ELapParams(d=3, b=1e308), 0.1)
 
+    @pytest.mark.parametrize("d, message", [
+        (2.5, "d must be an integer, got 2.5"), (0, "d must be >= 1, got 0")])
+    def test_dimension_must_be_a_positive_integer(self, d, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ELapParams(d=d, b=1.0)
+
+    def test_integral_float_dimension_is_taken(self):
+        params = ELapParams(d=2.0, b=1.0)
+        assert params == ELapParams(d=2, b=1.0) and isinstance(params.d, int)
+        assert np.array_equal(elap_sample(params, RandomSource(8), size=3),
+                              elap_sample(ELapParams(d=2, b=1.0), RandomSource(8), size=3))
+
     @pytest.mark.parametrize("b", [math.inf, math.nan, 0.0, -1.0])
     def test_scale_must_be_finite_and_positive(self, b):
         with pytest.raises(ValidationError, match="^scale must be finite and positive"):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import gc
+import inspect
 import math
 import sys
 import warnings
@@ -15,11 +16,12 @@ import dpsampler.gaussian
 from dpsampler.audit import audit_elap_mechanism, audit_zcdp_gaussian
 from dpsampler.core import RandomSource, VectorDataset
 from dpsampler.elap import ELapParams, GammaParams, elap_sample, gamma_exact_tail
-from dpsampler.errors import BadSplit, TooFewSamples, ValidationError
+from dpsampler.errors import BadSplit, InsufficientData, ValidationError
 from dpsampler.gaussian import (
     GAUSSIAN_CALIBRATIONS,
     PureGaussianSamplerParams,
     _STATS,
+    _bounded_cov_mechanism,
     _clip_rows,
     bounded_cov_clip_bound,
     gaussian_calibration,
@@ -108,7 +110,7 @@ class TestElapMechanism:
 class TestPureGaussianSampler:
     def test_too_few_samples(self):
         params = PureGaussianSamplerParams(R=1.0, d=1, alpha=0.1, eps=1.0)
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(InsufficientData):
             pure_gaussian_sample(VectorDataset(rows=[[0.0]]), params, RandomSource(3))
 
     def test_noise_hook_zeroed_moments(self, monkeypatch):
@@ -182,8 +184,8 @@ class TestZcdpKnownCov:
 
     def test_too_few_samples(self):
         data = VectorDataset(rows=np.zeros((3, 1)))
-        with pytest.raises(TooFewSamples):
-            zcdp_known_cov_sample(data, 1.0, 1.0, 0.1, RandomSource(5))
+        with pytest.raises(InsufficientData):
+            zcdp_known_cov_sample(data, R=1.0, alpha=0.1, eps=1.0, rng=RandomSource(5))
 
     def test_no_clipping_moments(self):
         # all rows well inside B: the output is the mean plus the replayed noise
@@ -191,7 +193,7 @@ class TestZcdpKnownCov:
         n, d = 20, 2
         rows = 0.1 * gen.standard_normal((n, d))
         data = VectorDataset(rows=rows)
-        out = zcdp_known_cov_sample(data, 10.0, 10.0, 0.1, RandomSource(6))
+        out = zcdp_known_cov_sample(data, R=10.0, alpha=0.1, eps=10.0, rng=RandomSource(6))
         noise = math.sqrt((n - 1) / n) * RandomSource(6).generator.standard_normal(d)
         np.testing.assert_allclose(out, rows.mean(axis=0) + noise, rtol=0, atol=1e-12)
 
@@ -204,7 +206,7 @@ class TestZcdpKnownCov:
         outs = np.empty(runs)
         for i in range(runs):
             data = VectorDataset(rows=gen.normal(mu, 1.0, size=(n, 1)))
-            outs[i] = zcdp_known_cov_sample(data, 1.0, 1.0, 0.1, rng.child(i))[0]
+            outs[i] = zcdp_known_cov_sample(data, R=1.0, alpha=0.1, eps=1.0, rng=rng.child(i))[0]
         band = 5.0 * math.sqrt(2.0 / (runs - 1))
         assert abs(outs.var(ddof=1) - 1.0) < band
         assert abs(outs.mean() - mu) < 5.0 / math.sqrt(runs) + 0.01
@@ -230,30 +232,34 @@ class TestZcdpKnownCov:
 
 class TestZcdpBoundedCov:
     def test_n1_equal_one_returns_first_row(self):
+        # the raw mechanism: no calibration gives sigma2 = 1e-12, nor backs n = 3
         data = VectorDataset(rows=[[1.0, 2.0], [5.0, 5.0], [-4.0, 3.0]])
-        out = zcdp_bounded_cov_sample(data, B=100.0, sigma2=1e-12, rng=RandomSource(7))
+        out = _bounded_cov_mechanism(data, B=100.0, sigma2=1e-12, rng=RandomSource(7))
         noise = math.sqrt(1e-12) * RandomSource(7).generator.standard_normal(2)
         np.testing.assert_allclose(out, np.array([1.0, 2.0]) + noise, rtol=0, atol=1e-12)
 
     def test_bad_split(self):
+        # eps = 100 takes n >= 3, so 4 rows pass the refusal and reach the split
         data = VectorDataset(rows=np.zeros((4, 2)))
         with pytest.raises(BadSplit):
-            zcdp_bounded_cov_sample(data, 1.0, 1.0, RandomSource(8))
+            zcdp_bounded_cov_sample(data, R=1.0, alpha=0.1, eps=100.0, rng=RandomSource(8))
 
     def test_moments_match_structure(self):
-        # no clipping, inputs N(mu, Sigma): mean mu, covariance sigma2*I + Sigma
+        # no clipping at B = R + 2.35, inputs N(mu, Sigma): mean mu, covariance
+        # sigma2*I + Sigma; eps = 1000 takes n >= 3, so 12 rows pass the refusal
         gen = np.random.default_rng(73)
         runs, q, d = 40_000, 4, 2
+        R, alpha, eps = 100.0, 0.5, 1000.0
         mu = np.array([0.5, -0.25])
         cov = np.array([[1.0, 0.3], [0.3, 0.5]])
-        sigma2 = 0.25
+        sigma2 = GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sigma2(d, alpha, 3 * q)
         chol = np.linalg.cholesky(cov)
         rng = RandomSource(74)
         outs = np.empty((runs, d))
         for i in range(runs):
             rows = mu + gen.standard_normal((3 * q, d)) @ chol.T
             outs[i] = zcdp_bounded_cov_sample(
-                VectorDataset(rows=rows), B=100.0, sigma2=sigma2, rng=rng.child(i)
+                VectorDataset(rows=rows), R=R, alpha=alpha, eps=eps, rng=rng.child(i)
             )
         expected_cov = sigma2 * np.eye(d) + cov
         mean_band = 5.0 * np.sqrt(np.diag(expected_cov) / runs)
@@ -328,12 +334,9 @@ class TestClippedStatMemo:
         for alpha in (0.1, 0.01):
             params = PureGaussianSamplerParams(R=1.0, d=2, alpha=alpha, eps=1.0)
             pure_gaussian_sample(data, params, RandomSource(2))
-            zcdp_known_cov_sample(data, 1.0, 1.0, alpha, RandomSource(3))
-            zcdp_bounded_cov_sample(
-                data, bounded_cov_clip_bound(2, 1.0, alpha),
-                GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sigma2(2, alpha, data.n),
-                RandomSource(4),
-            )
+            zcdp_known_cov_sample(data, R=1.0, alpha=alpha, eps=1.0, rng=RandomSource(3))
+            # eps = 100 takes n >= 3 at both tolerances, so the 30 rows are released
+            zcdp_bounded_cov_sample(data, R=1.0, alpha=alpha, eps=100.0, rng=RandomSource(4))
         stats = _STATS[data]
         assert len(stats) == 6
         for alpha in (0.1, 0.01):
@@ -406,9 +409,11 @@ class TestClippedStatMemo:
 
     @pytest.mark.parametrize("B", [-1.0, 0.0, math.nan, math.inf])
     def test_bounded_sampler_refuses_bad_B_before_the_memo(self, B):
+        # the raw mechanism: the memo is keyed by B, and the public sampler
+        # derives B from a checked R, so only here can a bad B arrive
         data = self._data(9)
         with pytest.raises(ValidationError, match="B must be finite and positive"):
-            zcdp_bounded_cov_sample(data, B, 0.1, RandomSource(10))
+            _bounded_cov_mechanism(data, B, 0.1, RandomSource(10))
         assert data not in _STATS
 
 
@@ -428,7 +433,7 @@ class TestZcdpValidation:
     def test_known_sampler_refuses_bad_eps(self, eps):
         data = VectorDataset(rows=np.ones((30, 2)))
         with pytest.raises(ValidationError, match="eps must be finite and positive"):
-            zcdp_known_cov_sample(data, 1.0, eps, 0.1, RandomSource(11))
+            zcdp_known_cov_sample(data, R=1.0, alpha=0.1, eps=eps, rng=RandomSource(11))
 
 
 class TestNonFiniteParameters:
@@ -506,6 +511,64 @@ class TestCalibrationTable:
         result = getattr(GAUSSIAN_CALIBRATIONS[variant], field)(*args)
         assert called[0] == args
         assert result == original(*args)
+
+    @pytest.mark.parametrize("variant, name", [
+        ("zcdp-known", "zcdp_known_cov_sample"), ("zcdp-bounded", "zcdp_bounded_cov_sample")])
+    def test_zcdp_releases_call_their_samplers_by_name(self, monkeypatch, variant, name):
+        original = getattr(dpsampler.gaussian, name)
+        called = []
+
+        def recording(data, **kwargs):
+            called.append(kwargs)
+            return original(data, **kwargs)
+
+        monkeypatch.setattr(dpsampler.gaussian, name, recording)
+        cal = GAUSSIAN_CALIBRATIONS[variant]
+        data = VectorDataset(rows=np.zeros((cal.n_per_call(1, 1.0, 0.1, 1.0), 1)))
+        rng = RandomSource(15)
+        out = cal.release(data, 1.0, 0.1, 1.0, rng)
+        assert called == [{"R": 1.0, "alpha": 0.1, "eps": 1.0, "rng": rng}]
+        assert np.array_equal(out, original(data, R=1.0, alpha=0.1, eps=1.0,
+                                            rng=RandomSource(15)))
+
+
+ZCDP_SAMPLERS = {"zcdp-known": zcdp_known_cov_sample, "zcdp-bounded": zcdp_bounded_cov_sample}
+
+
+class TestCalibratedReleases:
+    """Each zCDP sampler is its entry's release: refused below n_per_call, released at it."""
+
+    @pytest.mark.parametrize("variant", ZCDP_SAMPLERS)
+    def test_signature_is_keyword_only_after_data(self, variant):
+        sample = ZCDP_SAMPLERS[variant]
+        keyword = inspect.Parameter.KEYWORD_ONLY
+        assert [(p.name, p.kind) for p in inspect.signature(sample).parameters.values()] == [
+            ("data", inspect.Parameter.POSITIONAL_OR_KEYWORD), ("R", keyword),
+            ("alpha", keyword), ("eps", keyword), ("rng", keyword)]
+        data = VectorDataset(rows=np.zeros((1200, 2)))
+        with pytest.raises(TypeError):
+            sample(data, 1.0, 1.0, 0.1, RandomSource(1))  # the 0.9.0 (R, eps, alpha) order
+
+    @pytest.mark.parametrize("variant", ZCDP_SAMPLERS)
+    @pytest.mark.parametrize("d, R, alpha, eps", [
+        (1, 1.0, 0.1, 1.0), (2, 1.0, 0.1, 1.0), (4, 2.0, 0.05, 0.5)])
+    def test_refused_below_n_per_call_and_released_at_it(self, variant, d, R, alpha, eps):
+        sample, cal = ZCDP_SAMPLERS[variant], GAUSSIAN_CALIBRATIONS[variant]
+        needed = cal.n_per_call(d, R, alpha, eps)
+        rows = np.random.default_rng(needed).normal(size=(needed, d))
+        with pytest.raises(InsufficientData, match=f"n >= {needed}\\b"):
+            sample(VectorDataset(rows=rows[1:]), R=R, alpha=alpha, eps=eps, rng=RandomSource(2))
+        data = VectorDataset(rows=rows)
+        out = sample(data, R=R, alpha=alpha, eps=eps, rng=RandomSource(3))
+        assert out.shape == (d,)
+        assert np.array_equal(out, cal.release(data, R, alpha, eps, RandomSource(3)))
+
+    def test_pure_refuses_one_row_and_releases_at_two(self):
+        pure = GAUSSIAN_CALIBRATIONS["pure"]
+        with pytest.raises(InsufficientData, match="need n >= 2"):
+            pure.release(VectorDataset(rows=[[0.5]]), 1.0, 0.1, 1.0, RandomSource(4))
+        assert pure.release(VectorDataset(rows=[[0.5], [-0.5]]), 1.0, 0.1, 1.0,
+                            RandomSource(4)).shape == (1,)
 
 
 def _gaussian_renyi(delta_norm: float, sigma: float, order: float) -> float:

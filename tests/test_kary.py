@@ -9,13 +9,7 @@ from helpers import chi2_statistic
 import dpsampler.kary
 from dpsampler.core import KaryDataset, RandomSource, validate_categorical
 from dpsampler.divergences import tv_distance_finite
-from dpsampler.errors import (
-    InsufficientSamples,
-    OutOfDomain,
-    PrecisionLimit,
-    TooManyOutputs,
-    ValidationError,
-)
+from dpsampler.errors import InsufficientData, OutOfDomain, PrecisionLimit, ValidationError
 from dpsampler.kary import (
     KARY_CALIBRATIONS,
     RRParams,
@@ -115,7 +109,7 @@ class TestSubRR:
         assert subrr_eps0(math.e, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_eps0_boundary(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InsufficientData):
             subrr_eps0(0.01, 100)
 
     def test_single_record_matches_rr(self):
@@ -204,7 +198,7 @@ class TestShuRRCalibration:
         )
 
     def test_eps0_insufficient(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InsufficientData):
             shurr_eps0(0.5, 1e-6, 10)
 
     def test_eps0_monotone_in_n(self):
@@ -259,7 +253,7 @@ class TestShuRRRun:
 
     def test_too_many_outputs(self):
         data = KaryDataset(values=[1, 2, 3, 1, 2, 3], k=3)
-        with pytest.raises(TooManyOutputs):
+        with pytest.raises(InsufficientData, match="m=7 outputs from n=6"):
             shurr_run(data, 300.0, 0.5, m=7, rng=RandomSource(22))
 
     def test_no_outputs_rejected(self):
@@ -267,9 +261,14 @@ class TestShuRRRun:
         with pytest.raises(ValidationError, match="^m must be >= 1"):
             shurr_run(data, 300.0, 0.5, m=0, rng=RandomSource(22))
 
+    def test_fractional_outputs_rejected(self):
+        data = KaryDataset(values=[1, 2, 3, 1, 2, 3], k=3)
+        with pytest.raises(ValidationError, match="^m must be an integer, got 1.5$"):
+            shurr_run(data, 300.0, 0.5, m=1.5, rng=RandomSource(22))
+
     def test_insufficient_n(self):
         data = KaryDataset(values=[1, 2], k=2)
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InsufficientData):
             shurr_run(data, 0.5, 1e-6, m=1, rng=RandomSource(23))
 
     def test_position1_marginal_matches_mixture_oracle(self):
@@ -393,7 +392,7 @@ class TestShuRRMinN:
     def test_min_n_is_the_first_accepted_n(self, eps, delta):
         n = shurr_min_n(eps, delta)
         assert shurr_eps0(eps, delta, n) > 0
-        with pytest.raises(InsufficientSamples, match=f"need n >= {n} at"):
+        with pytest.raises(InsufficientData, match=f"need n >= {n} at"):
             shurr_eps0(eps, delta, n - 1)
 
     def test_frozen_value(self):
@@ -405,16 +404,16 @@ class TestShuRRMinN:
         # f^2 * n / ln(4/delta) lies in (1, 2] here, so ln(ratio - 1) would be negative
         ratio = shurr_f(1.0) ** 2 * 8_756 / math.log(4e6)
         assert 1.0 < ratio <= 2.0
-        with pytest.raises(InsufficientSamples, match="need n >= 11675 at"):
+        with pytest.raises(InsufficientData, match="need n >= 11675 at"):
             shurr_eps0(1.0, 1e-6, 8_756)
         data = KaryDataset(values=np.ones(8_756, dtype=np.int64), k=2)
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InsufficientData):
             shurr_run(data, 1.0, 1e-6, 1, RandomSource(28))
 
     def test_min_n_terminates_at_huge_n(self):
         n = shurr_min_n(1e-10, 1e-6)
         assert shurr_eps0(1e-10, 1e-6, n) > 0
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InsufficientData):
             shurr_eps0(1e-10, 1e-6, n - 1)
 
 

@@ -13,15 +13,16 @@ from dpsampler.errors import (
     DomainMismatch,
     InsufficientData,
     PrecisionLimit,
-    TooFewSamples,
+    ValidationError,
 )
-from dpsampler.gaussian import GAUSSIAN_CALIBRATIONS, bounded_cov_clip_bound, zcdp_bounded_cov_sample
+from dpsampler.gaussian import zcdp_bounded_cov_sample
 from dpsampler.kary import (
     shurr_strong_complexity,
     subrr_exact_output_dist,
     subrr_sample_complexity,
 )
 from dpsampler.multisampling import (
+    SamplerSpec,
     gaussian_sampler,
     pure_gaussian_sampler,
     repetition_complexity,
@@ -56,6 +57,38 @@ def recording(spec, calls):
 
 def index_rows(n):
     return VectorDataset(rows=np.arange(n))
+
+
+# each combinator, and the input size it consumes, as a call on (spec, m, data, rng)
+COMBINATORS = {
+    "repetition": lambda spec, m, data, rng: weak_via_repetition(spec, m, data, rng),
+    "precision": lambda spec, m, data, rng: strong_via_precision(spec, m, 0.5, data, rng),
+    "both": lambda spec, m, data, rng: strong_via_both(spec, m, 0.5, data, rng),
+    "repetition-size": lambda spec, m, data, rng: repetition_complexity(spec, m),
+    "both-size": lambda spec, m, data, rng: strong_both_complexity(spec, m, 0.5),
+}
+
+
+class TestCombinatorsCheckM:
+    @pytest.mark.parametrize("combinator", COMBINATORS)
+    @pytest.mark.parametrize("m, message", [
+        (0, "m must be >= 1, got 0"), (-3, "m must be >= 1, got -3"),
+        (1.5, "m must be an integer, got 1.5")])
+    def test_bad_m_refused_before_any_call(self, combinator, m, message):
+        calls = []
+        spec = SamplerSpec(alpha=0.5, n_per_call=lambda a: calls.append(a) or 1,
+                           run=lambda data, a, rng: calls.append(a))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            COMBINATORS[combinator](spec, m, index_rows(10), RandomSource(29))
+        assert calls == []
+
+    @pytest.mark.parametrize("combinator", ["repetition", "both"])
+    def test_integral_float_m_is_taken(self, combinator):
+        calls = []
+        spec = recording(subrr_sampler(k=3, eps=1.0, alpha=0.5), calls)
+        data = index_rows(2 * spec.n_per_call(0.25))
+        COMBINATORS[combinator](spec, 2.0, data, RandomSource(29))
+        assert len(calls) == 2
 
 
 class TestWeakViaRepetition:
@@ -236,14 +269,11 @@ class TestGaussianFactories:
         needed = spec.n_per_call(0.1)
         gen = np.random.default_rng(45)
         short = VectorDataset(rows=gen.normal(size=(needed - 3, 2)))
-        with pytest.raises(TooFewSamples, match=f"n >= {needed} rows; got n={needed - 3}"):
+        with pytest.raises(InsufficientData, match=f"n >= {needed} rows; got n={needed - 3}"):
             spec.run(short, 0.1, RandomSource(46))
-        # at its own n, a call draws what the sampler draws from the entry's B and sigma2
+        # at its own n, a call draws what the sampler draws
         data = VectorDataset(rows=gen.normal(size=(needed, 2)))
-        sigma2 = GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sigma2(2, 0.1, needed)
-        direct = zcdp_bounded_cov_sample(
-            data, bounded_cov_clip_bound(2, 1.0, 0.1), sigma2, RandomSource(47)
-        )
+        direct = zcdp_bounded_cov_sample(data, R=1.0, alpha=0.1, eps=1.0, rng=RandomSource(47))
         assert np.array_equal(spec.run(data, 0.1, RandomSource(47)), direct)
 
     @pytest.mark.parametrize("variant", ["pure", "zcdp-known", "zcdp-bounded"])

@@ -138,6 +138,37 @@ def test_report_guard_sees_constructions():
     assert _report_constructions(tree) == [("audit_x", 2), ("audit_x", 3)]
 
 
+def _raw_mechanism_calls(tree: ast.AST):
+    """(enclosing function, line) of each ``_bounded_cov_mechanism`` call, bare or qualified."""
+    return _calls_by_function(tree, lambda node: (
+        getattr(node.func, "id", None) == "_bounded_cov_mechanism"
+        or getattr(node.func, "attr", None) == "_bounded_cov_mechanism"
+    ))
+
+
+def test_raw_bounded_mechanism_is_called_only_by_its_release():
+    # the raw mechanism takes any B and sigma2, which no row count backs;
+    # zcdp_bounded_cov_sample calls it with its entry's numbers after refusing
+    # fewer rows than they are calibrated for, and only tests call it otherwise
+    root = Path(dpsampler.__file__).parent
+    offenders = [
+        f"{path.name}:{line} in {function}"
+        for path in sorted(root.glob("*.py")) + sorted(root.parents[1].glob("perfbench/*.py"))
+        for function, line in _raw_mechanism_calls(ast.parse(path.read_text()))
+        if (path.name, function) != ("gaussian.py", "zcdp_bounded_cov_sample")
+    ]
+    assert offenders == []
+
+
+def test_raw_mechanism_guard_sees_calls():
+    tree = ast.parse(
+        "def release(data, B, s2, rng):\n"
+        "    a = _bounded_cov_mechanism(data, B, s2, rng)\n"
+        "    return gaussian._bounded_cov_mechanism(data, B, s2, rng), _bounded_cov_mechanism\n"
+    )
+    assert _raw_mechanism_calls(tree) == [("release", 2), ("release", 3)]
+
+
 KARY_CALIBRATION_FUNCTIONS = {"subrr_eps0", "shurr_eps0", "shurr_f", "fmt_eps1"}
 COMPLEXITY_CALCULATORS = {
     "subrr_sample_complexity", "shurr_weak_complexity", "shurr_strong_complexity",

@@ -53,6 +53,12 @@ and the ELap witness's ``argmax_point`` (a copy of ``sum_a``) are gone.  So
 and ``gaussian-reports`` move through their audit reports; the audit
 RunReports' ``derived`` blocks keep their 0.8.0 bytes.  Every other 0.9.0
 digest is its 0.8.0 value.
+
+0.10.0 moves no stream.  It breaks the API: both zCDP samplers take
+``(data, *, R, alpha, eps, rng)``, the bounded one refuses fewer rows than its
+calibration takes, and its raw mechanism is the private
+``_bounded_cov_mechanism``, which the ``zcdp_bounded_cov_sample`` case now
+calls at its 0.9.0 B and sigma2.  Every 0.10.0 digest is its 0.9.0 value.
 """
 
 import hashlib
@@ -81,9 +87,9 @@ from dpsampler.elap import ELapParams, elap_sample
 from dpsampler.gaussian import (
     GAUSSIAN_CALIBRATIONS,
     PureGaussianSamplerParams,
+    _bounded_cov_mechanism,
     bounded_cov_clip_bound,
     pure_gaussian_sample,
-    zcdp_bounded_cov_sample,
     zcdp_known_cov_sample,
 )
 from dpsampler.kary import shurr_run, subrr_sample
@@ -357,6 +363,7 @@ DIGESTS = {
         }
     },
 }
+DIGESTS["0.10.0"] = DIGESTS["0.9.0"]  # 0.10.0 moves no stream
 
 
 def _sha(values, dtype: str) -> str:
@@ -401,15 +408,17 @@ def _pure(tmp_path):
 
 def _known(tmp_path):
     return _gaussian_calls(
-        lambda data, rng: zcdp_known_cov_sample(data, 1.0, 1.0, 0.1, rng), 22, 300
+        lambda data, rng: zcdp_known_cov_sample(data, R=1.0, alpha=0.1, eps=1.0, rng=rng), 22, 300
     )
 
 
 def _bounded(tmp_path):
+    # the raw mechanism: the public sampler refuses these 300 rows, fewer than
+    # the 1,128 its calibration takes at eps = 1, and the digest predates that
     sigma2 = GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sigma2(2, 0.1, 300)
     B = bounded_cov_clip_bound(2, 1.0, 0.1)
     return _gaussian_calls(
-        lambda data, rng: zcdp_bounded_cov_sample(data, B, sigma2, rng), 23, 300
+        lambda data, rng: _bounded_cov_mechanism(data, B, sigma2, rng), 23, 300
     )
 
 
