@@ -7,7 +7,7 @@ audit suite that measures the realized privacy loss against the claimed
 budget.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .core import (
     CategoricalDist,

@@ -34,10 +34,26 @@ NORMALIZATION_TOL = 1e-12
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    arr = np.array(arr, copy=True)
+    """A private read-only copy of ``values`` as ``dtype``, made in one pass."""
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _narrowest_int(k: int) -> type:
+    """The narrowest signed integer type that holds every value in [1..k]."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if k <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _view(cls, **fields):
+    """A ``cls`` holding already-validated read-only fields, built without a copy or a check."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _check_finite_positive(name: str, value: float) -> None:
@@ -46,8 +62,12 @@ def _check_finite_positive(name: str, value: float) -> None:
 
 
 def _check_count(name: str, value, least: int) -> int:
-    """``value`` as an int, refused unless integral and >= ``least``; 4.0 counts as 4."""
-    if not (isinstance(value, numbers.Integral)
+    """``value`` as an int, refused unless integral and >= ``least``.
+
+    4.0 counts as 4; a bool is refused, though Python counts True as 1.
+    """
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
             or isinstance(value, numbers.Real) and float(value).is_integer()):
         raise ValidationError(f"{name} must be an integer, got {value}")
     if value < least:
@@ -115,13 +135,18 @@ def validate_categorical(probs) -> CategoricalDist:
 
 @dataclass(frozen=True, eq=False)
 class KaryDataset:
-    """n integer records in [1..k]."""
+    """n integer records in [1..k].
+
+    ``values`` is validated as int64 and then stored as a private read-only
+    copy in the narrowest signed integer type that holds k (int8 up to
+    k = 127), so cast it before arithmetic that can exceed k.
+    """
 
     values: np.ndarray
     k: int
 
     def __post_init__(self):
-        values = _frozen_array(self.values, np.int64)
+        values = np.asarray(self.values, dtype=np.int64)
         if values.ndim != 1 or values.size == 0:
             raise EmptyDataset("dataset needs at least one value")
         if self.k < 2:
@@ -130,18 +155,31 @@ class KaryDataset:
             raise OutOfDomain(
                 f"values must lie in [1..{self.k}], got range [{values.min()}, {values.max()}]"
             )
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen_array(values, _narrowest_int(self.k)))
 
     @property
     def n(self) -> int:
         return int(self.values.size)
 
     def counts(self) -> np.ndarray:
-        """Occurrence count of each element of [1..k]."""
-        return np.bincount(self.values, minlength=self.k + 1)[1:]
+        """Occurrence count of each element of [1..k].
+
+        ``bincount`` casts its input to intp, so the narrow values are binned
+        in chunks of at least k + 1: the cast copy stays near the size of the
+        result instead of 8 bytes per record, at O(n + k) work.
+        """
+        chunk = max(self.k + 1, 1 << 16)
+        total = np.zeros(self.k + 1, dtype=np.intp)
+        for start in range(0, self.n, chunk):
+            total += np.bincount(self.values[start:start + chunk], minlength=self.k + 1)
+        return total[1:]
 
     def subset(self, start: int, stop: int) -> "KaryDataset":
-        return KaryDataset(values=self.values[start:stop], k=self.k)
+        """Records ``[start:stop]`` as a read-only view of this dataset's values; no copy."""
+        values = self.values[start:stop]
+        if values.size == 0:
+            raise EmptyDataset(f"subset [{start}:{stop}] of {self.n} values is empty")
+        return _view(KaryDataset, values=values, k=self.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +211,11 @@ class VectorDataset:
         return int(self.rows.shape[1])
 
     def subset(self, start: int, stop: int) -> "VectorDataset":
-        return VectorDataset(rows=self.rows[start:stop])
+        """Rows ``[start:stop]`` as a read-only view of this dataset's rows; no copy."""
+        rows = self.rows[start:stop]
+        if rows.shape[0] == 0:
+            raise EmptyDataset(f"subset [{start}:{stop}] of {self.n} rows is empty")
+        return _view(VectorDataset, rows=rows)
 
 
 def empirical_dist(data: KaryDataset) -> CategoricalDist:

@@ -52,9 +52,13 @@ def _clip_rows(rows: np.ndarray, B: float) -> np.ndarray:
 
 # Pre-noise statistic of each Gaussian sampler, per dataset:
 # {data: {(variant, B): stat}}.  A VectorDataset's rows are a private read-only
-# copy and the dataclass hashes by identity, so an entry cannot go stale, and
-# the weak key drops it with its dataset.  Each entry is O(d); only the noise
-# is drawn per call.
+# copy, or a read-only view of one for a block from ``subset``, and the
+# dataclass hashes by identity, so an entry cannot go stale, and the weak key
+# drops it with its dataset.  The repetition combinators reuse their blocks
+# (``multisampling._BLOCKS``), so a block's statistic is computed once too.
+# Each entry is O(d); only the noise is drawn per call.  Each entry is stored
+# in one assignment: a race may compute a statistic twice, never store a
+# different one.
 _STATS: "weakref.WeakKeyDictionary[VectorDataset, dict]" = weakref.WeakKeyDictionary()
 
 

@@ -15,6 +15,7 @@ consumed by exactly one inner call.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -38,6 +39,27 @@ class SamplerSpec:
     run: Callable[[Any, float, RandomSource], Any]
 
 
+# The blocks repetition has cut from each dataset, per block size:
+# {data: {block: (first block, second block, ...)}}.  A block is a read-only
+# view of the dataset's private copy, so a stored one cannot go stale, and
+# handing out the same block objects on every call lets the Gaussian samplers'
+# per-dataset statistic cache hit.  The weak key drops the blocks with their
+# dataset.  Each tuple is built whole and stored in one assignment: a race may
+# cut a block twice, but never stores blocks in the wrong order.
+_BLOCKS: "weakref.WeakKeyDictionary[Any, dict[int, tuple]]" = weakref.WeakKeyDictionary()
+
+
+def _blocks(data, block: int, m: int) -> tuple:
+    """The first m consecutive blocks of ``block`` records of ``data``, cut once per dataset."""
+    cut = _BLOCKS.setdefault(data, {})
+    blocks = cut.get(block, ())
+    if len(blocks) < m:
+        blocks = cut[block] = blocks + tuple(
+            data.subset(i * block, (i + 1) * block) for i in range(len(blocks), m)
+        )
+    return blocks
+
+
 def weak_via_repetition(single: SamplerSpec, m: int, data, rng: RandomSource) -> list:
     """m i.i.d. outputs from m disjoint consecutive blocks of the input."""
     m = _check_count("m", m, 1)
@@ -46,11 +68,8 @@ def weak_via_repetition(single: SamplerSpec, m: int, data, rng: RandomSource) ->
         raise InsufficientData(
             f"need m*n = {m}*{block} = {m * block} records, got {data.n}"
         )
-    outputs = []
-    for i in range(m):
-        start, stop = i * block, (i + 1) * block
-        outputs.append(single.run(data.subset(start, stop), single.alpha, rng.child(i)))
-    return outputs
+    blocks = _blocks(data, block, m)
+    return [single.run(blocks[i], single.alpha, rng.child(i)) for i in range(m)]
 
 
 def strong_via_precision(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dpsampler.core import (
     write_kary_csv,
     write_vector_csv,
 )
+from dpsampler.elap import ELapParams
 from dpsampler.errors import (
     DPSamplerError,
     DomainTooSmall,
@@ -26,6 +28,8 @@ from dpsampler.errors import (
     OutOfDomain,
     ValidationError,
 )
+from dpsampler.kary import RRParams, rr_sample, shurr_run, subrr_sample
+from dpsampler.multisampling import repetition_complexity, subrr_sampler
 
 
 class TestValidateCategorical:
@@ -113,6 +117,101 @@ class TestDatasets:
         rows[37, 1] = bad
         with pytest.raises(ValidationError, match="row index 37"):
             VectorDataset(rows=rows)
+
+
+def _stored(data) -> np.ndarray:
+    return data.values if isinstance(data, KaryDataset) else data.rows
+
+
+def _ten_records(which: str):
+    """A k-ary or a vector dataset of ten records."""
+    if which == "kary":
+        return KaryDataset(values=np.arange(10) % 5 + 1, k=5)
+    return VectorDataset(rows=np.arange(20.0).reshape(10, 2))
+
+
+class TestSubsetViews:
+    @pytest.mark.parametrize("which", ["kary", "vector"])
+    def test_a_subset_is_a_read_only_view_of_its_parent(self, which):
+        data = _ten_records(which)
+        sub = _stored(data.subset(2, 7))
+        assert np.shares_memory(sub, _stored(data))
+        assert not sub.flags.writeable
+        with pytest.raises(ValueError):
+            sub[0] = 1
+        assert np.array_equal(sub, _stored(data)[2:7])
+
+    @pytest.mark.parametrize("which", ["kary", "vector"])
+    @pytest.mark.parametrize("start, stop", [(-3, None), (-4, -1), (8, 100), (-100, 2), (0, 10)])
+    def test_bounds_follow_numpy_slicing(self, which, start, stop):
+        data = _ten_records(which)
+        sub = data.subset(start, stop)
+        want = _stored(data)[start:stop]
+        assert _stored(sub).dtype == want.dtype and np.array_equal(_stored(sub), want)
+        assert sub.n == len(want)
+        assert (sub.k == data.k) if which == "kary" else (sub.d == data.d)
+
+    @pytest.mark.parametrize("which", ["kary", "vector"])
+    @pytest.mark.parametrize("start, stop", [(3, 3), (5, 2), (10, 20), (-1, -1)])
+    def test_an_empty_range_is_refused(self, which, start, stop):
+        with pytest.raises(EmptyDataset, match="is empty"):
+            _ten_records(which).subset(start, stop)
+
+
+class TestNarrowKaryStorage:
+    @pytest.mark.parametrize("k, dtype", [
+        (2, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+        (2**31 - 1, np.int32), (2**31, np.int64), (2**70, np.int64)])
+    def test_values_take_the_narrowest_signed_type_holding_k(self, k, dtype):
+        values = np.array([1, min(k, 2**63 - 1), 2], dtype=np.int64)
+        data = KaryDataset(values=values, k=k)
+        assert data.values.dtype == dtype
+        assert not data.values.flags.writeable
+        assert data.values.tolist() == values.tolist()
+
+    @pytest.mark.parametrize("k, n", [(3, 10), (10, 200_001), (300, 1 << 16), (70_000, 140_001)])
+    def test_counts_match_bincount_of_the_int64_values(self, k, n):
+        values = np.random.default_rng(k).integers(1, k + 1, size=n)
+        assert np.array_equal(KaryDataset(values=values, k=k).counts(),
+                              np.bincount(values, minlength=k + 1)[1:])
+
+    def test_counts_cast_no_more_than_a_chunk_at_a_time(self):
+        data = KaryDataset(values=np.arange(10**6) % 10 + 1, k=10)
+        tracemalloc.start()
+        try:
+            counts = data.counts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.tolist() == [10**5] * 10
+        # an intp copy of every record would be 8 MB
+        assert peak < 2**20
+
+    def test_values_are_a_private_copy(self):
+        values = np.array([1, 2, 3], dtype=np.int8)
+        data = KaryDataset(values=values, k=3)
+        values[0] = 3
+        assert data.values.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("k, bad", [
+        (10, 0), (10, -1), (10, 300), (10, 261), (10, 2**40), (2**31 - 1, 2**32 + 3)],
+        ids=["zero", "negative", "300", "wraps-to-5-in-int8", "2^40", "wraps-to-3-in-int32"])
+    def test_out_of_domain_is_checked_before_narrowing(self, k, bad):
+        # the message names the unwrapped value
+        with pytest.raises(OutOfDomain, match=f"got range \\[{min(1, bad)}, {max(2, bad)}\\]$"):
+            KaryDataset(values=[1, bad, 2], k=k)
+
+    def test_samplers_keep_their_output_types(self):
+        data = KaryDataset(values=np.arange(200) % 4 + 1, k=4)
+        assert data.values.dtype == np.int8
+        out = shurr_run(data, 300.0, 0.5, 20, RandomSource(1))
+        assert type(out) is np.ndarray and out.dtype == np.int64 and out.shape == (20,)
+        assert type(subrr_sample(data, 1.0, RandomSource(2))) is int
+        assert data.counts().tolist() == [50, 50, 50, 50]
+        params = RRParams(eps0=1.0, k=4)
+        assert type(rr_sample(int(data.values[0]), params, RandomSource(3))) is int
+        many = rr_sample(int(data.values[0]), params, RandomSource(3), size=5)
+        assert many.dtype == np.int64 and many.shape == (5,)
 
 
 def _norm_inputs(d: int):
@@ -226,6 +325,25 @@ class TestRandomSource:
         assert np.array_equal(draws(RandomSource(7).child(3.0)), draws(RandomSource(7).child(3)))
         assert RandomSource(7.0).seed == 7 and RandomSource(7).child(3.0).key == (3,)
         assert draws(RandomSource(2**64)).shape == (5,)
+
+
+# calls that check a count with core._check_count, by the count's name: each
+# returns the count it kept
+COUNT_CALLS = {
+    "seed": lambda v: RandomSource(v).seed,
+    "child index": lambda v: RandomSource(1).child(v).key[-1],
+    "d": lambda v: ELapParams(d=v, b=1.0).d,
+    # 81 records a call
+    "m": lambda v: repetition_complexity(subrr_sampler(k=10, eps=1.0, alpha=0.1), v) // 81,
+}
+
+
+@pytest.mark.parametrize("name", COUNT_CALLS)
+def test_counts_refuse_booleans_and_take_integral_floats(name):
+    for flag in (True, np.True_):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got True$"):
+            COUNT_CALLS[name](flag)
+    assert COUNT_CALLS[name](4.0) == 4 and type(COUNT_CALLS[name](4.0)) is int
 
 
 class TestCsvIO:

@@ -1,4 +1,8 @@
+import concurrent.futures
+import gc
 import math
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,13 +19,15 @@ from dpsampler.errors import (
     PrecisionLimit,
     ValidationError,
 )
-from dpsampler.gaussian import zcdp_bounded_cov_sample
+import dpsampler.gaussian
+from dpsampler.gaussian import _STATS, _clip_rows, zcdp_bounded_cov_sample
 from dpsampler.kary import (
     shurr_strong_complexity,
     subrr_exact_output_dist,
     subrr_sample_complexity,
 )
 from dpsampler.multisampling import (
+    _BLOCKS,
     SamplerSpec,
     gaussian_sampler,
     pure_gaussian_sampler,
@@ -282,3 +288,106 @@ class TestGaussianFactories:
         rows = np.random.default_rng(48).normal(size=(spec.n_per_call(0.1), 1))
         with pytest.raises(DimensionMismatch, match="data dimension 1 != sampler dimension 3"):
             spec.run(VectorDataset(rows=rows), 0.1, RandomSource(49))
+
+
+# repeated block releases on one dataset, per combinator: the rows they need,
+# their block count, and the call on (data, rng)
+REPEATED = {
+    "both-pure": (129, 3, lambda data, rng: strong_via_both(
+        pure_gaussian_sampler(d=1, R=1.0, eps=5.0, alpha=0.3), 3, 0.3, data, rng)),
+    "repetition-zcdp-known": (20, 4, lambda data, rng: weak_via_repetition(
+        zcdp_known_cov_sampler(d=2, R=1.0, eps=2.0, alpha=0.2), 4, data, rng)),
+    "repetition-zcdp-bounded": (468, 4, lambda data, rng: weak_via_repetition(
+        zcdp_bounded_cov_sampler(d=2, R=1.0, eps=2.0, alpha=0.2), 4, data, rng)),
+}
+
+
+def _rows(case, seed):
+    n = REPEATED[case][0]
+    d = 1 if case == "both-pure" else 2
+    return 3.0 * np.random.default_rng(seed).standard_normal((n, d))
+
+
+class TestBlockReuse:
+    @pytest.mark.parametrize("case", REPEATED)
+    def test_repeated_calls_clip_each_block_once_and_match_fresh_copies(
+            self, monkeypatch, case):
+        clipped = []
+
+        def counting_clip_rows(rows, B):
+            clipped.append(rows.__array_interface__["data"][0])
+            return _clip_rows(rows, B)
+
+        monkeypatch.setattr(dpsampler.gaussian, "_clip_rows", counting_clip_rows)
+        rows = _rows(case, 50)
+        data = VectorDataset(rows=rows)
+        _, blocks, release = REPEATED[case]
+        for i in range(5):
+            out = release(data, RandomSource(51).child(i))
+            fresh = release(VectorDataset(rows=rows), RandomSource(51).child(i))
+            assert np.asarray(out).tobytes() == np.asarray(fresh).tobytes()
+        # five calls on the shared dataset clip each block once; each fresh copy
+        # clips all of its blocks
+        assert len(clipped) == blocks + 5 * blocks
+        shared = clipped[:blocks]
+        assert len(set(shared)) == blocks
+        assert not set(shared) & set(clipped[blocks:])
+
+    @pytest.mark.parametrize("case", REPEATED)
+    def test_blocks_and_their_statistics_die_with_the_dataset(self, case):
+        gc.collect()
+        blocks_before, stats_before = len(_BLOCKS), len(_STATS)
+        _, count, release = REPEATED[case]
+        data = VectorDataset(rows=_rows(case, 52))
+        release(data, RandomSource(53))
+        (blocks,) = _BLOCKS[data].values()
+        assert len(blocks) == count
+        assert all(block in _STATS for block in blocks)
+        assert len(_BLOCKS) == blocks_before + 1
+        assert len(_STATS) == stats_before + count
+        refs = [weakref.ref(block) for block in blocks]
+        del data, blocks
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert (len(_BLOCKS), len(_STATS)) == (blocks_before, stats_before)
+
+    def test_more_blocks_extend_the_cut_ones(self):
+        spec = zcdp_known_cov_sampler(d=2, R=1.0, eps=2.0, alpha=0.2)
+        data = VectorDataset(rows=_rows("repetition-zcdp-known", 54))
+        weak_via_repetition(spec, 2, data, RandomSource(55))
+        (first,) = _BLOCKS[data].values()
+        weak_via_repetition(spec, 4, data, RandomSource(55))
+        weak_via_repetition(spec, 3, data, RandomSource(55))
+        (blocks,) = _BLOCKS[data].values()
+        assert len(blocks) == 4 and blocks[:2] == first
+        size = spec.n_per_call(0.2)
+        for i, block in enumerate(blocks):
+            assert np.shares_memory(block.rows, data.rows)
+            assert np.array_equal(block.rows, data.rows[i * size:(i + 1) * size])
+
+    def test_threads_sharing_datasets_get_the_serial_outputs(self):
+        # a race may cut a block or compute a statistic twice, never store a wrong one
+        rows = [_rows("repetition-zcdp-bounded", s) for s in range(4)]
+        known = REPEATED["repetition-zcdp-known"][2]
+        bounded = REPEATED["repetition-zcdp-bounded"][2]
+
+        def releases(shared):
+            out = []
+            for i in range(24):
+                data = shared[i % 4] if shared else VectorDataset(rows=rows[i % 4])
+                rng = RandomSource(56).child(i)
+                out.append(known(data, rng.child(0)) + bounded(data, rng.child(1)))
+            return np.array(out)
+
+        expected = releases(None)
+        shared = [VectorDataset(rows=r) for r in rows]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(releases, shared if t % 2 else None) for t in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert np.array_equal(result, expected)

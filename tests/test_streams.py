@@ -59,6 +59,13 @@ digest is its 0.8.0 value.
 calibration takes, and its raw mechanism is the private
 ``_bounded_cov_mechanism``, which the ``zcdp_bounded_cov_sample`` case now
 calls at its 0.9.0 B and sigma2.  Every 0.10.0 digest is its 0.9.0 value.
+
+0.11.0 moves no stream.  It changes the API: ``KaryDataset.values`` is stored
+in the narrowest signed integer type that holds k (int8 up to k = 127), and
+``subset`` returns a read-only view of its dataset's private copy instead of a
+validated copy.  The repetition combinators reuse those views across calls, so
+a block's clipped statistic is computed once; the draws and the statistics
+they are added to keep their bits.  Every 0.11.0 digest is its 0.10.0 value.
 """
 
 import hashlib
@@ -364,6 +371,7 @@ DIGESTS = {
     },
 }
 DIGESTS["0.10.0"] = DIGESTS["0.9.0"]  # 0.10.0 moves no stream
+DIGESTS["0.11.0"] = DIGESTS["0.10.0"]  # 0.11.0 moves no stream
 
 
 def _sha(values, dtype: str) -> str:
