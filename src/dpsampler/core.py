@@ -61,7 +61,7 @@ def _check_finite_positive(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
-def _check_count(name: str, value, least: int) -> int:
+def _check_count(name: str, value, least: float) -> int:
     """``value`` as an int, refused unless integral and >= ``least``.
 
     4.0 counts as 4; a bool is refused, though Python counts True as 1.
@@ -137,9 +137,10 @@ def validate_categorical(probs) -> CategoricalDist:
 class KaryDataset:
     """n integer records in [1..k].
 
-    ``values`` is validated as int64 and then stored as a private read-only
-    copy in the narrowest signed integer type that holds k (int8 up to
-    k = 127), so cast it before arithmetic that can exceed k.
+    ``k`` is an integer >= 2; an integral float such as 3.0 is stored as
+    the int 3.  ``values`` is validated as int64 and then stored as a
+    private read-only copy in the narrowest signed integer type that holds
+    k (int8 up to k = 127), so cast it before arithmetic that can exceed k.
     """
 
     values: np.ndarray
@@ -149,13 +150,15 @@ class KaryDataset:
         values = np.asarray(self.values, dtype=np.int64)
         if values.ndim != 1 or values.size == 0:
             raise EmptyDataset("dataset needs at least one value")
-        if self.k < 2:
-            raise DomainTooSmall(f"k must be >= 2, got {self.k}")
-        if values.min() < 1 or values.max() > self.k:
+        k = _check_count("k", self.k, -math.inf)
+        if k < 2:
+            raise DomainTooSmall(f"k must be >= 2, got {k}")
+        if values.min() < 1 or values.max() > k:
             raise OutOfDomain(
-                f"values must lie in [1..{self.k}], got range [{values.min()}, {values.max()}]"
+                f"values must lie in [1..{k}], got range [{values.min()}, {values.max()}]"
             )
-        object.__setattr__(self, "values", _frozen_array(values, _narrowest_int(self.k)))
+        object.__setattr__(self, "values", _frozen_array(values, _narrowest_int(k)))
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -294,19 +297,25 @@ class RandomSource:
 # Files are UTF-8 text, and a leading byte-order mark is dropped before either
 # path reads them.  ``_data_lines`` and the ``csv`` module define the
 # format.  A file whose bytes all lie in the format's plain alphabet below (so
-# no header, quotes or spaces) is parsed in one C-level numpy text pass
-# instead; numpy parses each cell with the same rules as ``int``/``float``.
-# Counting its cells against the file's nonblank lines decides whether that
-# pass stands: a parse that stops early, a blank cell or a ragged row falls
-# back to the ``csv`` path, as does a k-ary value at the int64 maximum, where
-# numpy saturates on overflow.  So both paths accept the same files and
-# return the same datasets.
+# no header, quotes or spaces) is parsed by numpy instead.  A k-ary file is
+# read by a digit pass over chunks of the bytes, in which every nonblank line
+# is one cell; a cell wider than ``_WIDEST_CELL`` digits falls back to the
+# ``csv`` path, which handles leading zeros and the int64 range.  A vector
+# file is read in one C-level numpy text pass, which parses each cell with
+# the same rules as ``float``; counting its cells against the file's nonblank
+# lines decides whether that pass stands: a parse that stops early, a blank
+# cell or a ragged row falls back to the ``csv`` path.  So both paths accept
+# the same files and return the same datasets.
 
-# no sign: numpy parses a lone "+" or "-" as the int 0
+# digits and line breaks only: the digit pass takes every byte below "0" for a break
 _KARY_BYTES = b"0123456789\r\n"
 _VECTOR_BYTES = b"0123456789.eE+-,\r\n"
 _COMMAS_TO_SPACES = bytes.maketrans(b",", b" ")
-_INT64_MAX = np.iinfo(np.int64).max
+# Whole-file temporaries of a few MB are mapped by malloc and page-faulted
+# afresh on every read; chunk-sized ones stay on the heap.
+_CHUNK_BYTES = 1 << 16
+# every run of this many digits fits int64
+_WIDEST_CELL = 18
 
 
 def _read_bytes(path) -> bytes:
@@ -331,8 +340,7 @@ def _line_starts(raw: bytes) -> np.ndarray:
 def _cells(text: bytes, dtype) -> np.ndarray | None:
     """The whitespace-separated cells of ``text`` in one numpy pass, or None if it stops early.
 
-    Whitespace alone parses to one garbage cell, and an int64 overflow
-    saturates at the maximum; callers check for both.
+    Whitespace alone parses to one garbage cell; callers check for it.
     """
     with warnings.catch_warnings():
         # older numpy warns instead of raising and returns the cells read so
@@ -345,15 +353,54 @@ def _cells(text: bytes, dtype) -> np.ndarray | None:
             return None
 
 
+def _chunk_ints(chunk: np.ndarray) -> np.ndarray | None:
+    """The cells of a chunk of digit and line-break bytes, or None if one is too wide.
+
+    The chunk must not start or end inside a cell.  A cell ends at a digit
+    that no digit follows, and its value is the sum over its digits of
+    d * 10^j, j being the digit's distance from that end.
+    """
+    is_digit = chunk >= 48  # the alphabet's other bytes are "\r" and "\n"
+    last = is_digit.copy()
+    last[:-1] &= ~is_digit[1:]
+    # runs[j][q]: bytes q..q+j are all digits
+    runs = [is_digit]
+    while runs[-1].any():
+        if len(runs) > _WIDEST_CELL:
+            return None
+        runs.append(runs[-1][1:] & is_digit[:-len(runs)])
+    widest = len(runs) - 1
+    # the narrowest unsigned type that holds every run of that many digits
+    digits = ((chunk - 48) * is_digit).astype(np.min_scalar_type(10**widest - 1), copy=False)
+    values = digits.copy()
+    for j in range(1, widest):
+        values[j:] += digits[:-j] * runs[j] * 10**j
+    return values[np.flatnonzero(last)]
+
+
 def _plain_ints(raw: bytes) -> np.ndarray | None:
-    """The k-ary values of a plain-alphabet file in one numpy pass, else None."""
+    """The k-ary values of a plain-alphabet file as int64, or None to leave it to the csv path."""
     if raw.translate(None, _KARY_BYTES):
         return None
-    lines = np.count_nonzero(_line_starts(raw))
-    values = _cells(raw, np.int64) if lines else None
-    if values is None or values.size != lines or values.max() == _INT64_MAX:
+    data = np.frombuffer(raw, np.uint8)
+    parts = []
+    start = 0
+    while start < data.size:
+        stop = start + _CHUNK_BYTES
+        if stop < data.size:
+            # cut after the chunk's last line break; none means a cell too wide
+            stop = max(raw.rfind(b"\n", start, stop), raw.rfind(b"\r", start, stop)) + 1
+            if stop <= start:
+                return None
+        cells = _chunk_ints(data[start:stop])
+        if cells is None:
+            return None
+        parts.append(cells)
+        start = stop
+    if not parts:
         return None
-    return values
+    values = np.concatenate(parts, dtype=np.int64, casting="unsafe")
+    return values if values.size else None
 
 
 def _plain_vectors(raw: bytes) -> np.ndarray | None:

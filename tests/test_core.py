@@ -95,6 +95,24 @@ class TestDatasets:
         with pytest.raises(EmptyDataset):
             KaryDataset(values=[], k=2)
 
+    @pytest.mark.parametrize("via", ["constructor", "reader"])
+    @pytest.mark.parametrize("k", [2.5, float("nan"), float("inf"), True, "3"])
+    def test_kary_k_must_be_an_integer(self, tmp_path, via, k):
+        with pytest.raises(ValidationError, match="^k must be an integer"):
+            _kary_with_k(tmp_path, via, k)
+
+    @pytest.mark.parametrize("via", ["constructor", "reader"])
+    def test_kary_integral_float_k_is_stored_as_int(self, tmp_path, via):
+        data = _kary_with_k(tmp_path, via, 3.0)
+        assert data.k == 3 and type(data.k) is int
+        assert empirical_dist(data).probs.tolist() == [0.5, 0.5, 0.0]
+
+    @pytest.mark.parametrize("via", ["constructor", "reader"])
+    @pytest.mark.parametrize("k", [1, 0, -2, 1.0])
+    def test_kary_k_below_two_is_too_small(self, tmp_path, via, k):
+        with pytest.raises(DomainTooSmall, match=f"^k must be >= 2, got {int(k)}$"):
+            _kary_with_k(tmp_path, via, k)
+
     def test_kary_subset(self):
         data = KaryDataset(values=[1, 2, 3, 1], k=3)
         sub = data.subset(1, 3)
@@ -117,6 +135,15 @@ class TestDatasets:
         rows[37, 1] = bad
         with pytest.raises(ValidationError, match="row index 37"):
             VectorDataset(rows=rows)
+
+
+def _kary_with_k(tmp_path, via: str, k):
+    """The records [1, 2] with domain size ``k``, built directly or read from a file."""
+    if via == "constructor":
+        return KaryDataset(values=[1, 2], k=k)
+    path = tmp_path / "data.csv"
+    write_kary_csv(path, [1, 2])
+    return read_kary_csv(path, k=k)
 
 
 def _stored(data) -> np.ndarray:
@@ -412,6 +439,9 @@ AWKWARD_FILES = {
     "inf": b"1.0\ninf\n",
     "overflow-to-inf": b"1e400\n2\n",
     "leading-zeros": b"007\n3\n",
+    "wide-leading-zeros": b"0000000000000000000000000000007\n3\n",
+    "eighteen-digits": b"999999999999999999\n1\n",
+    "int64-max-minus-one": b"9223372036854775806\n1\n",
     "plus-sign": b"+1\n2\n",
     "float-spellings": b".5\n5.\n1e+05\n",
     "signed-vector": b"-1.5,-2e-3\n+3,4E2\n",
@@ -487,6 +517,31 @@ def _wide_floats(gen, shape):
     return x
 
 
+_LINE_BREAKS = [b"\n", b"\r\n", b"\r", b"\n\n", b"\r\n\r\n", b"\r\r"]
+
+
+def _digit_cells(gen, n: int, widest: int) -> list[bytes]:
+    """n nonzero integers of 1 to ``widest`` digits, mostly short; some have leading zeros."""
+    widths = np.where(gen.random(n) < 0.9, gen.integers(1, 4, n), gen.integers(1, widest + 1, n))
+    widths = np.minimum(widths, widest)
+    ends = np.cumsum(widths)
+    digits = gen.integers(ord("0"), ord("9") + 1, ends[-1], dtype=np.uint8)
+    digits[ends - 1] = gen.integers(ord("1"), ord("9") + 1, n)
+    starts = ends - widths
+    padded = starts[(widths > 1) & (gen.random(n) < 0.1)]
+    digits[padded] = ord("0")
+    text = digits.tobytes()
+    return [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+def _kary_file(gen, size: int, widest: int) -> bytearray:
+    """About ``size`` bytes of k-ary cells, each followed by one of ``_LINE_BREAKS``."""
+    n = size // 4
+    cells = _digit_cells(gen, n, widest)
+    breaks = gen.integers(0, len(_LINE_BREAKS), n).tolist()
+    return bytearray(b"".join(cell + _LINE_BREAKS[j] for cell, j in zip(cells, breaks)))
+
+
 class TestCsvFastPath:
     @pytest.mark.parametrize("name", sorted(AWKWARD_FILES))
     def test_matches_csv_path(self, tmp_path, monkeypatch, name):
@@ -538,15 +593,16 @@ class TestCsvFastPath:
             else:
                 assert parsed is not None, token
                 assert parsed.tobytes() == np.float64(expected).tobytes(), token
-        # the k-ary alphabet's cells are digits only
+        # the k-ary alphabet's cells are digits only, read by the digit pass
+        # up to 18 digits wide
         ints = ["".join(chars) for size in range(1, 7) for chars in itertools.product("0159", repeat=size)]
-        ints += ["0" * 30 + "7", "9223372036854775806", "9223372036854775807"]
+        ints += ["9" * 18, "0" * 17 + "7", "1" + "0" * 17]
         for token in ints:
-            assert dpsampler.core._cells(token.encode(), np.int64).tolist() == [int(token)], token
-        # past the int64 range numpy saturates instead of failing, so the
-        # reader takes the maximum itself as a possible overflow
-        for token in ["9223372036854775808", "18446744073709551616", "9" * 30]:
-            assert dpsampler.core._cells(token.encode(), np.int64).tolist() == [2**63 - 1], token
+            assert dpsampler.core._plain_ints(token.encode()).tolist() == [int(token)], token
+        # a wider cell, which may exceed int64, is left to the csv path
+        for token in ["0" * 30 + "7", "1" + "0" * 18, "9223372036854775806", "9223372036854775807",
+                      "9223372036854775808", "18446744073709551616", "9" * 30]:
+            assert dpsampler.core._plain_ints(token.encode()) is None, token
         # numpy reads a lone sign as the int 0, which int() refuses; so the
         # k-ary alphabet admits no sign, and a signed value takes the csv path
         for token in ["+", "-"]:
@@ -567,7 +623,10 @@ class TestCsvFastPath:
             raise AssertionError("csv.reader called")
 
         monkeypatch.setattr(dpsampler.core.csv, "reader", refuse)
-        assert read_kary_csv(kary).values.tolist() == values.tolist()
+        with monkeypatch.context() as patch:
+            # k-ary files take the digit pass, not numpy's text parser
+            patch.setattr(dpsampler.core.np, "fromstring", refuse)
+            assert read_kary_csv(kary).values.tolist() == values.tolist()
         assert read_vector_csv(vector).rows.tobytes() == rows.tobytes()
         with pytest.raises(AssertionError, match="csv.reader called"):
             read_kary_csv(header)
@@ -590,6 +649,44 @@ class TestCsvFastPath:
                 plain[1] += dpsampler.core._plain_vectors(raw) is not None
         # each one-pass reader must accept a good share, or this compares little
         assert min(plain) > 1000
+
+    def test_multi_chunk_kary_files_match_csv_path(self, tmp_path, monkeypatch):
+        # cells of 1 to 20 digits, some with leading zeros, between mixed line
+        # breaks and blank lines, over up to four chunks, with a cell placed at
+        # every chunk's nominal end
+        gen = np.random.default_rng(95)
+        chunk, plain = dpsampler.core._CHUNK_BYTES, 0
+        for i, widest in enumerate([2, 4, 9, 18, 19, 20] * 2):
+            raw = _kary_file(gen, 2**10 * (210 if i == 0 else int(gen.integers(16, 211))), widest)
+            start = 0
+            while start + chunk < len(raw):
+                end = start + chunk
+                cell = _digit_cells(gen, 1, widest)[0]
+                at = end - int(gen.integers(0, len(cell) + 1))
+                raw[at - 1:at + len(cell) + 1] = b"\n" + cell + b"\r"
+                start = max(raw.rfind(b"\n", start, end), raw.rfind(b"\r", start, end)) + 1
+            path = tmp_path / f"fuzz{i}.csv"
+            path.write_bytes(raw)
+            default, csv_only = _both_paths(monkeypatch, path)
+            assert default == csv_only, (i, widest)
+            plain += dpsampler.core._plain_ints(bytes(raw)) is not None
+        # files whose cells all have at most 18 digits take the digit pass
+        assert plain >= 8
+
+    def test_kary_read_keeps_its_temporaries_chunk_sized(self, tmp_path):
+        n = 300_000
+        values = np.random.default_rng(96).integers(1, 11, n)
+        path = tmp_path / "k.csv"
+        write_kary_csv(path, values)
+        tracemalloc.start()
+        try:
+            data = read_kary_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.values.tolist() == values.tolist()
+        # a whole-file temporary per byte would add 1 to 8 bytes per file byte
+        assert peak < 8 * n + 2**21
 
 
 class TestCsvWriters:
