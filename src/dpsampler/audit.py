@@ -21,7 +21,14 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import CategoricalDist, PrivacyBudget, RandomSource, _check_finite_positive, _row_norms
+from .core import (
+    CategoricalDist,
+    PrivacyBudget,
+    RandomSource,
+    _check_count,
+    _check_finite_positive,
+    _row_norms,
+)
 from .divergences import eps_delta_closeness
 from .errors import EmptyDataset, ValidationError
 from .gaussian import GAUSSIAN_CALIBRATIONS, gaussian_calibration
@@ -234,7 +241,8 @@ def audit_elap_mechanism(
     the audit states that maximum in closed form, evaluates the ratio at the
     witness y = S, and binds it to the realized shift: ``bound`` is
     ||S - S'||/b, not the claimed eps.  The scale b is the pure sampler's,
-    read from its calibration entry; any d >= 1 is audited.
+    read from its calibration entry; any integer d >= 1 is audited, and d = 2.0
+    is taken as 2.
     ``details["bare_eps_ok"]`` is false when ||S - S'|| exceeds B, i.e. when
     passing the realized-shift bound does not certify the bare eps claim.
 
@@ -242,8 +250,7 @@ def audit_elap_mechanism(
     the value.  The rng draws only the shared rows and, when ``differing_rows``
     is not given, the differing pair.
     """
-    if d < 1:
-        raise ValidationError(f"the ELap audit needs d >= 1, got {d}")
+    d = _check_count("d", d, 1)
     _check_finite_positive("B", B)
     _check_finite_positive("eps", eps)
     b = GAUSSIAN_CALIBRATIONS["pure"].elap_scale(B, eps)

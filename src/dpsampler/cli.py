@@ -108,11 +108,11 @@ def _run_sample_kary(params):
         # each combinator refuses a bad m before the report divides alpha by it
         (alpha, m) = (params["alpha"], params["m"])
         if mode == "precision":
-            spec = shurr_sampler(data.k, eps, params["delta"], m, alpha)
+            spec = shurr_sampler(data.k, alpha=alpha, eps=eps, delta=params["delta"], m=m)
             outputs = strong_via_precision(spec, m, alpha, data, rng)
             derived["n_required"] = spec.n_per_call(alpha / m)
         else:
-            spec = subrr_sampler(data.k, eps, alpha)
+            spec = subrr_sampler(data.k, alpha=alpha, eps=eps)
             outputs = (weak_via_repetition(spec, m, data, rng) if mode == "repeat"
                        else strong_via_both(spec, m, alpha, data, rng))
             derived["n_per_call"] = spec.n_per_call(alpha if mode == "repeat" else alpha / m)
@@ -132,7 +132,7 @@ def _run_sample_gaussian(params):
     if params["dim"] is not None and params["dim"] != data.d:
         raise ConfigInvalid(f"--dim {params['dim']} does not match data dimension {data.d}")
     rng = RandomSource(params["seed"])
-    spec = gaussian_sampler(variant, data.d, R, params["eps"], alpha)
+    spec = gaussian_sampler(variant, data.d, R, alpha=alpha, eps=params["eps"])
     derived = {"d": data.d, "n": data.n}
 
     if mode == "once":

@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     DomainTooSmall,
     EmptyDataset,
+    InvalidAlpha,
     NegativeMass,
     NotNormalized,
     OutOfDomain,
@@ -73,6 +74,19 @@ def _check_count(name: str, value, least: float) -> int:
     if value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _check_domain_size(k) -> int:
+    """Domain size ``k`` as an int; refused if not integral, and as ``DomainTooSmall`` below 2."""
+    k = _check_count("k", k, -math.inf)
+    if k < 2:
+        raise DomainTooSmall(f"k must be >= 2, got {k}")
+    return k
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
 
 
 def _row_norms(rows: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
@@ -150,9 +164,7 @@ class KaryDataset:
         values = np.asarray(self.values, dtype=np.int64)
         if values.ndim != 1 or values.size == 0:
             raise EmptyDataset("dataset needs at least one value")
-        k = _check_count("k", self.k, -math.inf)
-        if k < 2:
-            raise DomainTooSmall(f"k must be >= 2, got {k}")
+        k = _check_domain_size(self.k)
         if values.min() < 1 or values.max() > k:
             raise OutOfDomain(
                 f"values must lie in [1..{k}], got range [{values.min()}, {values.max()}]"

@@ -20,14 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, _check_count, _check_finite_positive, _row_norms
-from .errors import (
-    DimensionMismatch,
-    InvalidAlpha,
-    NonIntegerShape,
-    PrecisionLimit,
-    ValidationError,
-)
+from .core import RandomSource, _check_alpha, _check_count, _check_finite_positive, _row_norms
+from .errors import DimensionMismatch, NonIntegerShape, PrecisionLimit, ValidationError
 
 _MIN_DIRECTION_NORM = 1e-300
 
@@ -91,8 +85,7 @@ def elap_density(eta, params: ELapParams) -> float:
 
 def elap_tail_radius(params: ELapParams, alpha: float) -> float:
     """Radius r = d*b*ln(d/alpha) with Pr(||eta||_2 > r) <= alpha."""
-    if not 0 < alpha < 1:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     radius = params.d * params.b * math.log(params.d / alpha)
     if math.isinf(radius):
         raise PrecisionLimit(f"tail radius d*b*ln(d/alpha) is beyond the largest float "

@@ -9,9 +9,11 @@ statistic.
 
 ``GAUSSIAN_CALIBRATIONS`` states each sampler's numbers once, keyed by the
 variant names ``pure``, ``zcdp-known`` and ``zcdp-bounded``: the clip radius
-B, the noise, the replacement sensitivity of the noised statistic and the
-rows one call takes.  The samplers, their complexity calculators, the
-``SamplerSpec`` factories, the CLI and the zCDP audit read them from there.
+B and the sufficient n as formulas, the noise, the replacement sensitivity of
+the noised statistic and the rows one call takes.  Each entry's
+``clip_bound`` and ``complexity`` check their inputs and apply its formulas;
+the samplers, the ``SamplerSpec`` factories, the CLI and the zCDP audit read
+them from there.
 Each zCDP sampler is its entry's release, ``(data, *, R, alpha, eps, rng)``,
 and refuses a dataset smaller than its calibration fixes (``InsufficientData``).
 
@@ -30,9 +32,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RandomSource, VectorDataset, _check_finite_positive, _row_norms
+from .core import (
+    RandomSource,
+    VectorDataset,
+    _check_alpha,
+    _check_count,
+    _check_finite_positive,
+    _row_norms,
+)
 from .elap import ELapParams, elap_sample
-from .errors import BadSplit, DimensionMismatch, InsufficientData, InvalidAlpha, ValidationError
+from .errors import BadSplit, DimensionMismatch, InsufficientData, ValidationError
 from .kary import ComplexityReport, _least_n, _tolerant_ceil
 
 
@@ -77,7 +86,7 @@ def _clipped_stat(data: VectorDataset, variant: str, B: float, compute):
 class PureGaussianSamplerParams:
     """Mean bound R, dimension d, tolerance alpha, budget eps.
 
-    ``B`` is the clip radius :func:`pure_clip_bound` gives for (d, R, alpha).
+    ``B`` is the clip radius the ``pure`` entry gives for (d, R, alpha).
     """
 
     R: float
@@ -88,21 +97,8 @@ class PureGaussianSamplerParams:
 
     def __post_init__(self):
         _check_finite_positive("eps", self.eps)
-        object.__setattr__(self, "B", pure_clip_bound(self.d, self.R, self.alpha))
-
-
-def _check_clip_inputs(d: int, R: float, alpha: float) -> None:
-    if not 0 < alpha < 1:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
-    _check_finite_positive("R", R)
-
-
-def pure_clip_bound(d: int, R: float, alpha: float) -> float:
-    """Clip radius R + 2 * sqrt(d * ln(1/alpha)) for the pure-DP sampler."""
-    _check_clip_inputs(d, R, alpha)
-    return R + 2.0 * math.sqrt(d * math.log(1.0 / alpha))
+        B = GAUSSIAN_CALIBRATIONS["pure"].clip_bound(self.d, self.R, self.alpha)
+        object.__setattr__(self, "B", B)
 
 
 def pure_gaussian_sample(
@@ -127,24 +123,7 @@ def pure_gaussian_sample(
     return sigma * rng.generator.standard_normal(params.d) + noisy_sum / n
 
 
-def pure_sample_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
-    """n = ceil(d * B * ln(d/alpha) * ln(1/alpha) / (alpha * eps))."""
-    params = PureGaussianSamplerParams(R=R, d=d, alpha=alpha, eps=eps)
-    bound = d * params.B * math.log(d / alpha) * math.log(1.0 / alpha) / (alpha * eps)
-    return ComplexityReport(
-        n_required=max(2, _tolerant_ceil(bound)),
-        formula_name="gaussian_pure",
-        inputs={"d": d, "R": R, "alpha": alpha, "eps": eps, "B": params.B},
-    )
-
-
 # --- zCDP samplers -----------------------------------------------------------
-
-
-def known_cov_clip_bound(d: int, R: float, alpha: float) -> float:
-    """Clip radius R + sqrt(2 * (d + ln(1/alpha))) for the known-covariance sampler."""
-    _check_clip_inputs(d, R, alpha)
-    return R + math.sqrt(2.0 * (d + math.log(1.0 / alpha)))
 
 
 def _known_cov_covers(d: int, B: float, alpha: float, eps: float, n: int) -> bool:
@@ -166,7 +145,7 @@ def zcdp_known_cov_sample(
     B = known.clip_bound(data.d, R, alpha)
     _check_finite_positive("eps", eps)
     if not _known_cov_covers(data.d, B, alpha, eps, n):
-        needed = zcdp_known_cov_complexity(data.d, R, alpha, eps).n_required
+        needed = known.complexity(data.d, R, alpha, eps).n_required
         raise InsufficientData(
             f"zCDP condition sigma >= 2B/(eps*n) fails at n={n}; need n >= {needed}"
         )
@@ -175,23 +154,6 @@ def zcdp_known_cov_sample(
     )
     sigma = math.sqrt(known.sigma2(data.d, alpha, n))
     return clipped_mean + sigma * rng.generator.standard_normal(data.d)
-
-
-def zcdp_known_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
-    """Smallest n satisfying :func:`_known_cov_covers`, by integer bisection."""
-    _check_finite_positive("eps", eps)
-    B = known_cov_clip_bound(d, R, alpha)
-    return ComplexityReport(
-        n_required=_least_n(lambda n: _known_cov_covers(d, B, alpha, eps, n), 2),
-        formula_name="gaussian_zcdp_known",
-        inputs={"d": d, "R": R, "alpha": alpha, "eps": eps, "B": B},
-    )
-
-
-def bounded_cov_clip_bound(d: int, R: float, alpha: float) -> float:
-    """Clip radius R + sqrt(2 * d * ln(2/alpha)) for the bounded-covariance sampler."""
-    _check_clip_inputs(d, R, alpha)
-    return R + math.sqrt(2.0 * d * math.log(2.0 / alpha))
 
 
 def _bounded_cov_split(n: int) -> tuple[int, float]:
@@ -257,18 +219,6 @@ def zcdp_bounded_cov_sample(
     return _bounded_cov_mechanism(data, B, bounded.sigma2(data.d, alpha, data.n), rng)
 
 
-def zcdp_bounded_cov_complexity(d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
-    """n = ceil(4 * sqrt(d) * B^2 / (alpha * eps^2)) with B = R + sqrt(2d ln(2/alpha))."""
-    _check_finite_positive("eps", eps)
-    B = bounded_cov_clip_bound(d, R, alpha)
-    bound = 4.0 * math.sqrt(d) * B * B / (alpha * eps * eps)
-    return ComplexityReport(
-        n_required=max(3, _tolerant_ceil(bound)),
-        formula_name="gaussian_zcdp_bounded",
-        inputs={"d": d, "R": R, "alpha": alpha, "eps": eps, "B": B},
-    )
-
-
 # --- calibration table ----------------------------------------------------------
 
 
@@ -279,11 +229,12 @@ class GaussianCalibration:
     Arguments are the dimension d, mean bound R, tolerance alpha, budget eps,
     clip radius B and the row count n of one call.
 
-    * ``clip_bound(d, R, alpha)``: the clip radius B.
+    * ``formula_name``: the name its complexity reports carry.
+    * ``radius(d, R, alpha)``: the clip radius B, on checked inputs.
+    * ``sufficient_n(d, B, alpha, eps)``: the sufficient n, on checked inputs.
     * ``sigma2(d, alpha, n)``: variance of the Gaussian added to one call's statistic.
     * ``sensitivity(B, n)``: how far, in l2, replacing one row can move the
       statistic that the privacy noise covers.
-    * ``complexity(d, R, alpha, eps)``: the sufficient n, as a report.
     * ``release(data, R, alpha, eps, rng)``: one draw from the data,
       calibrated at its dimension.
     * ``rows(n)``: the rows one call takes, given the sufficient n.
@@ -292,10 +243,11 @@ class GaussianCalibration:
       whose privacy noise is the sigma2 Gaussian.
     """
 
-    clip_bound: Callable[[int, float, float], float]
+    formula_name: str
+    radius: Callable[[int, float, float], float]
+    sufficient_n: Callable[[int, float, float, float], int]
     sigma2: Callable[[int, float, int], float]
     sensitivity: Callable[[float, int], float]
-    complexity: Callable[[int, float, float, float], ComplexityReport]
     release: Callable[[VectorDataset, float, float, float, RandomSource], np.ndarray]
     rows: Callable[[int], int] = lambda n: n
     elap_scale: Callable[[float, float], float] | None = None
@@ -304,38 +256,62 @@ class GaussianCalibration:
     def zcdp(self) -> bool:
         return self.elap_scale is None
 
+    def clip_bound(self, d: int, R: float, alpha: float) -> float:
+        """The clip radius B; d = 2.0 is taken as 2."""
+        _check_alpha(alpha)
+        d = _check_count("d", d, 1)
+        _check_finite_positive("R", R)
+        return self.radius(d, R, alpha)
+
+    def complexity(self, d: int, R: float, alpha: float, eps: float) -> ComplexityReport:
+        """The sufficient n at these inputs, as a report that states B."""
+        _check_finite_positive("eps", eps)
+        B = self.clip_bound(d, R, alpha)
+        d = int(d)  # clip_bound took it as an integral count
+        return ComplexityReport(
+            n_required=self.sufficient_n(d, B, alpha, eps),
+            formula_name=self.formula_name,
+            inputs={"d": d, "R": R, "alpha": alpha, "eps": eps, "B": B},
+        )
+
     def n_per_call(self, d: int, R: float, alpha: float, eps: float) -> int:
         """Rows one call takes at these inputs."""
         return self.rows(self.complexity(d, R, alpha, eps).n_required)
 
 
-# entries call the module's functions by name, so a rebound function is seen here
 GAUSSIAN_CALIBRATIONS = {
     "pure": GaussianCalibration(
-        clip_bound=lambda *args: pure_clip_bound(*args),
+        formula_name="gaussian_pure",
+        radius=lambda d, R, alpha: R + 2.0 * math.sqrt(d * math.log(1.0 / alpha)),
+        sufficient_n=lambda d, B, alpha, eps: max(2, _tolerant_ceil(
+            d * B * math.log(d / alpha) * math.log(1.0 / alpha) / (alpha * eps))),
         # the Gaussian that turns the noisy n-row mean into a fresh draw
         sigma2=lambda d, alpha, n: (n - 1) / n,
         sensitivity=lambda B, n: 2.0 * B,  # of the clipped sum
-        complexity=lambda *args: pure_sample_complexity(*args),
         release=lambda data, R, alpha, eps, rng: pure_gaussian_sample(
             data, PureGaussianSamplerParams(R=R, d=data.d, alpha=alpha, eps=eps), rng
         ),
         elap_scale=lambda B, eps: B / eps,
     ),
     "zcdp-known": GaussianCalibration(
-        clip_bound=lambda *args: known_cov_clip_bound(*args),
+        formula_name="gaussian_zcdp_known",
+        radius=lambda d, R, alpha: R + math.sqrt(2.0 * (d + math.log(1.0 / alpha))),
+        # the least n that _known_cov_covers, by integer bisection
+        sufficient_n=lambda d, B, alpha, eps: _least_n(
+            lambda n: _known_cov_covers(d, B, alpha, eps, n), 2),
         sigma2=lambda d, alpha, n: (n - 1) / n,
         sensitivity=lambda B, n: 2.0 * B / n,  # of the clipped mean
-        complexity=lambda *args: zcdp_known_cov_complexity(*args),
         release=lambda data, R, alpha, eps, rng: zcdp_known_cov_sample(
             data, R=R, alpha=alpha, eps=eps, rng=rng
         ),
     ),
     "zcdp-bounded": GaussianCalibration(
-        clip_bound=lambda *args: bounded_cov_clip_bound(*args),
+        formula_name="gaussian_zcdp_bounded",
+        radius=lambda d, R, alpha: R + math.sqrt(2.0 * d * math.log(2.0 / alpha)),
+        sufficient_n=lambda d, B, alpha, eps: max(3, _tolerant_ceil(
+            4.0 * math.sqrt(d) * B * B / (alpha * eps * eps))),
         sigma2=lambda d, alpha, n: alpha / (4.0 * math.sqrt(d)),
         sensitivity=_bounded_cov_sensitivity,
-        complexity=lambda *args: zcdp_bounded_cov_complexity(*args),
         release=lambda data, R, alpha, eps, rng: zcdp_bounded_cov_sample(
             data, R=R, alpha=alpha, eps=eps, rng=rng
         ),

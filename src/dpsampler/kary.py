@@ -38,8 +38,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CategoricalDist, KaryDataset, RandomSource, _check_count, _check_finite_positive
-from .errors import InsufficientData, InvalidAlpha, OutOfDomain, PrecisionLimit, ValidationError
+from .core import (
+    CategoricalDist,
+    KaryDataset,
+    RandomSource,
+    _check_alpha,
+    _check_count,
+    _check_domain_size,
+    _check_finite_positive,
+)
+from .errors import InsufficientData, OutOfDomain, PrecisionLimit, ValidationError
 
 STRONG_ALPHA_FLOOR = 1e-12
 # the largest n a sample-size bound can state: float arithmetic overflows past it
@@ -79,7 +87,8 @@ def _least_n(ok: Callable[[int], bool], lo: int) -> int:
 
 @dataclass(frozen=True)
 class RRParams:
-    """Local randomizer parameters: finite privacy parameter eps0 >= 0, domain size k >= 2."""
+    """Local randomizer parameters: finite privacy parameter eps0 >= 0, integer domain size
+    k >= 2; k = 3.0 is stored as 3."""
 
     eps0: float
     k: int
@@ -87,8 +96,7 @@ class RRParams:
     def __post_init__(self):
         if not (math.isfinite(self.eps0) and self.eps0 >= 0):
             raise ValidationError(f"eps0 must be finite and nonnegative, got {self.eps0}")
-        if self.k < 2:
-            raise ValidationError(f"k must be >= 2, got {self.k}")
+        object.__setattr__(self, "k", _check_domain_size(self.k))
 
     @property
     def keep_prob(self) -> float:
@@ -195,15 +203,10 @@ class ComplexityReport:
             raise ValidationError(f"n_required must be >= 1, got {self.n_required}")
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha < 1:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
-
-
 def subrr_sample_complexity(k: int, alpha: float, eps: float) -> ComplexityReport:
     """n = ceil((k-1)(1-alpha) / (alpha*eps)), sufficient for TV error alpha."""
     _check_alpha(alpha)
-    _check_count("k", k, 2)
+    _check_domain_size(k)
     _check_finite_positive("eps", eps)
     n = max(1, _tolerant_ceil((k - 1) * (1.0 - alpha) / (alpha * eps)))
     return ComplexityReport(
@@ -255,8 +258,7 @@ def fmt_eps1(eps0: float, delta: float, n: int, k: int) -> float:
     log(1 + 8(e^eps0 + 1)(sqrt((k+1)/k * ln(4/delta)/n * 1/(e^eps0 + k - 1))
     + (k+1)/(k*n))).
     """
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    _check_domain_size(k)
     if n < 1 or not 0 < delta < 1:
         raise ValidationError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
     e0 = math.exp(eps0)
@@ -289,7 +291,7 @@ def shurr_weak_complexity(
     """n = max(m, ceil(k*ln(4/delta) / (alpha*f(eps)^2))) for marginal TV error alpha."""
     _check_alpha(alpha)
     _check_count("m", m, 1)
-    _check_count("k", k, 2)
+    _check_domain_size(k)
     if not 0 < delta < 1:
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
     bound = k * math.log(4.0 / delta) / (alpha * shurr_f(eps) ** 2)

@@ -116,7 +116,7 @@ def _on_domain(k: int, run: Callable[[Any, float, RandomSource], Any]):
     return checked
 
 
-def subrr_sampler(k: int, eps: float, alpha: float) -> SamplerSpec:
+def subrr_sampler(k: int, *, alpha: float, eps: float) -> SamplerSpec:
     """Single-sampler spec for the subsampled randomized-response mechanism.
 
     A call refuses a block whose domain size is not k.
@@ -129,7 +129,7 @@ def subrr_sampler(k: int, eps: float, alpha: float) -> SamplerSpec:
     )
 
 
-def shurr_sampler(k: int, eps: float, delta: float, m: int, alpha: float) -> SamplerSpec:
+def shurr_sampler(k: int, *, alpha: float, eps: float, delta: float, m: int) -> SamplerSpec:
     """Weak multi-sampler spec for the shuffled randomized-response mechanism.
 
     A call refuses data whose domain size is not k.
@@ -142,7 +142,7 @@ def shurr_sampler(k: int, eps: float, delta: float, m: int, alpha: float) -> Sam
     )
 
 
-def gaussian_sampler(variant: str, d: int, R: float, eps: float, alpha: float) -> SamplerSpec:
+def gaussian_sampler(variant: str, d: int, R: float, *, alpha: float, eps: float) -> SamplerSpec:
     """Single-sampler spec for a Gaussian variant, read from its calibration entry.
 
     A call refuses a block whose dimension is not d.
@@ -163,12 +163,12 @@ def gaussian_sampler(variant: str, d: int, R: float, eps: float, alpha: float) -
 
 def pure_gaussian_sampler(d: int, R: float, eps: float, alpha: float) -> SamplerSpec:
     """Single-sampler spec for the pure-DP known-covariance Gaussian mechanism."""
-    return gaussian_sampler("pure", d, R, eps, alpha)
+    return gaussian_sampler("pure", d, R, alpha=alpha, eps=eps)
 
 
 def zcdp_known_cov_sampler(d: int, R: float, eps: float, alpha: float) -> SamplerSpec:
     """Single-sampler spec for the zCDP known-covariance Gaussian mechanism."""
-    return gaussian_sampler("zcdp-known", d, R, eps, alpha)
+    return gaussian_sampler("zcdp-known", d, R, alpha=alpha, eps=eps)
 
 
 def zcdp_bounded_cov_sampler(d: int, R: float, eps: float, alpha: float) -> SamplerSpec:
@@ -177,4 +177,4 @@ def zcdp_bounded_cov_sampler(d: int, R: float, eps: float, alpha: float) -> Samp
     A call refuses fewer rows than ``n_per_call``: this sampler's noise does not
     grow as n shrinks, so its privacy rests on n.
     """
-    return gaussian_sampler("zcdp-bounded", d, R, eps, alpha)
+    return gaussian_sampler("zcdp-bounded", d, R, alpha=alpha, eps=eps)

@@ -39,12 +39,10 @@ from dpsampler.elap import (
     gamma_tail_bound,
 )
 from dpsampler.gaussian import (
+    GAUSSIAN_CALIBRATIONS,
     PureGaussianSamplerParams,
     _bounded_cov_mechanism,
-    known_cov_clip_bound,
     pure_gaussian_sample,
-    pure_sample_complexity,
-    zcdp_known_cov_complexity,
 )
 from dpsampler.kary import (
     RRParams,
@@ -233,11 +231,12 @@ def test_criterion_08_zcdp_identities():
     start = time.perf_counter()
     failures = []
     orders = (1.5, 2.0, 4.0, 16.0)
+    known = GAUSSIAN_CALIBRATIONS["zcdp-known"]
     for d, R, alpha, eps in itertools.product(
         (1, 4, 16), (0.5, 1.0, 2.0), (0.01, 0.1), (0.5, 1.0, 2.0)
     ):
-        n = zcdp_known_cov_complexity(d, R, alpha, eps).n_required
-        B = known_cov_clip_bound(d, R, alpha)
+        n = known.complexity(d, R, alpha, eps).n_required
+        B = known.clip_bound(d, R, alpha)
         delta_norm = 2.0 * B / n
         sigma = math.sqrt((n - 1) / n)
         for lam in orders:
@@ -318,7 +317,7 @@ def test_criterion_10_pure_gaussian_sampler(monkeypatch):
     # (b) full sampler, d=1, alpha=0.01, eps free (=4), n = 10x complexity;
     # binned TV against N(mu, 1) within the generous 0.15 envelope
     alpha, eps, mu, runs_b = 0.01, 4.0, 0.3, 10**5
-    n_required = pure_sample_complexity(1, 1.0, alpha, eps).n_required
+    n_required = GAUSSIAN_CALIBRATIONS["pure"].complexity(1, 1.0, alpha, eps).n_required
     n_b = 10 * n_required
     params_b = PureGaussianSamplerParams(R=1.0, d=1, alpha=alpha, eps=eps)
     gen_b = np.random.default_rng(113)
@@ -351,7 +350,7 @@ def test_criterion_11_combinator_formula_equalities():
     for k, alpha, eps, m in itertools.product(
         (2, 5, 10), (0.05, 0.2, 0.4), (0.5, 1.0, 2.0), (1, 3, 10, 50)
     ):
-        spec = subrr_sampler(k, eps, alpha)
+        spec = subrr_sampler(k, alpha=alpha, eps=eps)
         composed = strong_both_complexity(spec, m, alpha)
         direct = m * subrr_sample_complexity(k, alpha / m, eps).n_required
         if composed != direct:

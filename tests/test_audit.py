@@ -512,7 +512,7 @@ class TestAuditElapMechanism:
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_dimension_outside_one_to_four_rejected(self, d):
-        with pytest.raises(ValidationError, match="needs d >= 1"):
+        with pytest.raises(ValidationError, match=f"^d must be >= 1, got {d}$"):
             audit_elap_mechanism(d, 1.0, 1.0, 2000, RandomSource(59))
 
     def test_random_pairs_never_exceed_shift_bound(self):
@@ -535,8 +535,8 @@ def _plant(monkeypatch, variant: str, **fields) -> None:
 def _plant_half_sigma(monkeypatch, cell) -> None:
     """Known covariance adding half the noise its own n is computed for."""
     known = GAUSSIAN_CALIBRATIONS["zcdp-known"]
-    report = known.complexity(*cell)
-    _plant(monkeypatch, "zcdp-known", complexity=lambda *args: report,
+    n = known.complexity(*cell).n_required
+    _plant(monkeypatch, "zcdp-known", sufficient_n=lambda *args: n,
            sigma2=lambda d, alpha, n: known.sigma2(d, alpha, n) / 4.0)
 
 
@@ -562,7 +562,7 @@ class TestAuditZcdpGaussian:
     def test_reads_the_samplers_own_calibration(self, variant):
         d, R, alpha, eps = 2, 1.0, 0.1, 1.0
         cal = GAUSSIAN_CALIBRATIONS[variant]
-        n = gaussian_sampler(variant, d, R, eps, alpha).n_per_call(alpha)
+        n = gaussian_sampler(variant, d, R, alpha=alpha, eps=eps).n_per_call(alpha)
         report = audit_zcdp_gaussian(variant, d, R, alpha, eps)
         assert report.witness["n"] == n
         assert report.witness["B"] == cal.clip_bound(d, R, alpha)

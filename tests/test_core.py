@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,17 +20,27 @@ from dpsampler.core import (
     write_kary_csv,
     write_vector_csv,
 )
-from dpsampler.elap import ELapParams
+from dpsampler.elap import ELapParams, elap_tail_radius
 from dpsampler.errors import (
     DPSamplerError,
     DomainTooSmall,
     EmptyDataset,
+    InvalidAlpha,
     NotNormalized,
     NegativeMass,
     OutOfDomain,
     ValidationError,
 )
-from dpsampler.kary import RRParams, rr_sample, shurr_run, subrr_sample
+from dpsampler.gaussian import GAUSSIAN_CALIBRATIONS
+from dpsampler.kary import (
+    RRParams,
+    fmt_eps1,
+    rr_sample,
+    shurr_run,
+    shurr_weak_complexity,
+    subrr_sample,
+    subrr_sample_complexity,
+)
 from dpsampler.multisampling import repetition_complexity, subrr_sampler
 
 
@@ -371,6 +383,51 @@ def test_counts_refuse_booleans_and_take_integral_floats(name):
         with pytest.raises(ValidationError, match=f"^{name} must be an integer, got True$"):
             COUNT_CALLS[name](flag)
     assert COUNT_CALLS[name](4.0) == 4 and type(COUNT_CALLS[name](4.0)) is int
+
+
+# every call that takes a domain size k, each checking it with core._check_domain_size
+DOMAIN_SIZE_SITES = {
+    "KaryDataset": lambda k: KaryDataset(values=[1, 2], k=k),
+    "RRParams": lambda k: RRParams(eps0=1.0, k=k),
+    "subrr_sample_complexity": lambda k: subrr_sample_complexity(k, 0.1, 1.0),
+    "shurr_weak_complexity": lambda k: shurr_weak_complexity(k, 0.1, 1.0, 0.01, 1),
+    "fmt_eps1": lambda k: fmt_eps1(1.0, 0.01, 100, k),
+}
+
+
+@pytest.mark.parametrize("site", DOMAIN_SIZE_SITES)
+@pytest.mark.parametrize("k, error, message", [
+    (1, DomainTooSmall, "k must be >= 2, got 1"),
+    (2.5, ValidationError, "k must be an integer, got 2.5"),
+    (True, ValidationError, "k must be an integer, got True"),
+])
+def test_domain_size_sites_share_one_rule(site, k, error, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as raised:
+        DOMAIN_SIZE_SITES[site](k)
+    assert type(raised.value) is error
+
+
+def test_rr_params_store_an_integral_k_as_int():
+    params = RRParams(eps0=1.0, k=3.0)
+    assert params.k == 3 and type(params.k) is int
+    assert params == RRParams(eps0=1.0, k=3)
+
+
+# every call that takes a tolerance alpha, each checking it with core._check_alpha
+ALPHA_SITES = {
+    **{f"{variant}.clip_bound": (lambda a, cal=cal: cal.clip_bound(2, 1.0, a))
+       for variant, cal in GAUSSIAN_CALIBRATIONS.items()},
+    "subrr_sample_complexity": lambda a: subrr_sample_complexity(3, a, 1.0),
+    "shurr_weak_complexity": lambda a: shurr_weak_complexity(3, a, 1.0, 0.01, 1),
+    "elap_tail_radius": lambda a: elap_tail_radius(ELapParams(d=2, b=1.0), a),
+}
+
+
+@pytest.mark.parametrize("site", ALPHA_SITES)
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_alpha_sites_share_one_rule(site, alpha):
+    with pytest.raises(InvalidAlpha, match=f"^alpha must be in \\(0, 1\\), got {alpha}$"):
+        ALPHA_SITES[site](alpha)
 
 
 class TestCsvIO:

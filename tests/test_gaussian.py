@@ -2,6 +2,7 @@ import concurrent.futures
 import gc
 import inspect
 import math
+import re
 import sys
 import warnings
 
@@ -23,16 +24,13 @@ from dpsampler.gaussian import (
     _STATS,
     _bounded_cov_mechanism,
     _clip_rows,
-    bounded_cov_clip_bound,
     gaussian_calibration,
-    known_cov_clip_bound,
     pure_gaussian_sample,
-    pure_sample_complexity,
-    zcdp_bounded_cov_complexity,
     zcdp_bounded_cov_sample,
-    zcdp_known_cov_complexity,
     zcdp_known_cov_sample,
 )
+
+PURE, KNOWN, BOUNDED = (GAUSSIAN_CALIBRATIONS[v] for v in ("pure", "zcdp-known", "zcdp-bounded"))
 
 
 class TestClipToBall:
@@ -144,7 +142,7 @@ class TestPureGaussianSampler:
         gen = np.random.default_rng(67)
         d, mu, runs = 1, 0.4, 20_000
         params = PureGaussianSamplerParams(R=1.0, d=d, alpha=0.1, eps=2.0)
-        n = pure_sample_complexity(d, 1.0, 0.1, 2.0).n_required
+        n = PURE.complexity(d, 1.0, 0.1, 2.0).n_required
         rng = RandomSource(68)
         outs = np.empty(runs)
         for i in range(runs):
@@ -157,17 +155,17 @@ class TestPureGaussianSampler:
 
 class TestPureComplexity:
     def test_frozen_value(self):
-        report = pure_sample_complexity(1, 1.0, 0.1, 1.0)
+        report = PURE.complexity(1, 1.0, 0.1, 1.0)
         assert report.n_required == 214
         assert report.inputs["B"] == pytest.approx(4.03485425877, abs=1e-9)
         assert set(report.inputs) == {"d", "R", "alpha", "eps", "B"}
 
     def test_monotone(self):
-        base = pure_sample_complexity(2, 1.0, 0.1, 1.0).n_required
-        assert pure_sample_complexity(3, 1.0, 0.1, 1.0).n_required >= base
-        assert pure_sample_complexity(2, 2.0, 0.1, 1.0).n_required >= base
-        assert pure_sample_complexity(2, 1.0, 0.05, 1.0).n_required >= base
-        assert pure_sample_complexity(2, 1.0, 0.1, 0.5).n_required >= base
+        base = PURE.complexity(2, 1.0, 0.1, 1.0).n_required
+        assert PURE.complexity(3, 1.0, 0.1, 1.0).n_required >= base
+        assert PURE.complexity(2, 2.0, 0.1, 1.0).n_required >= base
+        assert PURE.complexity(2, 1.0, 0.05, 1.0).n_required >= base
+        assert PURE.complexity(2, 1.0, 0.1, 0.5).n_required >= base
 
 
 class TestZcdpKnownCov:
@@ -175,7 +173,7 @@ class TestZcdpKnownCov:
         for d, R, alpha, eps in [(1, 1.0, 0.1, 1.0), (4, 2.0, 0.05, 0.5), (16, 1.0, 0.01, 2.0)]:
             report = audit_zcdp_gaussian("zcdp-known", d, R, alpha, eps)
             assert report.verdict == "pass", (d, R, alpha, eps)
-            assert report.witness["n"] == zcdp_known_cov_complexity(d, R, alpha, eps).n_required
+            assert report.witness["n"] == KNOWN.complexity(d, R, alpha, eps).n_required
             for order in (1.5, 2.0, 4.0, 16.0):
                 divergence = _gaussian_renyi(
                     report.witness["sensitivity"], report.witness["sigma"], order
@@ -201,7 +199,7 @@ class TestZcdpKnownCov:
         # data ~ N(mu, 1), no clipping: output variance = (n-1)/n + 1/n = 1
         gen = np.random.default_rng(71)
         runs, mu = 40_000, 0.3
-        n = zcdp_known_cov_complexity(1, 1.0, 0.1, 1.0).n_required
+        n = KNOWN.complexity(1, 1.0, 0.1, 1.0).n_required
         rng = RandomSource(72)
         outs = np.empty(runs)
         for i in range(runs):
@@ -212,9 +210,9 @@ class TestZcdpKnownCov:
         assert abs(outs.mean() - mu) < 5.0 / math.sqrt(runs) + 0.01
 
     def test_complexity_frozen_and_boundary(self):
-        report = zcdp_known_cov_complexity(1, 1.0, 0.1, 1.0)
+        report = KNOWN.complexity(1, 1.0, 0.1, 1.0)
         assert report.n_required == 8
-        B = known_cov_clip_bound(1, 1.0, 0.1)
+        B = KNOWN.clip_bound(1, 1.0, 0.1)
 
         def ok(n):
             return 2.0 * B / (1.0 * n) <= math.sqrt((n - 1) / n)
@@ -222,11 +220,11 @@ class TestZcdpKnownCov:
         assert ok(8) and not ok(7)
 
     def test_complexity_floor_at_huge_eps(self):
-        assert zcdp_known_cov_complexity(1, 1.0, 0.1, 1e9).n_required == 2
+        assert KNOWN.complexity(1, 1.0, 0.1, 1e9).n_required == 2
 
     def test_complexity_scales_linearly_in_R(self):
-        n1 = zcdp_known_cov_complexity(1, 100.0, 0.1, 1.0).n_required
-        n2 = zcdp_known_cov_complexity(1, 200.0, 0.1, 1.0).n_required
+        n1 = KNOWN.complexity(1, 100.0, 0.1, 1.0).n_required
+        n2 = KNOWN.complexity(1, 200.0, 0.1, 1.0).n_required
         assert 1.8 < n2 / n1 < 2.2
 
 
@@ -304,21 +302,21 @@ class TestZcdpBoundedCov:
     def test_complexity_example(self):
         d, alpha, eps = 4, 0.1, 1.0
         R = 10.0 - math.sqrt(2.0 * d * math.log(2.0 / alpha))
-        report = zcdp_bounded_cov_complexity(d, R, alpha, eps)
+        report = BOUNDED.complexity(d, R, alpha, eps)
         assert report.inputs["B"] == pytest.approx(10.0, abs=1e-12)
         assert report.n_required == 8000
 
     def test_complexity_quadratic_in_B(self):
         d, alpha, eps = 4, 0.1, 1.0
         tail = math.sqrt(2.0 * d * math.log(2.0 / alpha))
-        n1 = zcdp_bounded_cov_complexity(d, 10.0 - tail, alpha, eps).n_required
-        n2 = zcdp_bounded_cov_complexity(d, 20.0 - tail, alpha, eps).n_required
+        n1 = BOUNDED.complexity(d, 10.0 - tail, alpha, eps).n_required
+        n2 = BOUNDED.complexity(d, 20.0 - tail, alpha, eps).n_required
         assert n2 == 4 * n1
 
     def test_complexity_d_scaling(self):
         # with R negligible, n ~ sqrt(d) * B^2 ~ d^(3/2) up to the log factor
-        n1 = zcdp_bounded_cov_complexity(64, 1e-9, 0.1, 1.0).n_required
-        n2 = zcdp_bounded_cov_complexity(128, 1e-9, 0.1, 1.0).n_required
+        n1 = BOUNDED.complexity(64, 1e-9, 0.1, 1.0).n_required
+        n2 = BOUNDED.complexity(128, 1e-9, 0.1, 1.0).n_required
         assert 2.5 < n2 / n1 < 3.1
 
 
@@ -342,9 +340,9 @@ class TestClippedStatMemo:
         for alpha in (0.1, 0.01):
             B = PureGaussianSamplerParams(R=1.0, d=2, alpha=alpha, eps=1.0).B
             assert np.array_equal(stats[("pure", B)], _clip_rows(data.rows, B).sum(axis=0))
-            B = known_cov_clip_bound(2, 1.0, alpha)
+            B = KNOWN.clip_bound(2, 1.0, alpha)
             assert np.array_equal(stats[("zcdp-known", B)], _clip_rows(data.rows, B).mean(axis=0))
-            B = bounded_cov_clip_bound(2, 1.0, alpha)
+            B = BOUNDED.clip_bound(2, 1.0, alpha)
             clipped = _clip_rows(data.rows, B)
             pairs = clipped[10:].reshape(10, 2, 2)
             mean_part, diff_part = stats[("zcdp-bounded", B)]
@@ -423,11 +421,11 @@ class TestZcdpValidation:
         with pytest.raises(ValidationError):
             GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sensitivity(B, 9)
 
-    @pytest.mark.parametrize("clip_bound", [known_cov_clip_bound, bounded_cov_clip_bound])
+    @pytest.mark.parametrize("variant", GAUSSIAN_CALIBRATIONS)
     @pytest.mark.parametrize("d, R", [(0, 1.0), (2, -10.0), (2, 0.0), (2, math.nan), (2, math.inf)])
-    def test_clip_bounds_refuse_bad_d_and_R(self, clip_bound, d, R):
+    def test_clip_bounds_refuse_bad_d_and_R(self, variant, d, R):
         with pytest.raises(ValidationError):
-            clip_bound(d, R, 0.1)
+            GAUSSIAN_CALIBRATIONS[variant].clip_bound(d, R, 0.1)
 
     @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
     def test_known_sampler_refuses_bad_eps(self, eps):
@@ -455,13 +453,11 @@ class TestNonFiniteParameters:
         with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
             audit_elap_mechanism(2, probes=1000, rng=RandomSource(0), **kwargs)
 
-    @pytest.mark.parametrize("complexity", [
-        pure_sample_complexity, zcdp_known_cov_complexity, zcdp_bounded_cov_complexity,
-    ])
+    @pytest.mark.parametrize("variant", GAUSSIAN_CALIBRATIONS)
     @pytest.mark.parametrize("eps", BAD)
-    def test_complexities_refuse_bad_eps(self, complexity, eps):
+    def test_complexities_refuse_bad_eps(self, variant, eps):
         with pytest.raises(ValidationError, match="^eps must be finite and positive"):
-            complexity(2, 1.0, 0.1, eps)
+            GAUSSIAN_CALIBRATIONS[variant].complexity(2, 1.0, 0.1, eps)
 
 
 class TestCalibrationTable:
@@ -489,28 +485,15 @@ class TestCalibrationTable:
         with pytest.raises(ValidationError, match="unknown Gaussian variant 'known_cov'"):
             gaussian_calibration("known_cov")
 
-    @pytest.mark.parametrize("variant, field, name", [
-        ("pure", "clip_bound", "pure_clip_bound"),
-        ("zcdp-known", "clip_bound", "known_cov_clip_bound"),
-        ("zcdp-bounded", "clip_bound", "bounded_cov_clip_bound"),
-        ("pure", "complexity", "pure_sample_complexity"),
-        ("zcdp-known", "complexity", "zcdp_known_cov_complexity"),
-        ("zcdp-bounded", "complexity", "zcdp_bounded_cov_complexity"),
-    ])
-    def test_entries_call_module_functions_by_name(self, monkeypatch, variant, field, name):
-        # a function rebound in the module (a tracer's wrapper, say) is what the table calls
-        original = getattr(dpsampler.gaussian, name)
-        called = []
-
-        def recording(*args):
-            called.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(dpsampler.gaussian, name, recording)
-        args = (2, 1.0, 0.1) if field == "clip_bound" else (2, 1.0, 0.1, 1.0)
-        result = getattr(GAUSSIAN_CALIBRATIONS[variant], field)(*args)
-        assert called[0] == args
-        assert result == original(*args)
+    @pytest.mark.parametrize("variant", GAUSSIAN_CALIBRATIONS)
+    def test_entry_methods_state_the_formulas(self, variant):
+        cal = GAUSSIAN_CALIBRATIONS[variant]
+        B = cal.clip_bound(2, 1.0, 0.1)
+        assert B == cal.radius(2, 1.0, 0.1)
+        report = cal.complexity(2, 1.0, 0.1, 1.0)
+        assert report.formula_name == f"gaussian_{variant.replace('-', '_')}"
+        assert report.inputs == {"d": 2, "R": 1.0, "alpha": 0.1, "eps": 1.0, "B": B}
+        assert report.n_required == cal.sufficient_n(2, B, 0.1, 1.0)
 
     @pytest.mark.parametrize("variant, name", [
         ("zcdp-known", "zcdp_known_cov_sample"), ("zcdp-bounded", "zcdp_bounded_cov_sample")])
@@ -530,6 +513,47 @@ class TestCalibrationTable:
         assert called == [{"R": 1.0, "alpha": 0.1, "eps": 1.0, "rng": rng}]
         assert np.array_equal(out, original(data, R=1.0, alpha=0.1, eps=1.0,
                                             rng=RandomSource(15)))
+
+
+class TestDimensionRule:
+    """d is a count >= 1 on the Gaussian clip and complexity paths and in the ELap audit."""
+
+    @pytest.mark.parametrize("variant", GAUSSIAN_CALIBRATIONS)
+    @pytest.mark.parametrize("d, message", [
+        (2.5, "d must be an integer, got 2.5"), (True, "d must be an integer, got True"),
+        (0, "d must be >= 1, got 0")])
+    def test_entries_refuse_a_bad_dimension(self, variant, d, message):
+        cal = GAUSSIAN_CALIBRATIONS[variant]
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(ValidationError, match=match):
+            cal.clip_bound(d, 1.0, 0.1)
+        with pytest.raises(ValidationError, match=match):
+            cal.complexity(d, 1.0, 0.1, 1.0)
+        if cal.zcdp:
+            with pytest.raises(ValidationError, match=match):
+                audit_zcdp_gaussian(variant, d, 1.0, 0.1, 1.0)
+        else:
+            with pytest.raises(ValidationError, match=match):
+                PureGaussianSamplerParams(R=1.0, d=d, alpha=0.1, eps=1.0)
+
+    @pytest.mark.parametrize("variant", GAUSSIAN_CALIBRATIONS)
+    def test_entries_take_an_integral_float_dimension_as_an_int(self, variant):
+        cal = GAUSSIAN_CALIBRATIONS[variant]
+        assert cal.clip_bound(2.0, 1.0, 0.1) == cal.clip_bound(2, 1.0, 0.1)
+        report = cal.complexity(2.0, 1.0, 0.1, 1.0)
+        assert report == cal.complexity(2, 1.0, 0.1, 1.0)
+        assert type(report.inputs["d"]) is int
+
+    @pytest.mark.parametrize("d, message", [
+        (2.5, "d must be an integer, got 2.5"), (True, "d must be an integer, got True"),
+        (0, "d must be >= 1, got 0")])
+    def test_elap_audit_refuses_a_bad_dimension(self, d, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            audit_elap_mechanism(d, 1.0, 1.0, None, RandomSource(0))
+
+    def test_elap_audit_takes_an_integral_float_dimension_as_an_int(self):
+        report = audit_elap_mechanism(2.0, 1.0, 1.0, None, RandomSource(0))
+        assert report == audit_elap_mechanism(2, 1.0, 1.0, None, RandomSource(0))
 
 
 ZCDP_SAMPLERS = {"zcdp-known": zcdp_known_cov_sample, "zcdp-bounded": zcdp_bounded_cov_sample}

@@ -1,5 +1,6 @@
 import concurrent.futures
 import gc
+import inspect
 import math
 import sys
 import weakref
@@ -284,10 +285,43 @@ class TestGaussianFactories:
 
     @pytest.mark.parametrize("variant", ["pure", "zcdp-known", "zcdp-bounded"])
     def test_run_refuses_data_of_another_dimension(self, variant):
-        spec = gaussian_sampler(variant, 3, 1.0, 1.0, 0.1)
+        spec = gaussian_sampler(variant, 3, 1.0, alpha=0.1, eps=1.0)
         rows = np.random.default_rng(48).normal(size=(spec.n_per_call(0.1), 1))
         with pytest.raises(DimensionMismatch, match="data dimension 1 != sampler dimension 3"):
             spec.run(VectorDataset(rows=rows), 0.1, RandomSource(49))
+
+
+# each factory that is not a fixed-variant wrapper: its leading positional
+# parameters, and a call in its 0.11.0 order, with eps before alpha
+KEYWORD_FACTORIES = {
+    "subrr_sampler": (subrr_sampler, ["k"], (3, 1.0, 0.2)),
+    "shurr_sampler": (shurr_sampler, ["k"], (3, 300.0, 0.5, 1, 0.4)),
+    "gaussian_sampler": (gaussian_sampler, ["variant", "d", "R"], ("pure", 3, 1.0, 1.0, 0.1)),
+}
+
+
+class TestFactorySignatures:
+    @pytest.mark.parametrize("name", KEYWORD_FACTORIES)
+    def test_alpha_and_eps_are_keyword_only(self, name):
+        factory, positional, old_call = KEYWORD_FACTORIES[name]
+        params = inspect.signature(factory).parameters.values()
+        assert [p.name for p in params if p.kind == p.POSITIONAL_OR_KEYWORD] == positional
+        keyword_only = [p.name for p in params if p.kind == p.KEYWORD_ONLY]
+        assert keyword_only[:2] == ["alpha", "eps"]
+        with pytest.raises(TypeError):
+            factory(*old_call)
+
+    @pytest.mark.parametrize("variant, wrapper", [
+        ("pure", pure_gaussian_sampler), ("zcdp-known", zcdp_known_cov_sampler),
+        ("zcdp-bounded", zcdp_bounded_cov_sampler)])
+    def test_fixed_variant_wrappers_keep_their_positional_order(self, variant, wrapper):
+        # (d, R, eps, alpha); a wrapper that passed alpha as eps would size n at eps = 0.3
+        spec = wrapper(2, 1.0, 5.0, 0.3)
+        direct = gaussian_sampler(variant, 2, 1.0, alpha=0.3, eps=5.0)
+        assert spec.alpha == 0.3
+        assert spec.n_per_call(0.3) == direct.n_per_call(0.3)
+        assert spec.n_per_call(0.3) != gaussian_sampler(
+            variant, 2, 1.0, alpha=0.3, eps=0.3).n_per_call(0.3)
 
 
 # repeated block releases on one dataset, per combinator: the rows they need,

@@ -172,7 +172,6 @@ def test_raw_mechanism_guard_sees_calls():
 KARY_CALIBRATION_FUNCTIONS = {"subrr_eps0", "shurr_eps0", "shurr_f", "fmt_eps1"}
 COMPLEXITY_CALCULATORS = {
     "subrr_sample_complexity", "shurr_weak_complexity", "shurr_strong_complexity",
-    "pure_sample_complexity", "zcdp_known_cov_complexity", "zcdp_bounded_cov_complexity",
 }
 
 
@@ -218,17 +217,18 @@ def test_kary_calibration_guard_sees_calls():
 
 
 def test_samplers_are_sized_from_their_calibration_tables():
-    # the rows one call takes are read from kary.KARY_CALIBRATIONS and
-    # gaussian.GAUSSIAN_CALIBRATIONS, whose modules alone name the calculators
-    assert _calls_outside({"kary.py", "gaussian.py"}, COMPLEXITY_CALCULATORS) == []
+    # the rows one call takes are read from kary.KARY_CALIBRATIONS, whose module
+    # alone names the k-ary calculators, and gaussian.GAUSSIAN_CALIBRATIONS,
+    # whose entries compute their own
+    assert _calls_outside({"kary.py"}, COMPLEXITY_CALCULATORS) == []
 
 
 def test_complexity_guard_sees_calls():
     tree = ast.parse(
         "def f(k, alpha, eps):\n"
         "    a = lambda t: subrr_sample_complexity(k, t, eps).n_required\n"
-        "    return gaussian.zcdp_known_cov_complexity(1, 1.0, alpha, eps), a\n"
+        "    return kary.shurr_weak_complexity(k, alpha, eps, 0.01, 1), a\n"
     )
     assert _calls(tree, COMPLEXITY_CALCULATORS) == [
-        ("subrr_sample_complexity", 2), ("zcdp_known_cov_complexity", 3)
+        ("subrr_sample_complexity", 2), ("shurr_weak_complexity", 3)
     ]

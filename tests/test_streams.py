@@ -66,6 +66,13 @@ in the narrowest signed integer type that holds k (int8 up to k = 127), and
 validated copy.  The repetition combinators reuse those views across calls, so
 a block's clipped statistic is computed once; the draws and the statistics
 they are added to keep their bits.  Every 0.11.0 digest is its 0.10.0 value.
+
+0.12.0 moves no stream.  It changes the API: each Gaussian variant's clip
+radius and sufficient n are its ``GAUSSIAN_CALIBRATIONS`` entry's
+``clip_bound`` and ``complexity`` methods, and the six module-level clip-radius
+and complexity functions are gone; the ``zcdp_bounded_cov_sample`` case reads
+the same B from the entry.  No draw, statistic or report byte moves, so every
+0.12.0 digest is its 0.11.0 value.
 """
 
 import hashlib
@@ -95,7 +102,6 @@ from dpsampler.gaussian import (
     GAUSSIAN_CALIBRATIONS,
     PureGaussianSamplerParams,
     _bounded_cov_mechanism,
-    bounded_cov_clip_bound,
     pure_gaussian_sample,
     zcdp_known_cov_sample,
 )
@@ -372,6 +378,7 @@ DIGESTS = {
 }
 DIGESTS["0.10.0"] = DIGESTS["0.9.0"]  # 0.10.0 moves no stream
 DIGESTS["0.11.0"] = DIGESTS["0.10.0"]  # 0.11.0 moves no stream
+DIGESTS["0.12.0"] = DIGESTS["0.11.0"]  # 0.12.0 moves no stream
 
 
 def _sha(values, dtype: str) -> str:
@@ -424,7 +431,7 @@ def _bounded(tmp_path):
     # the raw mechanism: the public sampler refuses these 300 rows, fewer than
     # the 1,128 its calibration takes at eps = 1, and the digest predates that
     sigma2 = GAUSSIAN_CALIBRATIONS["zcdp-bounded"].sigma2(2, 0.1, 300)
-    B = bounded_cov_clip_bound(2, 1.0, 0.1)
+    B = GAUSSIAN_CALIBRATIONS["zcdp-bounded"].clip_bound(2, 1.0, 0.1)
     return _gaussian_calls(
         lambda data, rng: _bounded_cov_mechanism(data, B, sigma2, rng), 23, 300
     )
