@@ -7,7 +7,7 @@ audit suite that measures the realized privacy loss against the claimed
 budget.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .core import (
     CategoricalDist,

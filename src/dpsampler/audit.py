@@ -116,6 +116,7 @@ def _worst_pair(k: int, n: int, eps0: float) -> tuple[CategoricalDist, Categoric
     The two count vectors are [n, 0, ...] and [n - 1, 1, 0, ...], so this
     costs O(k) time and memory whatever n is.  They are int64, which bounds n.
     """
+    n = _check_count("n", n, -math.inf)
     if n < 1:
         raise EmptyDataset(f"the audited pair needs n >= 1 records, got {n}")
     if n > _MAX_COUNT:

@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import numbers
@@ -173,8 +174,8 @@ def _run_elap(params):
 # as underscores
 _CALCULATORS = {
     # the tasks of each k-ary mechanism, in table order: single, weak, strong
-    "kary": {task: (cal.inputs, calculate)
-             for cal in KARY_CALIBRATIONS.values() for task, calculate in cal.complexity.items()},
+    "kary": {task: (cal.inputs, functools.partial(cal.complexity, task))
+             for cal in KARY_CALIBRATIONS.values() for task in cal.bounds},
     # one task per Gaussian variant
     "gaussian": {variant: (("dim", "R", "alpha", "eps"), cal.complexity)
                  for variant, cal in GAUSSIAN_CALIBRATIONS.items()},

@@ -78,11 +78,6 @@ def elap_log_density(eta, params: ELapParams) -> float:
     return elap_log_constant(params) - float(np.linalg.norm(vec)) / params.b
 
 
-def elap_density(eta, params: ELapParams) -> float:
-    """Linear-space convenience wrapper around :func:`elap_log_density`."""
-    return math.exp(elap_log_density(eta, params))
-
-
 def elap_tail_radius(params: ELapParams, alpha: float) -> float:
     """Radius r = d*b*ln(d/alpha) with Pr(||eta||_2 > r) <= alpha."""
     _check_alpha(alpha)
@@ -150,7 +145,7 @@ def gamma_sample(params: GammaParams, rng: RandomSource, size: int | None = None
 
     Returns a scalar when ``size`` is None, else an array of length ``size``.
     """
-    count = 1 if size is None else int(size)
+    count = 1 if size is None else _check_count("size", size, 0)
     out = _standard_gamma_ge1(params.shape, rng.generator, count)
     out /= params.rate
     return float(out[0]) if size is None else out
@@ -164,8 +159,8 @@ def elap_sample(params: ELapParams, rng: RandomSource, size: int | None = None):
     ``size`` is None, else a (size, d) array.
     """
     gen = rng.generator
-    count = 1 if size is None else int(size)
-    radii = gamma_sample(GammaParams(shape=float(params.d), rate=1.0 / params.b), rng, count)
+    count = 1 if size is None else _check_count("size", size, 0)
+    radii = gamma_sample(GammaParams(shape=float(params.d), rate=1.0 / params.b), rng, size)
     dirs = gen.standard_normal((count, params.d))
     norms = _row_norms(dirs)
     # a zero-norm direction is astronomically unlikely but must not yield NaN

@@ -16,13 +16,13 @@ Two mechanisms, both calibrated through the local randomizer
   without replacement; :func:`shurr_run` samples that law directly, in O(m)
   RR work.
 
-``KARY_CALIBRATIONS`` states each mechanism's eps0, central-eps certificate,
-RunReport figures and complexity tasks once, keyed by the CLI's mode names
-``sub`` and ``shuffle``; the samplers, the CLI and both audits read it.
+``KARY_CALIBRATIONS`` states each mechanism's eps0 formula, central-eps
+certificate, RunReport figures and sufficient-n bounds once, keyed by the CLI's
+mode names ``sub`` and ``shuffle``; the samplers, the CLI and both audits call
+its entries' ``eps0``, ``min_n`` and ``complexity``, which check their inputs.
 
-The exact output law of the subsampled mechanism is the mixture
-``(1/n) * sum_i RR_{X_i}``, computed from the dataset's counts; sample-complexity
-calculators return integer ceilings of the sufficient bounds.
+The exact output law of the subsampled mechanism is :func:`rr_mixture_dist`,
+``(1/n) * sum_i RR_{X_i}``, at the sub entry's eps0.
 
 The amplification bound is inherently (eps, delta): even though the eps > 1
 branch of the budget split admits a pure-DP reading, the shuffled mechanism
@@ -140,26 +140,12 @@ def rr_sample(x: int, params: RRParams, rng: RandomSource, size: int | None = No
     """Randomized response output(s) for the single input x."""
     if not 1 <= x <= params.k:
         raise OutOfDomain(f"element {x} outside [1..{params.k}]")
-    count = 1 if size is None else int(size)
+    count = 1 if size is None else _check_count("size", size, 0)
     out = _rr_apply(np.full(count, x, dtype=np.int64), params, rng.generator)
     return int(out[0]) if size is None else out
 
 
 # --- subsampled randomized response ----------------------------------------
-
-
-def subrr_eps0(eps: float, n: int) -> float:
-    """Local parameter ln(eps * n); defined only when eps * n > 1."""
-    _check_finite_positive("eps", eps)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if eps * n <= 1.0:
-        n_min = _least_n(lambda m: eps * m > 1.0, 1)
-        raise InsufficientData(
-            f"eps*n = {eps * n} <= 1 leaves the local parameter undefined; "
-            f"need n >= {n_min} at eps = {eps}"
-        )
-    return math.log(eps * n)
 
 
 def subrr_sample(data: KaryDataset, eps: float, rng: RandomSource) -> int:
@@ -185,11 +171,6 @@ def rr_mixture_dist(data: KaryDataset, eps0: float) -> CategoricalDist:
     return _rr_mixture(data.counts(), RRParams(eps0=eps0, k=data.k))
 
 
-def subrr_exact_output_dist(data: KaryDataset, eps: float) -> CategoricalDist:
-    """Exact output law of the subsampled mechanism at eps0 = ln(eps * n)."""
-    return rr_mixture_dist(data, KARY_CALIBRATIONS["sub"].eps0(eps, None, data.n))
-
-
 @dataclass(frozen=True)
 class ComplexityReport:
     """Sufficient sample count for a stated accuracy/privacy target."""
@@ -203,19 +184,6 @@ class ComplexityReport:
             raise ValidationError(f"n_required must be >= 1, got {self.n_required}")
 
 
-def subrr_sample_complexity(k: int, alpha: float, eps: float) -> ComplexityReport:
-    """n = ceil((k-1)(1-alpha) / (alpha*eps)), sufficient for TV error alpha."""
-    _check_alpha(alpha)
-    _check_domain_size(k)
-    _check_finite_positive("eps", eps)
-    n = max(1, _tolerant_ceil((k - 1) * (1.0 - alpha) / (alpha * eps)))
-    return ComplexityReport(
-        n_required=n,
-        formula_name="kary_single",
-        inputs={"k": k, "alpha": alpha, "eps": eps},
-    )
-
-
 # --- shuffled randomized response -------------------------------------------
 
 
@@ -226,29 +194,14 @@ def shurr_f(eps: float) -> float:
     return eps / scale if eps <= 1.0 else math.sqrt(eps) / scale
 
 
-# the shuffled mechanism's local parameter ln(ratio - 1) is positive iff this ratio > 2
-def _shurr_ratio(eps: float, delta: float, n: int) -> float:
-    return shurr_f(eps) ** 2 * n / math.log(4.0 / delta)
-
-
-def shurr_min_n(eps: float, delta: float) -> int:
-    """Smallest n that :func:`shurr_eps0` accepts, found on its own test."""
-    return _least_n(lambda n: _shurr_ratio(eps, delta, n) > 2.0, 1)
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < 1:
+        raise ValidationError(f"delta must be in (0, 1), got {delta}")
 
 
 def shurr_eps0(eps: float, delta: float, n: int) -> float:
-    """Local parameter ln(f(eps)^2 * n / ln(4/delta) - 1), refused unless positive."""
-    if not 0 < delta < 1:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    ratio = _shurr_ratio(eps, delta, n)
-    if not ratio > 2.0:
-        raise InsufficientData(
-            f"f(eps)^2*n/ln(4/delta) = {ratio} <= 2 leaves eps0 = ln(ratio - 1) not positive; "
-            f"need n >= {shurr_min_n(eps, delta)} at eps = {eps}, delta = {delta}"
-        )
-    return math.log(ratio - 1.0)
+    """The shuffle entry's eps0, ln(f(eps)^2 * n / ln(4/delta) - 1)."""
+    return KARY_CALIBRATIONS["shuffle"].eps0(eps, delta, n)
 
 
 def fmt_eps1(eps0: float, delta: float, n: int, k: int) -> float:
@@ -259,8 +212,8 @@ def fmt_eps1(eps0: float, delta: float, n: int, k: int) -> float:
     + (k+1)/(k*n))).
     """
     _check_domain_size(k)
-    if n < 1 or not 0 < delta < 1:
-        raise ValidationError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
+    n = _check_count("n", n, 1)
+    _check_delta(delta)
     e0 = math.exp(eps0)
     root = math.sqrt((k + 1) / k * math.log(4.0 / delta) / n / (e0 + k - 1))
     return math.log1p(8.0 * (e0 + 1.0) * (root + (k + 1) / (k * n)))
@@ -285,36 +238,15 @@ def shurr_run(
     return _rr_apply(chosen, params, gen)
 
 
-def shurr_weak_complexity(
-    k: int, alpha: float, eps: float, delta: float, m: int
-) -> ComplexityReport:
-    """n = max(m, ceil(k*ln(4/delta) / (alpha*f(eps)^2))) for marginal TV error alpha."""
-    _check_alpha(alpha)
-    _check_count("m", m, 1)
-    _check_domain_size(k)
-    if not 0 < delta < 1:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
-    bound = k * math.log(4.0 / delta) / (alpha * shurr_f(eps) ** 2)
-    n = max(m, _tolerant_ceil(bound))
-    return ComplexityReport(
-        n_required=n,
-        formula_name="kary_weak",
-        inputs={"k": k, "alpha": alpha, "eps": eps, "delta": delta, "m": m},
-    )
+def _shurr_bound(k: int, alpha: float, eps: float, delta: float, m: int) -> float:
+    """k*ln(4/delta) / (alpha*f(eps)^2): n for marginal TV error alpha."""
+    return k * math.log(4.0 / delta) / (alpha * shurr_f(eps) ** 2)
 
 
-def shurr_strong_complexity(
-    k: int, alpha: float, eps: float, delta: float, m: int
-) -> ComplexityReport:
-    """Weak complexity at per-output tolerance alpha/m (union bound)."""
-    _check_alpha(alpha)
-    _check_count("m", m, 1)
-    weak = shurr_weak_complexity(k, _check_tolerance(alpha, m), eps, delta, m)
-    return ComplexityReport(
-        n_required=weak.n_required,
-        formula_name="kary_strong",
-        inputs={"k": k, "alpha": alpha, "eps": eps, "delta": delta, "m": m},
-    )
+def shurr_weak_complexity(k: int, alpha: float, eps: float, delta: float,
+                          m: int) -> ComplexityReport:
+    """The shuffle entry's weak task: n = max(m, ceil(k*ln(4/delta) / (alpha*f(eps)^2)))."""
+    return KARY_CALIBRATIONS["shuffle"].complexity("weak", k, alpha, eps, delta, m)
 
 
 # --- calibration table ----------------------------------------------------------
@@ -324,18 +256,60 @@ def shurr_strong_complexity(
 class KaryCalibration:
     """The numbers one k-ary sampler is calibrated by, each stated once.
 
-    * ``eps0(eps, delta, n)``: the RR parameter on n records, refused unless positive;
-      ``delta`` is None for the pure ``sub`` entry.
+    Arguments are the budget eps, delta (None for the pure ``sub`` entry), the
+    record count n, the domain size k, tolerance alpha and output count m.
+
+    * ``local(eps, delta, n)``: the x whose log is the RR parameter eps0, on
+      checked inputs; eps0 is refused unless x > 1.
     * ``certify(eps0, delta, n, k)``: the paper's bound on the central eps at that eps0.
-    * ``complexity``: task -> sufficient-n calculator, taking ``inputs`` in that order.
+    * ``inputs``: the inputs of every complexity task, in argument order.
+    * ``bounds``: task -> the sufficient-n bound on checked ``inputs``.
     * ``figures(eps, eps0, delta, n, k)``: RunReport figures besides eps0.
     """
 
-    eps0: Callable[[float, float | None, int], float]
+    local: Callable[[float, float | None, int], float]
     certify: Callable[[float, float | None, int, int], float]
     inputs: tuple[str, ...]
-    complexity: dict[str, Callable[..., ComplexityReport]]
+    bounds: dict[str, Callable[..., float]]
     figures: Callable[..., dict] = lambda eps, eps0, delta, n, k: {}
+
+    def _check_budget(self, eps: float, delta: float | None) -> None:
+        _check_finite_positive("eps", eps)
+        if "delta" in self.inputs:
+            _check_delta(delta)
+
+    def eps0(self, eps: float, delta: float | None, n: int) -> float:
+        """The RR parameter ln x on n records (n = 4.0 is taken as 4), refused as
+        ``InsufficientData``, naming :meth:`min_n`, unless x > 1."""
+        self._check_budget(eps, delta)
+        n = _check_count("n", n, 1)
+        x = self.local(eps, delta, n)
+        if not x > 1.0:
+            at = f"eps = {eps}" + (f", delta = {delta}" if "delta" in self.inputs else "")
+            raise InsufficientData(f"eps0 = ln x needs x > 1, got x = {x} from n = {n} records; "
+                                   f"need n >= {self.min_n(eps, delta)} at {at}")
+        return math.log(x)
+
+    def min_n(self, eps: float, delta: float | None) -> int:
+        """The smallest n that :meth:`eps0` accepts, found on its own test."""
+        self._check_budget(eps, delta)
+        return _least_n(lambda n: self.local(eps, delta, n) > 1.0, 1)
+
+    def complexity(self, task: str, *values) -> ComplexityReport:
+        """The sufficient n for ``task`` at ``values``, given in ``inputs`` order.
+
+        k = 4.0 and m = 8.0 are taken as 4 and 8; a report's n is at least m.
+        """
+        if len(values) != len(self.inputs):
+            raise TypeError(f"the {task} task takes {self.inputs}, got {len(values)} values")
+        args = dict(zip(self.inputs, values))
+        _check_alpha(args["alpha"])
+        args["k"] = _check_domain_size(args["k"])
+        self._check_budget(args["eps"], args.get("delta"))
+        if "m" in args:
+            args["m"] = _check_count("m", args["m"], 1)
+        n = max(args.get("m", 1), _tolerant_ceil(self.bounds[task](*args.values())))
+        return ComplexityReport(n_required=n, formula_name=f"kary_{task}", inputs=args)
 
     def derived(self, eps: float, delta: float | None, n: int, k: int) -> dict:
         """RunReport figures of one release from n records on [1..k]."""
@@ -343,21 +317,23 @@ class KaryCalibration:
         return {"eps0": eps0, **self.figures(eps, eps0, delta, n, k)}
 
 
-# entries call the module's functions by name, so a rebound function is seen here
 KARY_CALIBRATIONS = {
     "sub": KaryCalibration(
-        eps0=lambda eps, delta, n: subrr_eps0(eps, n),
+        local=lambda eps, delta, n: eps * n,
         certify=lambda eps0, delta, n, k: math.log1p(math.exp(eps0) / n),  # = ln(1 + eps)
         inputs=("k", "alpha", "eps"),
-        complexity={"single": lambda *args: subrr_sample_complexity(*args)},
+        # sufficient for TV error alpha
+        bounds={"single": lambda k, alpha, eps: (k - 1) * (1.0 - alpha) / (alpha * eps)},
     ),
     "shuffle": KaryCalibration(
-        eps0=lambda eps, delta, n: shurr_eps0(eps, delta, n),
-        certify=lambda eps0, delta, n, k: fmt_eps1(eps0, delta, n, k),
+        local=lambda eps, delta, n: shurr_f(eps) ** 2 * n / math.log(4.0 / delta) - 1.0,
+        certify=fmt_eps1,
         inputs=("k", "alpha", "eps", "delta", "m"),
-        complexity={
-            "weak": lambda *args: shurr_weak_complexity(*args),
-            "strong": lambda *args: shurr_strong_complexity(*args),
+        # strong: weak at per-output tolerance alpha/m (union bound)
+        bounds={
+            "weak": _shurr_bound,
+            "strong": lambda k, alpha, eps, delta, m: _shurr_bound(
+                k, _check_tolerance(alpha, m), eps, delta, m),
         },
         figures=lambda eps, eps0, delta, n, k: {"f_value": shurr_f(eps),
                                                 "eps1": fmt_eps1(eps0, delta, n, k)},

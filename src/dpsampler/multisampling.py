@@ -121,10 +121,10 @@ def subrr_sampler(k: int, *, alpha: float, eps: float) -> SamplerSpec:
 
     A call refuses a block whose domain size is not k.
     """
-    single = KARY_CALIBRATIONS["sub"].complexity["single"]
+    cal = KARY_CALIBRATIONS["sub"]
     return SamplerSpec(
         alpha=alpha,
-        n_per_call=lambda a: single(k, a, eps).n_required,
+        n_per_call=lambda a: cal.complexity("single", k, a, eps).n_required,
         run=_on_domain(k, lambda block, a, rng: subrr_sample(block, eps, rng)),
     )
 
@@ -134,10 +134,10 @@ def shurr_sampler(k: int, *, alpha: float, eps: float, delta: float, m: int) -> 
 
     A call refuses data whose domain size is not k.
     """
-    weak = KARY_CALIBRATIONS["shuffle"].complexity["weak"]
+    cal = KARY_CALIBRATIONS["shuffle"]
     return SamplerSpec(
         alpha=alpha,
-        n_per_call=lambda a: weak(k, a, eps, delta, m).n_required,
+        n_per_call=lambda a: cal.complexity("weak", k, a, eps, delta, m).n_required,
         run=_on_domain(k, lambda data, a, rng: shurr_run(data, eps, delta, m, rng)),
     )
 

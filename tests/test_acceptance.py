@@ -32,7 +32,7 @@ from dpsampler.divergences import (
 from dpsampler.elap import (
     ELapParams,
     GammaParams,
-    elap_density,
+    elap_log_density,
     elap_sample,
     elap_tail_radius,
     gamma_exact_tail,
@@ -45,15 +45,13 @@ from dpsampler.gaussian import (
     pure_gaussian_sample,
 )
 from dpsampler.kary import (
+    KARY_CALIBRATIONS,
     RRParams,
     rr_row,
     fmt_eps1,
     shurr_eps0,
     shurr_run,
-    shurr_strong_complexity,
     shurr_weak_complexity,
-    subrr_eps0,
-    subrr_sample_complexity,
 )
 from dpsampler.multisampling import strong_both_complexity, subrr_sampler
 
@@ -82,7 +80,7 @@ def test_criterion_01_elap_normalization():
                 point = np.zeros(d)
                 point[0] = r
                 surface = 2.0 * math.pi ** (d / 2.0) * r ** (d - 1) / math.gamma(d / 2.0)
-                return elap_density(point, params) * surface
+                return math.exp(elap_log_density(point, params)) * surface
 
             total, _ = scipy.integrate.quad(integrand, 0.0, np.inf, limit=200)
             if abs(total - 1.0) > 1e-8:
@@ -142,7 +140,8 @@ def test_criterion_04_subrr_pure_dp_exhaustive():
                     continue
                 report = audit_subrr_pure(k, n, eps)
                 ratio = math.exp(report.measured)
-                intermediate = 1.0 + math.exp(subrr_eps0(eps, n)) / n  # = 1 + eps
+                eps0 = KARY_CALIBRATIONS["sub"].eps0(eps, None, n)
+                intermediate = 1.0 + math.exp(eps0) / n  # = 1 + eps
                 if ratio > intermediate + 1e-12:
                     failures.append(f"k={k} n={n} eps={eps}: ratio {ratio} > {intermediate}")
                 if intermediate > math.exp(eps) + 1e-12:
@@ -154,7 +153,7 @@ def test_criterion_05_subrr_accuracy_exact():
     start = time.perf_counter()
     failures = []
     for k, alpha, eps in itertools.product((2, 3, 5), (0.05, 0.1, 0.3), (0.5, 1.0, 2.0)):
-        n = subrr_sample_complexity(k, alpha, eps).n_required
+        n = KARY_CALIBRATIONS["sub"].complexity("single", k, alpha, eps).n_required
         weight = (k - 1) / (k - 1 + eps * n)
         if weight > alpha + 1e-12:
             failures.append(f"k={k} alpha={alpha} eps={eps}: weight {weight} > {alpha}")
@@ -163,9 +162,9 @@ def test_criterion_05_subrr_accuracy_exact():
         k = int(gen.integers(2, 6))
         alpha = float(gen.uniform(0.02, 0.5))
         eps = float(gen.uniform(0.2, 3.0))
-        n = subrr_sample_complexity(k, alpha, eps).n_required
+        n = KARY_CALIBRATIONS["sub"].complexity("single", k, alpha, eps).n_required
         dist = validate_categorical(gen.dirichlet(np.ones(k)))
-        params = RRParams(eps0=subrr_eps0(eps, n), k=k)
+        params = RRParams(eps0=KARY_CALIBRATIONS["sub"].eps0(eps, None, n), k=k)
         rows = np.stack([rr_row(x, params) for x in range(1, k + 1)])
         averaged = validate_categorical(dist.probs @ rows)
         tv = tv_distance_finite(averaged, dist)
@@ -352,13 +351,14 @@ def test_criterion_11_combinator_formula_equalities():
     ):
         spec = subrr_sampler(k, alpha=alpha, eps=eps)
         composed = strong_both_complexity(spec, m, alpha)
-        direct = m * subrr_sample_complexity(k, alpha / m, eps).n_required
+        direct = m * KARY_CALIBRATIONS["sub"].complexity("single", k, alpha / m, eps).n_required
         if composed != direct:
             failures.append(f"strong-via-both k={k} alpha={alpha} eps={eps} m={m}")
     for k, alpha, eps, delta, m in itertools.product(
         (2, 10), (0.05, 0.3), (0.5, 2.0), (1e-6, 1e-8), (1, 7, 40)
     ):
-        strong = shurr_strong_complexity(k, alpha, eps, delta, m).n_required
+        strong = KARY_CALIBRATIONS["shuffle"].complexity(
+            "strong", k, alpha, eps, delta, m).n_required
         weak = shurr_weak_complexity(k, alpha / m, eps, delta, m).n_required
         if strong != weak:
             failures.append(f"shuffled strong k={k} alpha={alpha} eps={eps} m={m}")

@@ -31,8 +31,7 @@ from dpsampler.kary import (
     rr_mixture_dist,
     rr_pmf,
     rr_row,
-    subrr_eps0,
-    subrr_sample_complexity,
+    shurr_weak_complexity,
 )
 from dpsampler.multisampling import gaussian_sampler
 
@@ -49,7 +48,7 @@ def _compositions(total: int, parts: int):
 
 def reference_audit_subrr_pure(k, n, eps, claimed_eps=None):
     """audit_subrr_pure as a nested loop over (counts, a, b), one outcome vector at a time."""
-    eps0 = subrr_eps0(eps, n)
+    eps0 = KARY_CALIBRATIONS["sub"].eps0(eps, None, n)
     params = RRParams(eps0=eps0, k=k)
     rows = np.stack([rr_row(x, params) for x in range(1, k + 1)])
     bound = eps if claimed_eps is None else claimed_eps
@@ -186,7 +185,7 @@ class TestAuditSubRRPure:
     ])
     def test_passes_at_its_samplers_own_n(self, k, alpha, eps):
         # n runs from 18 to 899,910: the worst pair's ratio is 1 + (e^eps0 - 1)/n
-        n = subrr_sample_complexity(k, alpha, eps).n_required
+        n = KARY_CALIBRATIONS["sub"].complexity("single", k, alpha, eps).n_required
         report = audit_subrr_pure(k, n, eps)
         assert report.verdict == "pass"
         assert report.measured == pytest.approx(
@@ -211,7 +210,7 @@ class TestAuditSubRRPure:
     def test_underflowed_off_diagonal_mass_fails_with_inf(self):
         # eps = 1e17 at n = 2 gives keep_prob 1.0: the rows are the identity,
         # so removing the only record a leaves outcome a no mass at all
-        assert RRParams(eps0=subrr_eps0(1e17, 2), k=3).keep_prob == 1.0
+        assert RRParams(eps0=KARY_CALIBRATIONS["sub"].eps0(1e17, None, 2), k=3).keep_prob == 1.0
         report = audit_subrr_pure(3, 2, 1e17)
         assert report.measured == math.inf
         assert report.verdict == "fail"
@@ -290,8 +289,6 @@ class TestAuditShuRRMarginal:
         assert report.measured == 0.0
 
     def test_weak_complexity_point_passes(self):
-        from dpsampler.kary import shurr_weak_complexity
-
         k, alpha, eps, delta = 2, 0.5, 4.0, 0.01
         n = shurr_weak_complexity(k, alpha, eps, delta, 1).n_required
         report = audit_shurr_marginal(k, n, eps, delta, None, None)
@@ -384,7 +381,7 @@ class TestAuditShuRRMarginal:
                 audit(2**63)
 
     def test_empty_dataset_rejected(self):
-        # a planted eps0 skips shurr_eps0's own n >= 1 check
+        # a planted eps0 skips the shuffle entry's own n >= 1 check
         with pytest.raises(EmptyDataset):
             audit_shurr_marginal(2, 0, 1.0, 0.01, None, None, eps0=1.0)
 

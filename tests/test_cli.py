@@ -18,7 +18,7 @@ from dpsampler.gaussian import (
     zcdp_bounded_cov_sample,
     zcdp_known_cov_sample,
 )
-from dpsampler.kary import KARY_CALIBRATIONS, shurr_weak_complexity, subrr_sample_complexity
+from dpsampler.kary import KARY_CALIBRATIONS, shurr_weak_complexity
 
 
 def run_cli(capsys, argv):
@@ -312,7 +312,7 @@ class TestSampleGaussian:
         rows = _COMMANDS["complexity"].rows
         assert {task: row.requires[2:] for (family, task), row in rows.items()
                 if family == "kary"} == {
-            task: cal.inputs for cal in KARY_CALIBRATIONS.values() for task in cal.complexity
+            task: cal.inputs for cal in KARY_CALIBRATIONS.values() for task in cal.bounds
         }
         assert [task for family, task in rows if family == "kary"] == ["single", "weak", "strong"]
 
@@ -320,7 +320,7 @@ class TestSampleGaussian:
     def test_kary_counts_given_as_floats_are_cast(self, task):
         # JSON configs may carry k = 4.0 and m = 8.0; each task is given its inputs only
         values = {"k": 4, "alpha": 0.1, "eps": 2.0, "delta": 1e-6, "m": 8}
-        inputs = next(cal.inputs for cal in KARY_CALIBRATIONS.values() if task in cal.complexity)
+        inputs = next(cal.inputs for cal in KARY_CALIBRATIONS.values() if task in cal.bounds)
         params = {"family": "kary", "task": task, **{name: values[name] for name in inputs}}
         as_ints = run(ExperimentConfig(task="complexity", params=params))
         as_floats = run(ExperimentConfig(task="complexity", params={
@@ -503,14 +503,15 @@ class TestSweep:
         assert code == 0
         header, row = out.read_text().splitlines()
         cols = dict(zip(header.split(","), row.split(",")))
-        assert int(cols["kary_single"]) == subrr_sample_complexity(10, 0.1, 1.0).n_required
+        single = KARY_CALIBRATIONS["sub"].complexity("single", 10, 0.1, 1.0)
+        assert int(cols["kary_single"]) == single.n_required
         assert int(cols["kary_weak"]) == shurr_weak_complexity(10, 0.1, 1.0, 1e-6, 5).n_required
 
     def test_single_vs_weak_crossover(self):
         # repetition costs m * n_single; the shuffled bound is flat in m until
         # m itself dominates, so it wins exactly once m exceeds fixed/n_single
         k, alpha, eps, delta = 10, 0.1, 0.5, 1e-6
-        n_single = subrr_sample_complexity(k, alpha, eps).n_required
+        n_single = KARY_CALIBRATIONS["sub"].complexity("single", k, alpha, eps).n_required
         fixed = shurr_weak_complexity(k, alpha, eps, delta, 1).n_required
         m_star = math.ceil(fixed / n_single)
         header, rows = table_sweep(

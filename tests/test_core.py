@@ -20,7 +20,8 @@ from dpsampler.core import (
     write_kary_csv,
     write_vector_csv,
 )
-from dpsampler.elap import ELapParams, elap_tail_radius
+from dpsampler.audit import audit_shurr_marginal
+from dpsampler.elap import ELapParams, GammaParams, elap_sample, elap_tail_radius, gamma_sample
 from dpsampler.errors import (
     DPSamplerError,
     DomainTooSmall,
@@ -33,13 +34,13 @@ from dpsampler.errors import (
 )
 from dpsampler.gaussian import GAUSSIAN_CALIBRATIONS
 from dpsampler.kary import (
+    KARY_CALIBRATIONS,
     RRParams,
     fmt_eps1,
     rr_sample,
     shurr_run,
     shurr_weak_complexity,
     subrr_sample,
-    subrr_sample_complexity,
 )
 from dpsampler.multisampling import repetition_complexity, subrr_sampler
 
@@ -385,11 +386,50 @@ def test_counts_refuse_booleans_and_take_integral_floats(name):
     assert COUNT_CALLS[name](4.0) == 4 and type(COUNT_CALLS[name](4.0)) is int
 
 
+# every call that takes a record count n or a draw count size, each checking it
+# with core._check_count: (count name, call, the message below its least value)
+RECORD_AND_DRAW_COUNT_SITES = {
+    "sub.eps0": ("n", lambda v: KARY_CALIBRATIONS["sub"].eps0(1.0, None, v),
+                 "n must be >= 1, got -1"),
+    "shuffle.eps0": ("n", lambda v: KARY_CALIBRATIONS["shuffle"].eps0(4.0, 0.01, v),
+                     "n must be >= 1, got -1"),
+    "fmt_eps1": ("n", lambda v: fmt_eps1(1.0, 0.01, v, 3), "n must be >= 1, got -1"),
+    # the audited pair, reached past the entry's eps0 by a planted eps0
+    "audit_shurr_marginal": (
+        "n", lambda v: audit_shurr_marginal(2, v, 0.5, 0.01, None, None, eps0=1.0),
+        "the audited pair needs n >= 1 records, got -1"),
+    "rr_sample": ("size", lambda v: rr_sample(1, RRParams(eps0=1.0, k=3), RandomSource(1), v),
+                  "size must be >= 0, got -1"),
+    "gamma_sample": ("size", lambda v: gamma_sample(GammaParams(shape=2, rate=1.0),
+                                                    RandomSource(1), v),
+                     "size must be >= 0, got -1"),
+    "elap_sample": ("size", lambda v: elap_sample(ELapParams(d=2, b=1.0), RandomSource(1), v),
+                    "size must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("site", RECORD_AND_DRAW_COUNT_SITES)
+@pytest.mark.parametrize("value", [2.5, True, -1])
+def test_record_and_draw_counts_share_one_rule(site, value):
+    name, call, below = RECORD_AND_DRAW_COUNT_SITES[site]
+    message = below if value == -1 else f"{name} must be an integer, got {value}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as raised:
+        call(value)
+    assert type(raised.value) is (EmptyDataset if site == "audit_shurr_marginal" and value == -1
+                                  else ValidationError)
+
+
+@pytest.mark.parametrize("site", ["rr_sample", "gamma_sample", "elap_sample"])
+def test_draw_count_zero_gives_no_draws(site):
+    _, call, _ = RECORD_AND_DRAW_COUNT_SITES[site]
+    assert len(call(0)) == 0 and len(call(2.0)) == 2
+
+
 # every call that takes a domain size k, each checking it with core._check_domain_size
 DOMAIN_SIZE_SITES = {
     "KaryDataset": lambda k: KaryDataset(values=[1, 2], k=k),
     "RRParams": lambda k: RRParams(eps0=1.0, k=k),
-    "subrr_sample_complexity": lambda k: subrr_sample_complexity(k, 0.1, 1.0),
+    "sub.complexity": lambda k: KARY_CALIBRATIONS["sub"].complexity("single", k, 0.1, 1.0),
     "shurr_weak_complexity": lambda k: shurr_weak_complexity(k, 0.1, 1.0, 0.01, 1),
     "fmt_eps1": lambda k: fmt_eps1(1.0, 0.01, 100, k),
 }
@@ -417,7 +457,7 @@ def test_rr_params_store_an_integral_k_as_int():
 ALPHA_SITES = {
     **{f"{variant}.clip_bound": (lambda a, cal=cal: cal.clip_bound(2, 1.0, a))
        for variant, cal in GAUSSIAN_CALIBRATIONS.items()},
-    "subrr_sample_complexity": lambda a: subrr_sample_complexity(3, a, 1.0),
+    "sub.complexity": lambda a: KARY_CALIBRATIONS["sub"].complexity("single", 3, a, 1.0),
     "shurr_weak_complexity": lambda a: shurr_weak_complexity(3, a, 1.0, 0.01, 1),
     "elap_tail_radius": lambda a: elap_tail_radius(ELapParams(d=2, b=1.0), a),
 }

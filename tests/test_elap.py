@@ -13,7 +13,6 @@ from dpsampler.elap import (
     MIN_SCALE,
     ELapParams,
     GammaParams,
-    elap_density,
     elap_log_density,
     elap_sample,
     elap_tail_radius,
@@ -38,7 +37,7 @@ def radial_density_integral(d: int, b: float) -> float:
         point = np.zeros(d)
         point[0] = r
         surface = 2.0 * math.pi ** (d / 2.0) * r ** (d - 1) / math.gamma(d / 2.0)
-        return elap_density(point, params) * surface
+        return math.exp(elap_log_density(point, params)) * surface
 
     total, _ = scipy.integrate.quad(integrand, 0.0, np.inf, limit=200)
     return total

@@ -6,12 +6,12 @@ import scipy.stats
 
 from helpers import chi2_statistic
 
-import dpsampler.kary
 from dpsampler.core import KaryDataset, RandomSource, validate_categorical
 from dpsampler.divergences import tv_distance_finite
 from dpsampler.errors import InsufficientData, OutOfDomain, PrecisionLimit, ValidationError
 from dpsampler.kary import (
     KARY_CALIBRATIONS,
+    ComplexityReport,
     RRParams,
     _rr_apply,
     fmt_eps1,
@@ -22,15 +22,12 @@ from dpsampler.kary import (
     rr_sample,
     shurr_eps0,
     shurr_f,
-    shurr_min_n,
     shurr_run,
-    shurr_strong_complexity,
     shurr_weak_complexity,
-    subrr_eps0,
-    subrr_exact_output_dist,
     subrr_sample,
-    subrr_sample_complexity,
 )
+
+SUB, SHUFFLE = KARY_CALIBRATIONS["sub"], KARY_CALIBRATIONS["shuffle"]
 
 CHI2_SIG = 1e-3
 
@@ -105,12 +102,12 @@ class TestRRSample:
 
 class TestSubRR:
     def test_eps0_values(self):
-        assert subrr_eps0(1.0, 100) == pytest.approx(math.log(100.0), abs=1e-12)
-        assert subrr_eps0(math.e, 1) == pytest.approx(1.0, abs=1e-12)
+        assert SUB.eps0(1.0, None, 100) == pytest.approx(math.log(100.0), abs=1e-12)
+        assert SUB.eps0(math.e, None, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_eps0_boundary(self):
         with pytest.raises(InsufficientData):
-            subrr_eps0(0.01, 100)
+            SUB.eps0(0.01, None, 100)
 
     def test_single_record_matches_rr(self):
         data = KaryDataset(values=[2], k=3)
@@ -125,8 +122,8 @@ class TestSubRR:
     def test_all_identical_collapses(self):
         data = KaryDataset(values=[3] * 6, k=4)
         eps = 1.0
-        dist = subrr_exact_output_dist(data, eps)
-        eps0 = subrr_eps0(eps, 6)
+        eps0 = SUB.eps0(eps, None, 6)
+        dist = rr_mixture_dist(data, eps0)
         expected_keep = 1.0 / (1.0 + 3.0 * math.exp(-eps0))
         assert dist.prob(3) == pytest.approx(expected_keep, abs=1e-12)
         np.testing.assert_allclose(dist.probs, rr_row(3, RRParams(eps0=eps0, k=4)))
@@ -134,7 +131,7 @@ class TestSubRR:
     def test_sample_matches_exact_dist(self):
         data = KaryDataset(values=[1, 2, 3, 1, 1], k=3)
         eps = 1.0
-        oracle = subrr_exact_output_dist(data, eps)
+        oracle = rr_mixture_dist(data, SUB.eps0(eps, None, data.n))
         rng = RandomSource(14)
         out = np.array([subrr_sample(data, eps, rng) for _ in range(150_000)])
         counts = np.bincount(out, minlength=4)[1:]
@@ -143,7 +140,7 @@ class TestSubRR:
     def test_hand_enumerated_output_dist(self):
         # eps*n = 3 so eps0 = ln 3; rows (0.75, 0.25) and (0.25, 0.75) average to uniform
         data = KaryDataset(values=[1, 2], k=2)
-        dist = subrr_exact_output_dist(data, 1.5)
+        dist = rr_mixture_dist(data, SUB.eps0(1.5, None, data.n))
         np.testing.assert_allclose(dist.probs, [0.5, 0.5], atol=1e-15)
 
     def test_tv_to_empirical_bounded_by_mixture_weight(self):
@@ -155,16 +152,16 @@ class TestSubRR:
             if eps * n <= 1.0:
                 continue
             data = KaryDataset(values=gen.integers(1, k + 1, size=n), k=k)
-            dist = subrr_exact_output_dist(data, eps)
+            dist = rr_mixture_dist(data, SUB.eps0(eps, None, data.n))
             empirical = validate_categorical(data.counts() / n)
-            weight = rr_mixture_weight(k, subrr_eps0(eps, n))
+            weight = rr_mixture_weight(k, SUB.eps0(eps, None, n))
             assert tv_distance_finite(dist, empirical) <= weight + 1e-12
 
 
 class TestSubRRComplexity:
     def test_examples(self):
-        assert subrr_sample_complexity(10, 0.1, 1.0).n_required == 81
-        assert subrr_sample_complexity(2, 0.5, 1.0).n_required == 1
+        assert SUB.complexity("single", 10, 0.1, 1.0).n_required == 81
+        assert SUB.complexity("single", 2, 0.5, 1.0).n_required == 1
 
     def test_below_simple_bound(self):
         gen = np.random.default_rng(16)
@@ -172,12 +169,12 @@ class TestSubRRComplexity:
             k = int(gen.integers(2, 200))
             alpha = float(gen.uniform(0.01, 0.9))
             eps = float(gen.uniform(0.05, 4.0))
-            n = subrr_sample_complexity(k, alpha, eps).n_required
+            n = SUB.complexity("single", k, alpha, eps).n_required
             assert n <= k / (alpha * eps) + 1
 
     def test_mixture_weight_at_complexity(self):
         for k, alpha, eps in [(10, 0.1, 1.0), (5, 0.25, 0.5), (2, 0.5, 1.0), (100, 0.02, 2.0)]:
-            n = subrr_sample_complexity(k, alpha, eps).n_required
+            n = SUB.complexity("single", k, alpha, eps).n_required
             weight = (k - 1) / (k - 1 + eps * n)
             assert weight <= alpha + 1e-12
 
@@ -320,49 +317,50 @@ class TestShuRRComplexity:
 
     def test_strong_is_weak_at_alpha_over_m(self):
         for k, alpha, eps, delta, m in [(10, 0.1, 0.5, 1e-6, 10), (4, 0.2, 2.0, 0.01, 7)]:
-            strong = shurr_strong_complexity(k, alpha, eps, delta, m)
+            strong = SHUFFLE.complexity("strong", k, alpha, eps, delta, m)
             weak = shurr_weak_complexity(k, alpha / m, eps, delta, m)
             assert strong.n_required == weak.n_required
 
     def test_strong_m1_equals_weak(self):
         assert (
-            shurr_strong_complexity(10, 0.1, 0.5, 1e-6, 1).n_required
+            SHUFFLE.complexity("strong", 10, 0.1, 0.5, 1e-6, 1).n_required
             == shurr_weak_complexity(10, 0.1, 0.5, 1e-6, 1).n_required
         )
 
     def test_strong_linear_in_m(self):
-        base = shurr_strong_complexity(10, 0.1, 0.5, 1e-6, 100).n_required
-        doubled = shurr_strong_complexity(10, 0.1, 0.5, 1e-6, 200).n_required
+        base = SHUFFLE.complexity("strong", 10, 0.1, 0.5, 1e-6, 100).n_required
+        doubled = SHUFFLE.complexity("strong", 10, 0.1, 0.5, 1e-6, 200).n_required
         assert doubled == pytest.approx(2 * base, rel=1e-6)
 
     def test_precision_limit(self):
         with pytest.raises(PrecisionLimit):
-            shurr_strong_complexity(10, 1e-9, 0.5, 1e-6, 10**7)
+            SHUFFLE.complexity("strong", 10, 1e-9, 0.5, 1e-6, 10**7)
 
 
 class TestIntegralCounts:
     """k and m count categories and outputs: a non-integral one is refused, 4.0 is 4."""
 
-    @pytest.mark.parametrize("name, calculate, args", [
-        ("k", subrr_sample_complexity, (4.5, 0.1, 1.0)),
-        ("m", shurr_weak_complexity, (3, 0.1, 1.0, 1e-6, 2.5)),
-        ("k", shurr_weak_complexity, (3.5, 0.1, 1.0, 1e-6, 2)),
-        ("m", shurr_weak_complexity, (3, 0.1, 1.0, 1e-6, math.nan)),
-        ("m", shurr_strong_complexity, (3, 0.1, 1.0, 1e-6, 2.5)),
-        ("k", shurr_strong_complexity, (3.5, 0.1, 1.0, 1e-6, 2)),
+    @pytest.mark.parametrize("name, mode, task, args", [
+        ("k", "sub", "single", (4.5, 0.1, 1.0)),
+        ("m", "shuffle", "weak", (3, 0.1, 1.0, 1e-6, 2.5)),
+        ("k", "shuffle", "weak", (3.5, 0.1, 1.0, 1e-6, 2)),
+        ("m", "shuffle", "weak", (3, 0.1, 1.0, 1e-6, math.nan)),
+        ("m", "shuffle", "strong", (3, 0.1, 1.0, 1e-6, 2.5)),
+        ("k", "shuffle", "strong", (3.5, 0.1, 1.0, 1e-6, 2)),
     ])
-    def test_non_integral_count_refused(self, name, calculate, args):
+    def test_non_integral_count_refused(self, name, mode, task, args):
         with pytest.raises(ValidationError, match=f"^{name} must be an integer, got"):
-            calculate(*args)
+            KARY_CALIBRATIONS[mode].complexity(task, *args)
 
-    @pytest.mark.parametrize("calculate, args", [
-        (subrr_sample_complexity, (4, 0.1, 1.0)),
-        (shurr_weak_complexity, (3, 0.1, 1.0, 1e-6, 2)),
-        (shurr_strong_complexity, (3, 0.1, 1.0, 1e-6, 2)),
+    @pytest.mark.parametrize("mode, task, args", [
+        ("sub", "single", (4, 0.1, 1.0)),
+        ("shuffle", "weak", (3, 0.1, 1.0, 1e-6, 2)),
+        ("shuffle", "strong", (3, 0.1, 1.0, 1e-6, 2)),
     ])
-    def test_integral_float_accepted(self, calculate, args):
+    def test_integral_float_accepted(self, mode, task, args):
         as_floats = [float(v) if isinstance(v, int) else v for v in args]
-        assert calculate(*as_floats).n_required == calculate(*args).n_required
+        cal = KARY_CALIBRATIONS[mode]
+        assert cal.complexity(task, *as_floats) == cal.complexity(task, *args)
 
 
 class TestNonFiniteBudgets:
@@ -375,9 +373,9 @@ class TestNonFiniteBudgets:
 
     @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
     @pytest.mark.parametrize("calculate", [
-        lambda eps: subrr_eps0(eps, 100),
+        lambda eps: SUB.eps0(eps, None, 100),
         shurr_f,
-        lambda eps: subrr_sample_complexity(3, 0.1, eps),
+        lambda eps: SUB.complexity("single", 3, 0.1, eps),
         lambda eps: shurr_weak_complexity(3, 0.1, eps, 1e-6, 5),
         lambda eps: shurr_eps0(eps, 1e-6, 10**6),
     ], ids=["subrr_eps0", "shurr_f", "subrr_complexity", "shurr_weak_complexity", "shurr_eps0"])
@@ -390,14 +388,14 @@ class TestShuRRMinN:
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-3, 0.01, 0.3])
     def test_min_n_is_the_first_accepted_n(self, eps, delta):
-        n = shurr_min_n(eps, delta)
+        n = SHUFFLE.min_n(eps, delta)
         assert shurr_eps0(eps, delta, n) > 0
         with pytest.raises(InsufficientData, match=f"need n >= {n} at"):
             shurr_eps0(eps, delta, n - 1)
 
     def test_frozen_value(self):
         # eps = 4, delta = 0.3: n = 498 gives eps0 = 0.0027 > 0, n = 497 does not
-        assert shurr_min_n(4.0, 0.3) == 498
+        assert SHUFFLE.min_n(4.0, 0.3) == 498
         assert shurr_eps0(4.0, 0.3, 498) == pytest.approx(0.0027, abs=1e-4)
 
     def test_negative_local_parameter_refused(self):
@@ -411,7 +409,7 @@ class TestShuRRMinN:
             shurr_run(data, 1.0, 1e-6, 1, RandomSource(28))
 
     def test_min_n_terminates_at_huge_n(self):
-        n = shurr_min_n(1e-10, 1e-6)
+        n = SHUFFLE.min_n(1e-10, 1e-6)
         assert shurr_eps0(1e-10, 1e-6, n) > 0
         with pytest.raises(InsufficientData):
             shurr_eps0(1e-10, 1e-6, n - 1)
@@ -419,8 +417,11 @@ class TestShuRRMinN:
 
 class TestKaryCalibrations:
     def test_eps0_is_the_mechanisms_local_parameter(self):
-        assert KARY_CALIBRATIONS["sub"].eps0(0.5, None, 40) == subrr_eps0(0.5, 40)
-        assert KARY_CALIBRATIONS["shuffle"].eps0(0.5, 1e-6, 10**6) == shurr_eps0(0.5, 1e-6, 10**6)
+        assert SUB.eps0(0.5, None, 40) == math.log(0.5 * 40)
+        assert SHUFFLE.eps0(0.5, 1e-6, 10**6) == math.log(
+            shurr_f(0.5) ** 2 * 10**6 / math.log(4e6) - 1.0
+        )
+        assert shurr_eps0(0.5, 1e-6, 10**6) == SHUFFLE.eps0(0.5, 1e-6, 10**6)
 
     @pytest.mark.parametrize("eps", [0.1, 1.0, 3.0])
     def test_sub_certificate_is_log1p_eps(self, eps):
@@ -446,17 +447,21 @@ class TestKaryCalibrations:
         }
 
     def test_complexity_tasks_take_their_inputs_in_order(self):
+        # the reports the 0.12.0 calculators gave at these inputs
         cases = {
-            "single": ((10, 0.1, 1.0), subrr_sample_complexity),
-            "weak": ((10, 0.1, 0.5, 1e-6, 8), shurr_weak_complexity),
-            "strong": ((10, 0.1, 0.5, 1e-6, 8), shurr_strong_complexity),
+            "single": ((10, 0.1, 1.0), 81),
+            "weak": ((10, 0.1, 0.5, 1e-6, 8), 2_334_998),
+            "strong": ((10, 0.1, 0.5, 1e-6, 8), 18_679_978),
         }
         tasks = {}
         for cal in KARY_CALIBRATIONS.values():
-            for task, calculate in cal.complexity.items():
-                args, direct = cases[task]
-                assert len(cal.inputs) == len(args)
-                assert calculate(*args) == direct(*args)
+            for task in cal.bounds:
+                args, n = cases[task]
+                assert cal.complexity(task, *args) == ComplexityReport(
+                    n_required=n, formula_name=f"kary_{task}", inputs=dict(zip(cal.inputs, args))
+                )
+                with pytest.raises(TypeError, match=f"^the {task} task takes"):
+                    cal.complexity(task, *args[:-1])
                 tasks[task] = cal.inputs
         assert tasks == {
             "single": ("k", "alpha", "eps"),
@@ -464,28 +469,14 @@ class TestKaryCalibrations:
             "strong": ("k", "alpha", "eps", "delta", "m"),
         }
 
-    @pytest.mark.parametrize("name, call", [
-        ("subrr_eps0", lambda: KARY_CALIBRATIONS["sub"].eps0(1.0, None, 100)),
-        ("shurr_eps0", lambda: KARY_CALIBRATIONS["shuffle"].eps0(4.0, 0.3, 3_000)),
-        ("fmt_eps1", lambda: KARY_CALIBRATIONS["shuffle"].certify(1.0, 0.3, 3_000, 3)),
-        ("shurr_f", lambda: KARY_CALIBRATIONS["shuffle"].figures(4.0, 1.0, 0.3, 3_000, 3)),
-        ("fmt_eps1", lambda: KARY_CALIBRATIONS["shuffle"].figures(4.0, 1.0, 0.3, 3_000, 3)),
-        ("subrr_sample_complexity",
-         lambda: KARY_CALIBRATIONS["sub"].complexity["single"](10, 0.1, 1.0)),
-        ("shurr_weak_complexity",
-         lambda: KARY_CALIBRATIONS["shuffle"].complexity["weak"](10, 0.1, 0.5, 1e-6, 8)),
-        ("shurr_strong_complexity",
-         lambda: KARY_CALIBRATIONS["shuffle"].complexity["strong"](10, 0.1, 0.5, 1e-6, 8)),
+    @pytest.mark.parametrize("mode, eps, delta", [
+        ("sub", 0.003, None), ("sub", 0.3, None), ("sub", 0.7, None),
+        ("shuffle", 0.5, 1e-6), ("shuffle", 4.0, 0.3),
     ])
-    def test_entries_call_module_functions_by_name(self, monkeypatch, name, call):
-        # a function rebound in the module (a tracer's wrapper, say) is what the table calls
-        original = getattr(dpsampler.kary, name)
-        called = []
-
-        def recording(*args):
-            called.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(dpsampler.kary, name, recording)
-        call()
-        assert called
+    def test_eps0_accepts_exactly_from_min_n(self, mode, eps, delta):
+        cal = KARY_CALIBRATIONS[mode]
+        n = cal.min_n(eps, delta)
+        assert n > 1
+        assert cal.eps0(eps, delta, n) > 0
+        with pytest.raises(InsufficientData, match=f"need n >= {n} at"):
+            cal.eps0(eps, delta, n - 1)

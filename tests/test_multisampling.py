@@ -22,11 +22,7 @@ from dpsampler.errors import (
 )
 import dpsampler.gaussian
 from dpsampler.gaussian import _STATS, _clip_rows, zcdp_bounded_cov_sample
-from dpsampler.kary import (
-    shurr_strong_complexity,
-    subrr_exact_output_dist,
-    subrr_sample_complexity,
-)
+from dpsampler.kary import KARY_CALIBRATIONS, rr_mixture_dist
 from dpsampler.multisampling import (
     _BLOCKS,
     SamplerSpec,
@@ -131,8 +127,9 @@ class TestWeakViaRepetition:
         block = spec.n_per_call(0.3)
         pattern = ([1] * (block - 1)) + [2]
         data = KaryDataset(values=np.tile(pattern, 3), k=3)
-        first = subrr_exact_output_dist(data.subset(0, block), 1.0)
-        last = subrr_exact_output_dist(data.subset(2 * block, 3 * block), 1.0)
+        eps0 = KARY_CALIBRATIONS["sub"].eps0(1.0, None, block)
+        first = rr_mixture_dist(data.subset(0, block), eps0)
+        last = rr_mixture_dist(data.subset(2 * block, 3 * block), eps0)
         np.testing.assert_allclose(first.probs, last.probs, atol=1e-15)
 
     def test_joint_law_is_product_of_block_marginals(self):
@@ -143,8 +140,9 @@ class TestWeakViaRepetition:
         spec = subrr_sampler(k=k, eps=eps, alpha=alpha)
         block = spec.n_per_call(alpha)
         data = KaryDataset(values=np.array([1] * block + [2] * block), k=k)
-        oracle1 = subrr_exact_output_dist(data.subset(0, block), eps)
-        oracle2 = subrr_exact_output_dist(data.subset(block, 2 * block), eps)
+        eps0 = KARY_CALIBRATIONS["sub"].eps0(eps, None, block)
+        oracle1 = rr_mixture_dist(data.subset(0, block), eps0)
+        oracle2 = rr_mixture_dist(data.subset(block, 2 * block), eps0)
         product = np.outer(oracle1.probs, oracle2.probs).ravel()
 
         runs = 40_000
@@ -158,7 +156,8 @@ class TestWeakViaRepetition:
 
     def test_complexity_formula(self):
         spec = subrr_sampler(k=10, eps=1.0, alpha=0.1)
-        assert repetition_complexity(spec, 7) == 7 * subrr_sample_complexity(10, 0.1, 1.0).n_required
+        single = KARY_CALIBRATIONS["sub"].complexity("single", 10, 0.1, 1.0)
+        assert repetition_complexity(spec, 7) == 7 * single.n_required
 
 
 class TestStrongViaPrecision:
@@ -178,8 +177,8 @@ class TestStrongViaPrecision:
 
     def test_required_n_matches_weak_complexity_at_alpha_over_m(self):
         spec = shurr_sampler(k=10, eps=0.5, delta=1e-6, m=20, alpha=0.2)
-        assert spec.n_per_call(0.2 / 20) == shurr_strong_complexity(
-            10, 0.2, 0.5, 1e-6, 20
+        assert spec.n_per_call(0.2 / 20) == KARY_CALIBRATIONS["shuffle"].complexity(
+            "strong", 10, 0.2, 0.5, 1e-6, 20
         ).n_required
 
     def test_insufficient_data(self):

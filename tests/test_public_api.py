@@ -5,6 +5,8 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import dpsampler
 
 
@@ -169,10 +171,8 @@ def test_raw_mechanism_guard_sees_calls():
     assert _raw_mechanism_calls(tree) == [("release", 2), ("release", 3)]
 
 
-KARY_CALIBRATION_FUNCTIONS = {"subrr_eps0", "shurr_eps0", "shurr_f", "fmt_eps1"}
-COMPLEXITY_CALCULATORS = {
-    "subrr_sample_complexity", "shurr_weak_complexity", "shurr_strong_complexity",
-}
+KARY_CALIBRATION_FUNCTIONS = {"shurr_eps0", "shurr_f", "fmt_eps1"}
+COMPLEXITY_CALCULATORS = {"shurr_weak_complexity"}
 
 
 def _calls(tree: ast.AST, names: set[str]):
@@ -208,27 +208,123 @@ def test_kary_calibration_guard_sees_calls():
         "def f(eps, delta, n):\n"
         "    a = shurr_eps0(eps, delta, n)\n"
         "    b = kary.fmt_eps1(a, delta, n, 2)\n"
-        "    c = subrr_eps0\n"
-        "    return dpsampler.kary.shurr_f(eps) + subrr_eps0(eps, n) + a + b\n"
+        "    c = shurr_eps0\n"
+        "    return dpsampler.kary.shurr_f(eps) + shurr_eps0(eps, delta, n) + a + b\n"
     )
     assert _calls(tree, KARY_CALIBRATION_FUNCTIONS) == [
-        ("shurr_eps0", 2), ("fmt_eps1", 3), ("shurr_f", 5), ("subrr_eps0", 5)
+        ("shurr_eps0", 2), ("fmt_eps1", 3), ("shurr_f", 5), ("shurr_eps0", 5)
     ]
 
 
 def test_samplers_are_sized_from_their_calibration_tables():
-    # the rows one call takes are read from kary.KARY_CALIBRATIONS, whose module
-    # alone names the k-ary calculators, and gaussian.GAUSSIAN_CALIBRATIONS,
-    # whose entries compute their own
+    # the rows one call takes are read from the complexity methods of
+    # kary.KARY_CALIBRATIONS and gaussian.GAUSSIAN_CALIBRATIONS; only kary.py
+    # names the module-level calculator kept for older callers
     assert _calls_outside({"kary.py"}, COMPLEXITY_CALCULATORS) == []
 
 
 def test_complexity_guard_sees_calls():
     tree = ast.parse(
         "def f(k, alpha, eps):\n"
-        "    a = lambda t: subrr_sample_complexity(k, t, eps).n_required\n"
+        "    a = lambda t: shurr_weak_complexity(k, t, eps, 0.01, 1).n_required\n"
         "    return kary.shurr_weak_complexity(k, alpha, eps, 0.01, 1), a\n"
     )
     assert _calls(tree, COMPLEXITY_CALCULATORS) == [
-        ("subrr_sample_complexity", 2), ("shurr_weak_complexity", 3)
+        ("shurr_weak_complexity", 2), ("shurr_weak_complexity", 3)
     ]
+
+
+def _passed_name(node: ast.expr):
+    """``x`` for an argument ``x``, ``*x`` for ``*x``, None for any other expression."""
+    if isinstance(node, ast.Starred):
+        return f"*{node.value.id}" if isinstance(node.value, ast.Name) else None
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _forwarding_lambdas(tree: ast.AST, table: str) -> list[int]:
+    """Lines of the lambdas in ``table``'s assignment that pass their parameters on
+    unchanged, in order and positionally: each could be the function it calls."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == table for target in node.targets)):
+            continue
+        for fn in ast.walk(node.value):
+            if not (isinstance(fn, ast.Lambda) and isinstance(fn.body, ast.Call)):
+                continue
+            params = [arg.arg for arg in fn.args.args]
+            if fn.args.vararg:
+                params.append(f"*{fn.args.vararg.arg}")
+            passed = [_passed_name(arg) for arg in fn.body.args]
+            if not fn.body.keywords and passed == params:
+                found.append(fn.lineno)
+    return found
+
+
+@pytest.mark.parametrize("module, table", [
+    ("kary", "KARY_CALIBRATIONS"), ("gaussian", "GAUSSIAN_CALIBRATIONS"),
+])
+def test_calibration_entries_hold_no_forwarding_lambdas(module, table):
+    # an entry holds a formula or the function itself, not a wrapper that
+    # only forwards to a module function
+    path = Path(dpsampler.__file__).parent / f"{module}.py"
+    assert _forwarding_lambdas(ast.parse(path.read_text()), table) == []
+
+
+def test_forwarding_lambda_guard_sees_wrappers():
+    tree = ast.parse(
+        "TABLE = {\n"
+        "    'a': Entry(f=lambda *args: f(*args),\n"
+        "               g=lambda eps, delta, n: g(eps, delta, n),\n"
+        "               h=lambda eps, delta, n: h(eps, n),\n"
+        "               i=lambda eps, n: math.log(eps * n),\n"
+        "               j=lambda data, R: j(data, R=R),\n"
+        "               k=lambda x: kary.k(x)),\n"
+        "}\n"
+        "OTHER = {'b': lambda *args: f(*args)}\n"
+    )
+    assert _forwarding_lambdas(tree, "TABLE") == [2, 3, 7]
+
+
+# each module's public top-level functions and classes: adding or removing one
+# is a deliberate edit of this list
+PUBLIC_NAMES = {
+    "__init__": set(),
+    "audit": {"AuditReport", "report_to_json", "report_from_json", "reverify", "audit_rr_local",
+              "audit_subrr_pure", "audit_shurr_marginal", "audit_elap_mechanism",
+              "audit_zcdp_gaussian"},
+    "cli": {"ExperimentConfig", "RunReport", "table_sweep", "run", "main"},
+    "core": {"CategoricalDist", "validate_categorical", "KaryDataset", "VectorDataset",
+             "empirical_dist", "PrivacyBudget", "RandomSource", "read_kary_csv",
+             "read_vector_csv", "write_kary_csv", "write_vector_csv"},
+    "divergences": {"ClosenessResult", "tv_distance_finite", "hockey_stick_finite",
+                    "eps_delta_closeness", "hs_to_tv_bound", "TvEstimate", "tv_estimate_binned"},
+    "elap": {"ELapParams", "GammaParams", "elap_log_constant", "elap_log_density",
+             "elap_tail_radius", "gamma_tail_bound", "gamma_exact_tail", "gamma_sample",
+             "elap_sample"},
+    "errors": {"DPSamplerError", "ValidationError", "NegativeMass", "NotNormalized",
+               "DomainTooSmall", "DomainMismatch", "DimensionMismatch", "EmptyDataset",
+               "OutOfDomain", "InvalidAlpha", "NonIntegerShape", "BadSplit", "InsufficientData",
+               "PrecisionLimit", "ConfigInvalid"},
+    "gaussian": {"PureGaussianSamplerParams", "pure_gaussian_sample", "zcdp_known_cov_sample",
+                 "zcdp_bounded_cov_sample", "GaussianCalibration", "gaussian_calibration"},
+    "kary": {"RRParams", "rr_pmf", "rr_row", "rr_mixture_weight", "rr_sample", "subrr_sample",
+             "rr_mixture_dist", "ComplexityReport", "shurr_f", "shurr_eps0", "fmt_eps1",
+             "shurr_run", "shurr_weak_complexity", "KaryCalibration"},
+    "multisampling": {"SamplerSpec", "weak_via_repetition", "strong_via_precision",
+                      "strong_via_both", "repetition_complexity", "strong_both_complexity",
+                      "subrr_sampler", "shurr_sampler", "gaussian_sampler",
+                      "pure_gaussian_sampler", "zcdp_known_cov_sampler",
+                      "zcdp_bounded_cov_sampler"},
+}
+
+
+def test_public_surface_is_the_listed_one():
+    source = Path(dpsampler.__file__).parent
+    defined = {
+        path.stem: {node.name for node in ast.parse(path.read_text()).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")}
+        for path in sorted(source.glob("*.py"))
+    }
+    assert defined == PUBLIC_NAMES

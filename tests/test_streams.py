@@ -73,6 +73,14 @@ radius and sufficient n are its ``GAUSSIAN_CALIBRATIONS`` entry's
 and complexity functions are gone; the ``zcdp_bounded_cov_sample`` case reads
 the same B from the entry.  No draw, statistic or report byte moves, so every
 0.12.0 digest is its 0.11.0 value.
+
+0.13.0 moves no stream.  It changes the API: each k-ary mechanism's eps0 rule,
+least n and sufficient n are its ``KARY_CALIBRATIONS`` entry's ``eps0``,
+``min_n`` and ``complexity`` methods, four module-level calculators are gone,
+and record and draw counts are checked as every other count is.  The same
+expressions give eps0 and every bound, so no draw, eps0 bit, least n or
+report byte moves: ``kary-reports`` and ``audit_rr_subrr`` keep their bytes,
+and every 0.13.0 digest is its 0.12.0 value.
 """
 
 import hashlib
@@ -379,6 +387,7 @@ DIGESTS = {
 DIGESTS["0.10.0"] = DIGESTS["0.9.0"]  # 0.10.0 moves no stream
 DIGESTS["0.11.0"] = DIGESTS["0.10.0"]  # 0.11.0 moves no stream
 DIGESTS["0.12.0"] = DIGESTS["0.11.0"]  # 0.12.0 moves no stream
+DIGESTS["0.13.0"] = DIGESTS["0.12.0"]  # 0.13.0 moves no stream
 
 
 def _sha(values, dtype: str) -> str:
